@@ -42,7 +42,11 @@ def mqm_kgnn(
     streams = [incremental_nearest(tree, l, counters) for l in locations]
     frontiers = [0.0] * len(locations)
     exhausted = [False] * len(locations)
-    seen: set[int] = set()
+    # Identical (location, item) entries are distinct entries of the index,
+    # and every stream yields each copy once: the j-th copy a stream yields
+    # is new exactly when fewer than j copies have been scored.  Per entry:
+    # [copies yielded by stream 0, ..., by stream n-1, copies scored].
+    copies: dict[tuple[float, float, int], list[int]] = {}
     best: list[tuple[float, Point, Any]] = []
 
     while not all(exhausted):
@@ -56,9 +60,13 @@ def mqm_kgnn(
                 continue
             dist, p, item = step
             frontiers[i] = dist
-            identity = id(item)
-            if identity not in seen:
-                seen.add(identity)
+            entry = (p.x, p.y, id(item))
+            seen = copies.get(entry)
+            if seen is None:
+                seen = copies[entry] = [0] * (len(locations) + 1)
+            seen[i] += 1
+            if seen[i] > seen[-1]:
+                seen[-1] += 1
                 score = aggregate(p.distance_to(l) for l in locations)
                 best.append((score, p, item))
                 best.sort(key=lambda t: (t[0], t[1]))

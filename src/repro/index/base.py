@@ -15,9 +15,11 @@ from repro.geometry.rect import Rect
 class IndexCounters:
     """Exact per-engine work counters, published as ``index.*`` metrics.
 
-    ``candidates_scored`` counts every entry whose exact distance (or
-    aggregate score) was computed — the honest measure of per-query
-    candidate work, and the counter the index-scale perf baseline gates.
+    ``candidates_scored`` counts entries of expanded leaves examined (every
+    entry, for exhaustive scans) — the measure of per-query candidate
+    work, and the counter the index-scale perf baseline gates.  A search
+    may bound such entries in bulk and score only those that can still
+    reach the answer.
     ``nodes_visited`` counts tree nodes expanded by hierarchical searches
     (always 0 for flat indexes).
     """

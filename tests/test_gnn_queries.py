@@ -1,24 +1,129 @@
 """Tests for kNN, MBM kGNN, and the query engine against the brute-force oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.poi import POI
+from repro.datasets.sequoia import load_sequoia
 from repro.datasets.synthetic import uniform_pois
 from repro.errors import ConfigurationError
 from repro.geometry.point import Point
-from repro.gnn.aggregate import MAX, MIN, SUM
+from repro.gnn.aggregate import (
+    MAX,
+    MIN,
+    SUM,
+    Aggregate,
+    get_aggregate,
+    register_aggregate,
+)
 from repro.gnn.bruteforce import brute_force_kgnn
 from repro.gnn.engine import GNNQueryEngine
 from repro.gnn.knn import best_first_knn
 from repro.gnn.mbm import mbm_kgnn
+from repro.gnn.mqm import mqm_kgnn
+from repro.gnn.spm import spm_kgnn
+from repro.index.base import IndexCounters
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.rtree import RTree
 
 coord = st.floats(min_value=0, max_value=1, allow_nan=False)
 query_points = st.lists(st.builds(Point, coord, coord), min_size=1, max_size=6)
+
+_DIFF_SIZES = (1, 2, 4, 8)
+_DIFF_KS = (1, 8, 32)
+_DIFF_SPREADS = (0.02, 0.1, 0.3, 1.0)
+
+
+def _lattice_pois(count: int, side: int, seed: int) -> list[POI]:
+    """POIs on a ``side x side`` integer lattice: most locations hold several."""
+    xy = np.random.default_rng(seed).integers(0, side, size=(count, 2))
+    return [POI(i, Point(float(x), float(y))) for i, (x, y) in enumerate(xy)]
+
+
+#: name -> (POIs, side of the square they cover)
+_DIFF_DATASETS = {
+    "sequoia": lambda: (load_sequoia(8000), 1.0),
+    "lattice": lambda: (_lattice_pois(6000, 24, seed=3), 24.0),
+}
+
+
+def _sum_of_squares() -> Aggregate:
+    """A custom monotone aggregate whose vector form must not be trusted.
+
+    ``combine_rows`` overstates every cost, so an MBM walk that filtered
+    with it would drop true answers; only the built-in aggregates may
+    filter.
+    """
+    try:
+        return get_aggregate("test-mbm-sum-of-squares")
+    except ConfigurationError:
+        aggregate = Aggregate(
+            "test-mbm-sum-of-squares",
+            lambda ds: float(sum(d * d for d in ds)),
+            lambda m: 2.0 * (m * m).sum(axis=1) + 1.0,
+        )
+        register_aggregate(aggregate)
+        return aggregate
+
+
+def _differential_run(dataset: str, index: str, tree, side: float, aggregates):
+    """Seeded MBM queries over one dataset/index: ``(query, answer, counters)``.
+
+    One query per (aggregate, n, k); group spreads cycle through
+    ``_DIFF_SPREADS`` and, on the lattice, every other group is snapped to
+    lattice points so exact score ties are common.
+    """
+    rng = np.random.default_rng(list(f"{dataset}/{index}".encode()))
+    runs = []
+    for aggregate in aggregates:
+        for n in _DIFF_SIZES:
+            for k in _DIFF_KS:
+                spread = _DIFF_SPREADS[len(runs) % len(_DIFF_SPREADS)] * side
+                cx, cy = rng.uniform(0, side, 2)
+                locations = [
+                    Point(
+                        float(cx + rng.uniform(-spread, spread)),
+                        float(cy + rng.uniform(-spread, spread)),
+                    )
+                    for _ in range(n)
+                ]
+                if dataset == "lattice" and len(runs) % 2:
+                    locations = [Point(float(round(q.x)), float(round(q.y))) for q in locations]
+                counters = IndexCounters()
+                got = mbm_kgnn(tree, locations, k, aggregate, counters)
+                runs.append(
+                    (
+                        (locations, k, aggregate),
+                        got,
+                        (counters.nodes_visited, counters.candidates_scored),
+                    )
+                )
+    return runs
+
+
+def _counter_digest(runs) -> tuple[int, int, str]:
+    """Summed ``(nodes_visited, candidates_scored)`` plus a digest of every pair."""
+    pairs = [counters for _, _, counters in runs]
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()[:16]
+    return sum(p[0] for p in pairs), sum(p[1] for p in pairs), digest
+
+
+#: Counters of the differential workloads, recorded from the scalar MBM
+#: walk that scored every entry of every expanded node.
+_SCALAR_WALK_COUNTERS = {
+    ("lattice", "rtree", "builtin"): (237, 4444, "11f6f45be2b5928c"),
+    ("lattice", "kdtree", "builtin"): (927, 4873, "e6151ba69cd990c0"),
+    ("lattice", "grid", "builtin"): (101, 707, "9f88af3c741e086e"),
+    ("lattice", "rtree", "custom"): (110, 2344, "0c9d2950961ffffe"),
+    ("sequoia", "rtree", "builtin"): (408, 9064, "dc37dcaa107b4bcf"),
+    ("sequoia", "kdtree", "builtin"): (828, 5760, "4deb11f92c7a30da"),
+    ("sequoia", "grid", "builtin"): (552, 6852, "fafb0a8666f302ee"),
+    ("sequoia", "rtree", "custom"): (172, 3936, "660b2361fb27d85f"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +208,68 @@ class TestMBM:
         tree, _ = tree_and_pois
         with pytest.raises(ConfigurationError):
             mbm_kgnn(tree, [], 5, SUM)
+
+
+@pytest.fixture(scope="module")
+def diff_run():
+    """Checks a differential run against ``brute_force_kgnn``; returns its counters.
+
+    Each dataset/index is built once per module.
+    """
+    trees = {}
+
+    def run(dataset, index, aggregates):
+        if (dataset, index) not in trees:
+            pois, side = _DIFF_DATASETS[dataset]()
+            trees[dataset, index] = GNNQueryEngine(pois, index=index).tree, side
+        tree, side = trees[dataset, index]
+        runs = _differential_run(dataset, index, tree, side, aggregates)
+        for (locations, k, aggregate), got, _ in runs:
+            want = brute_force_kgnn(tree.entries(), locations, k, aggregate)
+            # Entries tied on (score, location) are interchangeable.
+            assert [(s, p) for p, _, s in got] == [(s, p) for p, _, s in want]
+            assert all(item.location == p for p, item, _ in got)
+            ids = [item.poi_id for _, item, _ in got]
+            assert len(set(ids)) == len(ids)
+        return _counter_digest(runs)
+
+    return run
+
+
+class TestMBMDifferential:
+    """The vector-filtered walk against the oracle and the scalar walk's counters."""
+
+    @pytest.mark.parametrize("index", ["rtree", "kdtree", "grid"])
+    @pytest.mark.parametrize("dataset", sorted(_DIFF_DATASETS))
+    def test_builtin_aggregates(self, diff_run, dataset, index):
+        counters = diff_run(dataset, index, (SUM, MAX, MIN))
+        assert counters == _SCALAR_WALK_COUNTERS[dataset, index, "builtin"]
+
+    @pytest.mark.parametrize("dataset", sorted(_DIFF_DATASETS))
+    def test_custom_aggregate_scores_exactly(self, diff_run, dataset):
+        counters = diff_run(dataset, "rtree", (_sum_of_squares(),))
+        assert counters == _SCALAR_WALK_COUNTERS[dataset, "rtree", "custom"]
+
+
+class TestDuplicateEntries:
+    """Identical (location, item) entries are distinct; every kGNN method agrees."""
+
+    @pytest.fixture
+    def tree(self):
+        tree = RTree(max_entries=4)
+        others = [(Point(0.1 * i, 0.2 + 0.05 * i), f"p{i}") for i in range(8)]
+        twin = (Point(0.5, 0.5), "poi-A")
+        tree.bulk_load([twin, *others[:4], twin, *others[4:]])
+        return tree
+
+    @pytest.mark.parametrize("algorithm", [mbm_kgnn, spm_kgnn, mqm_kgnn])
+    def test_each_copy_counts(self, tree, algorithm):
+        locations = [Point(0.4, 0.5), Point(0.6, 0.5)]
+        got = algorithm(tree, locations, 3, SUM)
+        want = brute_force_kgnn(tree.entries(), locations, 3, SUM)
+        assert [item for _, item, _ in got] == [item for _, item, _ in want]
+        assert [item for _, item, _ in got][:2] == ["poi-A", "poi-A"]
+        assert [s for _, _, s in got] == [s for _, _, s in want]
 
 
 class TestEngine:
