@@ -1,9 +1,10 @@
 """Ablation: vectorized answer sanitation vs the scalar reference.
 
-DESIGN.md decision 1: the sanitation evaluates the inequality attack on one
-shared Monte-Carlo batch with a cumulative AND, instead of re-testing every
-prefix length with fresh loops.  This bench quantifies the speedup and
-re-verifies output equality on the benchmark workload.
+DESIGN.md decision 1 and "Sanitation hot path": the LSP grows the prefix
+over one shared Monte-Carlo batch with numpy, using cheap sample distances
+and an exact re-check band, instead of re-testing every prefix length with
+scalar loops.  This bench measures the speed-up on the benchmark workload
+and re-verifies that both paths truncate the answer identically.
 """
 
 from __future__ import annotations
@@ -28,43 +29,34 @@ def test_ablation_sanitize_vectorized_vs_scalar(lsp, settings, recorder, benchma
     xs, ys = lsp.space.sample_arrays(SAMPLES, np.random.default_rng(2))
 
     start = time.perf_counter()
-    incremental = sanitizer._sanitize_incremental(pois, group, xs, ys)
-    incremental_time = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batched = sanitizer._sanitize_with_samples(pois, group, xs, ys)
-    batched_time = time.perf_counter() - start
+    vectorized = sanitizer._sanitize_incremental(pois, group, xs, ys)
+    vectorized_time = time.perf_counter() - start
 
     start = time.perf_counter()
     scalar = sanitizer.sanitize_scalar(pois, group, xs, ys)
     scalar_time = time.perf_counter() - start
 
-    assert incremental.prefix == batched.prefix == scalar.prefix
-    speedup = scalar_time / batched_time
+    # The vectorized path stops at the first unsafe length; the reference
+    # tests every target to its own, so only these two must agree.
+    assert vectorized.prefix == scalar.prefix
+    assert min(vectorized.safe_lengths) == min(scalar.safe_lengths)
+    speedup = scalar_time / vectorized_time
     recorder.record(
         "ablation_sanitize",
         "Ablation: sanitation implementation (N_H=2000, n=8, k=8)",
         "variant",
-        ["incremental (paper)", "batched", "scalar"],
+        ["vectorized (paper's incremental test)", "scalar"],
         {
-            "time": [
-                f"{incremental_time * 1000:.2f} ms",
-                f"{batched_time * 1000:.2f} ms",
-                f"{scalar_time * 1000:.2f} ms",
-            ],
-            "prefix": [
-                str(len(incremental.prefix)),
-                str(len(batched.prefix)),
-                str(len(scalar.prefix)),
-            ],
+            "time": [f"{vectorized_time * 1000:.2f} ms", f"{scalar_time * 1000:.2f} ms"],
+            "prefix": [str(len(vectorized.prefix)), str(len(scalar.prefix))],
         },
         notes=(
-            f"vectorized-vs-scalar speedup {speedup:.0f}x; the incremental "
-            f"path additionally skips POI columns past the unsafe prefix "
-            f"(why Fig 6f flattens at large k); all prefixes identical"
+            f"vectorized-vs-scalar speedup {speedup:.0f}x; the vectorized "
+            f"path also skips POI columns past the unsafe prefix (why Fig 6f "
+            f"flattens at large k); prefixes identical"
         ),
     )
-    assert speedup > 5  # the vectorized paths must matter
+    assert speedup > 5  # the vectorized path must matter
 
     benchmark.pedantic(
         lambda: sanitizer._sanitize_incremental(pois, group, xs, ys),

@@ -42,11 +42,11 @@ class Aggregate:
     partial / merge:
         Optional decomposition for associative aggregates, exploited by the
         answer sanitation: ``partial`` reduces the known users' distances to
-        one scalar per POI, and ``merge(sample_dists, partials)`` combines a
-        ``(samples, pois)`` distance array with the ``(pois,)`` partials
-        into the full aggregate — e.g. plain addition for ``sum``.  When
-        either is None the sanitizer falls back to ``combine_rows`` on
-        explicitly assembled matrices, which works for any monotone F.
+        one scalar per POI, and ``merge(sample_dists, partial)`` combines a
+        column of sample distances with that scalar into the full
+        aggregate — e.g. plain addition for ``sum``.  When either is None
+        the sanitizer falls back to ``combine_rows`` on explicitly
+        assembled matrices, which works for any monotone F.
     """
 
     name: str

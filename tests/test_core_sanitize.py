@@ -1,14 +1,28 @@
 """Tests for the answer sanitation (Sections 5.2-5.3)."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.sanitize import AnswerSanitizer
+from repro.datasets.poi import POI
+from repro.datasets.sequoia import load_sequoia
 from repro.datasets.synthetic import uniform_pois
+from repro.errors import ConfigurationError
 from repro.geometry.point import Point
 from repro.geometry.space import LocationSpace
-from repro.gnn.aggregate import MAX, MIN, SUM, Aggregate
+from repro.gnn.aggregate import (
+    MAX,
+    MIN,
+    SUM,
+    Aggregate,
+    get_aggregate,
+    register_aggregate,
+)
 from repro.gnn.engine import GNNQueryEngine
+from repro.gnn.mbm import mbm_kgnn
 from repro.stats.hypothesis import SanitationTestPlan
 
 
@@ -109,57 +123,271 @@ class TestSanitizeSemantics:
         xs, ys = space.sample_arrays(2500, np.random.default_rng(42))
         fast = AnswerSanitizer(space, SUM, plan, np.random.default_rng(0))
         slow = AnswerSanitizer(space, opaque_sum, plan, np.random.default_rng(0))
-        out_fast = fast._sanitize_with_samples(pois, group, xs, ys)
-        out_slow = slow._sanitize_with_samples(pois, group, xs, ys)
+        out_fast = fast._sanitize_incremental(pois, group, xs, ys)
+        out_slow = slow._sanitize_incremental(pois, group, xs, ys)
         assert out_fast == out_slow
 
 
-class TestEarlyStopAgainstBatch:
-    def test_same_prefix_on_shared_samples(self, space, engine):
-        """The incremental (paper) path and the batched path must truncate
-        identically when fed the same Monte-Carlo samples."""
-        for seed in range(6):
-            group = spread_group(5, seed=seed)
-            pois = engine.query(8, group)
-            sanitizer = make_sanitizer(space, samples=1500)
-            xs, ys = space.sample_arrays(1500, np.random.default_rng(100 + seed))
-            incremental = sanitizer._sanitize_incremental(pois, group, xs, ys)
-            batched = sanitizer._sanitize_with_samples(pois, group, xs, ys)
-            assert incremental.prefix == batched.prefix
-            assert min(incremental.safe_lengths) == min(batched.safe_lengths)
-
-    def test_default_mode_is_early_stop(self, space):
-        assert make_sanitizer(space).early_stop
-
-    def test_prefix_invariant_holds_in_both_modes(self, space, engine):
-        group = spread_group(6, seed=21)
-        pois = engine.query(8, group)
-        for early_stop in (True, False):
-            plan = SanitationTestPlan.from_parameters(0.05, n_samples_override=1200)
-            sanitizer = AnswerSanitizer(
-                space, SUM, plan, np.random.default_rng(3), early_stop=early_stop
-            )
-            outcome = sanitizer.sanitize(pois, group)
-            assert len(outcome.prefix) == min(outcome.safe_lengths)
+def assert_same_prefix(vectorized, scalar):
+    """The vectorized path stops at the first unsafe length, so only the
+    prefix and the shortest safe length are comparable with the reference."""
+    assert vectorized.prefix == scalar.prefix
+    assert min(vectorized.safe_lengths) == min(scalar.safe_lengths)
 
 
 class TestVectorizedAgainstScalar:
     def test_identical_on_shared_samples(self, space, engine):
-        """The numpy path must equal the pure-Python reference bit-for-bit."""
+        """The numpy path must truncate exactly like the pure-Python reference."""
         group = spread_group(4, seed=17)
         pois = engine.query(6, group)
         sanitizer = make_sanitizer(space, samples=400)
         xs, ys = space.sample_arrays(400, np.random.default_rng(8))
-        vectorized = sanitizer._sanitize_with_samples(pois, group, xs, ys)
+        vectorized = sanitizer._sanitize_incremental(pois, group, xs, ys)
         scalar = sanitizer.sanitize_scalar(pois, group, xs, ys)
-        assert vectorized == scalar
+        assert_same_prefix(vectorized, scalar)
+
+    def test_same_prefix_on_shared_samples(self, space):
+        """Every built-in aggregate and the generic fallback truncate like the
+        reference on the same Monte-Carlo samples, co-located members and a
+        member standing on a POI included."""
+        opaque_sum = Aggregate(
+            "opaque-sum", lambda ds: float(sum(ds)), lambda m: m.sum(axis=1)
+        )
+        all_pois = uniform_pois(800, seed=21)
+        for seed, aggregate in enumerate((SUM, MAX, MIN, opaque_sum, SUM, MIN)):
+            group = spread_group(4, seed=seed)
+            if seed >= 4:
+                group[1] = group[0]
+                group[2] = all_pois[seed].location
+            local = GNNQueryEngine(all_pois, aggregate=aggregate)
+            pois = local.query(8, group)
+            sanitizer = make_sanitizer(space, aggregate=aggregate, samples=300)
+            xs, ys = space.sample_arrays(300, np.random.default_rng(100 + seed))
+            assert_same_prefix(
+                sanitizer._sanitize_incremental(pois, group, xs, ys),
+                sanitizer.sanitize_scalar(pois, group, xs, ys),
+            )
 
     def test_scalar_validates_sample_count(self, space, engine):
-        from repro.errors import ConfigurationError
-
         group = spread_group(3)
         pois = engine.query(4, group)
         sanitizer = make_sanitizer(space, samples=400)
         xs, ys = space.sample_arrays(10, np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             sanitizer.sanitize_scalar(pois, group, xs, ys)
+
+
+# ----------------------------------------------------------- differential
+
+
+_DIFF_SIZES = (2, 3, 4, 8)
+_DIFF_THETAS = (0.01, 0.05, 0.2)
+_DIFF_KS = (1, 2, 8, 32)
+_DIFF_GROUPS = ("spread", "tight", "co-located", "on-poi")
+
+
+def _sum_of_squares() -> Aggregate:
+    """A registered custom aggregate: decomposable, but not a built-in."""
+    try:
+        return get_aggregate("test-sanitize-sum-of-squares")
+    except ConfigurationError:
+        aggregate = Aggregate(
+            "test-sanitize-sum-of-squares",
+            lambda ds: float(sum(d * d for d in ds)),
+            lambda m: (m * m).sum(axis=1),
+            partial=lambda ds: float(sum(d * d for d in ds)),
+            merge=lambda dists, partials: dists * dists + partials,
+        )
+        register_aggregate(aggregate)
+        return aggregate
+
+
+def _diff_aggregate(name: str) -> Aggregate:
+    return _sum_of_squares() if name == "custom" else get_aggregate(name)
+
+
+def _diff_group(kind: str, n: int, rng, pois) -> list[Point]:
+    """``n`` member locations: spread over the space, a tight cluster, all
+    at one point, or spread with the first member standing on a POI."""
+    if kind == "co-located":
+        return [Point(*map(float, rng.uniform(0, 1, 2)))] * n
+    spread = 0.02 if kind == "tight" else 0.5
+    cx, cy = rng.uniform(spread, 1 - spread, 2)
+    group = [
+        Point(float(cx + rng.uniform(-spread, spread)), float(cy + rng.uniform(-spread, spread)))
+        for _ in range(n)
+    ]
+    if kind == "on-poi":
+        group[0] = pois[int(rng.integers(len(pois)))].location
+    return group
+
+
+def _differential_outcomes(tree, pois, aggregate) -> list:
+    """Seeded sanitations over the Sequoia surrogate, one per (n, theta0, k, group).
+
+    One sanitizer per theta0 serves all of its cases, as the LSP's serves
+    every candidate of a request, so its RNG stream runs across them.
+    """
+    rng = np.random.default_rng(list(aggregate.name.encode()))
+    space = LocationSpace.unit_square()
+    sanitizers = {
+        theta0: AnswerSanitizer(
+            space,
+            aggregate,
+            SanitationTestPlan.from_parameters(theta0),
+            np.random.default_rng(list(f"{aggregate.name}/{theta0}".encode())),
+        )
+        for theta0 in _DIFF_THETAS
+    }
+    outcomes = []
+    for n in _DIFF_SIZES:
+        for theta0 in _DIFF_THETAS:
+            for k in _DIFF_KS:
+                for kind in _DIFF_GROUPS:
+                    group = _diff_group(kind, n, rng, pois)
+                    answer = [item for _, item, _ in mbm_kgnn(tree, group, k, aggregate)]
+                    outcome = sanitizers[theta0].sanitize(answer, group)
+                    outcomes.append(
+                        (
+                            (n, theta0, k, kind),
+                            tuple(p.poi_id for p in outcome.prefix),
+                            outcome.safe_lengths,
+                        )
+                    )
+    return outcomes
+
+
+def _tie_outcomes(tree, pois) -> list:
+    """Sanitations whose inequalities tie exactly on every sample: a POI
+    duplicated in the answer, and (under min) members standing on two POIs."""
+    space = LocationSpace.unit_square()
+    on_pois = [pois[10].location, pois[11].location, Point(0.5, 0.5)]
+    co_located = [pois[12].location] * 4
+    outcomes = []
+    for aggregate in (SUM, MAX, MIN):
+        sanitizer = AnswerSanitizer(
+            space,
+            aggregate,
+            SanitationTestPlan.from_parameters(0.05),
+            np.random.default_rng(list(f"ties/{aggregate.name}".encode())),
+        )
+        for group in (on_pois, co_located):
+            answer = [item for _, item, _ in mbm_kgnn(tree, group, 8, aggregate)]
+            twin = POI(len(pois), answer[0].location)
+            for ranked in (answer, [answer[0], twin, *answer[1:]]):
+                outcome = sanitizer.sanitize(ranked, group)
+                outcomes.append(
+                    (
+                        (aggregate.name, len(group), len(ranked)),
+                        tuple(p.poi_id for p in outcome.prefix),
+                        outcome.safe_lengths,
+                    )
+                )
+    return outcomes
+
+
+def _outcome_digest(outcomes) -> tuple[int, str]:
+    """Summed prefix length plus a digest of every (case, prefix, safe_lengths)."""
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]
+    return sum(len(prefix) for _, prefix, _ in outcomes), digest
+
+
+#: Outcomes of the differential grid and of the tie cases, recorded from
+#: the sanitizer that evaluated every POI column with np.hypot.
+_EXACT_COLUMN_OUTCOMES = {
+    "sum": (404, "594378de225efffd"),
+    "max": (402, "7c84752b83894c9c"),
+    "min": (712, "a56942c0ac7314a0"),
+    "custom": (386, "ac051b3c6f977e50"),
+    "ties": (54, "a9631cdf163b0e23"),
+}
+
+
+@pytest.fixture(scope="module")
+def sequoia_tree():
+    pois = load_sequoia(8000)
+    return GNNQueryEngine(pois).tree, pois
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Counts which evaluation each sanitation took and the band's samples."""
+    seen = {"cheap": 0, "exact": 0, "rechecked": 0}
+    cheap, exact, recheck = (
+        AnswerSanitizer._cheap_counts,
+        AnswerSanitizer._exact_counts,
+        AnswerSanitizer._recheck,
+    )
+
+    def count_cheap(self, *args):
+        seen["cheap"] += 1
+        return cheap(self, *args)
+
+    def count_exact(self, *args):
+        seen["exact"] += 1
+        return exact(self, *args)
+
+    def count_recheck(self, band, *args):
+        seen["rechecked"] += len(band)
+        return recheck(self, band, *args)
+
+    monkeypatch.setattr(AnswerSanitizer, "_cheap_counts", count_cheap)
+    monkeypatch.setattr(AnswerSanitizer, "_exact_counts", count_exact)
+    monkeypatch.setattr(AnswerSanitizer, "_recheck", count_recheck)
+    return seen
+
+
+class TestSanitizeDifferential:
+    """Cheap distances plus the band re-check against exact np.hypot columns."""
+
+    @pytest.mark.parametrize("name", ["sum", "max", "min", "custom"])
+    def test_outcomes_match_exact_columns(self, sequoia_tree, paths, name):
+        aggregate = _diff_aggregate(name)
+        outcomes = _differential_outcomes(*sequoia_tree, aggregate)
+        assert _outcome_digest(outcomes) == _EXACT_COLUMN_OUTCOMES[name]
+        if name == "custom":
+            assert paths["exact"] > 0 and paths["cheap"] == paths["rechecked"] == 0
+        else:
+            assert paths["cheap"] > 0 and paths["exact"] == 0
+
+    def test_exact_ties_are_rechecked(self, sequoia_tree, paths):
+        """A tie on every sample lands in the band and is decided exactly."""
+        outcomes = _tie_outcomes(*sequoia_tree)
+        assert _outcome_digest(outcomes) == _EXACT_COLUMN_OUTCOMES["ties"]
+        whole_column = SanitationTestPlan.from_parameters(0.05).n_samples
+        assert paths["rechecked"] >= whole_column
+
+
+class TestSanitizeMemory:
+    """Memory is O(N_H): it does not grow with the prefix the answer keeps."""
+
+    @pytest.mark.parametrize(
+        ("name", "co_located", "prefix", "limit_mib"),
+        [("sum", False, 3, 8), ("min", True, 32, 8), ("custom", True, 3, 12)],
+        ids=["sum", "min-full-answer", "custom"],
+    )
+    def test_peak_bounded(self, sequoia_tree, name, co_located, prefix, limit_mib):
+        """n = 8, k = 32, theta0 = 0.01 (N_H = 63,225): about 0.5 MB a column.
+
+        Caching a column per (target, POI) would hold n*k + k of them,
+        140 MiB when all 32 POIs stay safe.  The custom aggregate keeps one
+        column per target.
+        """
+        tree, _ = sequoia_tree
+        aggregate = _diff_aggregate(name)
+        group = [Point(0.3, 0.6)] * 8 if co_located else spread_group(8, seed=5)
+        answer = [item for _, item, _ in mbm_kgnn(tree, group, 32, aggregate)]
+        sanitizer = AnswerSanitizer(
+            LocationSpace.unit_square(),
+            aggregate,
+            SanitationTestPlan.from_parameters(0.01),
+            np.random.default_rng(0),
+        )
+        tracemalloc.start()
+        try:
+            outcome = sanitizer.sanitize(answer, group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(outcome.prefix) == prefix
+        assert peak <= limit_mib * 2**20
