@@ -58,9 +58,10 @@ def sentinel() -> BenchSentinel:
 
     Disarmed (record=False, check=False) unless
     ``REPRO_BENCH_RECORD_BASELINE`` / ``REPRO_BENCH_CHECK_BASELINE`` is
-    set, so plain benchmark runs never fail on baseline drift.
+    set, so plain benchmark runs never fail on baseline drift.  Baselines
+    are the lineage heads of the run ledger under ``benchmarks/series/``.
     """
-    return BenchSentinel.from_env(Path(__file__).parent / "baselines")
+    return BenchSentinel.from_env(Path(__file__).parent / "series")
 
 
 def make_config(settings: BenchSettings, **overrides) -> PPGNNConfig:

@@ -16,36 +16,22 @@ from repro.bench.harness import (
     print_series_table,
 )
 from repro.bench.sentinel import (
-    BASELINE_SCHEMA_VERSION,
     BaselineComparison,
-    BaselineRecord,
-    BaselineStore,
     BenchSentinel,
-    MetricDelta,
-    MetricSpec,
-    classify_metric,
-    compare_metrics,
-    compare_to_baseline,
+    gate_run,
     render_markdown,
     serving_report_metrics,
 )
 
 __all__ = [
-    "BASELINE_SCHEMA_VERSION",
     "BaselineComparison",
-    "BaselineRecord",
-    "BaselineStore",
     "BenchSentinel",
     "BenchSettings",
     "MeasuredCosts",
-    "MetricDelta",
-    "MetricSpec",
     "average_runs",
-    "classify_metric",
-    "compare_metrics",
-    "compare_to_baseline",
     "format_bytes",
     "format_seconds",
+    "gate_run",
     "measure_protocol",
     "print_series_table",
     "render_markdown",

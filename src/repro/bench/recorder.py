@@ -9,7 +9,9 @@ Structured results go to ``BENCH_<experiment>.json`` via
 :meth:`SeriesRecorder.record_json`.  Every JSON document is stamped with
 its provenance — the git commit it ran at, the Paillier key size, and the
 full configuration dict — so a result file found months later is
-self-describing instead of guess-what-produced-this.
+self-describing instead of guess-what-produced-this.  The recorder writes
+nothing else: the run ledger under ``benchmarks/series/`` only grows
+through the sentinel or an explicit ``repro trend --append``.
 """
 
 from __future__ import annotations
@@ -45,22 +47,11 @@ def git_sha(cwd: str | Path | None = None) -> str:
 
 
 class SeriesRecorder:
-    """Writes experiment series to ``<directory>/<experiment>.txt``.
+    """Writes experiment series to ``<directory>/<experiment>.txt``."""
 
-    ``series_dir`` locates the cross-commit run ledger
-    (:class:`repro.obs.series.RunLedger`); it defaults to the sibling
-    ``series/`` of the results directory, matching the committed layout
-    (``benchmarks/results/`` next to ``benchmarks/series/``).
-    """
-
-    def __init__(
-        self, directory: str | Path, series_dir: str | Path | None = None
-    ) -> None:
+    def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        if series_dir is None:
-            series_dir = self.directory.parent / "series"
-        self.series_dir = Path(series_dir)
         self._opened: set[str] = set()
 
     def _path(self, experiment: str) -> Path:
@@ -120,10 +111,9 @@ class SeriesRecorder:
                 raise ReproError(
                     f"{path} holds a schema v{existing} record; this library "
                     f"writes v{RECORD_SCHEMA_VERSION}.  Refusing to silently "
-                    "overwrite — delete the file or pass force=True.  (The "
-                    "old run is not lost either way: every record_json also "
-                    "appends to the append-only ledger under "
-                    f"{self.series_dir} — see `repro trend`.)"
+                    "overwrite — keep it in the run ledger first with "
+                    "`repro trend --append`, then delete the file or pass "
+                    "force=True."
                 )
         document = {
             "schema_version": RECORD_SCHEMA_VERSION,
@@ -138,12 +128,6 @@ class SeriesRecorder:
         with open(path, "w") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        # The BENCH json is a one-run snapshot; the same run also lands in
-        # the append-only cross-commit ledger so `repro trend` keeps the
-        # history the overwrite above discards.
-        from repro.obs.series import RunLedger, record_from_bench_document
-
-        RunLedger(self.series_dir).append(record_from_bench_document(document))
         return path
 
     def note(self, experiment: str, text: str) -> None:

@@ -1,256 +1,58 @@
-"""The performance sentinel: baseline store, comparator, regression report.
+"""The performance sentinel: gate a run against its ledger baseline.
 
-The repo's performance memory.  A :class:`BaselineRecord` freezes one
-experiment's metrics — stamped with the git SHA, key size, and workload
-config that produced them, like :meth:`SeriesRecorder.record_json` — into
-``benchmarks/baselines/<experiment>.json``.  A later run loads the record
-and :func:`compare_metrics` classifies every metric as **improved**,
-**regressed**, or **neutral** with noise-aware thresholds:
+The repo keeps one perf store, the run ledger under
+``benchmarks/series/`` (:mod:`repro.obs.series`).  A **baseline** is the
+last record of a ``(suite, config_digest, keysize)`` lineage there.
+:func:`gate_run` compares a fresh run against that head with the
+ledger's zero-tolerance :func:`~repro.obs.series.compare_metrics`:
 
-- **exact** metrics (operation counts, protocol rounds, bytes on the
-  wire, modular-multiplication estimates) are deterministic functions of
-  the seeded workload, so *any* change is real — zero tolerance;
-- **timing** metrics (wall seconds, qps) are host-noise-prone, so only a
-  relative change beyond ``rel_tolerance`` counts.
+- **check** mode is read-only and fails on any exact-counter regression
+  (timing metrics are informational);
+- **record** mode appends the run as the new head, its ``accepted`` note
+  naming every exact counter it moved — recording means accepting, so
+  ``repro trend --check`` stays green across a deliberate re-record.
 
-``repro perf-check`` and the CI perf-gate fail on exact regressions and
-render the verdict as a markdown report; benchmarks opt in per run via
-:class:`BenchSentinel` (``REPRO_BENCH_RECORD_BASELINE=1`` /
-``REPRO_BENCH_CHECK_BASELINE=1``).  SANNS-style evaluations track their
-headline claims this way — per-phase costs against remembered baselines —
-instead of trusting a human to re-read text files every release.
+``repro perf-check`` drives it for the pinned protocol and crypto
+workloads and renders the verdict as a markdown report; benchmarks opt
+in per run via :class:`BenchSentinel` (``REPRO_BENCH_RECORD_BASELINE=1``
+/ ``REPRO_BENCH_CHECK_BASELINE=1``).  SANNS-style evaluations track
+their headline claims this way — per-phase costs against one remembered
+record — instead of trusting a human to re-read text files every
+release.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 from repro.bench.recorder import git_sha
 from repro.errors import ConfigurationError, PerfRegressionError, ReproError
-from repro.obs.series import LedgerRecord, RunLedger, ledger_stamp
-
-#: Version of the baseline file layout; bump on breaking changes.
-BASELINE_SCHEMA_VERSION = 1
-
-#: Name fragments that mark a metric as wall-clock-flavored (noisy).
-_TIMING_TOKENS = ("seconds", "latency", "qps", "wall", "speedup")
-
-#: Name fragments where larger is better.
-_HIGHER_BETTER_TOKENS = (
-    "throughput",
-    "qps",
-    "speedup",
-    "hit_rate",
-    "hits",
-    "completed",
-    "pooled",
+from repro.obs.series import (
+    TIMING_TOLERANCE,
+    LedgerRecord,
+    MetricDelta,
+    RunLedger,
+    compare_metrics,
 )
-
-#: Name fragments where any change at all is a behavior change (answer
-#: counts: the workload fixes them, so drift in either direction is a
-#: correctness smell, not an optimisation).
-_FIXED_TOKENS = ("answers",)
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """How one metric is compared: exactness and preferred direction."""
-
-    kind: str  # "exact" | "timing"
-    direction: str  # "lower" | "higher" | "fixed"
-
-
-def classify_metric(name: str) -> MetricSpec:
-    """Comparison rules for a metric name (token-based, overridable never)."""
-    lowered = name.lower()
-    kind = (
-        "timing"
-        if any(token in lowered for token in _TIMING_TOKENS)
-        else "exact"
-    )
-    if any(token in lowered for token in _FIXED_TOKENS):
-        direction = "fixed"
-    elif any(token in lowered for token in _HIGHER_BETTER_TOKENS):
-        direction = "higher"
-    else:
-        direction = "lower"
-    return MetricSpec(kind=kind, direction=direction)
-
-
-@dataclass(frozen=True)
-class MetricDelta:
-    """One metric's verdict against the baseline."""
-
-    name: str
-    baseline: float | None
-    current: float | None
-    kind: str
-    direction: str
-    status: str  # improved | regressed | neutral | added | removed
-    rel_change: float
-
-    def to_dict(self) -> dict:
-        """JSON form of this delta."""
-        return {
-            "name": self.name,
-            "baseline": self.baseline,
-            "current": self.current,
-            "kind": self.kind,
-            "direction": self.direction,
-            "status": self.status,
-            "rel_change": round(self.rel_change, 9),
-        }
-
-
-def compare_metrics(
-    baseline: Mapping[str, float],
-    current: Mapping[str, float],
-    rel_tolerance: float = 0.25,
-) -> list[MetricDelta]:
-    """Classify every metric across the two runs, sorted by name.
-
-    Exact metrics regress on any worse value (and improve on any better
-    one); timing metrics only when the relative change exceeds
-    ``rel_tolerance``.  Metrics present on one side only are reported as
-    ``added`` / ``removed`` — visible, but never a failure by themselves.
-    """
-    if rel_tolerance < 0:
-        raise ConfigurationError("rel_tolerance must be non-negative")
-    deltas: list[MetricDelta] = []
-    for name in sorted(set(baseline) | set(current)):
-        spec = classify_metric(name)
-        if name not in current:
-            deltas.append(
-                MetricDelta(name, baseline[name], None, spec.kind,
-                            spec.direction, "removed", 0.0)
-            )
-            continue
-        if name not in baseline:
-            deltas.append(
-                MetricDelta(name, None, current[name], spec.kind,
-                            spec.direction, "added", 0.0)
-            )
-            continue
-        base, cur = float(baseline[name]), float(current[name])
-        diff = cur - base
-        rel = abs(diff) / abs(base) if base != 0 else (0.0 if diff == 0 else 1.0)
-        if diff == 0:
-            status = "neutral"
-        elif spec.direction == "fixed":
-            status = "regressed"
-        elif spec.kind == "timing" and rel <= rel_tolerance:
-            status = "neutral"
-        else:
-            better = diff < 0 if spec.direction == "lower" else diff > 0
-            status = "improved" if better else "regressed"
-        deltas.append(
-            MetricDelta(name, base, cur, spec.kind, spec.direction, status, rel)
-        )
-    return deltas
-
-
-@dataclass(frozen=True)
-class BaselineRecord:
-    """One experiment's frozen metrics plus full provenance."""
-
-    experiment: str
-    metrics: dict[str, float]
-    schema_version: int = BASELINE_SCHEMA_VERSION
-    git_sha: str = "unknown"
-    keysize: int | None = None
-    config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """The on-disk baseline document (keys sorted for stable diffs)."""
-        return {
-            "schema_version": self.schema_version,
-            "experiment": self.experiment,
-            "git_sha": self.git_sha,
-            "keysize": self.keysize,
-            "config": {k: self.config[k] for k in sorted(self.config)},
-            "metrics": {k: self.metrics[k] for k in sorted(self.metrics)},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "BaselineRecord":
-        """Parse a baseline document, raising ReproError when malformed."""
-        try:
-            return cls(
-                experiment=data["experiment"],
-                metrics=dict(data["metrics"]),
-                schema_version=data.get("schema_version", 0),
-                git_sha=data.get("git_sha", "unknown"),
-                keysize=data.get("keysize"),
-                config=dict(data.get("config", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReproError(f"malformed baseline record: {exc}") from exc
-
-
-class BaselineStore:
-    """``benchmarks/baselines/`` as a tiny schema-checked database."""
-
-    def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-
-    def path(self, experiment: str) -> Path:
-        """Where the experiment's baseline file lives."""
-        return self.directory / f"{experiment}.json"
-
-    def exists(self, experiment: str) -> bool:
-        """Whether a baseline has been recorded for the experiment."""
-        return self.path(experiment).is_file()
-
-    def experiments(self) -> list[str]:
-        """Every experiment with a recorded baseline, sorted."""
-        if not self.directory.is_dir():
-            return []
-        return sorted(p.stem for p in self.directory.glob("*.json"))
-
-    def save(self, record: BaselineRecord) -> Path:
-        """Write (or refresh) one baseline; directory created on demand."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path(record.experiment)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(record.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return path
-
-    def load(self, experiment: str) -> BaselineRecord:
-        """Read one baseline, refusing schema mismatches and garbage."""
-        path = self.path(experiment)
-        if not path.is_file():
-            raise ReproError(
-                f"no baseline for {experiment!r} under {self.directory} "
-                "(record one with --record first)"
-            )
-        try:
-            with open(path, encoding="utf-8") as handle:
-                data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ReproError(f"baseline {path} does not parse: {exc}") from exc
-        record = BaselineRecord.from_dict(data)
-        if record.schema_version != BASELINE_SCHEMA_VERSION:
-            raise ReproError(
-                f"baseline {path} has schema v{record.schema_version}, "
-                f"this library writes v{BASELINE_SCHEMA_VERSION}; re-record it"
-            )
-        return record
 
 
 @dataclass
 class BaselineComparison:
-    """The full verdict of one experiment against its baseline."""
+    """The full verdict of one experiment against its lineage head.
+
+    ``accepted`` names exact counters a recorded run moved on purpose;
+    they never fail the verdict.
+    """
 
     experiment: str
     deltas: list[MetricDelta]
     baseline_sha: str = "unknown"
     current_sha: str = "unknown"
-    rel_tolerance: float = 0.25
+    accepted: tuple[str, ...] = ()
 
     def _with_status(self, status: str, kind: str | None = None):
         return [
@@ -261,12 +63,16 @@ class BaselineComparison:
 
     @property
     def exact_regressions(self) -> list[MetricDelta]:
-        """Regressed deterministic counters — these fail the gate."""
-        return self._with_status("regressed", "exact")
+        """Regressed deterministic counters not accepted — these fail."""
+        return [
+            d
+            for d in self._with_status("regressed", "exact")
+            if d.name not in self.accepted
+        ]
 
     @property
     def timing_regressions(self) -> list[MetricDelta]:
-        """Regressed wall-clock metrics — informational by default."""
+        """Regressed wall-clock metrics — informational only."""
         return self._with_status("regressed", "timing")
 
     @property
@@ -279,32 +85,47 @@ class BaselineComparison:
         """The gate verdict: no exact counter moved the wrong way."""
         return not self.exact_regressions
 
-    def to_dict(self) -> dict:
-        """JSON form of the full comparison."""
-        return {
-            "experiment": self.experiment,
-            "ok": self.ok,
-            "baseline_sha": self.baseline_sha,
-            "current_sha": self.current_sha,
-            "rel_tolerance": self.rel_tolerance,
-            "deltas": [d.to_dict() for d in self.deltas],
-        }
 
-
-def compare_to_baseline(
-    baseline: BaselineRecord,
-    metrics: Mapping[str, float],
-    rel_tolerance: float = 0.25,
-    current_sha: str | None = None,
+def gate_run(
+    ledger: RunLedger, record: LedgerRecord, accept: bool = False
 ) -> BaselineComparison:
-    """Compare a fresh run's metrics against a stored record."""
-    return BaselineComparison(
-        experiment=baseline.experiment,
-        deltas=compare_metrics(baseline.metrics, metrics, rel_tolerance),
-        baseline_sha=baseline.git_sha,
-        current_sha=current_sha if current_sha is not None else git_sha(),
-        rel_tolerance=rel_tolerance,
+    """Compare ``record`` with its lineage head; append it if ``accept``.
+
+    Check mode (``accept=False``) never writes: it raises
+    :class:`ReproError` when the lineage has no head, and names the
+    workload mismatch when the suite only holds other lineages.  Record
+    mode appends ``record`` as the new head with ``accepted`` listing
+    every exact counter that moved against the previous one (the first
+    record of a lineage is compared with itself).
+    """
+    head = ledger.head(record.suite, record.lineage)
+    if head is None and not accept:
+        recorded = ledger.load(record.suite)
+        if recorded:
+            other = recorded[-1]
+            raise ReproError(
+                f"baseline {record.suite!r} was recorded for keysize="
+                f"{other.keysize} config={other.config}, but this run uses "
+                f"keysize={record.keysize} config={record.config}; matching "
+                "workloads are required — re-record or adjust the flags"
+            )
+        raise ReproError(
+            f"no baseline for {record.suite!r} under {ledger.directory} "
+            "(record one with --record first)"
+        )
+    base = head if head is not None else record
+    comparison = BaselineComparison(
+        experiment=record.suite,
+        deltas=compare_metrics(base.metrics, record.metrics),
+        baseline_sha=base.git_sha,
+        current_sha=record.git_sha,
     )
+    if accept:
+        comparison.accepted = tuple(
+            d.name for d in comparison.deltas if d.moved
+        )
+        ledger.append(dataclasses.replace(record, accepted=comparison.accepted))
+    return comparison
 
 
 def _fmt(value: float | None) -> str:
@@ -324,18 +145,8 @@ _STATUS_BADGE = {
 }
 
 
-def render_markdown(
-    comparisons: list[BaselineComparison],
-    ledger_records: list[LedgerRecord] | None = None,
-) -> str:
-    """The regression report CI uploads as a job artifact.
-
-    When ``ledger_records`` are given, one machine-readable ledger stamp
-    per record is embedded at the end of the document (invisible HTML
-    comments), so ``repro trend --append report.md`` recovers the suite
-    name and config digest from *inside* the report — a saved report can
-    never be mis-filed into the wrong suite or lineage.
-    """
+def render_markdown(comparisons: list[BaselineComparison]) -> str:
+    """The regression report CI uploads as a job artifact."""
     lines = ["# Performance sentinel report", ""]
     overall = all(c.ok for c in comparisons)
     lines.append(
@@ -352,7 +163,7 @@ def render_markdown(
         lines.append(
             f"baseline `{comparison.baseline_sha[:12]}` → current "
             f"`{comparison.current_sha[:12]}`; timing tolerance "
-            f"±{comparison.rel_tolerance:.0%}"
+            f"±{TIMING_TOLERANCE:.0%}"
         )
         lines.append("")
         lines.append("| metric | kind | baseline | current | Δ | status |")
@@ -363,17 +174,15 @@ def render_markdown(
                 if delta.baseline is not None and delta.current is not None
                 else "—"
             )
+            status = delta.status
+            if delta.name in comparison.accepted:
+                status += " (accepted)"
             badge = _STATUS_BADGE.get(delta.status, delta.status)
             lines.append(
                 f"| `{delta.name}` | {delta.kind} | {_fmt(delta.baseline)} "
-                f"| {_fmt(delta.current)} | {change} | {badge} "
-                f"{delta.status} |"
+                f"| {_fmt(delta.current)} | {change} | {badge} {status} |"
             )
     lines.append("")
-    if ledger_records:
-        for record in ledger_records:
-            lines.append(ledger_stamp(record))
-        lines.append("")
     return "\n".join(lines)
 
 
@@ -424,49 +233,34 @@ class BenchSentinel:
     Disabled by default so ordinary bench runs stay gate-free; arm it via
     the environment:
 
-    - ``REPRO_BENCH_RECORD_BASELINE=1`` — refresh baselines from this run;
-    - ``REPRO_BENCH_CHECK_BASELINE=1``  — compare and *raise*
+    - ``REPRO_BENCH_RECORD_BASELINE=1`` — append this run as the new
+      lineage head (accepting what it moved);
+    - ``REPRO_BENCH_CHECK_BASELINE=1``  — compare read-only and *raise*
       :class:`~repro.errors.PerfRegressionError` on exact regressions;
-    - ``REPRO_BENCH_BASELINE_DIR``      — store location override;
-    - ``REPRO_BENCH_TOLERANCE``         — timing relative tolerance;
     - ``REPRO_BENCH_SERIES_DIR``        — run-ledger location override.
-
-    Every armed :meth:`gate` call also appends the run into the
-    cross-commit ledger (``benchmarks/series/``) — on regressions too,
-    *before* raising, so the history records the offending run.
     """
 
     def __init__(
         self,
-        store: BaselineStore,
+        series_dir: str | Path,
         record: bool = False,
         check: bool = False,
-        rel_tolerance: float = 0.25,
-        series_dir: str | Path | None = None,
     ) -> None:
         if record and check:
             raise ConfigurationError(
                 "choose one of record/check baselines, not both"
             )
-        self.store = store
+        self.ledger = RunLedger(series_dir)
         self.record = record
         self.check = check
-        self.rel_tolerance = rel_tolerance
-        self.comparisons: list[BaselineComparison] = []
-        if series_dir is None:
-            series_dir = Path(store.directory).parent / "series"
-        self.ledger = RunLedger(series_dir)
 
     @classmethod
     def from_env(cls, default_dir: str | Path) -> "BenchSentinel":
         """Build from REPRO_BENCH_* variables (disarmed when unset)."""
-        directory = os.environ.get("REPRO_BENCH_BASELINE_DIR", str(default_dir))
         return cls(
-            store=BaselineStore(directory),
+            series_dir=os.environ.get("REPRO_BENCH_SERIES_DIR") or default_dir,
             record=os.environ.get("REPRO_BENCH_RECORD_BASELINE", "") == "1",
             check=os.environ.get("REPRO_BENCH_CHECK_BASELINE", "") == "1",
-            rel_tolerance=float(os.environ.get("REPRO_BENCH_TOLERANCE", "0.25")),
-            series_dir=os.environ.get("REPRO_BENCH_SERIES_DIR") or None,
         )
 
     @property
@@ -483,44 +277,21 @@ class BenchSentinel:
     ) -> BaselineComparison | None:
         """Record or check one experiment's metrics, per the run mode.
 
-        Returns the comparison in check mode (raising on exact
-        regressions), the *self*-comparison in record mode, and None when
-        the sentinel is disarmed.
+        Returns the comparison against the lineage head (raising on exact
+        regressions in check mode), and None when the sentinel is
+        disarmed.
         """
         if not self.armed:
             return None
-        sha = git_sha(self.store.directory)
-        self.ledger.append(
-            LedgerRecord(
-                suite=experiment,
-                git_sha=sha,
-                metrics=dict(metrics),
-                keysize=keysize,
-                config=dict(config) if config is not None else {},
-                source="sentinel",
-            )
+        record = LedgerRecord(
+            suite=experiment,
+            git_sha=git_sha(self.ledger.directory),
+            metrics=dict(metrics),
+            keysize=keysize,
+            config=dict(config) if config is not None else {},
+            source="sentinel",
         )
-        if self.record:
-            record = BaselineRecord(
-                experiment=experiment,
-                metrics=dict(metrics),
-                git_sha=sha,
-                keysize=keysize,
-                config=dict(config) if config is not None else {},
-            )
-            self.store.save(record)
-            comparison = compare_to_baseline(
-                record, metrics, self.rel_tolerance
-            )
-        else:
-            baseline = self.store.load(experiment)
-            comparison = compare_to_baseline(
-                baseline, metrics, self.rel_tolerance
-            )
-            if not comparison.ok:
-                self.comparisons.append(comparison)
-                raise PerfRegressionError(
-                    experiment, comparison.exact_regressions
-                )
-        self.comparisons.append(comparison)
+        comparison = gate_run(self.ledger, record, accept=self.record)
+        if not comparison.ok:
+            raise PerfRegressionError(experiment, comparison.exact_regressions)
         return comparison

@@ -20,13 +20,14 @@ Installed as the ``repro`` console script:
   attribution, per-query op counts, and SLO evaluation over a recorded
   trace or serving report,
 - ``repro perf-check`` — the performance sentinel: run a pinned
-  per-protocol workload, record (``--record``) or check its exact
-  counters and timings against ``benchmarks/baselines/``, and exit
-  nonzero when an exact counter regressed,
-- ``repro trend`` — the cross-commit run ledger: append perf-check
-  reports, bench documents, or baselines into ``benchmarks/series/``
-  (``--append``), render the sparkline trend dashboard (``--report``),
-  and gate on unexplained exact-counter changepoints (``--check``).
+  per-protocol workload and check its exact counters and timings against
+  the head of its lineage in the run ledger under ``benchmarks/series/``
+  (read-only, exit nonzero when an exact counter regressed), or append
+  the run as the new head (``--record``, accepting what it moved),
+- ``repro trend`` — the cross-commit run ledger: append bench documents
+  or ledger JSONL into ``benchmarks/series/`` (``--append``), render the
+  sparkline trend dashboard (``--report``), and gate every lineage on
+  unexplained exact-counter changepoints (``--check``).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ _PROTOCOLS = {
     "naive": run_naive,
 }
 
-#: Canonical protocol names the sentinel baselines are keyed by.
+#: Canonical protocol names, one ledger suite each.
 _PERF_PROTOCOLS = ("ppgnn", "ppgnn-opt", "naive")
 
 _PERF_RUNNERS = {
@@ -322,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="record or check per-protocol perf baselines (the CI gate)",
     )
     perf.add_argument(
-        "--baseline-dir", default="benchmarks/baselines",
-        help="baseline store location",
+        "--series-dir", default="benchmarks/series",
+        help="run ledger location; a baseline is the last record of its "
+        "(suite, config, keysize) lineage",
     )
     perf.add_argument(
         "--suite", choices=("protocols", "crypto"), default="protocols",
@@ -345,15 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--seed", type=int, default=7, help="pinned workload seed")
     perf.add_argument(
         "--record", action="store_true",
-        help="refresh the baselines from this run instead of checking",
-    )
-    perf.add_argument(
-        "--rel-tolerance", type=float, default=0.5, metavar="FRACTION",
-        help="relative tolerance for wall-clock metrics",
-    )
-    perf.add_argument(
-        "--fail-on-timing", action="store_true",
-        help="also exit nonzero on timing regressions beyond the tolerance",
+        help="append this run as the new baseline, accepting every exact "
+        "counter it moved, instead of checking",
     )
     perf.add_argument(
         "--report-out", metavar="FILE", default=None,
@@ -370,9 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trend.add_argument(
         "--append", action="append", metavar="FILE", default=None,
-        help="append ledger records parsed from this file — a perf-check "
-        "markdown report (embedded ledger stamps), a baseline JSON, a "
-        "BENCH_*.json document, or a raw ledger JSONL fragment (repeatable)",
+        help="append ledger records parsed from this file — a "
+        "BENCH_*.json document or a raw ledger JSONL fragment (repeatable)",
     )
     trend.add_argument(
         "--accept", action="append", metavar="METRIC", default=None,
@@ -1024,15 +1018,10 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
 
 def _cmd_perf_check(args: argparse.Namespace) -> int:
     from repro.bench.recorder import git_sha
-    from repro.bench.sentinel import (
-        BaselineRecord,
-        BaselineStore,
-        compare_to_baseline,
-        render_markdown,
-    )
-    from repro.obs.series import LedgerRecord
+    from repro.bench.sentinel import gate_run, render_markdown
+    from repro.obs.series import LedgerRecord, RunLedger
 
-    store = BaselineStore(args.baseline_dir)
+    ledger = RunLedger(args.series_dir)
     if args.suite == "crypto":
         workload = {"suite": "crypto", "seed": args.seed}
         runs: list[str] = [f"crypto-{args.keysize}"]
@@ -1048,50 +1037,30 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
         runs = list(args.protocols)
     sha = git_sha()
     comparisons = []
-    ledger_records = []
     for experiment in runs:
         if args.suite == "crypto":
             metrics = _crypto_micro_metrics(args)
             phases: dict[str, int] = {}
         else:
             metrics, phases = _perf_metrics(experiment, args)
-        ledger_records.append(
-            LedgerRecord(
-                suite=experiment,
-                git_sha=sha,
-                metrics=metrics,
-                keysize=args.keysize,
-                config=workload,
-                phases=phases or None,
-                source="perf-check",
-            )
+        record = LedgerRecord(
+            suite=experiment,
+            git_sha=sha,
+            metrics=metrics,
+            keysize=args.keysize,
+            config=workload,
+            phases=phases or None,
+            source="perf-check",
         )
+        comparison = gate_run(ledger, record, accept=args.record)
+        comparisons.append(comparison)
         if args.record:
-            record = BaselineRecord(
-                experiment=experiment,
-                metrics=metrics,
-                git_sha=sha,
-                keysize=args.keysize,
-                config=workload,
-            )
-            path = store.save(record)
-            print(f"recorded baseline: {path}")
-            comparisons.append(
-                compare_to_baseline(record, metrics, args.rel_tolerance, sha)
+            accepted = ", ".join(comparison.accepted) or "none"
+            print(
+                f"recorded baseline: {ledger.path(experiment)} "
+                f"(accepted: {accepted})"
             )
             continue
-        baseline = store.load(experiment)
-        if baseline.keysize != args.keysize or baseline.config != workload:
-            raise ReproError(
-                f"baseline {experiment!r} was recorded for keysize="
-                f"{baseline.keysize} config={baseline.config}, but this run "
-                f"uses keysize={args.keysize} config={workload}; matching "
-                "workloads are required — re-record or adjust the flags"
-            )
-        comparison = compare_to_baseline(
-            baseline, metrics, args.rel_tolerance, sha
-        )
-        comparisons.append(comparison)
         exact = comparison.exact_regressions
         timing = comparison.timing_regressions
         improved = comparison.improved
@@ -1112,14 +1081,9 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
             )
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as fh:
-            fh.write(render_markdown(comparisons, ledger_records))
+            fh.write(render_markdown(comparisons))
         print(f"report: {args.report_out}")
-    if args.record:
-        return 0
-    failed = any(not c.ok for c in comparisons)
-    if args.fail_on_timing:
-        failed = failed or any(c.timing_regressions for c in comparisons)
-    return 1 if failed else 0
+    return 0 if all(c.ok for c in comparisons) else 1
 
 
 def _cmd_trend(args: argparse.Namespace) -> int:

@@ -297,8 +297,9 @@ class PerfRegressionError(ReproError):
 
     Raised by the performance sentinel (:mod:`repro.bench.sentinel`) when
     an exact counter — operation counts, rounds, bytes on the wire —
-    moved the wrong way relative to a recorded baseline.  ``regressions``
-    carries the offending metric deltas so reports can name them.
+    moved the wrong way relative to the baseline, the head of the run's
+    lineage in the run ledger.  ``regressions`` carries the offending
+    metric deltas so reports can name them.
     """
 
     def __init__(self, experiment: str, regressions: list) -> None:

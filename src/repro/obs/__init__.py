@@ -54,9 +54,12 @@ from repro.obs.profile import (
 from repro.obs.series import (
     LEDGER_SCHEMA_VERSION,
     LedgerRecord,
+    MetricDelta,
+    MetricSpec,
     RunLedger,
+    classify_metric,
+    compare_metrics,
     config_digest,
-    ledger_stamp,
     parse_ledger_jsonl,
     records_from_text,
 )
@@ -69,12 +72,6 @@ from repro.obs.trace import (
     slowest_path,
     validate_spans,
 )
-
-# NOTE: repro.obs.trend is deliberately NOT re-exported here — it imports
-# repro.bench.sentinel at module level (for the metric taxonomy), and
-# sentinel imports repro.obs.series; pulling trend into this package
-# __init__ would close that loop into a circular import.  Import it as
-# ``from repro.obs.trend import ...`` directly.
 
 
 @dataclass
@@ -122,6 +119,8 @@ __all__ = [
     "Histogram",
     "KeyProfiler",
     "LedgerRecord",
+    "MetricDelta",
+    "MetricSpec",
     "MetricsRegistry",
     "MetricsSnapshot",
     "Observability",
@@ -139,12 +138,13 @@ __all__ = [
     "analyze_serve_report",
     "attribute_phases",
     "attribute_phases_by_protocol",
+    "classify_metric",
     "classify_phase",
+    "compare_metrics",
     "config_digest",
     "critical_path",
     "estimate_modmuls",
     "evaluate_slo",
-    "ledger_stamp",
     "maybe_span",
     "merge_span_groups",
     "normalized_ops",

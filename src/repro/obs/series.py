@@ -1,19 +1,22 @@
-"""The append-only cross-commit run ledger.
+"""The append-only cross-commit run ledger: the repo's one perf store.
 
 One JSONL file per suite under ``benchmarks/series/<suite>.jsonl``; each
 line is one run of that suite at one commit — exact counters, timing
 summaries, the phase breakdown ``repro analyze`` would print for the run,
 and (optionally) the full observability metrics snapshot, exemplars
-included.  The ledger is the longitudinal companion to the baseline
-store: a baseline answers *"did this run regress against the frozen
-record?"*, the ledger answers *"when did this counter move, and what was
-the run doing at that commit?"*.
+included.  A suite's records split into *lineages* by workload: records
+sharing ``(config_digest, keysize)``.  The last record of a lineage is
+its **baseline** — ``repro perf-check`` and the bench sentinel compare a
+fresh run against it with :func:`compare_metrics`, and recording a run
+appends it as the new head (see :mod:`repro.bench.sentinel`).
 
 Contracts:
 
 - **Append-only.**  Records are only ever added; a re-run at an already
-  recorded ``(git_sha, config_digest)`` is an idempotent no-op, so CI
-  retries and local replays never duplicate history.
+  recorded ``(git_sha, config_digest, keysize)`` is an idempotent no-op
+  when its exact counters match, so CI retries and local replays never
+  duplicate history — and a refusal naming the stored ``seq`` when they
+  do not, so a dirty-tree run can never pose as the committed one.
 - **Schema-versioned.**  Every line carries ``schema_version``; foreign
   versions are refused loudly instead of being misread.
 - **Ordered by ``seq``.**  Append assigns a monotone sequence number, so
@@ -23,6 +26,10 @@ Contracts:
   taxonomy as :func:`repro.obs.trace.parse_jsonl`: a truncated *last*
   line (killed run) is recoverable on request, garbage in the middle of
   the file always raises with the offending line number.
+- **One comparator.**  :func:`compare_metrics` is the only rule that
+  turns two metric mappings into improved / regressed verdicts; the
+  sentinel gate, the trend changepoint detector and the replay check
+  above all call it.
 """
 
 from __future__ import annotations
@@ -31,19 +38,127 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.errors import ReproError
 
 #: Version of the ledger line layout; bump on breaking changes.
 LEDGER_SCHEMA_VERSION = 1
 
-#: Marker embedded in perf-check markdown reports: one machine-readable
-#: ledger record per experiment, so ``repro trend --append report.md``
-#: can never mis-file a suite (the suite name and config digest travel
-#: *inside* the document, not in its filename).
-LEDGER_STAMP_PREFIX = "<!-- repro-ledger: "
-LEDGER_STAMP_SUFFIX = " -->"
+#: Relative change beyond which a timing metric reads as moved.  Timing
+#: verdicts are informational only: no gate fails on them.
+TIMING_TOLERANCE = 0.5
+
+#: Name fragments that mark a metric as wall-clock-flavored (noisy).
+_TIMING_TOKENS = ("seconds", "latency", "qps", "wall", "speedup")
+
+#: Name fragments where larger is better.
+_HIGHER_BETTER_TOKENS = (
+    "throughput",
+    "qps",
+    "speedup",
+    "hit_rate",
+    "hits",
+    "completed",
+    "pooled",
+)
+
+#: Name fragments where any change at all is a behavior change (answer
+#: counts: the workload fixes them, so drift in either direction is a
+#: correctness smell, not an optimisation).
+_FIXED_TOKENS = ("answers",)
+
+
+@dataclass(frozen=True)
+class MetricSpec:
+    """How one metric is compared: exactness and preferred direction."""
+
+    kind: str  # "exact" | "timing"
+    direction: str  # "lower" | "higher" | "fixed"
+
+
+def classify_metric(name: str) -> MetricSpec:
+    """Comparison rules for a metric name (token-based, overridable never).
+
+    **exact** metrics (operation counts, protocol rounds, bytes on the
+    wire, modular-multiplication estimates) are deterministic functions
+    of the seeded workload, so *any* change is real; **timing** metrics
+    (wall seconds, qps) are host-noise-prone.
+    """
+    lowered = name.lower()
+    kind = (
+        "timing"
+        if any(token in lowered for token in _TIMING_TOKENS)
+        else "exact"
+    )
+    if any(token in lowered for token in _FIXED_TOKENS):
+        direction = "fixed"
+    elif any(token in lowered for token in _HIGHER_BETTER_TOKENS):
+        direction = "higher"
+    else:
+        direction = "lower"
+    return MetricSpec(kind=kind, direction=direction)
+
+
+@dataclass(frozen=True)
+class MetricDelta:
+    """One metric's verdict against the baseline."""
+
+    name: str
+    baseline: float | None
+    current: float | None
+    kind: str
+    direction: str
+    status: str  # improved | regressed | neutral | added | removed
+
+    @property
+    def moved(self) -> bool:
+        """Whether an exact counter took a different value."""
+        return self.kind == "exact" and self.status in ("improved", "regressed")
+
+
+def compare_metrics(
+    baseline: Mapping[str, float], current: Mapping[str, float]
+) -> list[MetricDelta]:
+    """Classify every metric across the two runs, sorted by name.
+
+    Exact metrics regress on any worse value (and improve on any better
+    one), with zero tolerance; timing metrics only when the relative
+    change exceeds :data:`TIMING_TOLERANCE`.  Metrics present on one side
+    only are reported as ``added`` / ``removed`` — visible, but never a
+    failure by themselves.
+    """
+    deltas: list[MetricDelta] = []
+    for name in sorted(set(baseline) | set(current)):
+        spec = classify_metric(name)
+        if name not in current:
+            deltas.append(
+                MetricDelta(name, baseline[name], None, spec.kind,
+                            spec.direction, "removed")
+            )
+            continue
+        if name not in baseline:
+            deltas.append(
+                MetricDelta(name, None, current[name], spec.kind,
+                            spec.direction, "added")
+            )
+            continue
+        base, cur = float(baseline[name]), float(current[name])
+        diff = cur - base
+        rel = abs(diff) / abs(base) if base != 0 else 1.0
+        if diff == 0:
+            status = "neutral"
+        elif spec.direction == "fixed":
+            status = "regressed"
+        elif spec.kind == "timing" and rel <= TIMING_TOLERANCE:
+            status = "neutral"
+        else:
+            better = diff < 0 if spec.direction == "lower" else diff > 0
+            status = "improved" if better else "regressed"
+        deltas.append(
+            MetricDelta(name, base, cur, spec.kind, spec.direction, status)
+        )
+    return deltas
 
 
 def config_digest(config: Mapping | None) -> str:
@@ -65,7 +180,8 @@ class LedgerRecord:
     commit was spending in; ``obs`` is the full metrics snapshot dict
     (histograms with exemplars ride here); ``accepted`` names metrics
     whose regression at this record is explained and must not fail
-    ``repro trend --check``.
+    ``repro trend --check`` (recording a run through the sentinel
+    accepts every exact counter it moved).
     """
 
     suite: str
@@ -95,6 +211,11 @@ class LedgerRecord:
                 raise ReproError(
                     f"ledger metric {name!r} must be numeric, got {value!r}"
                 )
+
+    @property
+    def lineage(self) -> tuple[str, int | None]:
+        """The workload this run measured: ``(config_digest, keysize)``."""
+        return self.config_digest, self.keysize
 
     def to_dict(self) -> dict:
         data = {
@@ -237,24 +358,47 @@ class RunLedger:
             )
         )
 
+    def head(
+        self, suite: str, lineage: tuple[str, int | None]
+    ) -> LedgerRecord | None:
+        """The baseline of one lineage: its last record, or None."""
+        for record in reversed(self.load(suite)):
+            if record.lineage == lineage:
+                return record
+        return None
+
     def append(
         self, record: LedgerRecord, allow_truncated_tail: bool = False
     ) -> tuple[LedgerRecord, bool]:
         """Append one record; returns ``(stored_record, appended)``.
 
-        Idempotent: a record whose ``(git_sha, config_digest)`` already
-        exists in the suite's file is *not* re-appended — the existing
-        record is returned with ``appended=False``.  A fresh record gets
-        the next sequence number, so attribution order is decided at
-        append time, never by later file-line order.
+        Idempotent: a record whose ``(git_sha, config_digest, keysize)``
+        already exists in the suite's file with the same exact counters
+        is *not* re-appended — the existing record is returned with
+        ``appended=False`` (timing metrics may differ).  Different exact
+        counters at the same commit and workload raise
+        :class:`ReproError` naming the stored record's ``seq``.  A fresh
+        record gets the next sequence number, so attribution order is
+        decided at append time, never by later file-line order.
         """
         existing = self.load(record.suite, allow_truncated_tail)
         for prior in existing:
-            if (
-                prior.git_sha == record.git_sha
-                and prior.config_digest == record.config_digest
-            ):
-                return prior, False
+            if (prior.git_sha, prior.lineage) != (record.git_sha, record.lineage):
+                continue
+            moved = [
+                delta.name
+                for delta in compare_metrics(prior.metrics, record.metrics)
+                if delta.kind == "exact" and delta.status != "neutral"
+            ]
+            if moved:
+                raise ReproError(
+                    f"{record.suite} seq {prior.seq} already records commit "
+                    f"{record.git_sha[:12]} for config {record.config_digest} "
+                    f"keysize={record.keysize}, with different exact counters "
+                    f"({', '.join(moved)}); commit the change before "
+                    "recording it"
+                )
+            return prior, False
         stored = LedgerRecord.from_dict(record.to_dict())
         stored.schema_version = LEDGER_SCHEMA_VERSION
         stored.seq = max((r.seq for r in existing), default=-1) + 1
@@ -278,12 +422,6 @@ class RunLedger:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(stored.to_dict(), sort_keys=True) + "\n")
         return stored, True
-
-    def append_many(
-        self, records: Sequence[LedgerRecord]
-    ) -> list[tuple[LedgerRecord, bool]]:
-        """Append several records, in order; see :meth:`append`."""
-        return [self.append(record) for record in records]
 
 
 # --------------------------------------------------------------- converters
@@ -315,21 +453,6 @@ def _serving_metrics(results: Mapping) -> dict[str, float] | None:
         if isinstance(inner, Mapping) and "latency" in inner:
             return serving_report_metrics(inner)
     return None
-
-
-def record_from_baseline_document(data: Mapping) -> LedgerRecord:
-    """A ledger record converted from a ``benchmarks/baselines`` file."""
-    try:
-        return LedgerRecord(
-            suite=data["experiment"],
-            git_sha=data.get("git_sha", "unknown"),
-            metrics=dict(data["metrics"]),
-            keysize=data.get("keysize"),
-            config=dict(data.get("config", {})),
-            source="baseline",
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ReproError(f"malformed baseline document: {exc}") from exc
 
 
 def record_from_bench_document(data: Mapping) -> LedgerRecord:
@@ -366,71 +489,28 @@ def record_from_bench_document(data: Mapping) -> LedgerRecord:
         raise ReproError(f"malformed bench document: {exc}") from exc
 
 
-def ledger_stamp(record: LedgerRecord) -> str:
-    """The HTML-comment form of a record, for markdown report embedding."""
-    payload = json.dumps(record.to_dict(), sort_keys=True)
-    return f"{LEDGER_STAMP_PREFIX}{payload}{LEDGER_STAMP_SUFFIX}"
-
-
-def records_from_markdown(text: str) -> list[LedgerRecord]:
-    """Every ledger stamp embedded in a perf-check markdown report."""
-    records: list[LedgerRecord] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped.startswith(LEDGER_STAMP_PREFIX):
-            continue
-        if not stripped.endswith(LEDGER_STAMP_SUFFIX):
-            raise ReproError(
-                f"report line {line_no} opens a ledger stamp but never "
-                "closes it; was the file truncated?"
-            )
-        payload = stripped[len(LEDGER_STAMP_PREFIX) : -len(LEDGER_STAMP_SUFFIX)]
-        try:
-            data = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise ReproError(
-                f"report line {line_no} ledger stamp does not parse: {exc}"
-            ) from exc
-        records.append(LedgerRecord.from_dict(data))
-    return records
-
-
 def records_from_text(text: str) -> list[LedgerRecord]:
-    """Parse any appendable document into ledger records.
+    """Parse an appendable document into ledger records.
 
-    Accepts a perf-check markdown report (with embedded ledger stamps), a
-    baseline JSON document, a ``BENCH_*.json`` document, or a raw JSONL
-    ledger fragment.  Raises :class:`ReproError` when the document holds
-    no recognizable records — an old perf-check report without stamps
-    names the fix explicitly.
+    Accepts a ``BENCH_*.json`` document, one ledger record as JSON, or a
+    raw JSONL ledger fragment; raises :class:`ReproError` on anything
+    else.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError:
-            # Not one JSON document — maybe a JSONL ledger fragment.
-            return parse_ledger_jsonl(text)
-        if not isinstance(data, Mapping):
-            raise ReproError(
-                "document is valid JSON but not a record object; "
-                "expected a baseline or BENCH document"
-            )
-        if "results" in data:
-            return [record_from_bench_document(data)]
-        if "experiment" in data and "metrics" in data:
-            return [record_from_baseline_document(data)]
-        if "suite" in data and "metrics" in data:
-            return [LedgerRecord.from_dict(data)]
+    if not text.lstrip().startswith("{"):
         raise ReproError(
-            "JSON document carries neither a bench payload ('results') nor "
-            "baseline metrics ('experiment' + 'metrics'); nothing to append"
+            "not an appendable document: expected a BENCH_*.json document "
+            "or ledger JSONL"
         )
-    records = records_from_markdown(text)
-    if not records:
-        raise ReproError(
-            "no ledger stamps found in the document — re-generate the "
-            "report with a current `repro perf-check --report-out` (older "
-            "reports predate embedded suite/config provenance)"
-        )
-    return records
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        # Not one JSON document — maybe a JSONL ledger fragment.
+        return parse_ledger_jsonl(text)
+    if "results" in data:
+        return [record_from_bench_document(data)]
+    if "suite" in data and "metrics" in data:
+        return [LedgerRecord.from_dict(data)]
+    raise ReproError(
+        "JSON document carries neither a bench payload ('results') nor a "
+        "ledger record ('suite' + 'metrics'); nothing to append"
+    )

@@ -1,7 +1,7 @@
 """Trend analytics over the run ledger: changepoints, bands, sparklines.
 
-Two regimes, matching the sentinel's metric taxonomy
-(:func:`repro.bench.sentinel.classify_metric`):
+Two regimes, matching the ledger's metric taxonomy
+(:func:`repro.obs.series.classify_metric`):
 
 - **exact** counters are deterministic functions of the seeded workload,
   so the detector is zero-tolerance: *any* step between consecutive
@@ -14,8 +14,9 @@ Two regimes, matching the sentinel's metric taxonomy
 
 A regressed exact step fails ``repro trend --check`` unless the record
 that introduced it lists the metric in its ``accepted`` note.  Records
-are compared within one *config lineage* (same ``config_digest``): a
-workload change is a different experiment, not a regression.
+are compared within one *lineage* (same ``config_digest`` and key
+size): a workload change is a different experiment, not a regression.
+Every lineage of every suite is checked and rendered.
 """
 
 from __future__ import annotations
@@ -24,8 +25,13 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Iterable, Mapping, Sequence
 
-from repro.bench.sentinel import classify_metric
-from repro.obs.series import LedgerRecord, RunLedger, sort_records
+from repro.obs.series import (
+    LedgerRecord,
+    RunLedger,
+    classify_metric,
+    compare_metrics,
+    sort_records,
+)
 
 #: Eight-level unicode bars, min-to-max normalized per series.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
@@ -114,26 +120,12 @@ class TimingFlag:
 
 def lineages(
     records: Iterable[LedgerRecord],
-) -> dict[str, list[LedgerRecord]]:
-    """Records grouped by config digest, each group in append order."""
-    grouped: dict[str, list[LedgerRecord]] = {}
+) -> dict[tuple[str, int | None], list[LedgerRecord]]:
+    """Records grouped by ``(config_digest, keysize)``, each in append order."""
+    grouped: dict[tuple[str, int | None], list[LedgerRecord]] = {}
     for record in sort_records(records):
-        grouped.setdefault(record.config_digest, []).append(record)
+        grouped.setdefault(record.lineage, []).append(record)
     return grouped
-
-
-def dominant_lineage(
-    records: Iterable[LedgerRecord],
-) -> tuple[str, list[LedgerRecord]]:
-    """The lineage with the most records (latest append breaks ties)."""
-    grouped = lineages(records)
-    if not grouped:
-        return "", []
-    digest = max(
-        grouped,
-        key=lambda d: (len(grouped[d]), grouped[d][-1].seq),
-    )
-    return digest, grouped[digest]
 
 
 def _metric_series(
@@ -154,44 +146,43 @@ def detect_changepoints(
 ) -> list[Changepoint]:
     """Every exact-counter step within one lineage, in series order.
 
-    Attribution is ordering-invariant by construction: records compare
-    in ``seq`` (append) order, so shuffling the ledger file's lines
-    never moves a changepoint to a different commit.
+    Each record is judged by :func:`compare_metrics` against the last
+    value every metric it carries took before it.  Attribution is
+    ordering-invariant by construction: records compare in ``seq``
+    (append) order, so shuffling the ledger file's lines never moves a
+    changepoint to a different commit.
     """
     ordered = sort_records(records)
     if not ordered:
         return []
     label = suite if suite is not None else ordered[0].suite
     changepoints: list[Changepoint] = []
-    for metric in _metric_names(ordered):
-        if classify_metric(metric).kind != "exact":
-            continue
-        direction = classify_metric(metric).direction
-        series = _metric_series(ordered, metric)
-        for (prev, prev_value), (current, value) in zip(series, series[1:]):
-            diff = value - prev_value
-            if diff == 0:
+    last: dict[str, tuple[LedgerRecord, float]] = {}
+    for current in ordered:
+        previous = {
+            name: last[name][1] for name in current.metrics if name in last
+        }
+        for delta in compare_metrics(previous, current.metrics):
+            if not delta.moved:
                 continue
-            if direction == "fixed":
-                status = "regressed"
-            else:
-                better = diff < 0 if direction == "lower" else diff > 0
-                status = "improved" if better else "regressed"
+            prev = last[delta.name][0]
             changepoints.append(
                 Changepoint(
                     suite=label,
-                    metric=metric,
-                    direction=direction,
-                    status=status,
-                    prev_value=prev_value,
-                    value=value,
+                    metric=delta.name,
+                    direction=delta.direction,
+                    status=delta.status,
+                    prev_value=delta.baseline,
+                    value=delta.current,
                     prev_sha=prev.git_sha,
                     git_sha=current.git_sha,
                     seq=current.seq,
-                    accepted=metric in current.accepted,
+                    accepted=delta.name in current.accepted,
                     phases=current.phases,
                 )
             )
+        for name, value in current.metrics.items():
+            last[name] = (current, float(value))
     return changepoints
 
 
@@ -294,9 +285,9 @@ def check_ledger(
     changepoints: list[Changepoint] = []
     flags: list[TimingFlag] = []
     for suite in names:
-        _, lineage = dominant_lineage(ledger.load(suite))
-        changepoints.extend(detect_changepoints(lineage, suite))
-        flags.extend(timing_flags(lineage, window))
+        for lineage in lineages(ledger.load(suite)).values():
+            changepoints.extend(detect_changepoints(lineage, suite))
+            flags.extend(timing_flags(lineage, window))
     return TrendCheck(suites=names, changepoints=changepoints, flags=flags)
 
 
@@ -373,42 +364,36 @@ def render_trends(
         "run's phase breakdown.  Timing metrics are judged against a "
         f"rolling-median ± 3·MAD band over the trailing {window} records.",
         "",
-        "Maintained by `repro trend --report`; appended to by "
-        "`repro trend --append` and the bench sentinel.",
+        "One section per suite, one table per lineage (records sharing a "
+        "workload config and key size); each lineage's last record is its "
+        "baseline.  Maintained by `repro trend --report`; appended to by "
+        "`repro perf-check --record`, the bench sentinel and "
+        "`repro trend --append`.",
     ]
     for suite in names:
-        records = ledger.load(suite)
-        digest, lineage = dominant_lineage(records)
-        if not lineage:
-            continue
-        changepoints = detect_changepoints(lineage, suite)
-        flags = timing_flags(lineage, window)
-        lines.append("")
-        lines.append(f"## `{suite}`")
-        lines.append("")
-        summary = (
-            f"{len(lineage)} record(s) · commits "
-            f"`{lineage[0].git_sha[:12]}` → `{lineage[-1].git_sha[:12]}` · "
-            f"config `{digest}`"
-        )
-        other = len(records) - len(lineage)
-        if other:
-            summary += f" (+{other} record(s) in other config lineages)"
-        lines.append(summary)
-        lines.append("")
-        lines.append("| metric | kind | trend | first | latest | Δ | flags |")
-        lines.append("|---|---|---|---:|---:|---:|---|")
-        for metric in _metric_names(lineage):
-            series = _metric_series(lineage, metric)
-            values = [value for _, value in series]
-            if not values:
-                continue
-            spec = classify_metric(metric)
-            delta = values[-1] - values[0]
-            lines.append(
-                f"| `{metric}` | {spec.kind} | {sparkline(values)} "
-                f"| {_fmt(values[0])} | {_fmt(values[-1])} | {delta:+.6g} "
-                f"| {_metric_flags(metric, changepoints, flags, lineage)} |"
-            )
+        grouped = lineages(ledger.load(suite))
+        if grouped:
+            lines += ["", f"## `{suite}`"]
+        for (digest, keysize), lineage in grouped.items():
+            changepoints = detect_changepoints(lineage, suite)
+            flags = timing_flags(lineage, window)
+            lines += [
+                "",
+                f"{len(lineage)} record(s) · commits "
+                f"`{lineage[0].git_sha[:12]}` → `{lineage[-1].git_sha[:12]}` · "
+                f"config `{digest}` · keysize {keysize or '—'}",
+                "",
+                "| metric | kind | trend | first | latest | Δ | flags |",
+                "|---|---|---|---:|---:|---:|---|",
+            ]
+            for metric in _metric_names(lineage):
+                values = [value for _, value in _metric_series(lineage, metric)]
+                delta = values[-1] - values[0]
+                lines.append(
+                    f"| `{metric}` | {classify_metric(metric).kind} "
+                    f"| {sparkline(values)} | {_fmt(values[0])} "
+                    f"| {_fmt(values[-1])} | {delta:+.6g} "
+                    f"| {_metric_flags(metric, changepoints, flags, lineage)} |"
+                )
     lines.append("")
     return "\n".join(lines)

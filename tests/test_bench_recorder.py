@@ -64,6 +64,15 @@ class TestRecordJson:
         # tmp_path is outside any checkout, so the sha degrades gracefully.
         assert document["git_sha"] == "unknown"
 
+    def test_writes_only_the_bench_json(self, tmp_path):
+        results = tmp_path / "results"
+        SeriesRecorder(results).record_json("serve", {"run": 1}, keysize=128)
+        written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        assert [p.as_posix() for p in written] == [
+            "results",
+            "results/BENCH_serve.json",
+        ]
+
     def test_overwrites_previous_run(self, tmp_path):
         import json
 

@@ -1,21 +1,23 @@
-"""The performance sentinel: classification, store, comparator, env gate."""
+"""The performance sentinel: classification, comparator, ledger-head gate."""
 
-import json
+import dataclasses
 
 import pytest
 
+from repro.bench.recorder import SeriesRecorder
 from repro.bench.sentinel import (
-    BASELINE_SCHEMA_VERSION,
-    BaselineRecord,
-    BaselineStore,
+    BaselineComparison,
     BenchSentinel,
-    classify_metric,
-    compare_metrics,
-    compare_to_baseline,
     render_markdown,
     serving_report_metrics,
 )
-from repro.errors import ConfigurationError, PerfRegressionError, ReproError
+from repro.errors import ConfigurationError, PerfRegressionError
+from repro.obs.series import (
+    LedgerRecord,
+    RunLedger,
+    classify_metric,
+    compare_metrics,
+)
 
 
 class TestClassifyMetric:
@@ -41,10 +43,10 @@ class TestCompareMetrics:
         assert deltas[0].status == "improved"
 
     def test_timing_tolerance_window(self):
-        base, cur = {"wall_seconds": 1.0}, {"wall_seconds": 1.2}
-        assert compare_metrics(base, cur, 0.25)[0].status == "neutral"
-        assert compare_metrics(base, cur, 0.1)[0].status == "regressed"
-        faster = compare_metrics({"wall_seconds": 1.0}, {"wall_seconds": 0.5}, 0.25)
+        base = {"wall_seconds": 1.0}
+        assert compare_metrics(base, {"wall_seconds": 1.4})[0].status == "neutral"
+        assert compare_metrics(base, {"wall_seconds": 1.6})[0].status == "regressed"
+        faster = compare_metrics(base, {"wall_seconds": 0.4})
         assert faster[0].status == "improved"
 
     def test_higher_better_direction(self):
@@ -66,74 +68,35 @@ class TestCompareMetrics:
         assert deltas["ops.old"].status == "removed"
         assert deltas["ops.new"].status == "added"
 
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ConfigurationError):
-            compare_metrics({}, {}, rel_tolerance=-0.1)
-
-
-class TestBaselineStore:
-    def test_round_trip(self, tmp_path):
-        store = BaselineStore(tmp_path)
-        record = BaselineRecord(
-            experiment="ppgnn",
-            metrics={"ops.muls": 42, "time.wall_seconds": 0.5},
-            git_sha="abc123",
-            keysize=128,
-            config={"seed": 7},
-        )
-        path = store.save(record)
-        assert path == tmp_path / "ppgnn.json"
-        loaded = store.load("ppgnn")
-        assert loaded == record
-        assert store.experiments() == ["ppgnn"]
-
-    def test_missing_baseline_names_the_fix(self, tmp_path):
-        with pytest.raises(ReproError, match="--record"):
-            BaselineStore(tmp_path).load("nope")
-
-    def test_schema_mismatch_refused(self, tmp_path):
-        store = BaselineStore(tmp_path)
-        store.save(BaselineRecord("exp", {"ops.x": 1}))
-        data = json.loads(store.path("exp").read_text())
-        data["schema_version"] = BASELINE_SCHEMA_VERSION + 1
-        store.path("exp").write_text(json.dumps(data))
-        with pytest.raises(ReproError, match="re-record"):
-            store.load("exp")
-
-    def test_garbage_file_reported(self, tmp_path):
-        store = BaselineStore(tmp_path)
-        store.directory.mkdir(exist_ok=True)
-        store.path("bad").write_text("{not json")
-        with pytest.raises(ReproError, match="does not parse"):
-            store.load("bad")
-
 
 class TestComparison:
+    @staticmethod
+    def _versus(current, baseline_sha="oldsha"):
+        baseline = {"ops.muls": 100, "wall_seconds": 1.0}
+        return BaselineComparison(
+            "exp", compare_metrics(baseline, current), baseline_sha, "newsha"
+        )
+
     def test_ok_gates_only_on_exact(self):
-        baseline = BaselineRecord(
-            "exp", {"ops.muls": 100, "wall_seconds": 1.0}, git_sha="old"
-        )
-        comparison = compare_to_baseline(
-            baseline, {"ops.muls": 100, "wall_seconds": 10.0}, 0.25, "new"
-        )
+        comparison = self._versus({"ops.muls": 100, "wall_seconds": 10.0})
         assert comparison.ok  # timing regressed, exact did not
         assert len(comparison.timing_regressions) == 1
-        worse = compare_to_baseline(
-            baseline, {"ops.muls": 101, "wall_seconds": 1.0}, 0.25, "new"
-        )
+        worse = self._versus({"ops.muls": 101, "wall_seconds": 1.0})
         assert not worse.ok
         assert [d.name for d in worse.exact_regressions] == ["ops.muls"]
+        assert dataclasses.replace(worse, accepted=("ops.muls",)).ok
 
     def test_markdown_report(self):
-        baseline = BaselineRecord("exp", {"ops.muls": 100}, git_sha="oldsha")
-        good = compare_to_baseline(baseline, {"ops.muls": 100}, 0.25, "newsha")
-        bad = compare_to_baseline(baseline, {"ops.muls": 200}, 0.25, "newsha")
+        good = self._versus({"ops.muls": 100, "wall_seconds": 1.0})
+        bad = self._versus({"ops.muls": 200, "wall_seconds": 1.0})
         passing = render_markdown([good])
         failing = render_markdown([good, bad])
         assert "Verdict: PASS" in passing
         assert "Verdict: FAIL" in failing
         assert "`ops.muls`" in failing and "regressed" in failing
         assert "oldsha" in failing and "newsha" in failing
+        accepted = render_markdown([dataclasses.replace(bad, accepted=("ops.muls",))])
+        assert "Verdict: PASS" in accepted and "regressed (accepted)" in accepted
 
 
 class TestServingReportMetrics:
@@ -164,35 +127,72 @@ class TestServingReportMetrics:
 
 
 class TestBenchSentinel:
-    def test_disarmed_by_default(self, tmp_path, monkeypatch):
-        for var in ("REPRO_BENCH_RECORD_BASELINE", "REPRO_BENCH_CHECK_BASELINE"):
+    @pytest.fixture(autouse=True)
+    def _disarmed_env(self, monkeypatch):
+        for var in (
+            "REPRO_BENCH_RECORD_BASELINE",
+            "REPRO_BENCH_CHECK_BASELINE",
+            "REPRO_BENCH_SERIES_DIR",
+        ):
             monkeypatch.delenv(var, raising=False)
+
+    def test_disarmed_by_default(self, tmp_path):
         sentinel = BenchSentinel.from_env(tmp_path)
         assert not sentinel.armed
         assert sentinel.gate("exp", {"ops.x": 1}) is None
-        assert not (tmp_path / "exp.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_record_then_check_cycle(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_RECORD_BASELINE", "1")
-        monkeypatch.delenv("REPRO_BENCH_CHECK_BASELINE", raising=False)
         recorder = BenchSentinel.from_env(tmp_path)
         assert recorder.gate("exp", {"ops.x": 5}, keysize=128).ok
-        assert (tmp_path / "exp.json").exists()
+        assert (tmp_path / "exp.jsonl").exists()
 
         monkeypatch.delenv("REPRO_BENCH_RECORD_BASELINE")
         monkeypatch.setenv("REPRO_BENCH_CHECK_BASELINE", "1")
         checker = BenchSentinel.from_env(tmp_path)
-        assert checker.gate("exp", {"ops.x": 5}).ok
+        assert checker.gate("exp", {"ops.x": 5}, keysize=128).ok
         with pytest.raises(PerfRegressionError, match="ops.x"):
-            checker.gate("exp", {"ops.x": 6})
+            checker.gate("exp", {"ops.x": 6}, keysize=128)
 
     def test_record_and_check_mutually_exclusive(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            BenchSentinel(BaselineStore(tmp_path), record=True, check=True)
+            BenchSentinel(tmp_path, record=True, check=True)
 
     def test_env_overrides(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_BASELINE_DIR", str(tmp_path / "alt"))
-        monkeypatch.setenv("REPRO_BENCH_TOLERANCE", "0.5")
+        monkeypatch.setenv("REPRO_BENCH_SERIES_DIR", str(tmp_path / "alt"))
         sentinel = BenchSentinel.from_env(tmp_path)
-        assert sentinel.store.directory == tmp_path / "alt"
-        assert sentinel.rel_tolerance == 0.5
+        assert sentinel.ledger.directory == tmp_path / "alt"
+
+    def test_gate_then_record_json_appends_one_ledger_line(
+        self, tmp_path, monkeypatch
+    ):
+        """The benches' order — an armed gate, then record_json — leaves
+        one new ledger line, not a second lineage."""
+        series = tmp_path / "series"
+        monkeypatch.setenv("REPRO_BENCH_RECORD_BASELINE", "1")
+        monkeypatch.setenv("REPRO_BENCH_SERIES_DIR", str(series))
+        BenchSentinel.from_env(series).gate(
+            "exp", {"ops.x": 5}, keysize=128, config={"queries": 4}
+        )
+        SeriesRecorder(tmp_path / "results").record_json(
+            "exp", {"ops": {"x": 5}}, keysize=128, config={"seed": 1}
+        )
+        assert len((series / "exp.jsonl").read_text().splitlines()) == 1
+
+    def test_check_mode_never_writes_the_ledger(self, tmp_path, monkeypatch):
+        ledger = RunLedger(tmp_path)
+        ledger.append(
+            LedgerRecord(
+                suite="exp", git_sha="a" * 40, metrics={"ops.x": 5}, keysize=128
+            )
+        )
+        before = ledger.path("exp").read_bytes()
+        monkeypatch.setenv("REPRO_BENCH_CHECK_BASELINE", "1")
+        monkeypatch.setenv("REPRO_BENCH_SERIES_DIR", str(tmp_path))
+        checker = BenchSentinel.from_env(tmp_path)
+        assert checker.gate("exp", {"ops.x": 5}, keysize=128).ok
+        with pytest.raises(PerfRegressionError):
+            checker.gate("exp", {"ops.x": 6}, keysize=128)
+        assert ledger.path("exp").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.jsonl"]

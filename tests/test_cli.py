@@ -102,8 +102,12 @@ class TestServeBench:
     def test_serve_bench_records_json(self, capsys, tmp_path):
         import json
 
-        assert run_cli([*self.ARGS, "--record", str(tmp_path)]) == 0
-        document = json.loads((tmp_path / "BENCH_serve.json").read_text())
+        results = tmp_path / "results"
+        assert run_cli([*self.ARGS, "--record", str(results)]) == 0
+        # The BENCH json is the only write: no ledger beside the results.
+        assert [p.name for p in tmp_path.iterdir()] == ["results"]
+        assert [p.name for p in results.iterdir()] == ["BENCH_serve.json"]
+        document = json.loads((results / "BENCH_serve.json").read_text())
         assert document["keysize"] == 128
         assert document["config"]["queries"] == 8
         assert document["results"]["completed"] == 8
@@ -228,6 +232,25 @@ class TestAnalyze:
         assert "no serving report" in capsys.readouterr().err
 
 
+def _tamper_head(path, deltas=None, config=None):
+    """Rewrite a ledger's last line as an older commit's run, its metrics
+    shifted by ``deltas`` (a cheaper baseline reads as a regression)."""
+    import json
+
+    from repro.obs.series import config_digest
+
+    lines = path.read_text().splitlines()
+    head = json.loads(lines[-1])
+    head["git_sha"] = "0" * 40
+    for name, delta in (deltas or {}).items():
+        head["metrics"][name] += delta
+    if config is not None:
+        head["config"] = config
+        head["config_digest"] = config_digest(config)
+    lines[-1] = json.dumps(head)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestPerfCheck:
     ARGS = [
         "perf-check", "--pois", "300", "--n", "3", "--keysize", "128",
@@ -235,109 +258,129 @@ class TestPerfCheck:
     ]
 
     def _record(self, tmp_path):
-        code = run_cli([*self.ARGS, "--record", "--baseline-dir", str(tmp_path)])
+        code = run_cli([*self.ARGS, "--record", "--series-dir", str(tmp_path)])
         assert code == 0
-        return tmp_path / "ppgnn.json"
+        return tmp_path / "ppgnn.jsonl"
 
     def test_record_then_unchanged_check_exits_zero(self, capsys, tmp_path):
-        self._record(tmp_path)
+        path = self._record(tmp_path)
+        before = path.read_bytes()
         capsys.readouterr()
-        assert run_cli([*self.ARGS, "--baseline-dir", str(tmp_path)]) == 0
+        assert run_cli([*self.ARGS, "--series-dir", str(tmp_path)]) == 0
         assert "0 exact regression(s)" in capsys.readouterr().out
+        assert path.read_bytes() == before
 
     def test_exact_counter_regression_exits_nonzero(self, capsys, tmp_path):
-        import json
-
         path = self._record(tmp_path)
-        document = json.loads(path.read_text())
-        document["metrics"]["ops.modmuls_estimated"] -= 1  # baseline was cheaper
-        path.write_text(json.dumps(document))
+        _tamper_head(path, {"ops.modmuls_estimated": -1})  # baseline was cheaper
+        before = path.read_bytes()
         capsys.readouterr()
         report = tmp_path / "verdict.md"
         code = run_cli(
-            [*self.ARGS, "--baseline-dir", str(tmp_path),
+            [*self.ARGS, "--series-dir", str(tmp_path),
              "--report-out", str(report)]
         )
         assert code == 1
         assert "regressed ops.modmuls_estimated" in capsys.readouterr().out
         assert "Verdict: FAIL" in report.read_text()
+        assert path.read_bytes() == before  # checking never writes
 
     def test_missing_baseline_is_a_clear_error(self, capsys, tmp_path):
-        assert run_cli([*self.ARGS, "--baseline-dir", str(tmp_path)]) == 2
+        assert run_cli([*self.ARGS, "--series-dir", str(tmp_path)]) == 2
         assert "--record" in capsys.readouterr().err
 
     def test_workload_mismatch_refused(self, capsys, tmp_path):
         import json
 
         path = self._record(tmp_path)
-        document = json.loads(path.read_text())
-        document["config"]["pois"] = 999
-        path.write_text(json.dumps(document))
+        config = json.loads(path.read_text())["config"]
+        _tamper_head(path, config={**config, "pois": 999})
         capsys.readouterr()
-        assert run_cli([*self.ARGS, "--baseline-dir", str(tmp_path)]) == 2
+        assert run_cli([*self.ARGS, "--series-dir", str(tmp_path)]) == 2
         assert "re-record" in capsys.readouterr().err
 
     def test_baselines_stamp_provenance(self, tmp_path):
-        import json
+        from repro.obs.series import RunLedger
 
-        document = json.loads(self._record(tmp_path).read_text())
-        assert document["keysize"] == 128
-        assert document["config"]["seed"] == 7
-        assert document["metrics"]["ops.modmuls_estimated"] > 0
-        assert document["metrics"]["protocol.rounds"] >= 1
+        self._record(tmp_path)
+        [record] = RunLedger(tmp_path).load("ppgnn")
+        assert record.keysize == 128
+        assert record.config["seed"] == 7
+        assert record.metrics["ops.modmuls_estimated"] > 0
+        assert record.metrics["protocol.rounds"] >= 1
+        assert record.phases and record.source == "perf-check"
+
+    def test_record_accepts_the_counters_it_moved(self, capsys, tmp_path):
+        from repro.obs.series import RunLedger
+
+        path = self._record(tmp_path)
+        _tamper_head(path, {"ops.modmuls_estimated": -1})
+        assert run_cli([*self.ARGS, "--record", "--series-dir", str(tmp_path)]) == 0
+        records = RunLedger(tmp_path).load("ppgnn")
+        assert len(records) == 2
+        assert records[-1].accepted == ("ops.modmuls_estimated",)
+        assert run_cli(["trend", "--series-dir", str(tmp_path), "--check"]) == 0
+        assert run_cli([*self.ARGS, "--series-dir", str(tmp_path)]) == 0
+
+    def test_other_keysize_is_its_own_lineage(self, capsys, tmp_path):
+        from repro.obs.series import RunLedger
+
+        self._record(tmp_path)
+        wider = [*self.ARGS, "--keysize", "256"]  # the last --keysize wins
+        capsys.readouterr()
+        assert run_cli([*wider, "--series-dir", str(tmp_path)]) == 2
+        assert "re-record" in capsys.readouterr().err
+        assert run_cli([*wider, "--record", "--series-dir", str(tmp_path)]) == 0
+        records = RunLedger(tmp_path).load("ppgnn")
+        assert [r.keysize for r in records] == [128, 256]
+        assert records[-1].accepted == ()
+        assert run_cli(["trend", "--series-dir", str(tmp_path), "--check"]) == 0
+        assert run_cli([*self.ARGS, "--series-dir", str(tmp_path)]) == 0
+        assert run_cli([*wider, "--series-dir", str(tmp_path)]) == 0
 
 
 class TestCryptoMicroSuite:
     ARGS = ["perf-check", "--suite", "crypto", "--keysize", "256", "--seed", "9"]
 
     def test_record_then_check_round_trips(self, capsys, tmp_path):
-        code = run_cli([*self.ARGS, "--record", "--baseline-dir", str(tmp_path)])
+        code = run_cli([*self.ARGS, "--record", "--series-dir", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "crypto-256.json").exists()
+        assert (tmp_path / "crypto-256.jsonl").exists()
         capsys.readouterr()
-        assert run_cli([*self.ARGS, "--baseline-dir", str(tmp_path)]) == 0
+        assert run_cli([*self.ARGS, "--series-dir", str(tmp_path)]) == 0
         assert "0 exact regression(s)" in capsys.readouterr().out
 
     def test_counter_regression_fails_the_gate(self, capsys, tmp_path):
-        import json
-
         assert (
-            run_cli([*self.ARGS, "--record", "--baseline-dir", str(tmp_path)])
+            run_cli([*self.ARGS, "--record", "--series-dir", str(tmp_path)])
             == 0
         )
-        path = tmp_path / "crypto-256.json"
-        document = json.loads(path.read_text())
-        document["metrics"]["ops.encrypt.bigint_muls"] -= 1
-        path.write_text(json.dumps(document))
+        _tamper_head(tmp_path / "crypto-256.jsonl", {"ops.encrypt.bigint_muls": -1})
         capsys.readouterr()
-        assert run_cli([*self.ARGS, "--baseline-dir", str(tmp_path)]) == 1
+        assert run_cli([*self.ARGS, "--series-dir", str(tmp_path)]) == 1
         assert "regressed ops.encrypt.bigint_muls" in capsys.readouterr().out
 
     def test_digest_is_fixed_direction(self, capsys, tmp_path):
-        import json
-
         assert (
-            run_cli([*self.ARGS, "--record", "--baseline-dir", str(tmp_path)])
+            run_cli([*self.ARGS, "--record", "--series-dir", str(tmp_path)])
             == 0
         )
-        path = tmp_path / "crypto-256.json"
-        document = json.loads(path.read_text())
-        document["metrics"]["answers.digest_mod"] += 1  # either direction fails
-        path.write_text(json.dumps(document))
+        # Either direction fails.
+        _tamper_head(tmp_path / "crypto-256.jsonl", {"answers.digest_mod": 1})
         capsys.readouterr()
-        assert run_cli([*self.ARGS, "--baseline-dir", str(tmp_path)]) == 1
+        assert run_cli([*self.ARGS, "--series-dir", str(tmp_path)]) == 1
 
     def test_slow_baseline_improves_with_fast_paths(self, capsys, tmp_path):
         from repro.crypto import fastexp
 
         with fastexp.forced(False):
             assert (
-                run_cli([*self.ARGS, "--record", "--baseline-dir", str(tmp_path)])
+                run_cli([*self.ARGS, "--record", "--series-dir", str(tmp_path)])
                 == 0
             )
         capsys.readouterr()
         with fastexp.forced(True):
-            assert run_cli([*self.ARGS, "--baseline-dir", str(tmp_path)]) == 0
+            assert run_cli([*self.ARGS, "--series-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "improved  ops.encrypt.bigint_muls" in out
         assert "improved  ops.dot.bigint_muls" in out

@@ -1,6 +1,6 @@
-"""The run ledger's contracts: idempotent appends, seq-ordered analytics,
-truncated-tail recovery, and the document converters behind
-``repro trend --append``."""
+"""The run ledger's contracts: idempotent appends, lineage heads,
+seq-ordered analytics, truncated-tail recovery, and the document
+converters behind ``repro trend --append``."""
 
 import json
 
@@ -12,11 +12,8 @@ from repro.obs.series import (
     LedgerRecord,
     RunLedger,
     config_digest,
-    ledger_stamp,
     parse_ledger_jsonl,
-    record_from_baseline_document,
     record_from_bench_document,
-    records_from_markdown,
     records_from_text,
     sort_records,
 )
@@ -68,12 +65,36 @@ class TestLedgerRecord:
 class TestAppendIdempotence:
     def test_duplicate_sha_and_config_is_noop(self, tmp_path):
         ledger = RunLedger(tmp_path)
-        first, appended = ledger.append(_record(metrics={"ops.x": 10}))
+        first, appended = ledger.append(
+            _record(metrics={"ops.x": 10, "time.user_seconds": 1.0})
+        )
         assert appended and first.seq == 0
-        replay, appended = ledger.append(_record(metrics={"ops.x": 999}))
-        assert not appended
-        assert replay.seq == 0 and replay.metrics["ops.x"] == 10
+        for timing in (1.0, 9.0):  # exact-equal, then timing-only replay
+            replay, appended = ledger.append(
+                _record(metrics={"ops.x": 10, "time.user_seconds": timing})
+            )
+            assert not appended
+            assert replay.seq == 0 and replay.metrics["time.user_seconds"] == 1.0
+        with pytest.raises(ReproError, match="seq 0 .*ops.x"):
+            ledger.append(_record(metrics={"ops.x": 999, "time.user_seconds": 1.0}))
         assert len(ledger.load("demo")) == 1
+
+    def test_same_sha_and_config_other_keysize_appends_both(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        _, a = ledger.append(_record(metrics={"ops.x": 10}, keysize=128))
+        _, b = ledger.append(_record(metrics={"ops.x": 40}, keysize=256))
+        assert a and b
+        assert ledger.head("demo", (config_digest({"k": 3}), 256)).metrics == {
+            "ops.x": 40
+        }
+
+    def test_head_is_the_last_record_of_its_lineage(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        for sha, k in (("a", 3), ("b", 5), ("c", 3), ("d", 5)):
+            ledger.append(_record(sha=sha, config={"k": k}, keysize=128))
+        assert ledger.head("demo", (config_digest({"k": 3}), 128)).git_sha == "c"
+        assert ledger.head("demo", (config_digest({"k": 3}), 256)) is None
+        assert ledger.head("other", (config_digest({"k": 3}), 128)) is None
 
     def test_replay_property_random_order(self, tmp_path):
         """Appending any shuffle of a record set, repeatedly, converges to
@@ -178,20 +199,6 @@ class TestOrderingInvariance:
 
 
 class TestConverters:
-    def test_baseline_document(self):
-        doc = {
-            "experiment": "ppgnn",
-            "git_sha": "feedface",
-            "keysize": 128,
-            "config": {"k": 3},
-            "metrics": {"ops.x": 5, "time.s": 0.5},
-        }
-        record = record_from_baseline_document(doc)
-        assert record.suite == "ppgnn" and record.source == "baseline"
-        assert record.metrics == doc["metrics"]
-        with pytest.raises(ReproError, match="malformed baseline"):
-            record_from_baseline_document({"metrics": {}})
-
     def test_bench_document_with_serving_report(self):
         report = {
             "completed": 10,
@@ -222,40 +229,24 @@ class TestConverters:
         assert record.metrics == {"metrics.build_seconds": 2.5}
 
     def test_committed_artifacts_convert(self):
-        """Every committed baseline and BENCH document must stay appendable."""
+        """Every committed BENCH document must stay appendable."""
         from pathlib import Path
 
         root = Path(__file__).resolve().parent.parent / "benchmarks"
-        for path in sorted((root / "baselines").glob("*.json")):
-            record = record_from_baseline_document(json.loads(path.read_text()))
-            assert record.metrics, path.name
         for path in sorted((root / "results").glob("BENCH_*.json")):
             record = record_from_bench_document(json.loads(path.read_text()))
             assert record.metrics, path.name
 
-
-class TestStampsAndText:
-    def test_stamp_round_trip_through_markdown(self):
-        record = _record(phases={"crypto": 3}, keysize=128)
-        doc = "# Report\n\nsome prose\n" + ledger_stamp(record) + "\n"
-        [restored] = records_from_markdown(doc)
-        assert restored.to_dict() == record.to_dict()
-
-    def test_unclosed_stamp_raises(self):
-        with pytest.raises(ReproError, match="never\\s+closes"):
-            records_from_markdown("<!-- repro-ledger: {\"suite\": \"x\"}")
-
-    def test_records_from_text_dispatch(self, tmp_path):
-        baseline = {
-            "experiment": "ppgnn",
-            "git_sha": "a",
-            "metrics": {"ops.x": 1},
-        }
-        assert records_from_text(json.dumps(baseline))[0].source == "baseline"
+    def test_records_from_text_dispatch(self):
         bench = {"experiment": "serve", "git_sha": "a", "results": {"n": 1}}
         assert records_from_text(json.dumps(bench))[0].source == "bench"
         raw = json.dumps(_record(seq=0).to_dict())
         assert records_from_text(raw)[0].suite == "demo"
+        with pytest.raises(ReproError, match="BENCH_\\*.json document or ledger"):
+            records_from_text("# Performance sentinel report\n")
+        retired = {"experiment": "ppgnn", "git_sha": "a", "metrics": {"x": 1}}
+        with pytest.raises(ReproError, match="nothing to append"):
+            records_from_text(json.dumps(retired))
 
     def test_records_from_text_jsonl_fragment(self):
         lines = "\n".join(
@@ -263,7 +254,3 @@ class TestStampsAndText:
             for i, s in enumerate("ab")
         )
         assert len(records_from_text(lines)) == 2
-
-    def test_stampless_markdown_names_the_fix(self):
-        with pytest.raises(ReproError, match="repro perf-check --report-out"):
-            records_from_text("# Old report\nno stamps here\n")

@@ -18,7 +18,6 @@ from repro.obs.trend import (
     Changepoint,
     check_ledger,
     detect_changepoints,
-    dominant_lineage,
     lineages,
     render_check,
     render_trends,
@@ -137,14 +136,29 @@ class TestLineages:
         assert len(lineages(ledger.load("demo"))) == 2
         assert check_ledger(ledger).ok
 
-    def test_dominant_lineage_by_population(self, tmp_path):
+    def test_every_lineage_is_checked(self, tmp_path):
+        """A regression in an older, smaller lineage still fails the check
+        when a larger lineage of the same suite was appended after it."""
         ledger = RunLedger(tmp_path)
-        for sha in ("a", "b", "c"):
-            ledger.append(_record(sha, {"ops.x": 1}, config={"k": 3}))
-        ledger.append(_record("d", {"ops.x": 2}, config={"k": 8}))
-        digest, lineage = dominant_lineage(ledger.load("demo"))
-        assert len(lineage) == 3
-        assert all(r.config == {"k": 3} for r in lineage)
+        for sha, degraded in (("a1", 13), ("b2", 20)):
+            ledger.append(
+                _record(sha, {"control.degraded": degraded}, config={"control": 1})
+            )
+        for sha in ("c3", "d4", "e5"):
+            ledger.append(_record(sha, {"serve.completed": 40}, config={"seed": 1}))
+        check = check_ledger(ledger)
+        assert not check.ok
+        assert [cp.metric for cp in check.unexplained] == ["control.degraded"]
+        dashboard = render_trends(ledger)
+        for record in ledger.load("demo")[::2]:
+            assert f"config `{record.config_digest}`" in dashboard
+
+    def test_keysize_splits_lineages(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        ledger.append(_record("a1", {"ops.modmuls_estimated": 1000}, keysize=128))
+        ledger.append(_record("b2", {"ops.modmuls_estimated": 4000}, keysize=256))
+        assert len(lineages(ledger.load("demo"))) == 2
+        assert check_ledger(ledger).ok
 
 
 class TestTimingBands:
