@@ -158,7 +158,7 @@ def run_apnn(
         own_cell = server.grid.cell_of(location)
         hot = cells.index(own_cell)
         indicator = encrypt_indicator(
-            keypair.public_key,
+            keypair.secret_key,
             len(cells),
             hot,
             rng=rng,

@@ -827,9 +827,10 @@ def _perf_metrics(
 def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
     """The Paillier hot-path micro-suite at one keysize.
 
-    Runs a pinned mix of encryptions, pooled encryptions, rerandomizations,
-    a homomorphic dot product, pool refills (windowed and CRT-split), and
-    both decryption paths through profiled keys under the ambient fast-path
+    Runs a pinned mix of encryptions (public and key-owner), pooled
+    encryptions, rerandomizations, a homomorphic dot product, pool refills
+    (windowed and key-owner), and both decryption paths through profiled
+    keys under the ambient fast-path
     setting (``REPRO_FASTEXP``); then replays the identical mix with the
     *opposite* setting and insists every produced ciphertext value matches
     — the digest the sentinel freezes is therefore provably independent of
@@ -838,9 +839,11 @@ def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
     (zero-tolerance, lower is better), so any accidental cost regression
     in the crypto hot path fails the gate — and recording with
     ``REPRO_FASTEXP=0`` then checking with the default demonstrates the
-    fast paths strictly lowering them.  CRT-split refills halve the
-    *width* of each multiplication rather than the count, so they gate on
-    limb-weighted work (``mul_work64``) instead of raw muls.
+    fast paths strictly lowering them.  The key owner's half-width path
+    (owner encryptions and owner-pool refills) shrinks the *width* of each
+    multiplication while raising the count, so it gates on limb-weighted
+    work (``mul_work64``, each stage at its own modulus width) instead of
+    raw muls.
     """
     import hashlib
     import random
@@ -855,7 +858,7 @@ def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
         encrypt_with_pool,
     )
     from repro.crypto.paillier import generate_keypair
-    from repro.obs.profile import profile_keypair
+    from repro.obs.profile import profile_keypair, stage_work
 
     packed_fields = [3, 1, 4, 1, 5, 9, 2, 6]
 
@@ -879,10 +882,13 @@ def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
             from_pool = [encrypt_with_pool(pool, m) for m in range(8)]
             values += [c.value for c in from_pool]
 
-            # Key-owner pool: refills run the CRT half-width path; the
+            # Key-owner pool: refills run the owner's half-width path; the
             # packed encryption spends one factor for all eight fields.
             owner_pool = NoncePool(pk, sk)
             owner_pool.refill(4, rng=random.Random(args.seed + 2))
+            refill_work = owner_pool.stats.precomputed * stage_work(
+                sk.obfuscate_stages(1)
+            )
             packed = encrypt_packed(owner_pool, packed_fields, 8)
             values.append(packed.value)
             if decrypt_packed(sk, packed, 8, len(packed_fields)) != packed_fields:
@@ -901,17 +907,23 @@ def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
             if [sk.decrypt(c) for c in rerandomized] != [0, 1, 2, 3]:
                 raise ReproError("rerandomized ciphertexts decrypted wrongly")
 
+            # The coordinator's own encryptions, at both protocol levels.
+            owner_rng = random.Random(args.seed + 3)
+            owned = [sk.encrypt(m, rng=owner_rng) for m in range(4)]
+            owned.append(sk.encrypt(5, s=2, rng=owner_rng))
+            values += [c.value for c in owned]
+
             return (
                 values,
                 profiler,
                 dot_ledger.muls,
                 pool.stats.fast_muls,
-                owner_pool.stats.fast_muls,
+                refill_work,
             )
 
     ambient = fastexp.enabled()
     started = time_module.perf_counter()
-    values, profiler, dot_muls, windowed_muls, crt_muls = run(ambient)
+    values, profiler, dot_muls, windowed_muls, refill_work = run(ambient)
     suite_seconds = time_module.perf_counter() - started
     other_values, *_ = run(not ambient)
     if values != other_values:
@@ -928,11 +940,6 @@ def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
     def muls(op_class: str) -> int:
         return ledger.get(op_class, {}).get("bigint_muls", 0)
 
-    # The CRT refill ran at half width (modulus p^2 / q^2 of ~keysize
-    # bits) when fast, full width (~2*keysize) otherwise; weight by the
-    # squared 64-bit limb count so the two are commensurable.
-    crt_width = args.keysize if ambient else 2 * args.keysize
-    crt_work = round(crt_muls * (crt_width / 64.0) ** 2)
     metrics = {
         "ops.encrypt.bigint_muls": muls("encrypt") + muls("encrypt.tables"),
         "ops.encrypt_pool.bigint_muls": muls("encrypt.pooled"),
@@ -947,7 +954,10 @@ def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
         "ops.decrypt_generic.bigint_muls": muls("decrypt.generic"),
     }
     metrics["ops.total.bigint_muls"] = sum(metrics.values())
-    metrics["ops.refill_crt.mul_work64"] = crt_work
+    metrics["ops.refill_crt.mul_work64"] = round(refill_work)
+    metrics["ops.encrypt_owner.mul_work64"] = round(
+        profiler.profile("encrypt.owner").mul_work
+    )
     metrics["answers.digest_mod"] = int.from_bytes(digest[:6], "big")
     metrics["time.suite_seconds"] = round(suite_seconds, 6)
     return metrics

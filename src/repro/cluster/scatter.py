@@ -282,7 +282,11 @@ class ClusterRunner:
             from repro.core.common import group_keypair
 
             keypair = group_keypair(config)
-            session.nonce_pool = self.registry.pool_for(keypair.public_key)
+            # As in the single-LSP bucket: the cell owns the group's key
+            # pair, so its pool refills run the owner's half-width path.
+            session.nonce_pool = self.registry.pool_for(
+                keypair.public_key, keypair.secret_key
+            )
         self._sessions[key] = session
         return session
 

@@ -144,7 +144,7 @@ def _run_ppgnn(
             ledger.counter(COORDINATOR).encryptions += layout.delta_prime
         else:
             indicator = encrypt_indicator(
-                keypair.public_key,
+                keypair.secret_key,
                 layout.delta_prime,
                 plan.query_index,
                 rng=rng,

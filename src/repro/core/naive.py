@@ -130,7 +130,7 @@ def _run_naive(
             ledger.counter(COORDINATOR).encryptions += config.delta
         else:
             indicator = encrypt_indicator(
-                keypair.public_key,
+                keypair.secret_key,
                 config.delta,
                 plan.query_index,
                 rng=rng,

@@ -178,10 +178,10 @@ def _run_ppgnn_opt(
             counter.encryptions += block_width + block_count
         else:
             inner = encrypt_indicator(
-                keypair.public_key, block_width, within, s=1, rng=rng, counter=counter
+                keypair.secret_key, block_width, within, s=1, rng=rng, counter=counter
             )
             outer = encrypt_indicator(
-                keypair.public_key, block_count, block, s=2, rng=rng, counter=counter
+                keypair.secret_key, block_count, block, s=2, rng=rng, counter=counter
             )
         request = OptGroupQueryRequest(
             k=config.k,

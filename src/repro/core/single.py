@@ -49,7 +49,7 @@ def run_single_user(
             location, position, config.d, lsp.space, nprng, dummy_generator
         )
         indicator = encrypt_indicator(
-            keypair.public_key,
+            keypair.secret_key,
             config.d,
             position,
             rng=rng,
@@ -103,10 +103,10 @@ def run_single_user_opt(
         block, within = split_indicator_index(position, block_width)
         counter = ledger.counter(COORDINATOR)
         inner = encrypt_indicator(
-            keypair.public_key, block_width, within, s=1, rng=rng, counter=counter
+            keypair.secret_key, block_width, within, s=1, rng=rng, counter=counter
         )
         outer = encrypt_indicator(
-            keypair.public_key, block_count, block, s=2, rng=rng, counter=counter
+            keypair.secret_key, block_count, block, s=2, rng=rng, counter=counter
         )
         request = OptSingleQueryRequest(
             k=config.k,

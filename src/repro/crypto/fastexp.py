@@ -12,10 +12,11 @@ modular exponentiation, and each shape admits a classical speedup:
   ``prod c_i^{x_i} mod N^{s+1}``: :func:`multi_pow` interleaves the
   per-term windows over one shared squaring chain (Straus/Shamir), paying
   ``max_i bits(x_i)`` squarings total instead of per term.
-- **Known factorization** — any exponentiation the secret-key holder runs
-  in the ciphertext group: :class:`CrtPow` splits it into two half-width
-  chains modulo ``p^{s+1}`` / ``q^{s+1}`` with per-prime order-reduced
-  exponents, recombined by Garner.
+- **Known factorization** — the key holder's own nonce factor
+  ``r^{N^s}``: :meth:`~repro.crypto.paillier.PaillierPrivateKey.obfuscate`
+  builds it per prime in two short builtin-``pow`` stages (modulo ``p``,
+  then ``p^{s+1}``) and joins the halves by Garner; its
+  ``obfuscate_stages`` reports the exact per-stage cost.
 
 Every kernel is *value-identical* to the builtin ``pow`` it replaces and
 never consumes randomness, so ciphertexts, answers, and digests are byte
@@ -37,7 +38,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.crypto.modmath import invmod
 from repro.errors import CryptoError
 
 #: Largest window width ever considered; 2^(w-1) table entries per base.
@@ -329,61 +329,3 @@ def multi_pow(
         ledger.add(_multi_cost(programs))
     return acc
 
-
-class CrtPow:
-    """Half-width exponentiation for whoever knows ``N = p * q``.
-
-    ``base^e mod N^{s+1}`` splits into chains modulo ``p^{s+1}`` and
-    ``q^{s+1}`` whose exponents are reduced by the per-prime group orders
-    ``p^s (p - 1)`` / ``q^s (q - 1)`` (valid for *unit* bases — Paillier
-    nonces and honest ciphertext values are units), recombined by Garner.
-    Each multiplication runs on half-width limbs, so the weighted work
-    roughly halves even where the raw count does not; the ledger reports
-    the honest raw count.
-    """
-
-    def __init__(self, p: int, q: int) -> None:
-        if p == q:
-            raise CryptoError("CRT exponentiation needs distinct primes")
-        self.p = p
-        self.q = q
-        self._params: dict[int, tuple[int, int, int, int, int]] = {}
-
-    def _level(self, s: int) -> tuple[int, int, int, int, int]:
-        params = self._params.get(s)
-        if params is None:
-            ps1, qs1 = self.p ** (s + 1), self.q ** (s + 1)
-            order_p = self.p**s * (self.p - 1)
-            order_q = self.q**s * (self.q - 1)
-            params = (ps1, qs1, order_p, order_q, invmod(qs1, ps1))
-            self._params[s] = params
-        return params
-
-    def reduce(self, exponent: int, s: int = 1) -> tuple[int, int]:
-        """The order-reduced per-prime exponents of ``exponent``."""
-        _, _, order_p, order_q, _ = self._level(s)
-        return exponent % order_p, exponent % order_q
-
-    def cost(self, exponent: int, s: int = 1) -> int:
-        """Exact multiplications of one :meth:`pow` call (Garner included)."""
-        ep, eq = self.reduce(exponent, s)
-        return binary_pow_cost(ep) + binary_pow_cost(eq) + 2
-
-    def pow(
-        self,
-        base: int,
-        exponent: int,
-        s: int = 1,
-        ledger: MulLedger | None = None,
-    ) -> int:
-        """``base^exponent mod (p*q)^{s+1}`` for a unit ``base``."""
-        if exponent < 0:
-            raise CryptoError("CRT exponentiation needs a non-negative exponent")
-        ps1, qs1, _, _, q_inv = self._level(s)
-        ep, eq = self.reduce(exponent, s)
-        xp = pow(base % ps1, ep, ps1)
-        xq = pow(base % qs1, eq, qs1)
-        # Garner: x = xq + q^{s+1} * ((xp - xq) * (q^{s+1})^-1 mod p^{s+1}).
-        if ledger is not None:
-            ledger.add(self.cost(exponent, s))
-        return xq + qs1 * ((xp - xq) * q_inv % ps1)

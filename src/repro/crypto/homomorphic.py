@@ -20,7 +20,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.crypto import fastexp
-from repro.crypto.paillier import Ciphertext, PaillierPublicKey
+from repro.crypto.paillier import (
+    Ciphertext,
+    PaillierPrivateKey,
+    PaillierPublicKey,
+)
 from repro.errors import CryptoError
 
 
@@ -181,7 +185,7 @@ def nested_select(
 
 
 def encrypt_indicator(
-    pk: PaillierPublicKey,
+    key: PaillierPublicKey | PaillierPrivateKey,
     length: int,
     hot_index: int,
     s: int = 1,
@@ -191,12 +195,14 @@ def encrypt_indicator(
     """Element-wise encryption of the basis vector e_{hot_index} of ``length``.
 
     The workhorse of query generation (Algorithm 1 line 10 and the two small
-    vectors of PPGNN-OPT).
+    vectors of PPGNN-OPT).  ``key`` is whichever key the caller holds: the
+    coordinator passes its secret key and encrypts at half width, anyone
+    else the public key; the ciphertexts are the same either way.
     """
     if not 0 <= hot_index < length:
         raise CryptoError(f"hot index {hot_index} out of range [0, {length})")
     if counter is not None:
         counter.encryptions += length
     return [
-        pk.encrypt(1 if i == hot_index else 0, s=s, rng=rng) for i in range(length)
+        key.encrypt(1 if i == hot_index else 0, s=s, rng=rng) for i in range(length)
     ]

@@ -70,10 +70,12 @@ class NoncePool:
     """A stock of precomputed obfuscation factors ``r^{N^s} mod N^{s+1}``.
 
     With a ``secret_key`` the pool belongs to the key owner (the paper's
-    coordinator precomputes its *own* nonces), so refills run the
-    CRT-split half-width path; without one they use the public windowed
-    fixed-exponent program.  Both produce the exact values builtin
-    ``pow`` would, so pool contents never depend on which kernel ran.
+    coordinator precomputes its *own* nonces), so refills and dry-pool
+    encryptions run the owner's half-width path
+    (:meth:`~repro.crypto.paillier.PaillierPrivateKey.obfuscate`); without
+    one they use the public windowed fixed-exponent program.  Both produce
+    the exact values builtin ``pow`` would, so pool contents never depend
+    on which kernel ran.
     """
 
     def __init__(
@@ -89,7 +91,7 @@ class NoncePool:
         self.stats = PoolStats()
 
     def attach_secret_key(self, secret_key: PaillierPrivateKey) -> None:
-        """Upgrade refills to the CRT-split path (key owner's pool)."""
+        """Upgrade refills to the owner's half-width path (key owner's pool)."""
         if secret_key.public_key != self.public_key:
             raise CryptoError("secret key does not match the pool's public key")
         self.secret_key = secret_key
@@ -103,25 +105,23 @@ class NoncePool:
         if count < 0:
             raise ConfigurationError("refill count must be non-negative")
         rng = rng or random.Random()
-        pk = self.public_key
-        mod = pk.ciphertext_modulus(s)
-        exponent = pk.n_pow(s)
+        pk, sk = self.public_key, self.secret_key
+        owner = sk if sk is not None else pk
+        if sk is not None:
+            muls = sum(m for m, _ in sk.obfuscate_stages(s))
+        elif fastexp.enabled():
+            muls = pk.nonce_plan(s).per_call_muls
+        else:
+            muls = fastexp.binary_pow_cost(pk.n_pow(s))
         bucket = self._factors[s]
-        fast = fastexp.enabled()
-        ledger = fastexp.MulLedger()
-        plan = pk.nonce_plan(s) if fast and self.secret_key is None else None
         for _ in range(count):
-            r = pk.random_unit(rng)
-            if not fast:
-                bucket.append(pow(r, exponent, mod))
-                ledger.add(fastexp.binary_pow_cost(exponent))
-            elif self.secret_key is not None:
-                bucket.append(self.secret_key.crt_pow(r, exponent, s, ledger))
-                self.stats.crt_split += 1
+            bucket.append(owner.obfuscate(pk.random_unit(rng), s))
+        if fastexp.enabled():
+            if sk is not None:
+                self.stats.crt_split += count
             else:
-                bucket.append(plan.powmod(r, mod, ledger))
-                self.stats.windowed += 1
-        self.stats.fast_muls += ledger.muls
+                self.stats.windowed += count
+        self.stats.fast_muls += count * muls
         self.stats.precomputed += count
         self.stats.refills += 1
 
@@ -166,7 +166,8 @@ class NoncePoolRegistry:
         """The shared pool of one public key (created on first use).
 
         Passing the matching ``secret_key`` marks the pool as key-owned,
-        switching refills to the CRT-split path (see :class:`NoncePool`).
+        switching refills to the owner's half-width path (see
+        :class:`NoncePool`).
         """
         pool = self._pools.get(public_key)
         if pool is None:
@@ -211,7 +212,8 @@ def encrypt_with_pool(
 
     Ciphertexts are indistinguishable from :meth:`PaillierPublicKey.encrypt`
     output (same distribution); when the pool is dry the factor is computed
-    online, so callers never need to check pool levels.
+    online — by the key owner's half-width path when the pool holds the
+    secret key — so callers never need to check pool levels.
 
     ``public_key`` states the key the caller intends to encrypt under.
     A pool refilled under a *different* key would silently produce
@@ -224,12 +226,11 @@ def encrypt_with_pool(
             "nonce pool was refilled under a different public key than the "
             "one this encryption targets"
         )
-    mod_plain = pk.plaintext_modulus(s)
-    if not 0 <= plaintext < mod_plain:
-        raise CryptoError(f"plaintext out of range for s={s}")
+    pk.check_plaintext(plaintext, s)
     factor = pool.take(s)
     if factor is None:
-        return pk.encrypt(plaintext, s=s, rng=rng)
+        owner = pool.secret_key if pool.secret_key is not None else pk
+        return owner.encrypt(plaintext, s=s, rng=rng)
     # Routed through the key method so profiled keys charge the pooled
     # cost (binomial expansion + combine) instead of a full encryption.
     return pk.encrypt_with_factor(plaintext, factor, s=s)

@@ -20,6 +20,11 @@ Construction (with the standard ``g = 1 + N`` simplification):
 ``(1+N)^m`` is computed via the binomial expansion — it has only ``s + 1``
 non-vanishing terms modulo ``N^{s+1}`` — instead of a full modular
 exponentiation, the same trick GMP-based implementations use.
+
+Whoever holds the secret key (the paper's coordinator, who generated the
+pair) encrypts through :meth:`PaillierPrivateKey.encrypt`, which builds
+the nonce factor ``r^{N^s}`` at half width from p and q and yields the
+same ciphertext as the public path at the same rng state.
 """
 
 from __future__ import annotations
@@ -166,6 +171,13 @@ class PaillierPublicKey:
         """
         return ((s + 1) * self.key_bits + 7) // 8
 
+    def check_plaintext(self, plaintext: int, s: int = 1) -> None:
+        """Raise :class:`CryptoError` unless ``0 <= plaintext < N^s``."""
+        if not 0 <= plaintext < self.plaintext_modulus(s):
+            raise CryptoError(
+                f"plaintext out of range for s={s}: need 0 <= m < N^{s}"
+            )
+
     def g_pow(self, m: int, s: int = 1) -> int:
         """``(1 + N)^m mod N^{s+1}`` via the s-term binomial expansion.
 
@@ -231,11 +243,7 @@ class PaillierPublicKey:
         result is deterministic and NOT semantically secure — used only by
         tests and micro-benchmarks that isolate other costs.
         """
-        mod_plain = self.plaintext_modulus(s)
-        if not 0 <= plaintext < mod_plain:
-            raise CryptoError(
-                f"plaintext out of range for s={s}: need 0 <= m < N^{s}"
-            )
+        self.check_plaintext(plaintext, s)
         value = self.g_pow(plaintext, s)
         if secure:
             rng = rng or random.Random()
@@ -254,11 +262,7 @@ class PaillierPublicKey:
         remain.  The factor must come from :meth:`obfuscate` (or a pool
         refilled under *this* key) for the ciphertext to be decryptable.
         """
-        mod_plain = self.plaintext_modulus(s)
-        if not 0 <= plaintext < mod_plain:
-            raise CryptoError(
-                f"plaintext out of range for s={s}: need 0 <= m < N^{s}"
-            )
+        self.check_plaintext(plaintext, s)
         mod_cipher = self.ciphertext_modulus(s)
         value = self.g_pow(plaintext, s) * factor % mod_cipher
         return Ciphertext(value=value, s=s, public_key=self)
@@ -273,6 +277,19 @@ class PaillierPublicKey:
         return Ciphertext(value=value, s=c.s, public_key=self)
 
 
+class _OwnerLevel(NamedTuple):
+    """Constants of :meth:`PaillierPrivateKey.obfuscate` at one level ``s``."""
+
+    stage_p: int  # q^s reduced modulo p - 1 (Fermat), in [1, p - 1]
+    stage_q: int
+    lift_p: int  # p^s
+    lift_q: int
+    mod_p: int  # p^{s+1}
+    mod_q: int
+    garner: int  # (q^{s+1})^-1 mod p^{s+1}
+    stages: tuple[tuple[int, int], ...]
+
+
 class PaillierPrivateKey:
     """Secret key: the factorization of N, plus decryption precomputations."""
 
@@ -285,7 +302,7 @@ class PaillierPrivateKey:
         "_crt",
         "_crt_s",
         "_prime_plans",
-        "_crt_pow",
+        "_owner_levels",
     )
 
     def __init__(self, public_key: PaillierPublicKey, p: int, q: int) -> None:
@@ -301,7 +318,7 @@ class PaillierPrivateKey:
         self._crt: tuple[int, int, int, int, int] | None = None
         self._crt_s: dict[int, tuple[int, int, int, int, int]] = {}
         self._prime_plans: tuple[fastexp.WindowPlan, fastexp.WindowPlan] | None = None
-        self._crt_pow: fastexp.CrtPow | None = None
+        self._owner_levels: dict[int, _OwnerLevel] = {}
 
     def prime_plans(self) -> tuple[fastexp.WindowPlan, fastexp.WindowPlan]:
         """Window programs of the fixed CRT exponents ``p - 1`` and ``q - 1``.
@@ -316,24 +333,92 @@ class PaillierPrivateKey:
             self._prime_plans = plans
         return plans
 
-    def crt_pow(
-        self,
-        base: int,
-        exponent: int,
-        s: int = 1,
-        ledger: "fastexp.MulLedger | None" = None,
-    ) -> int:
-        """``base^exponent mod N^{s+1}`` at half width, for unit bases.
+    def _owner_level(self, s: int) -> _OwnerLevel:
+        """Per-level constants of the two-stage nonce factor (see :meth:`obfuscate`)."""
+        level = self._owner_levels.get(s)
+        if level is None:
+            p, q = self.p, self.q
+            ps, qs = p**s, q**s
+            ps1, qs1 = ps * p, qs * q
+            half = self.public_key.key_bits // 2
+            width = (s + 1) * half
+            # Exponents are kept in [1, prime - 1] rather than [0, prime - 2]
+            # so a nonce divisible by the prime still maps to 0 in stage one.
+            stage_p = (qs - 1) % (p - 1) + 1
+            stage_q = (ps - 1) % (q - 1) + 1
+            level = _OwnerLevel(
+                stage_p=stage_p,
+                stage_q=stage_q,
+                lift_p=ps,
+                lift_q=qs,
+                mod_p=ps1,
+                mod_q=qs1,
+                garner=invmod(qs1, ps1),
+                stages=(
+                    (fastexp.binary_pow_cost(stage_p), half),
+                    (fastexp.binary_pow_cost(ps), width),
+                    (fastexp.binary_pow_cost(stage_q), half),
+                    (fastexp.binary_pow_cost(qs), width),
+                    (2, width),  # Garner: one modular and one plain multiply
+                ),
+            )
+            self._owner_levels[s] = level
+        return level
 
-        The secret-key holder's general-purpose exponentiation: two
-        order-reduced chains modulo ``p^{s+1}`` / ``q^{s+1}`` plus Garner
-        (see :class:`~repro.crypto.fastexp.CrtPow`).  The coordinator owns
-        the key pair, so its own nonce-pool refills run here instead of
-        full width.
+    def obfuscate(self, r: int, s: int = 1) -> int:
+        """``r^{N^s} mod N^{s+1}`` for the key holder, at half width.
+
+        Modulo ``p^{s+1}``, ``r^{N^s} = (r^{q^s})^{p^s}``.  Fermat's little
+        theorem gives ``r^{q^s} mod p`` from ``(r mod p)`` raised to
+        ``q^s mod (p - 1)``, and ``x^{p^s} mod p^{s+1}`` depends only on
+        ``x mod p``; so two short chains (modulo ``p``, then ``p^{s+1}``)
+        produce the ``p``-part, likewise for ``q``, and Garner joins them.
+        Value-identical to :meth:`PaillierPublicKey.obfuscate` for every
+        ``r`` in ``Z_N``; with the fast paths off it is builtin ``pow``.
         """
-        if self._crt_pow is None:
-            self._crt_pow = fastexp.CrtPow(self.p, self.q)
-        return self._crt_pow.pow(base, exponent, s, ledger)
+        public = self.public_key
+        if not fastexp.enabled():
+            return pow(r, public.n_pow(s), public.ciphertext_modulus(s))
+        level = self._owner_level(s)
+        p, q = self.p, self.q
+        xp = pow(pow(r % p, level.stage_p, p), level.lift_p, level.mod_p)
+        xq = pow(pow(r % q, level.stage_q, q), level.lift_q, level.mod_q)
+        return xq + level.mod_q * ((xp - xq) * level.garner % level.mod_p)
+
+    def obfuscate_stages(self, s: int = 1) -> tuple[tuple[int, int], ...]:
+        """``(multiplications, modulus bits)`` of each step of :meth:`obfuscate`.
+
+        The square-and-multiply count of each builtin ``pow`` (what CPython
+        runs below its 60-digit windowing cutoff) at its own nominal width,
+        plus Garner; with the fast paths off, one full-width ``pow``.
+        """
+        if not fastexp.enabled():
+            public = self.public_key
+            return (
+                (
+                    fastexp.binary_pow_cost(public.n_pow(s)),
+                    (s + 1) * public.key_bits,
+                ),
+            )
+        return self._owner_level(s).stages
+
+    def encrypt(
+        self, plaintext: int, s: int = 1, rng: random.Random | None = None
+    ) -> Ciphertext:
+        """The key holder's encryption: :meth:`PaillierPublicKey.encrypt`
+        with the nonce factor built by :meth:`obfuscate`.
+
+        The nonce comes from the same ``random_unit`` draw, so the
+        ciphertext is byte-identical to the public path at the same rng
+        state.
+        """
+        public = self.public_key
+        public.check_plaintext(plaintext, s)
+        r = public.random_unit(rng or random.Random())
+        value = public.g_pow(plaintext, s) * self.obfuscate(r, s)
+        return Ciphertext(
+            value=value % public.ciphertext_modulus(s), s=s, public_key=public
+        )
 
     def __repr__(self) -> str:
         return f"PaillierPrivateKey(bits={self.public_key.key_bits})"

@@ -278,36 +278,31 @@ def normalized_ops(
 def estimate_modmuls(counters: Mapping[str, float], keypair: KeyPair) -> dict:
     """Analytic modular-multiplication totals from exact op counters.
 
-    Uses the same square-and-multiply arithmetic as
-    :class:`~repro.obs.profile.ProfiledPublicKey` /
+    Uses the same arithmetic as
     :class:`~repro.obs.profile.ProfiledPrivateKey` at level ``s=1`` (the
     level every PPGNN/naive operation and the dominant PPGNN-OPT
-    operations run at): an encryption pays the nonce exponentiation
-    ``r^N mod N^2`` (windowed when the fast paths are on, with the
-    odd-power table under its own ``.tables`` key) plus the binomial
-    expansion and combine multiply, a CRT decryption two half-size
-    exponentiations with ``(p-1)`` / ``(q-1)`` exponents, a generic
-    decryption one full-size exponentiation with ``lambda``.
-    Deterministic given the seeded key pair and the counters, so the
-    sentinel treats the total as an exact counter — and for a pure s=1
-    workload it equals the profiler's ``bigint_muls`` ledger exactly
-    (asserted in tests).
+    operations run at).  Every counted encryption is the coordinator's, so
+    it is charged as the key holder's (``encrypt.owner``): the stages of
+    :meth:`~repro.crypto.paillier.PaillierPrivateKey.obfuscate` plus the
+    binomial expansion and combine multiply.  A CRT decryption pays two
+    half-size exponentiations with ``(p-1)`` / ``(q-1)`` exponents
+    (windowed when the fast paths are on, with the odd-power tables under
+    their own ``.tables`` key), a generic decryption one full-size
+    exponentiation with ``lambda``.  Deterministic given the seeded key
+    pair and the counters, so the sentinel treats the total as an exact
+    counter — and for a pure s=1 workload it equals the profiler's
+    ``bigint_muls`` ledger exactly (asserted in tests).
     """
     from repro.crypto import fastexp
 
     public, secret = keypair.public_key, keypair.secret_key
     bits = public.key_bits
+    per_encrypt = sum(count for count, _ in secret.obfuscate_stages(1)) + 3
     if fastexp.enabled():
-        nonce_plan = public.nonce_plan(1)
-        per_encrypt = nonce_plan.chain_muls + 3
-        per_encrypt_tables = nonce_plan.table_muls
         plan_p, plan_q = secret.prime_plans()
         per_crt = plan_p.chain_muls + plan_q.chain_muls
         per_crt_tables = plan_p.table_muls + plan_q.table_muls
     else:
-        nonce_muls, _ = pow_mul_estimate(public.n_pow(1), 2 * bits)
-        per_encrypt = nonce_muls + 3
-        per_encrypt_tables = 0
         per_crt_p, _ = pow_mul_estimate(secret.p - 1, bits)
         per_crt_q, _ = pow_mul_estimate(secret.q - 1, bits)
         per_crt = per_crt_p + per_crt_q
@@ -317,8 +312,7 @@ def estimate_modmuls(counters: Mapping[str, float], keypair: KeyPair) -> dict:
     crt = counters.get("crypto.decryptions.crt", 0)
     generic = counters.get("crypto.decryptions.generic", 0)
     breakdown = {
-        "encrypt": int(encryptions * per_encrypt),
-        "encrypt.tables": int(encryptions * per_encrypt_tables),
+        "encrypt.owner": int(encryptions * per_encrypt),
         "decrypt.crt": int(crt * per_crt),
         "decrypt.crt.tables": int(crt * per_crt_tables),
         "decrypt.generic": int(generic * per_generic),

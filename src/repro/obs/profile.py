@@ -44,6 +44,11 @@ def pow_mul_estimate(exponent: int, mod_bits: int) -> tuple[int, float]:
     return muls, muls * limb_factor
 
 
+def stage_work(stages) -> float:
+    """Limb-weighted work of ``(multiplications, modulus bits)`` stages."""
+    return sum(count * (bits / 64.0) ** 2 for count, bits in stages)
+
+
 @dataclass
 class OpProfile:
     """Accumulated cost of one operation class (e.g. ``decrypt.crt``)."""
@@ -176,7 +181,8 @@ class ProfiledPublicKey(PaillierPublicKey):
 
 
 class ProfiledPrivateKey(PaillierPrivateKey):
-    """A private key that accounts decryptions, split by path taken."""
+    """A private key that accounts decryptions, split by path taken, and
+    the key holder's own encryptions."""
 
     __slots__ = ("profiler",)
 
@@ -189,6 +195,20 @@ class ProfiledPrivateKey(PaillierPrivateKey):
     ) -> None:
         super().__init__(public_key, p, q)
         self.profiler = profiler if profiler is not None else KeyProfiler()
+
+    def encrypt(self, plaintext, s=1, rng=None) -> Ciphertext:
+        started = time.perf_counter()
+        result = super().encrypt(plaintext, s, rng)
+        wall = time.perf_counter() - started
+        # Each stage of the owner's nonce factor at its own modulus width,
+        # then the full-width binomial expansion and combine multiply.
+        stages = self.obfuscate_stages(s)
+        stages += ((2 * s + 1, (s + 1) * self.public_key.key_bits),)
+        muls = sum(count for count, _ in stages)
+        self.profiler.profile("encrypt.owner").record(
+            muls, stage_work(stages), wall
+        )
+        return result
 
     def decrypt_with_path(self, c: Ciphertext, use_crt: bool = True):
         started = time.perf_counter()

@@ -291,7 +291,7 @@ class BucketRunner:
         if self.registry is not None:
             keypair = group_keypair(config)
             # The bucket owns the group's key pair, so its pool refills
-            # may run the half-width CRT-split path.
+            # run the owner's half-width path.
             session.nonce_pool = self.registry.pool_for(
                 keypair.public_key, keypair.secret_key
             )

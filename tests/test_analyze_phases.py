@@ -172,36 +172,41 @@ class TestOpCounts:
     def test_estimate_matches_profiler_exactly(self, fast_config, traced_run):
         # Replay the traced run's op mix through profiled keys: the
         # analytic estimate must equal the profiler's bigint-mul ledger
-        # (both sides use the same square-and-multiply arithmetic).
+        # (both sides use the same square-and-multiply arithmetic), with
+        # the fast paths on and off.  Every counted encryption is the
+        # coordinator's, on the owner path.
+        from repro.crypto import fastexp
+
         obs, _ = traced_run
         counters = obs.snapshot().counters
         keypair = group_keypair(fast_config)
-        estimate = estimate_modmuls(counters, keypair)
-
-        keys, profiler = profile_keypair(keypair)
-        ciphertext = keys.public_key.encrypt(41)
-        keys.secret_key.decrypt(ciphertext)
-        ledger = profiler.to_dict()
-        per_encrypt = ledger["encrypt"]["bigint_muls"]
-        per_crt = ledger["decrypt.crt"]["bigint_muls"]
-        assert estimate["encrypt"] == counters["crypto.encryptions"] * per_encrypt
-        assert estimate["decrypt.crt"] == (
-            counters["crypto.decryptions.crt"] * per_crt
-        )
-        # Window-table builds are ledgered under their own classes; the
-        # total is the sum of every breakdown key.
-        per_tables = ledger.get("encrypt.tables", {}).get("bigint_muls", 0)
-        assert estimate["encrypt.tables"] == (
-            counters["crypto.encryptions"] * per_tables
-        )
-        per_crt_tables = ledger.get("decrypt.crt.tables", {}).get("bigint_muls", 0)
-        assert estimate["decrypt.crt.tables"] == (
-            counters["crypto.decryptions.crt"] * per_crt_tables
-        )
-        assert estimate["total"] == (
-            estimate["encrypt"]
-            + estimate["encrypt.tables"]
-            + estimate["decrypt.crt"]
-            + estimate["decrypt.crt.tables"]
-            + estimate["decrypt.generic"]
-        )
+        for fast in (True, False):
+            with fastexp.forced(fast):
+                estimate = estimate_modmuls(counters, keypair)
+                keys, profiler = profile_keypair(keypair)
+                ciphertext = keys.secret_key.encrypt(41)
+                keys.secret_key.decrypt(ciphertext)
+            ledger = profiler.to_dict()
+            assert "encrypt" not in ledger  # the public path never ran
+            per_encrypt = ledger["encrypt.owner"]["bigint_muls"]
+            per_crt = ledger["decrypt.crt"]["bigint_muls"]
+            assert estimate["encrypt.owner"] == (
+                counters["crypto.encryptions"] * per_encrypt
+            )
+            assert estimate["decrypt.crt"] == (
+                counters["crypto.decryptions.crt"] * per_crt
+            )
+            # Window-table builds are ledgered under their own class; the
+            # total is the sum of every breakdown key.
+            per_crt_tables = ledger.get("decrypt.crt.tables", {}).get(
+                "bigint_muls", 0
+            )
+            assert estimate["decrypt.crt.tables"] == (
+                counters["crypto.decryptions.crt"] * per_crt_tables
+            )
+            assert estimate["total"] == (
+                estimate["encrypt.owner"]
+                + estimate["decrypt.crt"]
+                + estimate["decrypt.crt.tables"]
+                + estimate["decrypt.generic"]
+            )

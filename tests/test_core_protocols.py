@@ -8,6 +8,7 @@ sanitation enabled, a prefix of it.
 import numpy as np
 import pytest
 
+from repro.baselines.apnn import APNNServer, run_apnn
 from repro.core.group import random_group, run_ppgnn
 from repro.core.naive import naive_partition, run_naive
 from repro.core.opt import optimal_omega, paper_omega, run_ppgnn_opt
@@ -211,3 +212,78 @@ class TestNaive:
         ppgnn = run_ppgnn(lsp, group, fast_config, seed=3)
         naive = run_naive(lsp, group, fast_config, seed=3)
         assert naive.report.link_bytes(USER, LSP) > ppgnn.report.link_bytes(USER, LSP)
+
+
+class TestKeyHolderEncryption:
+    """The coordinator holds the secret key and never encrypts at full width.
+
+    With the public nonce kernel patched to raise, every key-holding runner
+    must still finish, with the answers and request ciphertexts of an
+    unpatched round of the same seed.
+    """
+
+    #: runner name -> (module whose encrypt_indicator it calls, one round)
+    RUNNERS = {
+        "ppgnn": (
+            "repro.core.group",
+            lambda lsp, apnn, group, cfg: run_ppgnn(lsp, group, cfg, seed=3),
+        ),
+        "ppgnn-opt": (
+            "repro.core.opt",
+            lambda lsp, apnn, group, cfg: run_ppgnn_opt(lsp, group, cfg, seed=3),
+        ),
+        "naive": (
+            "repro.core.naive",
+            lambda lsp, apnn, group, cfg: run_naive(lsp, group, cfg, seed=3),
+        ),
+        "single": (
+            "repro.core.single",
+            lambda lsp, apnn, group, cfg: run_single_user(lsp, group[0], cfg, seed=3),
+        ),
+        "single-opt": (
+            "repro.core.single",
+            lambda lsp, apnn, group, cfg: run_single_user_opt(
+                lsp, group[0], cfg, seed=3
+            ),
+        ),
+        "apnn": (
+            "repro.baselines.apnn",
+            lambda lsp, apnn, group, cfg: run_apnn(apnn, group[0], cfg, seed=3),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    def test_round_never_uses_the_public_nonce_kernel(
+        self, name, lsp, medium_pois, fast_config, group, monkeypatch
+    ):
+        import importlib
+
+        from repro.crypto.paillier import PaillierPublicKey
+
+        module_name, runner = self.RUNNERS[name]
+        apnn = APNNServer(medium_pois, cells_per_side=16) if name == "apnn" else None
+        module = importlib.import_module(module_name)
+        original = module.encrypt_indicator
+        requests: list[int] = []
+
+        def recording(*args, **kwargs):
+            indicator = original(*args, **kwargs)
+            requests.extend(c.value for c in indicator)
+            return indicator
+
+        monkeypatch.setattr(module, "encrypt_indicator", recording)
+
+        def one_round():
+            requests.clear()
+            lsp.reset_rng(0)
+            result = runner(lsp, apnn, group, fast_config)
+            return result.answer_ids, list(requests)
+
+        expected = one_round()
+
+        def refuse(self, r, s=1):
+            raise AssertionError("the key holder took the full-width path")
+
+        monkeypatch.setattr(PaillierPublicKey, "obfuscate", refuse)
+        assert one_round() == expected
+        assert expected[0] and expected[1]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.crypto import fastexp
 from repro.crypto.fastexp import (
-    CrtPow,
     MulLedger,
     WindowPlan,
     binary_pow_cost,
@@ -140,34 +139,51 @@ class TestMultiPow:
         assert multi_pow(pairs, modulus) == expected
 
 
-class TestCrtPow:
+class TestOwnerObfuscate:
+    """The key holder's two-stage CRT nonce factor (``sk.obfuscate``)."""
+
     def test_matches_builtin_pow_across_levels(self):
         keypair = generate_keypair(128, seed=54321)
         sk, pk = keypair.secret_key, keypair.public_key
-        crt = CrtPow(sk.p, sk.q)
         rng = random.Random(5)
         for s in (1, 2, 3):
             mod = pk.ciphertext_modulus(s)
             for _ in range(4):
-                base = pk.random_unit(rng)
-                exponent = rng.randrange(1, pk.n_pow(s))
-                assert crt.pow(base, exponent, s) == pow(base, exponent, mod)
+                r = pk.random_unit(rng)
+                assert sk.obfuscate(r, s) == pow(r, pk.n_pow(s), mod)
 
     def test_ledger_matches_cost(self):
+        from repro.crypto.noncepool import NoncePool
+
         keypair = generate_keypair(128, seed=54321)
-        sk = keypair.secret_key
-        crt = CrtPow(sk.p, sk.q)
-        ledger = MulLedger()
-        crt.pow(12345, keypair.public_key.n, 1, ledger)
-        assert ledger.muls == crt.cost(keypair.public_key.n, 1)
+        sk, pk = keypair.secret_key, keypair.public_key
+        for s in (1, 2):
+            with fastexp.forced(True):
+                stages = sk.obfuscate_stages(s)
+                pool = NoncePool(pk, sk)
+                pool.refill(3, s=s, rng=random.Random(s))
+            # Stage one runs modulo a prime, stage two modulo its (s+1)-th
+            # power, then Garner: each counted at its own width.
+            assert [bits for _, bits in stages] == [64, 64 * (s + 1)] * 2 + [
+                64 * (s + 1)
+            ]
+            assert stages[1][0] == binary_pow_cost(sk.p**s)
+            assert stages[-1][0] == 2
+            assert pool.stats.fast_muls == 3 * sum(m for m, _ in stages)
 
     def test_rejects_degenerate_inputs(self):
+        from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
+
         with pytest.raises(CryptoError):
-            CrtPow(7, 7)
+            PaillierPrivateKey(PaillierPublicKey(251 * 251), 251, 251)
+        # Nonces sharing a factor with N are never drawn, yet the kernel
+        # stays value-identical on them too.
         keypair = generate_keypair(128, seed=54321)
-        crt = CrtPow(keypair.secret_key.p, keypair.secret_key.q)
-        with pytest.raises(CryptoError):
-            crt.pow(3, -1)
+        sk, pk = keypair.secret_key, keypair.public_key
+        for s in (1, 2, 3):
+            mod = pk.ciphertext_modulus(s)
+            for r in (0, 1, sk.p, sk.q, 3 * sk.p, pk.n - 1):
+                assert sk.obfuscate(r, s) == pow(r, pk.n_pow(s), mod)
 
 
 class TestToggle:

@@ -210,7 +210,7 @@ class TestPoolStatsAndSharing:
 
 
 class TestFastRefillPaths:
-    """Refill kernels: windowed for public pools, CRT-split for key owners."""
+    """Refill kernels: windowed for public pools, half-width for key owners."""
 
     def test_refill_values_identical_across_kernels(self, kp):
         from repro.crypto import fastexp
@@ -251,6 +251,24 @@ class TestFastRefillPaths:
             assert merged.fast_muls == (
                 public_pool.stats.fast_muls + owner_pool.stats.fast_muls
             )
+
+    def test_dry_owner_pool_falls_back_to_the_owner_path(self, kp, monkeypatch):
+        from repro.crypto.paillier import PaillierPublicKey
+
+        sk, pk = kp
+        expected = [pk.encrypt(m, rng=random.Random(m)) for m in range(3)]
+        pool = NoncePool(pk, sk)
+
+        def refuse(self, r, s=1):
+            raise AssertionError("a key-owned pool encrypted at full width")
+
+        monkeypatch.setattr(PaillierPublicKey, "obfuscate", refuse)
+        got = [
+            encrypt_with_pool(pool, m, rng=random.Random(m), public_key=pk)
+            for m in range(3)
+        ]
+        assert got == expected
+        assert pool.stats.dry == 3
 
     def test_slow_refill_ledgers_binary_estimate(self, kp):
         from repro.crypto import fastexp

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.paillier import (
@@ -183,6 +183,46 @@ class TestGPowProperty:
             assert pk.g_pow(m, s) == pow(1 + pk.n, m, mod)
 
 
+class TestOwnerEncryption:
+    """Hypothesis: the key holder's half-width encryption is byte-identical
+    to the public path at the same rng state."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        keysize=st.sampled_from([16, 24, 64, 128, 256, 512, 1024]),
+        s=st.sampled_from([1, 2, 3]),
+        which=st.sampled_from(["zero", "one", "max", "random"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        fast=st.booleans(),
+    )
+    @example(keysize=16, s=3, which="max", seed=0, fast=True)
+    @example(keysize=1024, s=1, which="max", seed=1, fast=True)
+    @example(keysize=1024, s=2, which="zero", seed=2, fast=True)
+    @example(keysize=1024, s=3, which="max", seed=3, fast=True)
+    @example(keysize=1024, s=1, which="one", seed=4, fast=False)
+    @example(keysize=1024, s=2, which="max", seed=5, fast=False)
+    @example(keysize=1024, s=3, which="random", seed=6, fast=False)
+    def test_owner_encrypt_equals_public_encrypt(self, keysize, s, which, seed, fast):
+        from repro.crypto import fastexp
+
+        sk, pk = generate_keypair(keysize, seed=keysize)
+        top = pk.plaintext_modulus(s) - 1
+        m = {"zero": 0, "one": 1, "max": top, "random": seed % (top + 1)}[which]
+        with fastexp.forced(fast):
+            owner = sk.encrypt(m, s, random.Random(seed))
+            public = pk.encrypt(m, s, random.Random(seed))
+        assert owner == public
+        assert sk.decrypt(owner) == m
+
+    def test_plaintext_out_of_range(self, keypair):
+        sk, pk = keypair
+        for s in (1, 2):
+            with pytest.raises(CryptoError):
+                sk.encrypt(pk.plaintext_modulus(s), s)
+            with pytest.raises(CryptoError):
+                sk.encrypt(-1, s)
+
+
 class TestRandomUnit:
     def test_returns_a_unit(self, keypair):
         from math import gcd
@@ -266,14 +306,16 @@ class TestFastPathEquivalence:
                 with fastexp.forced(flag):
                     assert pk.obfuscate(r, s) == expected
 
-    def test_crt_pow_matches_pow(self, keypair):
+    def test_owner_obfuscate_matches_pow(self, keypair):
+        from repro.crypto import fastexp
+
         sk, pk = keypair
         rng = random.Random(12)
         base = pk.random_unit(rng)
-        exponent = pk.n_pow(2)
-        assert sk.crt_pow(base, exponent, s=2) == pow(
-            base, exponent, pk.ciphertext_modulus(2)
-        )
+        expected = pow(base, pk.n_pow(2), pk.ciphertext_modulus(2))
+        for flag in (True, False):
+            with fastexp.forced(flag):
+                assert sk.obfuscate(base, s=2) == expected
 
     def test_encrypt_with_factor_validates_range(self, keypair):
         _, pk = keypair

@@ -206,3 +206,32 @@ class TestHandCountedOps:
             plan = pk.nonce_plan(1)
             binary, _ = pow_mul_estimate(pk.n, 2 * pk.key_bits)
             assert plan.per_call_muls < binary
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_owner_encrypt_charges_each_stage_at_its_width(self, s):
+        from repro.crypto import fastexp
+        from repro.crypto.fastexp import binary_pow_cost
+
+        keys, profiler = profile_keypair(generate_keypair(128, seed=54321))
+        sk, pk = keys.secret_key, keys.public_key
+        with fastexp.forced(True):
+            sk.encrypt(5, s=s, rng=random.Random(1))
+        p, q, half = sk.p, sk.q, pk.key_bits // 2
+        # Hand count: per prime a Fermat stage modulo the prime and a lift
+        # modulo its (s+1)-th power, then 2 Garner muls, then the 2s
+        # binomial muls and 1 combine at full width.
+        stage_one = binary_pow_cost(q**s % (p - 1)) + binary_pow_cost(p**s % (q - 1))
+        lift = binary_pow_cost(p**s) + binary_pow_cost(q**s)
+        owner = profiler.ops["encrypt.owner"]
+        assert owner.bigint_muls == stage_one + lift + 2 + 2 * s + 1
+        assert owner.mul_work == pytest.approx(
+            stage_one * (half / 64) ** 2
+            + (lift + 2) * ((s + 1) * half / 64) ** 2
+            + (2 * s + 1) * ((s + 1) * pk.key_bits / 64) ** 2
+        )
+        assert "encrypt" not in profiler.ops
+        # Half width: less limb-weighted work than the public path.
+        with fastexp.forced(True):
+            pk.encrypt(5, s=s, rng=random.Random(1))
+        public = profiler.ops["encrypt"].mul_work + profiler.ops["encrypt.tables"].mul_work
+        assert owner.mul_work < public

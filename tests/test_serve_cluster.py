@@ -131,6 +131,29 @@ class TestHealthyClusterIdentity:
             assert outcome.lost_shards == ()
 
 
+class TestClusterNoncePools:
+    #: answers_digest of this run when cluster pools refilled at full width.
+    DIGEST = "23d13a3a38ec9f695d448b981c20ee231b599e39c0a60f9c6d43191612e531ac"
+
+    def test_sharded_pools_refill_on_the_owner_path(
+        self, make_lsp, config, space
+    ):
+        """Each cell owns its group's key pair, as in the single-LSP bucket."""
+        from repro.crypto import fastexp
+
+        with fastexp.forced(True):
+            report = ServeEngine(
+                make_lsp(),
+                config,
+                ServeConfig(workers=2, executor="serial", cluster=CLUSTER, obs=True),
+            ).run(generate_workload(MIXED, space))
+        counters = report.obs["metrics"]["counters"]
+        assert counters["serve.pool.pooled"] > 0
+        assert counters["crypto.fastexp.crt_split"] > 0
+        assert counters["crypto.fastexp.windowed"] == 0
+        assert report.answers_digest == self.DIGEST
+
+
 class TestDegradedCluster:
     def test_killed_shard_yields_partial_outcomes(self, make_lsp, config, space):
         faults = ShardFaultPlan.killing({(1, 0): 0, (1, 1): 0}, seed=3)
