@@ -36,6 +36,7 @@ from repro.core.config import PPGNNConfig
 from repro.core.lsp import LSPServer
 from repro.datasets.poi import POI
 from repro.errors import ConfigurationError
+from repro.geometry.distance import maxdist_arrays, mindist_arrays
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.gnn.bruteforce import brute_force_kgnn
@@ -86,17 +87,14 @@ def candidate_superset(
     POIs whose lower bound is at most the k-th smallest upper bound.
     """
     entries = list(lsp.engine.tree.entries())
-    xs = np.array([p.x for p, _ in entries])
-    ys = np.array([p.y for p, _ in entries])
+    points = np.array([[p.x for p, _ in entries], [p.y for p, _ in entries]])
     lower_cols = []
     upper_cols = []
     for rect in rects:
-        dx = np.maximum(np.maximum(rect.xmin - xs, 0.0), xs - rect.xmax)
-        dy = np.maximum(np.maximum(rect.ymin - ys, 0.0), ys - rect.ymax)
-        lower_cols.append(np.hypot(dx, dy))
-        fx = np.maximum(xs - rect.xmin, rect.xmax - xs)
-        fy = np.maximum(ys - rect.ymin, rect.ymax - ys)
-        upper_cols.append(np.hypot(fx, fy))
+        lo = np.array([[rect.xmin], [rect.ymin]])
+        hi = np.array([[rect.xmax], [rect.ymax]])
+        lower_cols.append(mindist_arrays(points, lo, hi))
+        upper_cols.append(maxdist_arrays(points, lo, hi))
     lower = lsp.aggregate.combine_rows(np.column_stack(lower_cols))
     upper = lsp.aggregate.combine_rows(np.column_stack(upper_cols))
     if len(entries) <= k:

@@ -18,18 +18,22 @@ argument; the ablation bench measures the speed-up):
 - Each target's inequalities are AND-ed into one cumulative sample mask;
   its count after POI t is the X that the Z-test of Eqn (16) receives for
   the length-t prefix (prefix counts are non-increasing in t).
+- Every distance is the library's one ``sqrt(dx*dx + dy*dy)``
+  (:mod:`repro.geometry.distance`), so sample columns equal the scalar
+  reference's distances bit for bit.
 - For the built-in sum/max/min the known users' distances fold into one
-  scalar per POI (``Aggregate.partial``).  Sample distances are a cheap
-  ``sqrt(dx*dx + dy*dy)`` written into buffers the sanitizer owns, and any
-  comparison that lands within a ``1e-9`` band of its threshold is decided
-  again with ``np.hypot``, so every inequality bit equals the exact
-  evaluation.  Custom aggregates evaluate exact ``np.hypot`` columns with
-  their own ``merge`` or ``combine_rows``.
+  scalar per POI (``Aggregate.partial``), and sample distances are written
+  into buffers the sanitizer owns.  Sum compares one shared difference
+  column with a per-target threshold, a rearrangement whose rounding
+  differs from the reference comparison's; any comparison within a
+  ``1e-9`` band of its threshold is decided again in the reference
+  arithmetic, so every inequality bit equals the reference evaluation.
+  Custom aggregates evaluate the reference columns with their own
+  ``merge`` or ``combine_rows``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -37,19 +41,24 @@ import numpy as np
 
 from repro.datasets.poi import POI
 from repro.errors import ConfigurationError
+from repro.geometry.distance import maxdist_point_rect, pairwise_distances
 from repro.geometry.point import Point
 from repro.geometry.space import LocationSpace
 from repro.gnn.aggregate import MAX, MIN, SUM, Aggregate
 from repro.stats.hypothesis import SanitationTestPlan
 
 #: Aggregates whose ``merge`` (``np.add``, ``np.maximum``, ``np.minimum``)
-#: the cheap-distance path reasons about; any other aggregate is evaluated
-#: with exact ``np.hypot`` columns.
+#: the difference-column path reasons about; any other aggregate is
+#: evaluated with reference columns.
 _CHEAP_AGGREGATES = (SUM, MAX, MIN)
-#: A comparison within ``_BAND * (R_j + R_j+1 + |P_j| + |P_j+1|) + _TINY`` of
-#: its threshold is re-decided exactly.  The cheap values differ from the
-#: exact ones by about 1e-15 of the same scale, six orders of magnitude
-#: inside the band; the absolute term covers subnormal values.
+#: A comparison within ``_BAND * (R_j-1 + R_j + |P_j-1| + |P_j|) + _TINY`` of
+#: its threshold is re-decided in the reference arithmetic.  For sum,
+#: ``D = d_j - d_j-1`` against ``P_j-1 - P_j`` is not bit-equivalent to
+#: ``d_j-1 + P_j-1 <= d_j + P_j``: each side of either form rounds once, an
+#: error of at most 2**-53 of that scale, seven orders of magnitude inside
+#: the band.  The absolute term covers subnormal values.  Max and min only
+#: select, so their difference has the sign of the reference comparison;
+#: the band only re-checks their near-ties.
 _BAND = 1e-9
 _TINY = 1e-300
 
@@ -193,7 +202,11 @@ class AnswerSanitizer:
     def _cheap_distances(
         poi: POI, xs: np.ndarray, ys: np.ndarray, out: np.ndarray, scratch: np.ndarray
     ) -> None:
-        """``sqrt(dx*dx + dy*dy)`` from every sample to ``poi``, into ``out``."""
+        """:func:`pairwise_distances` from every sample to ``poi``, into ``out``.
+
+        The same operations in the same order, so the same floats, without
+        allocating a column.
+        """
         p = poi.location
         np.subtract(xs, p.x, out=out)
         np.multiply(out, out, out=out)
@@ -213,8 +226,7 @@ class AnswerSanitizer:
 
     def _reach(self, poi: POI) -> float:
         """R: the farthest any location of the space lies from ``poi``."""
-        b, p = self.space.bounds, poi.location
-        return math.hypot(max(p.x - b.xmin, b.xmax - p.x), max(p.y - b.ymin, b.ymax - p.y))
+        return maxdist_point_rect(poi.location, self.space.bounds)
 
     def _recheck(
         self,
@@ -226,16 +238,15 @@ class AnswerSanitizer:
         p_low: float,
         p_high: float,
     ) -> np.ndarray:
-        """The exact inequality bits for the samples in ``band``.
+        """The reference inequality bits for the samples in ``band``.
 
-        ``np.hypot`` distances, then ``merge``, then ``<=``: the arithmetic
-        of an exact column, restricted to the band's samples.
+        Distances, then ``merge``, then ``<=``: the arithmetic of a
+        reference column, restricted to the band's samples.
         """
         merge = self.aggregate.merge
         bx, by = xs[band], ys[band]
-        lp, hp = low_poi.location, high_poi.location
-        low = merge(np.hypot(bx - lp.x, by - lp.y), p_low)  # type: ignore[misc]
-        high = merge(np.hypot(bx - hp.x, by - hp.y), p_high)  # type: ignore[misc]
+        low = merge(pairwise_distances(bx, by, low_poi.location), p_low)  # type: ignore[misc]
+        high = merge(pairwise_distances(bx, by, high_poi.location), p_high)  # type: ignore[misc]
         return low <= high
 
     # ------------------------------------------------ custom aggregates
@@ -249,9 +260,9 @@ class AnswerSanitizer:
     ) -> Iterator[list[int]]:
         """Per prefix length t = 2, 3, ...: each target's in-region count.
 
-        Any monotone aggregate: exact ``np.hypot`` distance columns reduced
-        by the aggregate itself.  Each target keeps only its value column
-        for the previous POI.
+        Any monotone aggregate: reference distance columns reduced by the
+        aggregate itself.  Each target keeps only its value column for the
+        previous POI.
         """
         knowns = [
             [loc for i, loc in enumerate(candidate) if i != target]
@@ -260,8 +271,7 @@ class AnswerSanitizer:
         inside = np.ones((len(candidate), len(xs)), dtype=bool)
         previous: list[np.ndarray] = []
         for j, poi in enumerate(pois):
-            p = poi.location
-            dists = np.hypot(xs - p.x, ys - p.y)
+            dists = pairwise_distances(xs, ys, poi.location)
             for target, known in enumerate(knowns):
                 value = self._aggregate_column(dists, poi, known)
                 if j == 0:

@@ -1,15 +1,28 @@
 """Distance functions between points and rectangles.
 
-Besides the plain Euclidean metric the paper's query engine needs the two
-classic R-tree bounds:
+The library has one Euclidean distance, ``sqrt(dx*dx + dy*dy)``, in a
+scalar form (``math.sqrt``) and a numpy form (:func:`euclidean_norm`).  Both
+round ``dx`` and ``dy`` once each, then two products, one sum and a
+correctly rounded square root, in the same order, so the two forms return
+the identical float for every input.  That is what lets the MBM walk and
+the answer sanitation compute in numpy and still match the scalar oracle
+bit for bit.  Nothing in the library calls ``hypot``: ``math.hypot`` and
+``np.hypot`` disagree with each other on about 0.6% of inputs.
+
+Besides the plain metric the query engine needs the two classic R-tree
+bounds:
 
 - ``mindist(p, R)`` — the smallest possible distance between ``p`` and any
   point of rectangle ``R`` (lower bound used for best-first pruning),
 - ``maxdist(p, R)`` — the largest possible distance (upper bound, used by
   the IPPF baseline's candidate filtering).
 
-Vectorized variants operating on numpy arrays of points are provided for
-the Monte-Carlo answer sanitation, which evaluates tens of thousands of
+Floating-point rounding is monotone, so for every point ``q`` inside ``R``
+the computed ``mindist(p, R) <= p.distance_to(q) <= maxdist(p, R)`` holds
+exactly, not just up to rounding.
+
+Vectorized variants operating on numpy arrays are provided for the MBM walk
+and the Monte-Carlo answer sanitation, which evaluates tens of thousands of
 candidate locations per hypothesis test.
 """
 
@@ -24,8 +37,8 @@ from repro.geometry.rect import Rect
 
 
 def euclidean(a: Point, b: Point) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(a.x - b.x, a.y - b.y)
+    """Euclidean distance between two points (:meth:`Point.distance_to`)."""
+    return a.distance_to(b)
 
 
 def squared_euclidean(a: Point, b: Point) -> float:
@@ -42,7 +55,7 @@ def mindist_point_rect(p: Point, r: Rect) -> float:
     """
     dx = max(r.xmin - p.x, 0.0, p.x - r.xmax)
     dy = max(r.ymin - p.y, 0.0, p.y - r.ymax)
-    return math.hypot(dx, dy)
+    return math.sqrt(dx * dx + dy * dy)
 
 
 def maxdist_point_rect(p: Point, r: Rect) -> float:
@@ -52,16 +65,42 @@ def maxdist_point_rect(p: Point, r: Rect) -> float:
     """
     dx = max(p.x - r.xmin, r.xmax - p.x)
     dy = max(p.y - r.ymin, r.ymax - p.y)
-    return math.hypot(dx, dy)
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def euclidean_norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``sqrt(dx*dx + dy*dy)`` elementwise: the numpy form of the one distance."""
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def stacked_norm(d: np.ndarray) -> np.ndarray:
+    """:func:`euclidean_norm` of ``d[0]`` and ``d[1]``, squared in one pass."""
+    squares = d * d
+    return np.sqrt(squares[0] + squares[1])
+
+
+def mindist_arrays(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`mindist_point_rect` elementwise over stacked, broadcast arrays.
+
+    ``p`` stacks point coordinates ``(x, y)``; ``lo`` and ``hi`` stack the
+    rectangle corners ``(xmin, ymin)`` and ``(xmax, ymax)``.
+    """
+    return stacked_norm(np.maximum(np.maximum(lo - p, 0.0), p - hi))
+
+
+def maxdist_arrays(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`maxdist_point_rect` elementwise, stacked as in :func:`mindist_arrays`."""
+    return stacked_norm(np.maximum(p - lo, hi - p))
 
 
 def pairwise_distances(xs: np.ndarray, ys: np.ndarray, p: Point) -> np.ndarray:
     """Euclidean distances from many points ``(xs[i], ys[i])`` to ``p``.
 
     ``xs`` and ``ys`` are equal-length 1-D float arrays; the result is a 1-D
-    array of the same length.  This is the hot path of the answer sanitation.
+    array of the same length, entry ``i`` equal to
+    ``Point(xs[i], ys[i]).distance_to(p)``.
     """
-    return np.hypot(xs - p.x, ys - p.y)
+    return euclidean_norm(xs - p.x, ys - p.y)
 
 
 def distance_matrix(xs: np.ndarray, ys: np.ndarray, points: list[Point]) -> np.ndarray:
@@ -72,4 +111,4 @@ def distance_matrix(xs: np.ndarray, ys: np.ndarray, points: list[Point]) -> np.n
     """
     px = np.array([q.x for q in points], dtype=np.float64)
     py = np.array([q.y for q in points], dtype=np.float64)
-    return np.hypot(xs[:, None] - px[None, :], ys[:, None] - py[None, :])
+    return euclidean_norm(xs[:, None] - px[None, :], ys[:, None] - py[None, :])

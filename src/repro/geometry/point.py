@@ -25,8 +25,14 @@ class Point:
         return math.isfinite(self.x) and math.isfinite(self.y)
 
     def distance_to(self, other: "Point") -> float:
-        """Euclidean distance to ``other``."""
-        return math.hypot(self.x - other.x, self.y - other.y)
+        """Euclidean distance to ``other``: ``sqrt(dx*dx + dy*dy)``.
+
+        The one distance of the library (see :mod:`repro.geometry.distance`):
+        its numpy form gives the identical float.
+        """
+        dx = self.x - other.x
+        dy = self.y - other.y
+        return math.sqrt(dx * dx + dy * dy)
 
     def squared_distance_to(self, other: "Point") -> float:
         """Squared Euclidean distance (avoids the sqrt when only comparing)."""

@@ -7,10 +7,15 @@ the inequality attack (Section 5.1) exploits.  The three aggregates the
 paper names are provided; custom aggregates can be registered for the
 "any group query" black-box claim.
 
-Each aggregate exposes both a scalar form (used by the query engines) and a
-vectorized numpy form over a ``(samples, users)`` distance matrix (used by
-the Monte-Carlo answer sanitation, where tens of thousands of candidate
-locations are tested at once).
+Each aggregate exposes both a scalar form and a vectorized numpy form over a
+``(samples, users)`` distance matrix (used by the MBM walk and the
+Monte-Carlo answer sanitation).  For the built-in three the two forms return
+the identical float: ``max`` and ``min`` only select, and ``sum`` is a
+left-to-right fold, ``((d_1 + d_2) + d_3) + ...``, in both forms
+(``np.add.accumulate`` along the users axis).  Neither builtin ``sum``
+(compensated from Python 3.12) nor ``ndarray.sum`` (pairwise along the
+contiguous axis) is used, as their rounding differs from the fold's and
+from each other's.
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ class Aggregate:
         before reducing.
     combine_rows:
         Vectorized form: maps a ``(samples, users)`` float array to a
-        ``(samples,)`` array of costs.
+        ``(samples,)`` array of costs.  Only the built-in aggregates are
+        relied on to match ``combine`` exactly; the MBM walk applies a
+        custom aggregate's ``combine`` to each row instead.
     partial / merge:
         Optional decomposition for associative aggregates, exploited by the
         answer sanitation: ``partial`` reduces the known users' distances to
@@ -67,11 +74,25 @@ class Aggregate:
         return f"Aggregate({self.name!r})"
 
 
+def _left_fold(distances: Iterable[float]) -> float:
+    """``((d_1 + d_2) + d_3) + ...``: one rounding per term, in order."""
+    terms = iter(distances)
+    total = next(terms, 0.0)
+    for d in terms:
+        total += d
+    return float(total)
+
+
+def _left_fold_rows(m: np.ndarray) -> np.ndarray:
+    """:func:`_left_fold` of every row of ``m``, bit for bit."""
+    return np.add.accumulate(m, axis=1)[:, -1]
+
+
 SUM = Aggregate(
     "sum",
-    lambda ds: float(sum(ds)),
-    lambda m: m.sum(axis=1),
-    partial=lambda ds: float(sum(ds)),
+    _left_fold,
+    _left_fold_rows,
+    partial=_left_fold,
     merge=np.add,
 )
 MAX = Aggregate(

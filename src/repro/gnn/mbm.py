@@ -14,13 +14,17 @@ and falls back to scoring every entry exhaustively for flat indexes —
 identical answers, different work, both metered through the optional
 :class:`~repro.index.base.IndexCounters`.
 
-Node expansion is vectorised: once k points have been scored, one numpy
-pass bounds every entry of an expanded node against ``kth``, the k-th
-smallest exact score pushed so far, and only entries that can still reach
-the answer are scored with the scalar code and pushed.  Pruned entries
-could never be popped before the k-th result, so answers, scores and
-counters are exactly those of the plain walk (see DESIGN.md, "kGNN hot
-path").
+Node expansion is computed in numpy.  Each expanded node's coordinates or
+child MBRs come from :func:`~repro.index.base.node_arrays`, cached on the
+node.  One ``(entries, n)`` distance matrix per node gives every leaf score
+or child bound, and heap keys are pushed straight from it.  The numpy
+distance and the built-in aggregates' ``combine_rows`` equal their scalar
+forms bit for bit, so every key equals the scalar walk's key; a custom
+aggregate applies its own ``combine`` to each row.  An entry is pushed
+only while its key is at most ``kth``, the k-th smallest point score pushed
+so far: anything above it could never be popped before the k-th result,
+so answers, scores and counters are exactly those of the plain walk (see
+DESIGN.md, "kGNN hot path").
 """
 
 from __future__ import annotations
@@ -33,25 +37,13 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.geometry.distance import mindist_point_rect
+from repro.geometry.distance import mindist_arrays, stacked_norm
 from repro.geometry.point import Point
 from repro.gnn.aggregate import MAX, MIN, SUM, Aggregate
-from repro.index.base import IndexCounters, SpatialIndex
+from repro.index.base import IndexCounters, SpatialIndex, mbr_array, node_arrays
 
-#: Aggregates whose ``combine_rows`` matches ``combine`` to within
-#: ``_SLACK``; any other aggregate scores every entry exactly.
+#: Aggregates whose ``combine_rows`` equals ``combine`` bit for bit.
 _VECTOR_AGGREGATES = (SUM, MAX, MIN)
-
-#: Relative slack on the numpy filter: ``np.hypot`` may differ from
-#: ``math.hypot`` by 1 ulp and numpy may sum in another order, both orders
-#: of magnitude below 1e-9.  The absolute term covers subnormal scores,
-#: where one ulp is not relative to the value.
-_SLACK = 1.0 + 1e-9
-_TINY = 1e-300
-
-#: Below this many entries one numpy pass costs more than scoring every
-#: entry in Python (k-d traversal nodes have three children).
-_MIN_VECTOR_ENTRIES = 8
 
 
 def _fallback_kgnn(
@@ -69,6 +61,13 @@ def _fallback_kgnn(
     if counters is not None:
         counters.candidates_scored += len(ranked)
     return [(p, item, score) for score, _, _, p, item in ranked[:k]]
+
+
+def _row_scorer(aggregate: Aggregate):
+    """F over each row of an ``(entries, n)`` distance matrix, as floats."""
+    if aggregate in _VECTOR_AGGREGATES:
+        return lambda dists: aggregate.combine_rows(dists).tolist()
+    return lambda dists: [aggregate.combine(row) for row in dists.tolist()]
 
 
 def mbm_kgnn(
@@ -91,48 +90,41 @@ def mbm_kgnn(
     roots = tree.traversal_roots()
     if roots is None:
         return _fallback_kgnn(tree, locations, k, aggregate, counters)
-    vector = aggregate in _VECTOR_AGGREGATES
-    qx = np.array([q.x for q in locations])
-    qy = np.array([q.y for q in locations])
+    version = tree.version
+    score = _row_scorer(aggregate)
+    # Query locations stacked as (x, y) rows; they broadcast against the
+    # (2, entries, 1) node arrays into (2, entries, n) differences.
+    q = np.array([[[loc.x for loc in locations]], [[loc.y for loc in locations]]])
     seq = count()
     heap: list[tuple[float, tuple[float, float], int, bool, Any]] = []
-    for root in roots:
+    rects = mbr_array(roots)
+    root_bounds = score(mindist_arrays(q, rects[:2], rects[2:]))
+    for root, bound in zip(roots, root_bounds, strict=True):
         if root.mbr is not None:
-            bound = aggregate(mindist_point_rect(q, root.mbr) for q in locations)
             heapq.heappush(heap, (bound, (0.0, 0.0), next(seq), False, root))
-    # The k smallest exact scores pushed so far, negated (a max-heap); an
-    # entry scoring above kth sits behind k pushed points and is never popped.
+    # The k smallest scores pushed so far, negated (a max-heap); an entry
+    # scoring above kth sits behind k pushed points and is never popped.
     best: list[float] = []
     kth = math.inf
     result: list[tuple[Point, Any, float]] = []
     while heap and len(result) < k:
-        score, _, _, is_point, payload = heapq.heappop(heap)
+        key, _, _, is_point, payload = heapq.heappop(heap)
         if is_point:
             p, item = payload
-            result.append((p, item, score))
+            result.append((p, item, key))
             continue
         node = payload
         if counters is not None:
             counters.nodes_visited += 1
+        arrays = node_arrays(node, version)
         if node.is_leaf:
             if counters is not None:
                 counters.candidates_scored += len(node.points)
-            points, items = node.points, node.items
-            if vector and kth < math.inf and len(points) >= _MIN_VECTOR_ENTRIES:
-                xs = np.array([p.x for p in points])
-                ys = np.array([p.y for p in points])
-                bounds = aggregate.combine_rows(
-                    np.hypot(xs[:, None] - qx, ys[:, None] - qy)
-                )
-                survivors = np.flatnonzero(bounds <= kth * _SLACK + _TINY).tolist()
-            else:
-                survivors = range(len(points))
-            for i in survivors:
-                p = points[i]
-                cost = aggregate(p.distance_to(q) for q in locations)
+            costs = score(stacked_norm(arrays - q))
+            for p, item, cost in zip(node.points, node.items, costs, strict=True):
                 if cost > kth:
                     continue
-                heapq.heappush(heap, (cost, (p.x, p.y), next(seq), True, (p, items[i])))
+                heapq.heappush(heap, (cost, (p.x, p.y), next(seq), True, (p, item)))
                 if len(best) < k:
                     heapq.heappush(best, -cost)
                 else:
@@ -140,24 +132,10 @@ def mbm_kgnn(
                 if len(best) == k:
                     kth = -best[0]
         else:
-            children = [child for child in node.children if child.mbr is not None]
-            if vector and kth < math.inf and len(children) >= _MIN_VECTOR_ENTRIES:
-                rects = [child.mbr for child in children]
-                xmin = np.array([r.xmin for r in rects])[:, None]
-                ymin = np.array([r.ymin for r in rects])[:, None]
-                xmax = np.array([r.xmax for r in rects])[:, None]
-                ymax = np.array([r.ymax for r in rects])[:, None]
-                dx = np.maximum(np.maximum(xmin - qx, 0.0), qx - xmax)
-                dy = np.maximum(np.maximum(ymin - qy, 0.0), qy - ymax)
-                bounds = aggregate.combine_rows(np.hypot(dx, dy))
-                keep = np.flatnonzero(bounds <= kth * _SLACK + _TINY).tolist()
-                children = [children[i] for i in keep]
-            for child in children:
-                bound = aggregate(mindist_point_rect(q, child.mbr) for q in locations)
-                if bound > kth:
+            bounds = score(mindist_arrays(q, arrays[:2], arrays[2:]))
+            for child, bound in zip(node.children, bounds, strict=True):
+                mbr = child.mbr
+                if bound > kth or mbr is None:
                     continue
-                heapq.heappush(
-                    heap,
-                    (bound, (child.mbr.xmin, child.mbr.ymin), next(seq), False, child),
-                )
+                heapq.heappush(heap, (bound, (mbr.xmin, mbr.ymin), next(seq), False, child))
     return result

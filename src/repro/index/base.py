@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.geometry.point import Point
@@ -39,12 +41,12 @@ class TraversalNode:
     """A synthetic best-first traversal node for non-tree indexes.
 
     Matches the node protocol of the R-tree (``is_leaf`` / ``points`` /
-    ``items`` / ``children`` / ``mbr``), so an index without a native node
-    hierarchy can still expose :meth:`SpatialIndex.traversal_roots` by
-    wrapping its buckets.
+    ``items`` / ``children`` / ``mbr`` / ``arrays``), so an index without a
+    native node hierarchy can still expose
+    :meth:`SpatialIndex.traversal_roots` by wrapping its buckets.
     """
 
-    __slots__ = ("is_leaf", "points", "items", "children", "mbr")
+    __slots__ = ("is_leaf", "points", "items", "children", "mbr", "arrays")
 
     def __init__(
         self,
@@ -59,6 +61,50 @@ class TraversalNode:
         self.items = items if items is not None else []
         self.children = children if children is not None else []
         self.mbr = mbr
+        self.arrays: tuple[int, np.ndarray] | None = None
+
+
+_NO_MBR = Rect(0.0, 0.0, 0.0, 0.0)
+
+
+def mbr_array(nodes: Sequence) -> np.ndarray:
+    """The MBRs of ``nodes`` as one ``(4, len(nodes), 1)`` float array.
+
+    Rows are ``xmin``, ``ymin``, ``xmax``, ``ymax``, so ``[:2]`` and ``[2:]``
+    stack the low and high corners, and the trailing axis broadcasts
+    against a ``(2, 1, n)`` stack of query locations.  A node without an
+    MBR gets a zero column, which searches must skip on ``node.mbr is None``.
+    """
+    rects = [_NO_MBR if n.mbr is None else n.mbr for n in nodes]
+    array = np.empty((4, len(rects), 1))
+    array[0, :, 0] = [r.xmin for r in rects]
+    array[1, :, 0] = [r.ymin for r in rects]
+    array[2, :, 0] = [r.xmax for r in rects]
+    array[3, :, 0] = [r.ymax for r in rects]
+    return array
+
+
+def node_arrays(node, version: int) -> np.ndarray:
+    """A traversal node's entries as one float array, built on first visit.
+
+    A leaf gives its point coordinates, shape ``(2, len(points), 1)`` with
+    rows ``x`` and ``y``; an inner node gives :func:`mbr_array` of its
+    children.  The array is cached in the node's ``arrays`` slot, stamped
+    with the index ``version`` it was built at.  Every mutation bumps the
+    version, so a node changed by an insert or delete is rebuilt on its
+    next visit and the index needs no other bookkeeping.
+    """
+    cached = node.arrays
+    if cached is not None and cached[0] == version:
+        return cached[1]
+    if node.is_leaf:
+        array = np.empty((2, len(node.points), 1))
+        array[0, :, 0] = [p.x for p in node.points]
+        array[1, :, 0] = [p.y for p in node.points]
+    else:
+        array = mbr_array(node.children)
+    node.arrays = (version, array)
+    return array
 
 
 def validate_location(location: Point) -> Point:
@@ -98,7 +144,8 @@ class SpatialIndex(ABC):
     """
 
     #: Monotone mutation counter: every content change bumps it, so result
-    #: caches keyed on ``(version, query)`` invalidate automatically.
+    #: caches keyed on ``(version, query)`` and the node arrays cached by
+    #: :func:`node_arrays` invalidate automatically.
     version: int = 0
 
     @abstractmethod
@@ -126,8 +173,10 @@ class SpatialIndex(ABC):
         """Best-first traversal hook: root node(s), or None when unavailable.
 
         Returned nodes follow the R-tree node protocol (``is_leaf``,
-        ``points``/``items`` on leaves, ``children`` on inner nodes, and an
-        ``mbr`` that bounds everything beneath).  Query algorithms fall
+        ``points``/``items`` on leaves, ``children`` on inner nodes, an
+        ``mbr`` that bounds everything beneath, and an ``arrays`` slot,
+        initially None, where :func:`node_arrays` caches the node's numpy
+        view against this index's ``version``).  Query algorithms fall
         back to an exhaustive sorted scan over :meth:`entries` when this
         returns None, so non-hierarchical indexes stay exact.
         """

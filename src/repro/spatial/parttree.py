@@ -48,12 +48,13 @@ class _PTNode:
     Leaves carry ``points``/``items`` plus the parallel ``entry_ids`` used
     to deduplicate spilled entries; inner nodes carry exactly two
     ``children`` and the split ``(w, threshold)`` used by the defeatist
-    descent.
+    descent.  ``arrays`` is the version-stamped numpy cache of
+    :func:`repro.index.base.node_arrays`.
     """
 
     __slots__ = (
         "is_leaf", "points", "items", "entry_ids", "children",
-        "mbr", "w", "threshold",
+        "mbr", "w", "threshold", "arrays",
     )
 
     def __init__(self, is_leaf: bool) -> None:
@@ -65,6 +66,7 @@ class _PTNode:
         self.mbr: Rect | None = None
         self.w: tuple[float, float] = (1.0, 0.0)
         self.threshold: float = 0.0
+        self.arrays: tuple[int, np.ndarray] | None = None
 
 
 class PartitionTree(SpatialIndex):

@@ -5,9 +5,11 @@ coherent as the library grows — every public module, class, and function
 must carry a docstring, and every ``__all__`` name must resolve.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -98,3 +100,22 @@ def test_no_circular_import_at_top_level():
     # A fresh import of the root package must pull in the whole core API.
     for name in repro.__all__:
         assert getattr(repro, name) is not None
+
+
+def test_no_hypot_in_library():
+    """The library has one distance, ``sqrt(dx*dx + dy*dy)``.
+
+    ``math.hypot`` and ``np.hypot`` round differently from it and from each
+    other, and a scalar/numpy pair that disagrees breaks the exact numpy
+    kGNN walk and the sanitizer's reference arithmetic.
+    """
+    offenders = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "hypot":
+                offenders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and any(
+                alias.name == "hypot" for alias in node.names
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"hypot used at {offenders}"

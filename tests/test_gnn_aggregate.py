@@ -38,9 +38,10 @@ class TestBuiltins:
 
     @given(dist_lists)
     def test_rows_match_scalar(self, ds):
-        matrix = np.array([ds])
+        """The vector form returns the scalar form's float, bit for bit."""
+        matrix = np.array([ds, ds[::-1]])
         for agg in (SUM, MAX, MIN):
-            assert agg.combine_rows(matrix)[0] == pytest.approx(agg(ds))
+            assert agg.combine_rows(matrix).tolist() == [agg(ds), agg(ds[::-1])]
 
     @given(dist_lists)
     def test_partial_merge_decomposition(self, ds):
@@ -62,6 +63,43 @@ class TestBuiltins:
                 bumped = list(ds)
                 bumped[i] += bump
                 assert agg(bumped) >= base - 1e-12
+
+
+def left_fold(row: list[float]) -> float:
+    """``((d_1 + d_2) + d_3) + ...``, one rounding per term."""
+    total = row[0]
+    for d in row[1:]:
+        total += d
+    return total
+
+
+class TestSumIsALeftFold:
+    """SUM rounds the same way in every form and on every Python version.
+
+    From Python 3.12 builtin ``sum`` of floats is compensated, and
+    ``ndarray.sum`` sums pairwise along a contiguous axis; both round
+    differently from a left fold on rows like these.
+    """
+
+    ROWS = [
+        [1.0, 1e-16, 1e-16],
+        [1e16, 1.0, -1e16],
+        [0.1] * 10,
+        [0.3, 1e-17, 0.7, 1e-17, 2.0, 1e-16, 3.0, 1e-16, 5.0],
+    ]
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_every_form_is_the_fold(self, row):
+        want = left_fold(row)
+        assert SUM.combine(row) == want
+        assert SUM.partial(row) == want
+        assert SUM.combine_rows(np.array([row, row])).tolist() == [want, want]
+
+    @given(st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=12))
+    def test_random_rows(self, row):
+        want = left_fold(row)
+        assert SUM.combine(row) == want
+        assert SUM.combine_rows(np.array([row])).tolist() == [want]
 
 
 class TestCustomAggregates:

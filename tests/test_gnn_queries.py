@@ -251,6 +251,76 @@ class TestMBMDifferential:
         assert counters == _SCALAR_WALK_COUNTERS[dataset, "rtree", "custom"]
 
 
+def _leaves(node) -> list:
+    """Every leaf under an R-tree node."""
+    if node.is_leaf:
+        return [node]
+    return [leaf for child in node.children for leaf in _leaves(child)]
+
+
+class TestNodeArrayCache:
+    """A node's cached arrays never outlive a mutation of its index."""
+
+    GROUPS = [
+        [Point(0.2, 0.3), Point(0.25, 0.35), Point(0.3, 0.2)],
+        [Point(0.9, 0.1), Point(0.1, 0.9)],
+        [Point(0.5, 0.5)],
+    ]
+
+    @staticmethod
+    def _assert_exact(engine):
+        tree = engine.tree
+        for group in TestNodeArrayCache.GROUPS:
+            for aggregate in (SUM, MAX, MIN):
+                got = mbm_kgnn(tree, group, 12, aggregate)
+                want = brute_force_kgnn(tree.entries(), group, 12, aggregate)
+                assert [(s, p) for p, _, s in got] == [(s, p) for p, _, s in want]
+
+    @staticmethod
+    def _warm(engine):
+        """One query that expands every node, so every node caches its arrays."""
+        tree = engine.tree
+        mbm_kgnn(tree, [Point(0.5, 0.5)], len(tree), SUM)
+
+    @pytest.mark.parametrize("index", ["rtree", "kdtree", "grid"])
+    def test_inserts_and_deletes(self, index):
+        pois = uniform_pois(400, seed=31)
+        engine = GNNQueryEngine(pois, index=index, max_entries=8)
+        self._warm(engine)
+        self._assert_exact(engine)
+        rng = np.random.default_rng(5)
+        for i in range(40):
+            x, y = rng.uniform(0.01, 0.99, 2)
+            engine.insert(POI(1000 + i, Point(float(x), float(y))))
+            if i % 10 == 9:
+                self._assert_exact(engine)
+                self._warm(engine)
+        for poi in pois[:60:3]:
+            assert engine.delete(poi)
+        self._assert_exact(engine)
+
+    def test_rtree_split_and_condense(self):
+        pois = uniform_pois(400, seed=32)
+        engine = GNNQueryEngine(pois, max_entries=8)
+        tree = engine.tree
+        self._warm(engine)
+        # STR packs full leaves, so one insert into a leaf splits it.
+        leaves = len(_leaves(tree.root))
+        leaf = _leaves(tree.root)[7]
+        engine.insert(POI(1000, leaf.points[0]))
+        assert len(_leaves(tree.root)) == leaves + 1
+        self._assert_exact(engine)
+        # Deleting down past the fill floor dissolves the leaf and
+        # reinserts its remaining entries elsewhere.
+        self._warm(engine)
+        victim = _leaves(tree.root)[20]
+        for item in list(victim.items)[: len(victim.items) - tree.min_entries + 1]:
+            assert engine.delete(item)
+        assert all(victim is not node for node in _leaves(tree.root))
+        self._assert_exact(engine)
+        assert tree.root.arrays is not None and tree.root.arrays[0] == tree.version
+
+
 class TestDuplicateEntries:
     """Identical (location, item) entries are distinct; every kGNN method agrees."""
 
