@@ -48,7 +48,7 @@ from repro.core.naive import run_naive
 from repro.core.opt import run_ppgnn_opt
 from repro.core.single import run_single_user
 from repro.datasets.sequoia import load_sequoia
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.partition.solver import solve_partition
 
 _PROTOCOLS = {
@@ -192,37 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill-shard", action="append", type=int, default=None,
         metavar="SHARD", dest="kill_shards",
         help="kill every replica of this shard from the start "
-        "(repeatable; exercises graceful degradation)",
-    )
-    serve.add_argument(
-        "--overload", action="store_true",
-        help="inject a flash crowd: 4x the arrival rate over the middle "
-        "half of the workload span",
-    )
-    serve.add_argument(
-        "--control", action="store_true",
-        help="run the closed-loop overload controller (autoscaling, "
-        "policy switching, brownout, circuit breakers)",
-    )
-    serve.add_argument(
-        "--max-workers", type=int, default=None,
-        help="autoscaling ceiling for --control (default: no scaling)",
-    )
-    serve.add_argument(
-        "--shed-policy", default="degrade",
-        choices=["degrade", "reject", "off"],
-        help="brownout behaviour under --control: degrade k, reject with "
-        "retry-after, or disable shedding",
-    )
-    serve.add_argument(
-        "--brownout-k", type=int, default=None,
-        help="k served to browned-out tenants (default: half the "
-        "requested k)",
-    )
-    serve.add_argument(
-        "--slo-p99", type=float, default=None,
-        help="p99 latency budget (simulated seconds) fed to the "
-        "controller's SLO signal",
+        "(repeatable; needs --shards; exercises graceful degradation)",
     )
 
     index_build = sub.add_parser(
@@ -486,6 +456,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.serve import ServeConfig, ServeEngine, WorkloadSpec, generate_workload
     from repro.transport.faults import FaultPlan
 
+    if args.kill_shards and args.shards == 0:
+        raise ConfigurationError("--kill-shard needs --shards")
     lsp = LSPServer(load_sequoia(args.pois), seed=args.seed, index=args.index)
     cluster = None
     if args.shards > 0:
@@ -518,9 +490,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         sanitize=cluster is None,
         sanitation_samples=16,
     )
-    # Nominal workload span at the base rate; anchors the flash-crowd
-    # window and the control tick so both scale with the experiment size.
-    span = args.queries / args.rate
     spec = WorkloadSpec(
         queries=args.queries,
         rate_qps=args.rate,
@@ -530,25 +499,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         tenants=("tenant-0", "tenant-1"),
         groups=args.groups,
         repeat_fraction=args.repeat_fraction,
-        burst_multiplier=4.0 if args.overload else 1.0,
-        burst_start=0.25 * span if args.overload else 0.0,
-        burst_duration=0.5 * span if args.overload else 0.0,
         seed=args.seed,
     )
-    control = None
-    if args.control:
-        from repro.obs.analyze import SLOPolicy
-        from repro.serve import ControlConfig
-
-        tick = span / 20
-        control = ControlConfig(
-            tick_seconds=tick,
-            window_seconds=4 * tick,
-            slo=SLOPolicy(latency_p99=args.slo_p99),
-            max_workers=args.max_workers,
-            shed_policy=args.shed_policy,
-            brownout_k=args.brownout_k,
-        )
     serve = ServeConfig(
         workers=args.workers,
         executor=args.executor,
@@ -558,7 +510,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         else None,
         obs=args.obs or args.trace_out is not None,
         cluster=cluster,
-        control=control,
         index=args.index,
     )
     workload = generate_workload(spec, lsp.space)
@@ -605,39 +556,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 f"({c['hedge_wins']} won), {c['partial_answers']} partial "
                 f"answers (min coverage {c['coverage_min']:.0%})"
             )
-        if report.control is not None:
-            ctl = report.control
-            print(
-                f"control: {ctl['ticks']} ticks; workers "
-                f"{ctl['workers']['initial']}->{ctl['workers']['final']} "
-                f"({ctl['scale_ups']} up / {ctl['scale_downs']} down), "
-                f"{ctl['policy_switches']} policy switches, "
-                f"{ctl['brownouts']} brownouts "
-                f"({ctl['shed']} shed, {ctl['degraded']} degraded)"
-            )
-            if "breakers" in ctl:
-                b = ctl["breakers"]
-                print(
-                    f"breakers: {b['opens']} opens, {b['probes']} probes, "
-                    f"{b['short_circuits']} short-circuits"
-                )
-            for entry in ctl["timeline"]:
-                burn = entry.get("signals", {}).get("burn")
-                detail = entry.get("detail")
-                extras = [
-                    part
-                    for part in (
-                        f"burn {burn:.2f}x" if burn is not None else None,
-                        f"-> {detail}" if detail is not None else None,
-                        f"x{entry['count']}" if "count" in entry else None,
-                        ",".join(entry["tenants"]) if entry.get("tenants") else None,
-                    )
-                    if part
-                ]
-                print(
-                    f"  tick {entry['tick']:>3} {entry['action']:<14} "
-                    + " ".join(extras)
-                )
     if args.record:
         from repro.bench.recorder import SeriesRecorder
 
@@ -658,8 +576,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 "fault_rate": args.fault_rate,
                 "shards": args.shards,
                 "shard_replicas": args.shard_replicas,
-                "overload": args.overload,
-                "control": args.control,
                 "seed": args.seed,
             },
         )

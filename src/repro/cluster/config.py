@@ -84,3 +84,10 @@ class ClusterConfig:
             raise ConfigurationError(
                 "failover_backoff_seconds must be non-negative"
             )
+        if self.faults is not None:
+            for shard, replica in self.faults.replicas:
+                if shard >= self.shards or replica >= self.replicas:
+                    raise ConfigurationError(
+                        f"fault on (shard {shard}, replica {replica}) is "
+                        f"outside the {self.shards}x{self.replicas} cluster"
+                    )

@@ -65,7 +65,6 @@ from repro.obs import Observability, maybe_span
 from repro.serve.cache import CacheStats, KnnLRUCache
 from repro.serve.workload import GroupProfile, QueryJob
 from repro.transport.channel import FaultyChannel
-from repro.transport.retry import RetryPolicy
 from repro.transport.session import ResilientSession
 
 _PROTOCOL_INDEX = {"ppgnn": 0, "ppgnn-opt": 1, "naive": 2}
@@ -86,12 +85,6 @@ class ClusterStats:
     hedge_wins: int = 0
     partial_answers: int = 0
     shards_lost: int = 0
-    # Circuit-breaker accounting (zero when breakers are off).  These are
-    # surfaced through the report's *control* section, not the cluster
-    # section, so pre-control cluster reports stay byte-identical.
-    breaker_opens: int = 0
-    breaker_probes: int = 0
-    breaker_short_circuits: int = 0
     per_shard_subqueries: dict[int, int] = field(default_factory=dict)
     per_shard_seconds: dict[int, float] = field(default_factory=dict)
 
@@ -102,9 +95,6 @@ class ClusterStats:
         self.hedge_wins += other.hedge_wins
         self.partial_answers += other.partial_answers
         self.shards_lost += other.shards_lost
-        self.breaker_opens += other.breaker_opens
-        self.breaker_probes += other.breaker_probes
-        self.breaker_short_circuits += other.breaker_short_circuits
         for shard, count in other.per_shard_subqueries.items():
             self.per_shard_subqueries[shard] = (
                 self.per_shard_subqueries.get(shard, 0) + count
@@ -178,9 +168,6 @@ class ClusterRunner:
         top_up: Callable | None = None,
         deadline_seconds: float | None = None,
         knn_cache_size: int | None = None,
-        retry_budget: int | None = None,
-        breaker_failures: int | None = None,
-        breaker_probe_after: int = 8,
     ) -> None:
         if base_config.sanitize:
             raise ConfigurationError(
@@ -227,19 +214,6 @@ class ClusterRunner:
         self.deadline_seconds = deadline_seconds
         self.fault_state = ShardFaultState(plan=cluster.faults)
         self.stats = ClusterStats()
-        self.retry_budget = retry_budget
-        self.breakers = None
-        if breaker_failures is not None:
-            # Imported lazily: repro.serve.control is the overload-control
-            # layer above this module; only the breaker board lives here.
-            from repro.serve.control import BreakerBoard
-
-            self.breakers = BreakerBoard(
-                breaker_failures,
-                breaker_probe_after,
-                stats=self.stats,
-                obs=obs,
-            )
         self._sessions: dict[tuple[int, str, int, int, int], QuerySession] = {}
 
     # ------------------------------------------------------------- sessions
@@ -273,8 +247,6 @@ class ClusterRunner:
                 + (shard + 1) * 1_000_003
                 + (replica + 1) * 101,
             )
-            if self.retry_budget is not None:
-                kwargs["policy"] = RetryPolicy(retry_budget=self.retry_budget)
             session = ResilientSession(channel=FaultyChannel(plan), **kwargs)
         else:
             session = QuerySession(**kwargs)
@@ -349,17 +321,7 @@ class ClusterRunner:
                 if attempt > 0:
                     failovers += 1
                     state.elapsed_seconds += backoff * 2 ** (attempt - 1)
-                if self.breakers is not None and not self.breakers.allow(
-                    shard, replica, seq
-                ):
-                    # Open breaker: skip the replica *before* any transport
-                    # traffic — no timeouts, no retries against a peer that
-                    # just failed repeatedly.  Sequence time keeps flowing,
-                    # so the breaker half-opens for a probe later.
-                    continue
                 if not self.fault_state.available(shard, replica, seq):
-                    if self.breakers is not None:
-                        self.breakers.failure(shard, replica, seq)
                     continue
                 try:
                     answer = self._serve(
@@ -368,12 +330,8 @@ class ClusterRunner:
                 except (ShardLostError, RetryExhaustedError):
                     # Dead party or dead channel on the provider side:
                     # both cure by failover, and both consumed a timeout.
-                    if self.breakers is not None:
-                        self.breakers.failure(shard, replica, seq)
                     state.elapsed_seconds += predicted
                     continue
-                if self.breakers is not None:
-                    self.breakers.success(shard, replica)
                 break
             if answer is not None and failovers:
                 answer = replace(answer, failovers=failovers)

@@ -135,39 +135,15 @@ class RetryExhaustedError(TransportError):
     """Every retransmission attempt for one message failed.
 
     Carries the directed ``link`` and the number of ``attempts`` made so
-    callers can report which hop of the protocol died.  When a session
-    retry *budget* (see :class:`~repro.transport.retry.RetryPolicy`
-    ``retry_budget``) is what gave up, ``retries_spent`` and
-    ``retry_budget`` carry the accounting.
+    callers can report which hop of the protocol died.
     """
 
-    # Class-level defaults so subclasses that bypass this __init__
-    # (ShardLostError) still expose the budget accounting attributes.
-    retries_spent: int | None = None
-    retry_budget: int | None = None
-
-    def __init__(
-        self,
-        link: tuple[str, str],
-        attempts: int,
-        *,
-        retries_spent: int | None = None,
-        retry_budget: int | None = None,
-    ) -> None:
+    def __init__(self, link: tuple[str, str], attempts: int) -> None:
         self.link = link
         self.attempts = attempts
-        self.retries_spent = retries_spent
-        self.retry_budget = retry_budget
-        message = f"link {link[0]} -> {link[1]} dead after {attempts} attempts"
-        if retry_budget is not None:
-            # The session-wide retry budget gave up, not the per-message
-            # attempt loop: say so, with the accounting attached.
-            message = (
-                f"link {link[0]} -> {link[1]} abandoned: session retry "
-                f"budget exhausted ({retries_spent} of {retry_budget} "
-                "retransmissions spent)"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"link {link[0]} -> {link[1]} dead after {attempts} attempts"
+        )
 
 
 class ShardLostError(RetryExhaustedError):
@@ -260,35 +236,6 @@ class AdmissionRejectedError(BackpressureError):
         self.limit = limit
         super().__init__(
             f"tenant {tenant!r} over quota: {in_flight} in flight, limit {limit}"
-        )
-
-
-class OverloadSheddedError(AdmissionRejectedError):
-    """The overload controller shed this session at admission time.
-
-    Unlike a quota rejection this is a *load* decision, not a fairness
-    one: the control loop's pressure signal (``burn_rate``, the max SLO
-    burn observed at the most recent control tick) crossed the brownout
-    threshold and ``tenant`` was selected for shedding.
-    ``retry_after_tick`` is the control tick after which the client
-    should retry — the controller's own estimate of when pressure will
-    have drained.
-    """
-
-    def __init__(
-        self, tenant: str, *, retry_after_tick: int, burn_rate: float
-    ) -> None:
-        self.tenant = tenant
-        self.retry_after_tick = retry_after_tick
-        self.burn_rate = burn_rate
-        # Skip AdmissionRejectedError.__init__: shedding has no quota
-        # accounting, carrying in_flight/limit here would be a lie.
-        self.in_flight = 0
-        self.limit = 0
-        BackpressureError.__init__(
-            self,
-            f"tenant {tenant!r} shed under overload (burn {burn_rate:.2f}x); "
-            f"retry after control tick {retry_after_tick}",
         )
 
 

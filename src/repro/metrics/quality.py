@@ -103,30 +103,6 @@ def estimate_partial_quality(
     )
 
 
-def estimate_brownout_quality(
-    k_requested: int, k_served: int
-) -> PartialAnswerQuality:
-    """Quality of a brownout answer: the exact top-``k_served`` of ``k``.
-
-    Unlike a shard-degraded answer, a brownout answer is a *prefix* of
-    the exact top-``k_requested`` (the engine serves the same query with
-    a smaller k), so there is no uncertainty to average over: exactly
-    ``k_served`` of the requested ``k_requested`` answers are returned
-    and each one is certainly correct.  Coverage, expected recall, and
-    guaranteed recall therefore all equal ``k_served / k_requested``.
-    """
-    if k_requested < 1:
-        raise ConfigurationError("k_requested must be >= 1")
-    if not 1 <= k_served <= k_requested:
-        raise ConfigurationError("need 1 <= k_served <= k_requested")
-    ratio = k_served / k_requested
-    return PartialAnswerQuality(
-        coverage=ratio,
-        expected_recall=ratio,
-        guaranteed_recall=ratio,
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class AnswerQuality:
     """Precision / recall / cost ratio of one answer against the exact top-k."""

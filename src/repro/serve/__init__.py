@@ -7,13 +7,6 @@ per public key, an LRU of kNN candidate answers).  See SERVING.md.
 """
 
 from repro.serve.cache import CacheStats, KnnLRUCache, knn_cache_key
-from repro.serve.control import (
-    SHED_POLICIES,
-    BreakerBoard,
-    CircuitBreaker,
-    ControlConfig,
-    OverloadController,
-)
 from repro.serve.costs import CostModel
 from repro.serve.engine import (
     PlannedJob,
@@ -43,11 +36,6 @@ __all__ = [
     "CacheStats",
     "KnnLRUCache",
     "knn_cache_key",
-    "SHED_POLICIES",
-    "BreakerBoard",
-    "CircuitBreaker",
-    "ControlConfig",
-    "OverloadController",
     "CostModel",
     "PlannedJob",
     "RejectedJob",

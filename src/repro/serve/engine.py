@@ -54,12 +54,10 @@ from repro.serve.workload import QueryJob, Workload
 
 _EXECUTORS = ("serial", "process")
 
-# Event kinds, ordered so completions free workers first, control ticks
-# observe the freed state, and only then are same-instant arrivals
-# admitted (under whatever the tick just decided).
+# Event kinds, ordered so completions free workers before same-instant
+# arrivals are admitted.
 _COMPLETION = 0
-_TICK = 1
-_ARRIVAL = 2
+_ARRIVAL = 1
 
 
 @dataclass(frozen=True)
@@ -86,11 +84,6 @@ class ServeConfig:
     obs: bool = False
     cost_model: CostModel = field(default_factory=CostModel)
     cluster: object | None = None  # a repro.cluster.ClusterConfig, or None
-    # Closed-loop overload control (a repro.serve.control.ControlConfig,
-    # or None).  None is the hard default: without a controller the plan,
-    # report, and answers digest are byte-identical to every pre-control
-    # release, which the pinned regression fixtures enforce.
-    control: object | None = None
     # Index substrate override for the serving replicas (one of
     # repro.gnn.engine.INDEX_KINDS, or None to keep whatever index the
     # LSP was built with).  Exact kinds keep the answers digest
@@ -122,6 +115,8 @@ class ServeConfig:
             raise ConfigurationError("queue_capacity must be >= 1")
         if self.tenant_quota is not None and self.tenant_quota < 1:
             raise ConfigurationError("tenant_quota must be >= 1 or None")
+        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
+            raise ConfigurationError("deadline_seconds must be positive or None")
         if self.cluster is not None:
             shards = getattr(self.cluster, "shards", None)
             if not isinstance(shards, int):
@@ -150,12 +145,6 @@ class ServeConfig:
                 )
             if self.trace_capacity < 1:
                 raise ConfigurationError("trace_capacity must be >= 1")
-        if self.control is not None and not hasattr(
-            self.control, "tick_seconds"
-        ):
-            raise ConfigurationError(
-                "control must be a repro.serve.control.ControlConfig or None"
-            )
         if self.index is not None:
             from repro.gnn.engine import APPROXIMATE_INDEX_KINDS, INDEX_KINDS
 
@@ -190,9 +179,6 @@ class ServeConfig:
             trace_capacity=self.trace_capacity,
             exemplars=self.exemplars,
             cluster=self.cluster,
-            retry_budget=getattr(self.control, "retry_budget", None),
-            breaker_failures=getattr(self.control, "breaker_failures", None),
-            breaker_probe_after=getattr(self.control, "breaker_probe_after", 8),
         )
 
 
@@ -213,18 +199,12 @@ class PlannedJob:
 
 @dataclass(frozen=True, slots=True)
 class RejectedJob:
-    """One admission-control rejection (typed, never silent).
-
-    ``retry_after`` is set only on controller sheds: the control tick at
-    which the client may retry (the serialized form then grows a fifth
-    element, so pre-control reports round-trip unchanged).
-    """
+    """One admission-control rejection (typed, never silent)."""
 
     job_id: int
     tenant: str
     time: float
     error_type: str
-    retry_after: int | None = None
 
 
 def _percentile(sorted_values: list[float], fraction: float) -> float:
@@ -284,7 +264,6 @@ class ServingReport:
     answers_digest: str
     obs: dict | None = None
     cluster: dict | None = None
-    control: dict | None = None
     outcomes: dict[int, JobOutcome] = field(default_factory=dict, repr=False)
     wall_seconds: float = 0.0
 
@@ -328,7 +307,6 @@ class ServingReport:
             "failures": [list(item) for item in self.failures],
             "rejections": [
                 [r.job_id, r.tenant, round(r.time, 9), r.error_type]
-                + ([r.retry_after] if r.retry_after is not None else [])
                 for r in self.rejections
             ],
             "answers_digest": self.answers_digest,
@@ -337,8 +315,6 @@ class ServingReport:
             data["obs"] = self.obs
         if self.cluster is not None:
             data["cluster"] = self.cluster
-        if self.control is not None:
-            data["control"] = self.control
         if include_wall:
             data["wall_seconds"] = self.wall_seconds
             data["wall_qps"] = self.wall_qps
@@ -388,14 +364,12 @@ class ServingReport:
                     tenant=item[1],
                     time=item[2],
                     error_type=item[3],
-                    retry_after=item[4] if len(item) > 4 else None,
                 )
                 for item in data["rejections"]
             ],
             answers_digest=data["answers_digest"],
             obs=data.get("obs"),
             cluster=data.get("cluster"),
-            control=data.get("control"),
             wall_seconds=data.get("wall_seconds", 0.0),
         )
 
@@ -412,7 +386,6 @@ class ServeEngine:
         self.lsp = lsp
         self.base_config = base_config
         self.serve_config = serve_config or ServeConfig()
-        self._controller = None
         if self.serve_config.cluster is not None and base_config.sanitize:
             raise ConfigurationError(
                 "the cluster merge needs unsanitized per-shard answers; "
@@ -424,13 +397,10 @@ class ServeEngine:
     def _predict(self, workload: Workload, job: QueryJob) -> float:
         from dataclasses import replace
 
-        # A brownout-degraded job is both planned and executed at the
-        # smaller k, so its predicted service time shrinks with it.
-        k = job.brownout_k if job.brownout_k is not None else job.k
         config = (
             self.base_config
-            if k == self.base_config.k
-            else replace(self.base_config, k=k)
+            if job.k == self.base_config.k
+            else replace(self.base_config, k=job.k)
         )
         n = len(workload.group(job.group_id).locations)
         return self.serve_config.cost_model.predict_seconds(job.protocol, n, config)
@@ -439,26 +409,12 @@ class ServeEngine:
         self, workload: Workload
     ) -> tuple[list[PlannedJob], list[RejectedJob], list[tuple[float, int]]]:
         """Simulate the full serving timeline (no crypto runs here)."""
-        from dataclasses import replace
-
         cfg = self.serve_config
         spec = workload.spec
         scheduler = make_scheduler(cfg.policy, cfg.queue_capacity)
         predicted = {job.job_id: self._predict(workload, job) for job in workload.jobs}
 
-        controller = None
-        if cfg.control is not None:
-            from repro.serve.control import OverloadController
-
-            controller = OverloadController(
-                cfg.control,
-                workers=cfg.workers,
-                policy=cfg.policy,
-                queue_capacity=cfg.queue_capacity,
-            )
-        self._controller = controller
-
-        events: list[tuple[float, int, int, QueryJob | None]] = []
+        events: list[tuple[float, int, int, QueryJob]] = []
         seq = 0
         closed = spec.arrival == "closed"
         if closed:
@@ -476,28 +432,19 @@ class ServeEngine:
         rejected: list[RejectedJob] = []
         arrivals: dict[int, float] = {}
         depth_timeline: list[tuple[float, int]] = []
-        # Count of outstanding non-tick events: the tick chain re-arms
-        # itself only while real work remains, so the loop terminates.
-        live = len(events)
-        if controller is not None and live > 0:
-            heapq.heappush(
-                events, (cfg.control.tick_seconds, _TICK, seq, None)
-            )
-            seq += 1
 
         def chain_next(now: float) -> None:
             """Closed loop: a freed client issues the next job after thinking."""
-            nonlocal seq, live
+            nonlocal seq
             if closed and pending:
                 nxt = pending.pop(0)
                 heapq.heappush(
                     events, (now + spec.think_seconds, _ARRIVAL, seq, nxt)
                 )
                 seq += 1
-                live += 1
 
         def dispatch(now: float) -> None:
-            nonlocal free_workers, seq, live
+            nonlocal free_workers, seq
             while free_workers > 0:
                 job = scheduler.pop()
                 if job is None:
@@ -515,76 +462,15 @@ class ServeEngine:
                 )
                 heapq.heappush(events, (finish, _COMPLETION, seq, job))
                 seq += 1
-                live += 1
 
         while events:
             now, kind, _, job = heapq.heappop(events)
-            if kind == _TICK:
-                # Control ticks are observers plus actuators: they never
-                # touch the depth timeline (so an idle loop leaves the
-                # plan byte-identical to control=None), and dispatch below
-                # is a no-op unless the tick itself freed capacity —
-                # outside ticks the queue is non-empty only when
-                # free_workers == 0.
-                for action, detail in controller.on_tick(now, len(scheduler)):
-                    if action == "scale_up":
-                        free_workers += 1
-                    elif action == "scale_down":
-                        # May go negative: a busy worker retires at its
-                        # current job's completion instead of instantly.
-                        free_workers -= 1
-                    elif action == "policy":
-                        entries = scheduler.drain()
-                        scheduler = make_scheduler(detail, cfg.queue_capacity)
-                        for queued, cost in sorted(
-                            entries, key=lambda entry: entry[0].job_id
-                        ):
-                            scheduler.submit(queued, cost)
-                dispatch(now)
-                if live > 0:
-                    heapq.heappush(
-                        events,
-                        (now + cfg.control.tick_seconds, _TICK, seq, None),
-                    )
-                    seq += 1
-                continue
-            live -= 1
             if kind == _COMPLETION:
                 free_workers += 1
                 in_flight[job.tenant] -= 1
-                if controller is not None:
-                    controller.on_completion(
-                        now,
-                        arrival=arrivals[job.job_id],
-                        service=predicted[job.job_id],
-                        protocol=job.protocol,
-                    )
                 chain_next(now)
             else:
                 arrivals[job.job_id] = now
-                if controller is not None:
-                    controller.on_arrival(now, job.tenant)
-                    decision, detail = controller.admission(job)
-                    if decision == "shed":
-                        rejected.append(
-                            RejectedJob(
-                                job_id=job.job_id,
-                                tenant=job.tenant,
-                                time=now,
-                                error_type="OverloadSheddedError",
-                                retry_after=detail,
-                            )
-                        )
-                        # Shed before the queue: no in-flight slot, no
-                        # queue entry, no latency sample — the audit trail
-                        # is the typed rejection plus the control timeline.
-                        chain_next(now)
-                        dispatch(now)
-                        depth_timeline.append((now, len(scheduler)))
-                        continue
-                    if decision == "degrade":
-                        job = replace(job, brownout_k=detail)
-                        predicted[job.job_id] = self._predict(workload, job)
                 count = in_flight.get(job.tenant, 0)
                 try:
                     if cfg.tenant_quota is not None and count >= cfg.tenant_quota:
@@ -601,8 +487,6 @@ class ServeEngine:
                             error_type=type(exc).__name__,
                         )
                     )
-                    if controller is not None:
-                        controller.on_rejection(now)
                     # The client sees an immediate rejection and moves on.
                     chain_next(now)
                 else:
@@ -645,8 +529,7 @@ class ServeEngine:
         planned, rejected, depth_timeline = self.plan(workload)
         outcomes, stats, wall = self.execute(workload, planned)
         return self._report(
-            workload, planned, rejected, depth_timeline, outcomes, stats, wall,
-            controller=self._controller,
+            workload, planned, rejected, depth_timeline, outcomes, stats, wall
         )
 
     def _report(
@@ -658,7 +541,6 @@ class ServeEngine:
         outcomes: dict[int, JobOutcome],
         stats: BucketStats,
         wall: float,
-        controller=None,
     ) -> ServingReport:
         cfg = self.serve_config
         latencies = sorted(slot.latency for slot in planned)
@@ -714,10 +596,6 @@ class ServeEngine:
                     f":partial:{outcome.coverage:.9f}"
                     f":{','.join(map(str, outcome.lost_shards))}"
                 )
-            if outcome.degraded_k is not None:
-                # A brownout prefix of k answers must not collide with a
-                # full answer that happens to share the prefix.
-                entry += f":brownout:{outcome.degraded_k}"
             digest.update(entry.encode())
 
         makespan = max((slot.finish for slot in planned), default=0.0)
@@ -759,27 +637,11 @@ class ServeEngine:
                 },
             }
 
-        control_section = None
-        breakers_acted = stats.cluster is not None and (
-            stats.cluster.breaker_opens > 0
-            or stats.cluster.breaker_probes > 0
-            or stats.cluster.breaker_short_circuits > 0
-        )
-        if controller is not None and (controller.acted or breakers_acted):
-            # Only a loop that actually actuated leaves a trace: an idle
-            # controller keeps the report byte-identical to control=None.
-            # (Breakers are control actuators too, even when the tick loop
-            # itself never fired.)
-            control_section = controller.report_section(stats.cluster)
-
         obs_payload = None
         if cfg.obs:
             registry = MetricsRegistry()
             if stats.metrics is not None:
                 registry.merge_snapshot(stats.metrics)
-            if control_section is not None:
-                for name, value in controller.metric_counts().items():
-                    registry.counter(name).inc(value)
             registry.counter("serve.jobs.completed").inc(len(completed))
             registry.counter("serve.jobs.failed").inc(len(failures))
             registry.counter("serve.jobs.rejected").inc(len(rejected))
@@ -859,7 +721,6 @@ class ServeEngine:
             answers_digest=digest.hexdigest(),
             obs=obs_payload,
             cluster=cluster_section,
-            control=control_section,
             outcomes=outcomes,
             wall_seconds=wall,
         )

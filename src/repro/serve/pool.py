@@ -32,14 +32,12 @@ from repro.errors import ReproError
 from repro.geometry.space import LocationSpace
 from repro.guard.guard import ProtocolGuard
 from repro.index.base import IndexCounters
-from repro.metrics.quality import estimate_brownout_quality
 from repro.obs import MetricsRegistry, MetricsSnapshot, Observability, Tracer
 from repro.partition.solver import solve_partition
 from repro.serve.cache import CacheStats, KnnLRUCache
 from repro.serve.workload import GroupProfile, QueryJob
 from repro.transport.channel import FaultyChannel
 from repro.transport.faults import FaultPlan
-from repro.transport.retry import RetryPolicy
 from repro.transport.session import ResilientSession
 
 if TYPE_CHECKING:
@@ -111,11 +109,6 @@ class RunnerOptions:
     # every prior release.
     exemplars: bool = False
     cluster: object | None = None  # a repro.cluster.ClusterConfig, or None
-    # Overload-control knobs (see repro.serve.control).  The defaults
-    # reproduce the pre-control behaviour bit for bit.
-    retry_budget: int | None = None
-    breaker_failures: int | None = None
-    breaker_probe_after: int = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,10 +136,7 @@ class JobOutcome:
     coverage: float = 1.0
     lost_shards: tuple[int, ...] = ()
     expected_recall: float = 1.0
-    # Brownout provenance: the smaller k this job actually executed with
-    # (None = served at full k), and the quality-scored PartialAnswer a
-    # degraded or shard-partial job returned.
-    degraded_k: int | None = None
+    # The quality-scored PartialAnswer a partial job returned.
     partial_answer: object | None = None
 
 
@@ -250,9 +240,6 @@ class BucketRunner:
                 top_up=self._top_up_pool if self.registry is not None else None,
                 deadline_seconds=options.deadline_seconds,
                 knn_cache_size=options.knn_cache_size,
-                retry_budget=options.retry_budget,
-                breaker_failures=options.breaker_failures,
-                breaker_probe_after=options.breaker_probe_after,
             )
 
     # ------------------------------------------------------------- sessions
@@ -281,10 +268,6 @@ class BucketRunner:
                 + _PROTOCOL_INDEX[job.protocol] * 7
                 + job.k,
             )
-            if self.options.retry_budget is not None:
-                kwargs["policy"] = RetryPolicy(
-                    retry_budget=self.options.retry_budget
-                )
             session = ResilientSession(channel=FaultyChannel(plan), **kwargs)
         else:
             session = QuerySession(**kwargs)
@@ -315,40 +298,12 @@ class BucketRunner:
 
     # ------------------------------------------------------------ execution
 
-    @staticmethod
-    def _effective_job(job: QueryJob) -> tuple[QueryJob, int | None]:
-        """The job as it will actually execute under a brownout.
-
-        A controller-degraded job runs verbatim at the smaller
-        ``brownout_k`` — same group, same seed — so its answer is an
-        exact *prefix* of the requested top-k, not an approximation.
-        """
-        if job.brownout_k is not None and job.brownout_k < job.k:
-            return replace(job, k=job.brownout_k), job.brownout_k
-        return job, None
-
     def _approximate_quality(self):
         """The engine's measured recall, when it serves approximate answers."""
         engine = self.lsp.engine
         if not getattr(engine, "is_approximate", False):
             return None
         return getattr(engine, "recall_estimate", None)
-
-    def _brownout_answer(self, job: QueryJob, answer_ids, degraded_k: int):
-        """(PartialAnswer, quality) for a brownout-degraded answer."""
-        from repro.cluster.merge import PartialAnswer
-
-        quality = estimate_brownout_quality(job.k, degraded_k)
-        return (
-            PartialAnswer(
-                answer_ids=answer_ids,
-                covered_shards=(),
-                lost_shards=(),
-                coverage=quality.coverage,
-                quality=quality,
-            ),
-            quality,
-        )
 
     def run_job(self, job: QueryJob, group: GroupProfile) -> JobOutcome:
         if self.obs is not None and self.options.exemplars:
@@ -363,15 +318,14 @@ class BucketRunner:
     def _execute_job(self, job: QueryJob, group: GroupProfile) -> JobOutcome:
         if self._cluster is not None:
             return self._run_cluster_job(job, group)
-        effective, degraded_k = self._effective_job(job)
         config = (
             self.base_config
-            if effective.k == self.base_config.k
-            else replace(self.base_config, k=effective.k)
+            if job.k == self.base_config.k
+            else replace(self.base_config, k=job.k)
         )
-        session = self._session(effective, config)
+        session = self._session(job, config)
         if self.registry is not None:
-            self._top_up_pool(effective, config, len(group.locations))
+            self._top_up_pool(job, config, len(group.locations))
         # Pin the sanitation sampler to the job seed: a repeat re-runs the
         # exact round (cache-servable), and bucket order alone decides the
         # stream — identical under serial and multiprocessing execution.
@@ -387,10 +341,9 @@ class BucketRunner:
                 ok=False,
                 error_type=type(exc).__name__,
                 error=str(exc),
-                degraded_k=degraded_k,
             )
-        approx = self._approximate_quality()
-        if degraded_k is None and approx is None:
+        quality = self._approximate_quality()
+        if quality is None:
             return JobOutcome(
                 job_id=job.job_id,
                 tenant=job.tenant,
@@ -402,27 +355,9 @@ class BucketRunner:
             )
         from repro.cluster.merge import PartialAnswer
 
-        if degraded_k is None:
-            # Approximate-index answer at full k: exact within the candidate
-            # set, marked partial with the engine's measured recall so it
-            # can never masquerade (or digest) as an exact answer.
-            quality = approx
-        else:
-            quality = estimate_brownout_quality(job.k, degraded_k)
-            if approx is not None:
-                # Brownout and approximate recall are independent
-                # degradations (which k positions vs. which candidates),
-                # so they compose multiplicatively — same rule as the
-                # brownout-on-shard-partial case in the cluster path.
-                from repro.metrics.quality import PartialAnswerQuality
-
-                quality = PartialAnswerQuality(
-                    coverage=quality.coverage * approx.coverage,
-                    expected_recall=quality.expected_recall
-                    * approx.expected_recall,
-                    guaranteed_recall=quality.guaranteed_recall
-                    * approx.guaranteed_recall,
-                )
+        # Approximate-index answer: exact within the candidate set, marked
+        # partial with the engine's measured recall so it can never
+        # masquerade (or digest) as an exact answer.
         partial_answer = PartialAnswer(
             answer_ids=result.answer_ids,
             covered_shards=(),
@@ -441,15 +376,13 @@ class BucketRunner:
             partial=True,
             coverage=quality.coverage,
             expected_recall=quality.expected_recall,
-            degraded_k=degraded_k,
             partial_answer=partial_answer,
         )
 
     def _run_cluster_job(self, job: QueryJob, group: GroupProfile) -> JobOutcome:
         """Scatter–gather path: full answer, typed partial, or typed failure."""
-        effective, degraded_k = self._effective_job(job)
         try:
-            scattered = self._cluster.run_job(effective, group)
+            scattered = self._cluster.run_job(job, group)
         except ReproError as exc:
             return JobOutcome(
                 job_id=job.job_id,
@@ -459,43 +392,7 @@ class BucketRunner:
                 ok=False,
                 error_type=type(exc).__name__,
                 error=str(exc),
-                degraded_k=degraded_k,
             )
-        partial = scattered.partial
-        expected_recall = scattered.expected_recall
-        partial_answer = scattered.partial_answer
-        if degraded_k is not None:
-            # A brownout stacked on a (possibly shard-partial) scatter:
-            # the k-prefix ratio and the data-coverage recall compose
-            # multiplicatively, since the two degradations are
-            # independent (which k positions are served vs. which POIs
-            # were reachable).
-            from repro.cluster.merge import PartialAnswer
-
-            quality = estimate_brownout_quality(job.k, degraded_k)
-            partial = True
-            expected_recall = scattered.expected_recall * quality.expected_recall
-            base = scattered.partial_answer
-            if base is not None:
-                from repro.metrics.quality import PartialAnswerQuality
-
-                combined = PartialAnswerQuality(
-                    coverage=base.quality.coverage * quality.coverage,
-                    expected_recall=expected_recall,
-                    guaranteed_recall=base.quality.guaranteed_recall
-                    * quality.guaranteed_recall,
-                )
-                partial_answer = PartialAnswer(
-                    answer_ids=base.answer_ids,
-                    covered_shards=base.covered_shards,
-                    lost_shards=base.lost_shards,
-                    coverage=base.coverage,
-                    quality=combined,
-                )
-            else:
-                partial_answer, _ = self._brownout_answer(
-                    job, scattered.answer_ids, degraded_k
-                )
         return JobOutcome(
             job_id=job.job_id,
             tenant=job.tenant,
@@ -504,12 +401,11 @@ class BucketRunner:
             ok=True,
             answer_ids=scattered.answer_ids,
             comm_bytes=scattered.comm_bytes,
-            partial=partial,
+            partial=scattered.partial,
             coverage=scattered.coverage,
             lost_shards=scattered.lost_shards,
-            expected_recall=expected_recall,
-            degraded_k=degraded_k,
-            partial_answer=partial_answer,
+            expected_recall=scattered.expected_recall,
+            partial_answer=scattered.partial_answer,
         )
 
     def stats(self) -> BucketStats:

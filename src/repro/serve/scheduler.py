@@ -56,26 +56,10 @@ class Scheduler:
         self._size -= 1
         return job
 
-    def drain(self) -> list[tuple[QueryJob, float]]:
-        """Remove and return every queued (job, cost) pair.
-
-        The overload controller's policy-switch actuator uses this to
-        migrate a live queue into a fresh scheduler.  Order is
-        unspecified — the receiving scheduler re-ranks under its own
-        policy — but the *set* of entries is exact, so no admitted job
-        is ever dropped by a switch.
-        """
-        items = self._drain()
-        self._size = 0
-        return items
-
     def _enqueue(self, job: QueryJob, cost_seconds: float) -> None:
         raise NotImplementedError
 
     def _dequeue(self) -> QueryJob:
-        raise NotImplementedError
-
-    def _drain(self) -> list[tuple[QueryJob, float]]:
         raise NotImplementedError
 
 
@@ -92,11 +76,6 @@ class FIFOScheduler(Scheduler):
     def _dequeue(self) -> QueryJob:
         return self._queue.popleft()[0]
 
-    def _drain(self) -> list[tuple[QueryJob, float]]:
-        items = list(self._queue)
-        self._queue.clear()
-        return items
-
 
 class ShortestCostScheduler(Scheduler):
     """Serve the cheapest predicted job first (SJF on the model clock)."""
@@ -110,11 +89,6 @@ class ShortestCostScheduler(Scheduler):
 
     def _dequeue(self) -> QueryJob:
         return heapq.heappop(self._heap)[2]
-
-    def _drain(self) -> list[tuple[QueryJob, float]]:
-        items = [(job, cost) for cost, _, job in self._heap]
-        self._heap.clear()
-        return items
 
 
 class FairShareScheduler(Scheduler):
@@ -136,14 +110,6 @@ class FairShareScheduler(Scheduler):
         job, cost = self._queues[tenant].popleft()
         self._served_cost[tenant] += cost
         return job
-
-    def _drain(self) -> list[tuple[QueryJob, float]]:
-        items = [
-            entry for tenant in sorted(self._queues)
-            for entry in self._queues[tenant]
-        ]
-        self._queues.clear()
-        return items
 
 
 def make_scheduler(policy: str, capacity: int) -> Scheduler:

@@ -47,9 +47,6 @@ class QueryJob:
     ``seed`` pins the round's randomness (dummies, placement plan,
     sanitation sampling), so re-running a job reproduces it exactly;
     ``repeat_of`` names the earlier job this one re-issues verbatim.
-    ``brownout_k`` is set by the overload controller at admission time:
-    when not None the job executes with this smaller k (a degraded,
-    quality-scored answer) while ``k`` records what was requested.
     """
 
     job_id: int
@@ -60,7 +57,6 @@ class QueryJob:
     seed: int
     arrival_time: float
     repeat_of: int | None = None
-    brownout_k: int | None = None
 
 
 @dataclass(frozen=True)
@@ -85,11 +81,6 @@ class WorkloadSpec:
         Distinct group count (each with fixed membership and locations).
     repeat_fraction:
         Probability a job re-issues a uniformly chosen earlier job.
-    burst_multiplier / burst_start / burst_duration:
-        A flash-crowd window for Poisson arrivals: while the clock is in
-        ``[burst_start, burst_start + burst_duration)`` the arrival rate
-        is ``rate_qps * burst_multiplier``.  The defaults (duration 0)
-        draw the identical arrival stream the pre-burst generator did.
     """
 
     queries: int = 50
@@ -109,9 +100,6 @@ class WorkloadSpec:
     tenants: tuple[str, ...] = ("tenant-0",)
     groups: int = 4
     repeat_fraction: float = 0.0
-    burst_multiplier: float = 1.0
-    burst_start: float = 0.0
-    burst_duration: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -131,12 +119,6 @@ class WorkloadSpec:
             raise ConfigurationError("a workload needs at least one tenant")
         if not 0.0 <= self.repeat_fraction <= 1.0:
             raise ConfigurationError("repeat_fraction must be in [0, 1]")
-        if self.burst_multiplier <= 0:
-            raise ConfigurationError("burst_multiplier must be positive")
-        if self.burst_start < 0 or self.burst_duration < 0:
-            raise ConfigurationError(
-                "burst_start and burst_duration must be non-negative"
-            )
         for name, mix in (
             ("protocol_mix", self.protocol_mix),
             ("group_size_mix", self.group_size_mix),
@@ -194,13 +176,7 @@ def generate_workload(spec: WorkloadSpec, space: LocationSpace) -> Workload:
     clock = 0.0
     for job_id in range(spec.queries):
         if spec.arrival == "poisson":
-            rate = spec.rate_qps
-            if (
-                spec.burst_duration > 0
-                and spec.burst_start <= clock < spec.burst_start + spec.burst_duration
-            ):
-                rate *= spec.burst_multiplier
-            clock += rng.expovariate(rate)
+            clock += rng.expovariate(spec.rate_qps)
         arrival = clock if spec.arrival == "poisson" else 0.0
         if jobs and rng.random() < spec.repeat_fraction:
             earlier = jobs[rng.randrange(len(jobs))]

@@ -33,14 +33,6 @@ class RetryPolicy:
         ``min(base * multiplier**a, max)`` (before jitter).
     jitter_fraction:
         Deterministic +/- spread applied to each backoff, in [0, 1).
-    retry_budget:
-        Cap on *total* retransmissions across the transport's lifetime
-        (one transport per session), not per message.  ``None`` (the
-        default) keeps the historical per-message-only behaviour; with a
-        budget, the delivery that would spend retransmission number
-        ``retry_budget + 1`` fails immediately with the budget accounting
-        attached — so a degraded peer cannot amplify an overload into a
-        retry storm.
     """
 
     max_attempts: int = 5
@@ -49,13 +41,10 @@ class RetryPolicy:
     backoff_multiplier: float = 2.0
     max_backoff_seconds: float = 1.0
     jitter_fraction: float = 0.1
-    retry_budget: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be at least 1")
-        if self.retry_budget is not None and self.retry_budget < 0:
-            raise ConfigurationError("retry_budget must be >= 0 or None")
         if self.timeout_seconds < 0 or self.base_backoff_seconds < 0:
             raise ConfigurationError("timeout and backoff must be non-negative")
         if self.backoff_multiplier < 1.0:

@@ -27,7 +27,6 @@ from repro.errors import (
     GroupMemberLostError,
     RetryExhaustedError,
     ShardLostError,
-    TransportError,
 )
 from repro.obs import Observability, maybe_span
 from repro.protocol.messages import Message
@@ -139,17 +138,8 @@ class Transport:
         self.stats.messages += 1
         if self.obs is not None:
             self.obs.count("transport.messages")
-        budget = self.policy.retry_budget
         for attempt in range(1, self.policy.max_attempts + 1):
             if attempt > 1:
-                if budget is not None and self.stats.retransmissions >= budget:
-                    # The *session-wide* retransmission budget is spent:
-                    # give up on this delivery now instead of letting every
-                    # message re-pay the full per-message attempt loop
-                    # against a peer that is already failing.
-                    if self.obs is not None:
-                        self.obs.count("transport.retry_budget_exhausted")
-                    raise self._budget_exhausted(link, attempt - 1, budget)
                 self.stats.retransmissions += 1
                 wait = self.policy.backoff(attempt - 1, link, seq)
                 self.stats.backoff_seconds += wait
@@ -182,30 +172,6 @@ class Transport:
                 # failover (not regroup, not blind retry) is the cure.
                 raise ShardLostError(dead, shard, link, self.policy.max_attempts)
         raise RetryExhaustedError(link, self.policy.max_attempts)
-
-    def _budget_exhausted(
-        self, link: tuple[str, str], attempts: int, budget: int
-    ) -> TransportError:
-        """The typed error for a delivery killed by the retry budget.
-
-        Mirrors the attempt-exhaustion taxonomy — a scripted-dead group
-        member or LSP shard keeps its specific type so failover/regroup
-        logic behaves identically — with the budget accounting attached.
-        """
-        spent = self.stats.retransmissions
-        dead = self.channel.killed_party(link)
-        error: TransportError
-        if dead is not None and user_index(dead) is not None:
-            error = GroupMemberLostError(dead, user_index(dead), attempts)
-        elif dead is not None and shard_index(dead) is not None:
-            error = ShardLostError(dead, shard_index(dead), link, attempts)
-        else:
-            return RetryExhaustedError(
-                link, attempts, retries_spent=spent, retry_budget=budget
-            )
-        error.retries_spent = spent
-        error.retry_budget = budget
-        return error
 
     def _receive(
         self,

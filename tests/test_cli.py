@@ -121,6 +121,11 @@ class TestServeBench:
         assert report["completed"] == 8
         assert report["answers_digest"]
 
+    def test_serve_bench_rejects_kill_of_missing_shard(self, capsys):
+        for extra in (["--kill-shard", "1"], ["--shards", "2", "--kill-shard", "7"]):
+            assert run_cli([*self.ARGS, *extra]) == 2
+            assert "error:" in capsys.readouterr().err
+
     def test_serve_bench_with_faults(self, capsys):
         assert run_cli([*self.ARGS, "--fault-rate", "0.05"]) == 0
         assert "served 8/8" in capsys.readouterr().out

@@ -246,6 +246,9 @@ class TestClusterConfigValidation:
             {"virtual_nodes": 0},
             {"hedge_factor": 1.0},
             {"failover_backoff_seconds": -0.1},
+            # Fault keys must name a shard and a replica the cluster has.
+            {"faults": ShardFaultPlan.killing({(2, 0): 0})},
+            {"faults": ShardFaultPlan.killing({(0, 1): 0})},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):

@@ -5,7 +5,8 @@ Three contracts:
 1. ``obs=None`` (the default) is byte-identical to the pre-observability
    code: a pinned serving fixture's ``answers_digest`` and full-report
    SHA-256 must never move (the ``guard=None`` / ``transport=None``
-   regression pattern).
+   regression pattern), and neither may those of the rejection,
+   closed-loop and degraded-cluster shapes.
 2. ``obs=Observability()`` changes *observations only*: answers and comm
    bytes match the bare run for every protocol.
 3. With tracing on, a round span's encryption / decryption / kGNN-query
@@ -15,10 +16,12 @@ Three contracts:
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterConfig, ShardFaultPlan
 from repro.core.config import PPGNNConfig
 from repro.core.group import run_ppgnn
 from repro.core.lsp import LSPServer
@@ -30,6 +33,7 @@ from repro.obs import Observability
 from repro.serve.costs import CostModel
 from repro.serve.engine import ServeConfig, ServeEngine, ServingReport
 from repro.serve.workload import WorkloadSpec, generate_workload
+from repro.transport.faults import FaultPlan
 
 # Pinned from the pre-observability serving engine (12-query fixture).
 EXPECTED_ANSWERS_DIGEST = (
@@ -87,16 +91,91 @@ def _run_fixture(space, config, workload, obs: bool):
     return engine.run(workload)
 
 
+_MIX = {
+    "protocol_mix": {"ppgnn": 1.0, "ppgnn-opt": 1.0, "naive": 1.0},
+    "group_size_mix": {2: 1.0, 3: 1.0},
+    "k_mix": {3: 1.0},
+}
+
+# Serving shapes beyond the open-loop fixture: each takes a plan-loop or
+# failover branch the default run never does.  Their (answers digest,
+# report SHA-256) pairs were recorded before the overload-control plane
+# was deleted from the plan loop, the bucket runner and the cluster.
+_SHAPES = {
+    # Three tenants under a quota of two overflow a three-slot queue, so
+    # the plan loop rejects with both AdmissionRejectedError and
+    # QueueFullError.
+    "queue-quota-rejections": (
+        "6ea58770e85e4458998fba9990311cc8681841405153f9d968ee33bebb0e8604",
+        "f5358b3d04b9f5bb551ff361688361a785afec52b4b87673cc4b974d30c3bd73",
+    ),
+    # Closed-loop clients chain each next arrival off a completion.
+    "closed-loop-fair-share": (
+        "b7c7a12f138a11aa2ea759caa1bdd390d1d7cab0b2d1aafe5235e61d43406ac0",
+        "65949117e54ef3b117d7194f027573938c8965e55989de196520e57373870ef1",
+    ),
+    # Both replicas of shard 1 dead under lossy links: failover,
+    # retransmissions and partial answers.
+    "cluster-killed-shard-lossy": (
+        "15b932d0c9c208b4a3657ee879d4361cc33778a5b0b2498319508ed509c14867",
+        "2f22ff6c8958c4e6733745679ddcac0a5a18b1a775fc49a4d4a7581aa5f3e1ba",
+    ),
+}
+
+
+def _run_shape(shape, space, config):
+    if shape == "queue-quota-rejections":
+        spec = WorkloadSpec(
+            queries=30, rate_qps=4000.0, tenants=("t0", "t1", "t2"),
+            groups=6, repeat_fraction=0.2, seed=31, **_MIX,
+        )
+        serve = ServeConfig(
+            workers=2, queue_capacity=3, tenant_quota=2,
+            policy="shortest-cost",
+        )
+    elif shape == "closed-loop-fair-share":
+        spec = WorkloadSpec(
+            queries=12, arrival="closed", concurrency=3, think_seconds=0.01,
+            tenants=("t0", "t1"), groups=4, repeat_fraction=0.25, seed=32,
+            **_MIX,
+        )
+        serve = ServeConfig(workers=2, policy="fair-share")
+    else:
+        spec = WorkloadSpec(
+            queries=8, rate_qps=20.0, tenants=("t0", "t1"), groups=3,
+            repeat_fraction=0.25, seed=33, **_MIX,
+        )
+        config = replace(config, sanitize=False)
+        serve = ServeConfig(
+            workers=2,
+            faults=FaultPlan.uniform(0.1, seed=4),
+            cluster=ClusterConfig(
+                shards=3, replicas=2, quorum=0.5,
+                faults=ShardFaultPlan.killing({(1, 0): 0, (1, 1): 0}, seed=3),
+            ),
+        )
+    engine = ServeEngine(_make_lsp(space), config, serve)
+    return engine.run(generate_workload(spec, space))
+
+
+def _report_sha256(report):
+    return hashlib.sha256(
+        json.dumps(report.to_dict(), sort_keys=True).encode()
+    ).hexdigest()
+
+
 class TestObsNoneByteIdentical:
     def test_serving_fixture_digests_pinned(self, space, config, workload):
         report = _run_fixture(space, config, workload, obs=False)
         assert report.answers_digest == EXPECTED_ANSWERS_DIGEST
-        sha = hashlib.sha256(
-            json.dumps(report.to_dict(), sort_keys=True).encode()
-        ).hexdigest()
-        assert sha == EXPECTED_REPORT_SHA256
+        assert _report_sha256(report) == EXPECTED_REPORT_SHA256
         assert report.obs is None
         assert "obs" not in report.to_dict()
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_serving_shape_digests_pinned(self, shape, space, config):
+        report = _run_shape(shape, space, config)
+        assert (report.answers_digest, _report_sha256(report)) == _SHAPES[shape]
 
     def test_obs_on_changes_observations_only(self, space, config, workload):
         bare = _run_fixture(space, config, workload, obs=False)

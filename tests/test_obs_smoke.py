@@ -179,88 +179,6 @@ def _exhaustion_scenario() -> Observability:
     return obs
 
 
-def _budget_scenario() -> Observability:
-    """A dead link drains the *session* retry budget (not max_attempts)."""
-    obs = Observability()
-    plan = FaultPlan(default=LinkFaults(drop=0.99), seed=2)
-    transport = Transport(
-        channel=FaultyChannel(plan),
-        policy=RetryPolicy(
-            max_attempts=10, base_backoff_seconds=0.0, retry_budget=2
-        ),
-        obs=obs,
-    )
-    with pytest.raises(RetryExhaustedError) as excinfo:
-        transport.deliver(
-            CostLedger(), "coordinator", "lsp", PositionAssignment(position=0)
-        )
-    assert excinfo.value.retry_budget == 2
-    return obs
-
-
-def _breaker_scenario() -> Observability:
-    """Drive one breaker through open → short-circuit → half-open probe."""
-    from repro.serve.control import BreakerBoard
-
-    obs = Observability()
-    board = BreakerBoard(2, 4, obs=obs)
-    board.failure(0, 0, 0)
-    board.failure(0, 0, 1)  # second consecutive failure: opens
-    assert board.state(0, 0) == "open"
-    assert not board.allow(0, 0, 2)  # short-circuited while open
-    assert board.allow(0, 0, 6)  # probe_after elapsed: half-open probe
-    board.success(0, 0)
-    assert board.state(0, 0) == "closed"
-    return obs
-
-
-def _control_scenario() -> set[str]:
-    """An overloaded control-loop run publishes every ``control.*`` counter.
-
-    An unmeetable p99 budget guarantees the burn crosses every
-    escalation threshold on the first tick that sees a completion, so
-    the loop scales up, switches policy, enters brownout, and degrades
-    later arrivals — regardless of the host's exact cost-model numbers.
-    """
-    from repro.obs.analyze import SLOPolicy
-    from repro.serve.control import ControlConfig
-
-    space = LocationSpace.unit_square()
-    lsp = LSPServer(
-        clustered_pois(200, space, seed=11), sanitation_samples=16, seed=99
-    )
-    config = PPGNNConfig(
-        d=3, delta=6, k=4, keysize=128, key_seed=5, sanitation_samples=16
-    )
-    spec = WorkloadSpec(
-        queries=16,
-        rate_qps=200.0,
-        protocol_mix={"ppgnn": 1.0},
-        group_size_mix={2: 1.0},
-        k_mix={4: 1.0},
-        tenants=("t0", "t1"),
-        groups=4,
-        seed=33,
-    )
-    control = ControlConfig(
-        tick_seconds=0.01,
-        window_seconds=0.04,
-        slo=SLOPolicy(latency_p99=1e-6),
-        max_workers=2,
-        shed_policy="degrade",
-    )
-    serve = ServeConfig(workers=1, obs=True, control=control)
-    report = ServeEngine(lsp, config, serve).run(generate_workload(spec, space))
-    assert report.control is not None, "the loop must actuate under overload"
-    assert report.failed == 0
-    metrics = report.obs["metrics"]
-    return (
-        set(metrics["counters"])
-        | set(metrics["gauges"])
-        | set(metrics["histograms"])
-    )
-
-
 def _small_serve(queries: int, **serve_kwargs) -> "ServingReport":
     """A tiny traced serving run for targeted metric scenarios."""
     space = LocationSpace.unit_square()
@@ -341,10 +259,7 @@ class TestObsSmoke:
         )
         published |= _guard_scenarios().snapshot().names
         published |= _exhaustion_scenario().snapshot().names
-        published |= _budget_scenario().snapshot().names
         published |= _cluster_scenario().snapshot().names
-        published |= _breaker_scenario().snapshot().names
-        published |= _control_scenario()
         published |= _dropped_spans_scenario()
         published |= _exemplars_scenario()
         missing = documented - published

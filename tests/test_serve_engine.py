@@ -234,3 +234,7 @@ class TestConfigValidation:
             ServeConfig(queue_capacity=0)
         with pytest.raises(ConfigurationError):
             ServeConfig(tenant_quota=0)
+        with pytest.raises(ConfigurationError):
+            ServeConfig(deadline_seconds=0.0)
+        with pytest.raises(ConfigurationError):
+            ServeConfig(deadline_seconds=-1.0)

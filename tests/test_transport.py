@@ -386,87 +386,6 @@ class TestTransport:
         assert shard_index("lsp:abc") is None
 
 
-class TestRetryBudget:
-    """The session-wide retransmission budget (`RetryPolicy.retry_budget`).
-
-    Orthogonal to per-message ``max_attempts``: the budget caps *total*
-    retransmissions across the transport's lifetime, so a flaky peer
-    cannot amplify an overload into a retry storm.
-    """
-
-    def test_budget_spans_deliveries(self):
-        """Retries spent on earlier messages count against later ones."""
-        transport = Transport(
-            DropFirstN(2), RetryPolicy(max_attempts=10, retry_budget=3)
-        )
-        ledger = CostLedger()
-        # First delivery burns 2 of the 3 budgeted retransmissions.
-        transport.deliver(ledger, *LINK, PositionAssignment(0))
-        assert transport.stats.retransmissions == 2
-
-        class DropAll(PerfectChannel):
-            def transmit(self, envelope):
-                return []
-
-        transport.channel = DropAll()
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            transport.deliver(ledger, *LINK, PositionAssignment(1))
-        assert excinfo.value.retries_spent == 3
-        assert excinfo.value.retry_budget == 3
-        # max_attempts was NOT the binding constraint.
-        assert excinfo.value.attempts < 10
-
-    def test_zero_budget_allows_clean_deliveries(self):
-        transport = Transport(policy=RetryPolicy(max_attempts=5, retry_budget=0))
-        delivered = transport.deliver(CostLedger(), *LINK, PositionAssignment(7))
-        assert delivered.position == 7
-
-    def test_zero_budget_fails_first_retry(self):
-        transport = Transport(
-            DropFirstN(1), RetryPolicy(max_attempts=5, retry_budget=0)
-        )
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            transport.deliver(CostLedger(), *LINK, PositionAssignment(0))
-        assert excinfo.value.retries_spent == 0
-        assert excinfo.value.retry_budget == 0
-
-    def test_budget_keeps_member_loss_type(self):
-        """A dead user under a dry budget still types as member loss."""
-        channel = FaultyChannel(FaultPlan(kill={"user:0": 0}))
-        transport = Transport(
-            channel, RetryPolicy(max_attempts=5, retry_budget=1)
-        )
-        with pytest.raises(GroupMemberLostError) as excinfo:
-            transport.deliver(CostLedger(), *LINK, PositionAssignment(0))
-        assert excinfo.value.user_index == 0
-        assert excinfo.value.retry_budget == 1
-        assert excinfo.value.retries_spent == 1
-
-    def test_budget_keeps_shard_loss_type(self):
-        """A dead shard under a dry budget still triggers failover logic."""
-        channel = FaultyChannel(FaultPlan(kill={"lsp:2": 0}))
-        transport = Transport(
-            channel, RetryPolicy(max_attempts=5, retry_budget=1)
-        )
-        with pytest.raises(ShardLostError) as excinfo:
-            transport.deliver(
-                CostLedger(), "coordinator", "lsp:2", PositionAssignment(0)
-            )
-        assert excinfo.value.shard_id == 2
-        assert excinfo.value.retry_budget == 1
-        assert isinstance(excinfo.value, RetryExhaustedError)
-
-    def test_no_budget_is_historical_behaviour(self):
-        transport = Transport(DropFirstN(3), RetryPolicy(max_attempts=10))
-        delivered = transport.deliver(CostLedger(), *LINK, PositionAssignment(4))
-        assert delivered.position == 4
-        assert transport.stats.retransmissions == 3
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(retry_budget=-1)
-
-
 class TestSendHelper:
     def test_none_transport_matches_plain_record(self):
         message = PositionAssignment(2)
