@@ -21,6 +21,12 @@ Floating-point rounding is monotone, so for every point ``q`` inside ``R``
 the computed ``mindist(p, R) <= p.distance_to(q) <= maxdist(p, R)`` holds
 exactly, not just up to rounding.
 
+For the sum of distances to a group, :func:`sum_support_arrays` gives a
+second lower bound over a rectangle, from the supporting line of the convex
+sum at the rectangle's centre.  It is tight where Σ mindist is loose, around
+a spread group, and holds in floats through an explicit margin rather than
+monotone rounding.
+
 Vectorized variants operating on numpy arrays are provided for the MBM walk
 and the Monte-Carlo answer sanitation, which evaluates tens of thousands of
 candidate locations per hypothesis test.
@@ -91,6 +97,47 @@ def mindist_arrays(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def maxdist_arrays(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """:func:`maxdist_point_rect` elementwise, stacked as in :func:`mindist_arrays`."""
     return stacked_norm(np.maximum(p - lo, hi - p))
+
+
+#: Users closer than this to a rectangle's centre get no gradient term; the
+#: margin's absolute part covers the distance they contribute (see below).
+_GRADIENT_FLOOR = 1e-151
+
+
+def sum_support_arrays(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A lower bound on ``Σ_i |x − p_i|`` over every point ``x`` of each rectangle.
+
+    ``p`` stacks the n points as ``(2, 1, n)``; ``lo`` and ``hi`` stack m
+    rectangles' corners as ``(2, m, 1)``.  Returns one bound per rectangle.
+
+    The sum is convex, so its supporting line at the rectangle's computed
+    centre ``c`` lies below it: ``f(x) >= f(c) + g·(x − c)`` with
+    ``g = Σ_i (c − p_i)/|c − p_i|``.  Over the rectangle, ``|x − c|`` is at
+    most ``h = max(c − lo, hi − c)`` per axis, measured from that ``c``
+    (half of ``hi − lo`` can miss the rounded centre's offset), so
+    ``f(x) >= f(c) − |g_x|·h_x − |g_y|·h_y``.  The bound is tight where
+    the group's unit vectors cancel, as they do around a spread group,
+    where Σ mindist is loose.
+
+    A user within ``_GRADIENT_FLOOR`` of ``c`` gets no gradient term, since
+    underflow can bend its unit vector; the bound ``|x − p_i| >= 0`` holds
+    for it instead.  The margin ``1e-9·(f(c) + n·(h_x + h_y)) + n·1e-150``
+    covers every rounding of this computation and of the scores it must
+    stay below: relative errors are ~n·1e-16 of ``f(c) + n·|x − c|``, and
+    underflowed squares or floored users add at most ~1e-151 each.  Every
+    subtracted term is non-negative and the margin grows with ``f(c)``, so
+    an overflowed ``f(c)`` gives NaN (``inf − inf``), never ``+inf``.
+    """
+    c = (lo + hi) * 0.5
+    h = np.maximum(c - lo, hi - c)[..., 0]
+    diff = c - p
+    d = stacked_norm(diff)
+    g = (diff / np.where(d > _GRADIENT_FLOOR, d, np.inf)).sum(axis=2)
+    n = p.shape[-1]
+    fc = d.sum(axis=1)
+    # The margin grows with f(c), so an overflowed f(c) gives inf − inf.
+    margin = 1e-9 * (fc + n * (h[0] + h[1])) + n * 1e-150
+    return fc - (np.abs(g) * h).sum(axis=0) - margin
 
 
 def pairwise_distances(xs: np.ndarray, ys: np.ndarray, p: Point) -> np.ndarray:

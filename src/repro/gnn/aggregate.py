@@ -16,6 +16,10 @@ left-to-right fold, ``((d_1 + d_2) + d_3) + ...``, in both forms
 (compensated from Python 3.12) nor ``ndarray.sum`` (pairwise along the
 contiguous axis) is used, as their rounding differs from the fold's and
 from each other's.
+
+``sum`` also carries ``rect_bound``, a lower bound over rectangles from its
+convexity (:func:`~repro.geometry.distance.sum_support_arrays`), which the
+MBM walk uses to key nodes tighter than F of the mindists alone.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.geometry.distance import sum_support_arrays
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,14 @@ class Aggregate:
         aggregate — e.g. plain addition for ``sum``.  When either is None
         the sanitizer falls back to ``combine_rows`` on explicitly
         assembled matrices, which works for any monotone F.
+    rect_bound:
+        Optional lower bound of F over rectangles, with the signature of
+        :func:`~repro.geometry.distance.sum_support_arrays`: users stacked
+        ``(2, 1, n)``, rectangle corners ``(2, m, 1)``, one bound per
+        rectangle, at most the computed cost of every point inside.  The
+        MBM walk keys a node of a group of two or more users by the larger
+        of this and F of the mindists; NaN falls back to the latter.
+        ``sum`` uses its convexity (the supporting line at the centre).
     """
 
     name: str
@@ -61,6 +74,7 @@ class Aggregate:
     combine_rows: Callable[[np.ndarray], np.ndarray]
     partial: Callable[[Iterable[float]], float] | None = None
     merge: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    rect_bound: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, distances: Iterable[float]) -> float:
         return self.combine(distances)
@@ -94,6 +108,7 @@ SUM = Aggregate(
     _left_fold_rows,
     partial=_left_fold,
     merge=np.add,
+    rect_bound=sum_support_arrays,
 )
 MAX = Aggregate(
     "max",

@@ -33,7 +33,7 @@ from repro.gnn.aggregate import Aggregate, SUM
 from repro.gnn.mbm import mbm_kgnn
 from repro.gnn.mqm import mqm_kgnn
 from repro.gnn.spm import spm_kgnn
-from repro.index.base import IndexCounters
+from repro.index.base import IndexCounters, validate_location
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.grid import GridIndex
 from repro.index.kdtree import KDTree
@@ -238,6 +238,10 @@ class GNNQueryEngine:
     def _run_kgnn(
         self, k: int, locations: Sequence[Point]
     ) -> list[tuple[Point, POI, float]]:
+        # A NaN or infinite location would poison every score comparison
+        # and return some ranking without an error.
+        for location in locations:
+            validate_location(location)
         self.index_counters.queries += 1
         if self.is_approximate:
             return self._approximate_kgnn(locations, k)
@@ -279,7 +283,7 @@ class GNNQueryEngine:
         installed, a verbatim repeat of an earlier query (same index
         version, same k, same locations) is served from memory; results
         are identical to the uncached path by construction of the exact
-        key.
+        key.  A NaN or infinite location raises :class:`ConfigurationError`.
         """
         k = min(k, len(self.tree))
         cache = self.knn_cache

@@ -8,6 +8,15 @@ aggregate cost of every POI under the node, so best-first order remains
 exact.  This is the plaintext kGNN black box run per candidate query by the
 LSP (Algorithm 2 line 3).
 
+For ``sum`` and two or more users that bound is loose around a spread
+group: every user's mindist can be small while no point is near all of
+them.  An aggregate may carry a tighter exact bound (``rect_bound``);
+``sum`` carries the supporting line of its convex cost at the MBR's
+centre (:func:`~repro.geometry.distance.sum_support_arrays`).  A node's
+key is then the larger of the two bounds, still at most the cost of every
+POI under it.  MAX, MIN, custom aggregates and single users keep F of the
+mindists.
+
 Like :mod:`repro.gnn.knn` the search is index-agnostic: it walks whatever
 hierarchy :meth:`~repro.index.base.SpatialIndex.traversal_roots` exposes,
 and falls back to scoring every entry exhaustively for flat indexes —
@@ -19,12 +28,13 @@ child MBRs come from :func:`~repro.index.base.node_arrays`, cached on the
 node.  One ``(entries, n)`` distance matrix per node gives every leaf score
 or child bound, and heap keys are pushed straight from it.  The numpy
 distance and the built-in aggregates' ``combine_rows`` equal their scalar
-forms bit for bit, so every key equals the scalar walk's key; a custom
+forms bit for bit, so every leaf score is the scalar score; a custom
 aggregate applies its own ``combine`` to each row.  An entry is pushed
 only while its key is at most ``kth``, the k-th smallest point score pushed
-so far: anything above it could never be popped before the k-th result,
-so answers, scores and counters are exactly those of the plain walk (see
-DESIGN.md, "kGNN hot path").
+so far: anything above it could never be popped before the k-th result.
+Points pop in ``(score, location)`` order whatever the node keys, as long
+as each lower-bounds its POIs, so tighter keys change only how many nodes
+are expanded (see DESIGN.md, "kGNN hot path").
 """
 
 from __future__ import annotations
@@ -64,10 +74,29 @@ def _fallback_kgnn(
 
 
 def _row_scorer(aggregate: Aggregate):
-    """F over each row of an ``(entries, n)`` distance matrix, as floats."""
+    """F over each row of an ``(entries, n)`` distance matrix."""
     if aggregate in _VECTOR_AGGREGATES:
-        return lambda dists: aggregate.combine_rows(dists).tolist()
-    return lambda dists: [aggregate.combine(row) for row in dists.tolist()]
+        return aggregate.combine_rows
+    return lambda dists: np.array([aggregate.combine(row) for row in dists.tolist()])
+
+
+def rect_keyer(aggregate: Aggregate, n: int):
+    """The walk's key function for rectangles, for a group of ``n`` users.
+
+    Maps stacked users ``q`` ``(2, 1, n)`` and rectangle corners ``lo``,
+    ``hi`` ``(2, m, 1)`` to m heap keys, as floats: F of the users'
+    mindists [24], raised to the aggregate's ``rect_bound`` where it has one
+    and n >= 2 (one user's mindist is already its exact minimum over the
+    rectangle).  ``np.fmax`` keeps F of the mindists where that bound is
+    NaN.  Both lower-bound the cost of every point inside.
+    """
+    score = _row_scorer(aggregate)
+    bound = aggregate.rect_bound if n > 1 else None
+    if bound is None:
+        return lambda q, lo, hi: score(mindist_arrays(q, lo, hi)).tolist()
+    return lambda q, lo, hi: np.fmax(
+        score(mindist_arrays(q, lo, hi)), bound(q, lo, hi)
+    ).tolist()
 
 
 def mbm_kgnn(
@@ -92,13 +121,14 @@ def mbm_kgnn(
         return _fallback_kgnn(tree, locations, k, aggregate, counters)
     version = tree.version
     score = _row_scorer(aggregate)
+    rect_keys = rect_keyer(aggregate, len(locations))
     # Query locations stacked as (x, y) rows; they broadcast against the
     # (2, entries, 1) node arrays into (2, entries, n) differences.
     q = np.array([[[loc.x for loc in locations]], [[loc.y for loc in locations]]])
     seq = count()
     heap: list[tuple[float, tuple[float, float], int, bool, Any]] = []
     rects = mbr_array(roots)
-    root_bounds = score(mindist_arrays(q, rects[:2], rects[2:]))
+    root_bounds = rect_keys(q, rects[:2], rects[2:])
     for root, bound in zip(roots, root_bounds, strict=True):
         if root.mbr is not None:
             heapq.heappush(heap, (bound, (0.0, 0.0), next(seq), False, root))
@@ -120,7 +150,7 @@ def mbm_kgnn(
         if node.is_leaf:
             if counters is not None:
                 counters.candidates_scored += len(node.points)
-            costs = score(stacked_norm(arrays - q))
+            costs = score(stacked_norm(arrays - q)).tolist()
             for p, item, cost in zip(node.points, node.items, costs, strict=True):
                 if cost > kth:
                     continue
@@ -132,7 +162,7 @@ def mbm_kgnn(
                 if len(best) == k:
                     kth = -best[0]
         else:
-            bounds = score(mindist_arrays(q, arrays[:2], arrays[2:]))
+            bounds = rect_keys(q, arrays[:2], arrays[2:])
             for child, bound in zip(node.children, bounds, strict=True):
                 mbr = child.mbr
                 if bound > kth or mbr is None:

@@ -110,10 +110,10 @@ def node_arrays(node, version: int) -> np.ndarray:
 def validate_location(location: Point) -> Point:
     """Reject non-finite coordinates with one consistent error.
 
-    Every index calls this on insert and bulk load, so NaN/inf inputs fail
-    identically regardless of which index backs the engine (a NaN would
-    otherwise poison comparisons silently in some indexes and raise
-    obscurely in others).
+    Every index calls this on insert and bulk load, and the query engine on
+    every query location, so NaN/inf inputs fail identically regardless of
+    which index backs the engine (a NaN would otherwise poison comparisons
+    silently in some indexes and raise obscurely in others).
     """
     if not location.is_finite:
         raise ConfigurationError(f"non-finite location {location}")

@@ -15,11 +15,12 @@ from repro.geometry.distance import (
     mindist_point_rect,
     pairwise_distances,
     squared_euclidean,
+    sum_support_arrays,
 )
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.gnn.aggregate import MAX, MIN, SUM
-from repro.gnn.mbm import mbm_kgnn
+from repro.gnn.aggregate import MAX, MIN, SUM, Aggregate
+from repro.gnn.mbm import mbm_kgnn, rect_keyer
 from repro.index.rtree import RTree
 
 coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -185,3 +186,157 @@ class TestOneDistance:
             assert len(got) == min(k, len(pois))
             for p, _, score in got:
                 assert score == aggregate.combine([scalar_distance(p, q) for q in group])
+
+
+unit = st.floats(min_value=-1.0, max_value=1.0)
+
+
+def rect_arrays(rect: Rect) -> tuple[np.ndarray, np.ndarray]:
+    """One rectangle's corners stacked ``(2, 1, 1)``, as the walk passes them."""
+    return (
+        np.array([[[rect.xmin]], [[rect.ymin]]]),
+        np.array([[[rect.xmax]], [[rect.ymax]]]),
+    )
+
+
+def user_stack(group) -> np.ndarray:
+    """Users stacked ``(2, 1, n)``, as the walk passes them."""
+    return stacked(group)[:, None]
+
+
+@st.composite
+def scaled_rect(draw):
+    """A rectangle at a scale from 1e-170 to 1e150: wide, 1e-15-relative or flat."""
+    scale = 10.0 ** draw(st.integers(-170, 150))
+    x, y = draw(unit) * scale, draw(unit) * scale
+    extents = []
+    for base in (x, y):
+        kind = draw(st.sampled_from(("wide", "tiny", "zero")))
+        if kind == "wide":
+            extents.append(draw(st.floats(0.0, 2.0)) * scale)
+        elif kind == "tiny":
+            extents.append(draw(st.floats(0.0, 1e-15)) * max(abs(base), scale))
+        else:
+            extents.append(0.0)
+    return Rect(x, y, x + extents[0], y + extents[1]), scale
+
+
+@st.composite
+def convex_case(draw):
+    """A rectangle, a group of users and the points of the rectangle to score."""
+    rect, scale = draw(scaled_rect())
+    corners = [
+        Point(rect.xmin, rect.ymin),
+        Point(rect.xmin, rect.ymax),
+        Point(rect.xmax, rect.ymin),
+        Point(rect.xmax, rect.ymax),
+    ]
+    lo, hi = rect_arrays(rect)
+    c = (lo + hi) * 0.5
+    centre = Point(float(c[0, 0, 0]), float(c[1, 0, 0]))
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("uniform", "centre", "corners", "clustered")))
+    if kind == "uniform":
+        group = [Point(2 * draw(unit) * scale, 2 * draw(unit) * scale) for _ in range(n)]
+    elif kind == "centre":
+        group = [centre] * n
+    elif kind == "corners":
+        group = [draw(st.sampled_from(corners)) for _ in range(n)]
+    else:
+        group = [
+            Point(centre.x + draw(unit) * 1e-15 * scale, centre.y + draw(unit) * 1e-15 * scale)
+            for _ in range(n)
+        ]
+    xs = st.floats(rect.xmin, rect.xmax)
+    ys = st.floats(rect.ymin, rect.ymax)
+    edges = [
+        Point(draw(xs), rect.ymin),
+        Point(draw(xs), rect.ymax),
+        Point(rect.xmin, draw(ys)),
+        Point(rect.xmax, draw(ys)),
+    ]
+    inside = [Point(draw(xs), draw(ys)) for _ in range(4)]
+    return rect, group, corners + edges + [centre] + inside
+
+
+def faithful_custom() -> Aggregate:
+    """A custom aggregate: the walk keys it by its own ``combine`` per row."""
+    return Aggregate(
+        "test-geometry-root-sum-of-squares",
+        lambda ds: math.sqrt(sum(d * d for d in ds)),
+        lambda m: np.sqrt((m * m).sum(axis=1)),
+    )
+
+
+class TestConvexSumBound:
+    """SUM's supporting-line key stays below every score it must bound."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(convex_case())
+    def test_key_stays_below_every_point_of_the_rectangle(self, case):
+        rect, group, members = case
+        lo, hi = rect_arrays(rect)
+        q = user_stack(group)
+        bound = sum_support_arrays(q, lo, hi)[0]
+        key = rect_keyer(SUM, len(group))(q, lo, hi)[0]
+        assert key >= SUM.combine_rows(mindist_arrays(q, lo, hi))[0]
+        for p in members:
+            score = SUM.combine([p.distance_to(u) for u in group])
+            assert not bound > score, (p, bound, score)
+            assert key <= score, (p, key, score)
+
+    def test_underflowed_unit_vector_gets_no_slope(self):
+        """A user 2.5e-162 from the centre: its square underflows, so its
+        computed unit vector is 1.125 long.  With a gradient term for it the
+        bound exceeds the score at the left edge by 0.125·h."""
+        a = 1e-147
+        rect = Rect(-a, -a, a, a)
+        group = [Point(2.5e-162, 0.0), Point(-2 * a, 0.0), Point(-2 * a, 0.0)]
+        lo, hi = rect_arrays(rect)
+        key = rect_keyer(SUM, 3)(user_stack(group), lo, hi)[0]
+        edge = Point(-a, 0.0)
+        assert key <= SUM.combine([edge.distance_to(u) for u in group])
+
+    def test_overflow_falls_back_to_todays_key(self):
+        """Squares overflow at the centre but not at the near corner: the
+        bound is NaN and the key F of the mindists."""
+        rect = Rect(1e150, 0.0, 1e155, 0.0)
+        group = [Point(0.0, 0.0), Point(0.0, 0.0)]
+        lo, hi = rect_arrays(rect)
+        q = user_stack(group)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(sum_support_arrays(q, lo, hi)[0])
+            key = rect_keyer(SUM, 2)(q, lo, hi)[0]
+        assert key == SUM.combine_rows(mindist_arrays(q, lo, hi))[0] == 2e150
+
+    def test_tightens_spread_groups(self):
+        """Users around the rectangle: Σ mindist is 1.6, the true minimum 2.0
+        (at the centre, where the unit vectors cancel), and the key 2.0 less
+        its margin."""
+        rect = Rect(0.4, 0.4, 0.6, 0.6)
+        group = [Point(0.0, 0.5), Point(1.0, 0.5), Point(0.5, 0.0), Point(0.5, 1.0)]
+        lo, hi = rect_arrays(rect)
+        q = user_stack(group)
+        assert SUM.combine_rows(mindist_arrays(q, lo, hi))[0] < 1.61
+        assert 2.0 - 1e-8 < rect_keyer(SUM, 4)(q, lo, hi)[0] <= 2.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(scaled_rect(), min_size=1, max_size=6), groups)
+    def test_other_keys_are_todays_bit_for_bit(self, rects_and_scales, group):
+        rects_ = [r for r, _ in rects_and_scales]
+        lo = np.array([[[r.xmin] for r in rects_], [[r.ymin] for r in rects_]])
+        hi = np.array([[[r.xmax] for r in rects_], [[r.ymax] for r in rects_]])
+        q = user_stack(group)
+        lower = mindist_arrays(q, lo, hi)
+        for aggregate in (MAX, MIN):
+            assert rect_keyer(aggregate, len(group))(q, lo, hi) == (
+                aggregate.combine_rows(lower).tolist()
+            )
+        one = user_stack(group[:1])
+        assert rect_keyer(SUM, 1)(one, lo, hi) == (
+            SUM.combine_rows(mindist_arrays(one, lo, hi)).tolist()
+        )
+        custom = faithful_custom()
+        assert rect_keyer(custom, len(group))(q, lo, hi) == [
+            custom.combine(row) for row in lower.tolist()
+        ]

@@ -21,7 +21,7 @@ from repro.gnn.aggregate import (
     register_aggregate,
 )
 from repro.gnn.bruteforce import brute_force_kgnn
-from repro.gnn.engine import GNNQueryEngine
+from repro.gnn.engine import INDEX_KINDS, GNNQueryEngine
 from repro.gnn.knn import best_first_knn
 from repro.gnn.mbm import mbm_kgnn
 from repro.gnn.mqm import mqm_kgnn
@@ -105,24 +105,56 @@ def _differential_run(dataset: str, index: str, tree, side: float, aggregates):
     return runs
 
 
-def _counter_digest(runs) -> tuple[int, int, str]:
-    """Summed ``(nodes_visited, candidates_scored)`` plus a digest of every pair."""
-    pairs = [counters for _, _, counters in runs]
-    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()[:16]
-    return sum(p[0] for p in pairs), sum(p[1] for p in pairs), digest
+def _counter_digests(runs) -> dict[str, tuple[int, int, str]]:
+    """Per aggregate name: summed ``(nodes_visited, candidates_scored)``
+    plus a digest of every pair, in run order."""
+    by_name: dict[str, list[tuple[int, int]]] = {}
+    for (_, _, aggregate), _, counters in runs:
+        by_name.setdefault(aggregate.name, []).append(counters)
+    return {
+        name: (
+            sum(p[0] for p in pairs),
+            sum(p[1] for p in pairs),
+            hashlib.sha256(repr(pairs).encode()).hexdigest()[:16],
+        )
+        for name, pairs in by_name.items()
+    }
 
 
-#: Counters of the differential workloads, recorded from the scalar MBM
-#: walk that scored every entry of every expanded node.
+#: Counters of the differential workloads per aggregate, recorded from the
+#: MBM walk keyed by F of the mindists alone (the scalar walk that scored
+#: every entry of every expanded node has the same counters).
 _SCALAR_WALK_COUNTERS = {
-    ("lattice", "rtree", "builtin"): (237, 4444, "11f6f45be2b5928c"),
-    ("lattice", "kdtree", "builtin"): (927, 4873, "e6151ba69cd990c0"),
-    ("lattice", "grid", "builtin"): (101, 707, "9f88af3c741e086e"),
+    ("lattice", "rtree", "sum"): (110, 2427, "6e38d8d36dcf6922"),
+    ("lattice", "rtree", "max"): (56, 896, "676e3137c107e796"),
+    ("lattice", "rtree", "min"): (71, 1121, "74e04e69e89bbd96"),
     ("lattice", "rtree", "custom"): (110, 2344, "0c9d2950961ffffe"),
-    ("sequoia", "rtree", "builtin"): (408, 9064, "dc37dcaa107b4bcf"),
-    ("sequoia", "kdtree", "builtin"): (828, 5760, "4deb11f92c7a30da"),
-    ("sequoia", "grid", "builtin"): (552, 6852, "fafb0a8666f302ee"),
+    ("lattice", "kdtree", "sum"): (506, 3152, "edde91a12c7c8133"),
+    ("lattice", "kdtree", "max"): (189, 705, "c9a93065c25355ef"),
+    ("lattice", "kdtree", "min"): (232, 1016, "c198a11915d7bc03"),
+    ("lattice", "grid", "sum"): (36, 242, "2ddec15709d53809"),
+    ("lattice", "grid", "max"): (35, 236, "0404e9ce8ccaf1ba"),
+    ("lattice", "grid", "min"): (30, 229, "d5c2581c496660de"),
+    ("sequoia", "rtree", "sum"): (244, 6140, "427b978a25831a93"),
+    ("sequoia", "rtree", "max"): (83, 1464, "0778403f39bf82ff"),
+    ("sequoia", "rtree", "min"): (81, 1460, "30b728db40713092"),
     ("sequoia", "rtree", "custom"): (172, 3936, "660b2361fb27d85f"),
+    ("sequoia", "kdtree", "sum"): (408, 3181, "7ef94e8c8cf2407f"),
+    ("sequoia", "kdtree", "max"): (206, 1244, "9d3c59eed94f7f4f"),
+    ("sequoia", "kdtree", "min"): (214, 1335, "248d6e8666273681"),
+    ("sequoia", "grid", "sum"): (418, 5427, "d9fc04a91b15c5e8"),
+    ("sequoia", "grid", "max"): (83, 492, "2b7fe3edabc1db63"),
+    ("sequoia", "grid", "min"): (51, 933, "cbf28ee8eae6a33c"),
+}
+
+#: SUM's counters with the convexity bound in its keys (``sum_support_arrays``).
+_CONVEX_SUM_COUNTERS = {
+    ("lattice", "rtree"): (67, 1115, "af66ae54b7ad3931"),
+    ("lattice", "kdtree"): (285, 1358, "f1e1741d1b1a20ef"),
+    ("lattice", "grid"): (36, 242, "2ddec15709d53809"),
+    ("sequoia", "rtree"): (117, 2384, "f8fe38562194cf63"),
+    ("sequoia", "kdtree"): (231, 1458, "34124c6a3a551ef9"),
+    ("sequoia", "grid"): (116, 1176, "c167265d0d333288"),
 }
 
 
@@ -231,24 +263,34 @@ def diff_run():
             assert all(item.location == p for p, item, _ in got)
             ids = [item.poi_id for _, item, _ in got]
             assert len(set(ids)) == len(ids)
-        return _counter_digest(runs)
+        return _counter_digests(runs)
 
     return run
 
 
 class TestMBMDifferential:
-    """The vector-filtered walk against the oracle and the scalar walk's counters."""
+    """The walk against the oracle and the pinned counters of each aggregate.
+
+    MAX, MIN and the custom aggregate keep the scalar walk's counters; SUM
+    does no more work than it did, and its own pins record how much less.
+    """
 
     @pytest.mark.parametrize("index", ["rtree", "kdtree", "grid"])
     @pytest.mark.parametrize("dataset", sorted(_DIFF_DATASETS))
     def test_builtin_aggregates(self, diff_run, dataset, index):
         counters = diff_run(dataset, index, (SUM, MAX, MIN))
-        assert counters == _SCALAR_WALK_COUNTERS[dataset, index, "builtin"]
+        for name in ("max", "min"):
+            assert counters[name] == _SCALAR_WALK_COUNTERS[dataset, index, name]
+        nodes, scored, _ = _SCALAR_WALK_COUNTERS[dataset, index, "sum"]
+        assert counters["sum"][0] <= nodes and counters["sum"][1] <= scored
+        assert counters["sum"] == _CONVEX_SUM_COUNTERS[dataset, index]
 
     @pytest.mark.parametrize("dataset", sorted(_DIFF_DATASETS))
     def test_custom_aggregate_scores_exactly(self, diff_run, dataset):
         counters = diff_run(dataset, "rtree", (_sum_of_squares(),))
-        assert counters == _SCALAR_WALK_COUNTERS[dataset, "rtree", "custom"]
+        assert counters == {
+            _sum_of_squares().name: _SCALAR_WALK_COUNTERS[dataset, "rtree", "custom"]
+        }
 
 
 def _leaves(node) -> list:
@@ -387,6 +429,22 @@ class TestEngine:
         engine = GNNQueryEngine(pois)
         with pytest.raises(ConfigurationError):
             engine.insert(POI(3, Point(0.5, 0.5)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("algorithm", ["mbm", "spm", "mqm"])
+    def test_non_finite_location_rejected(self, algorithm, bad):
+        engine = GNNQueryEngine(uniform_pois(500, seed=7), algorithm=algorithm)
+        for location in (Point(bad, 0.2), Point(0.2, bad)):
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                engine.query(3, [Point(0.5, 0.5), location])
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                engine.query_scored(3, [location])
+
+    @pytest.mark.parametrize("index", INDEX_KINDS)
+    def test_non_finite_location_rejected_by_every_index(self, index):
+        engine = GNNQueryEngine(uniform_pois(500, seed=7), index=index)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            engine.query(3, [Point(0.5, 0.5), Point(float("nan"), 0.2)])
 
     def test_query_scored_consistent(self):
         engine = GNNQueryEngine(uniform_pois(80, seed=6))

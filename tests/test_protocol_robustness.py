@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.common import group_keypair
 from repro.crypto.homomorphic import encrypt_indicator
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.geometry.point import Point
 from repro.partition.solver import solve_partition
 from repro.protocol.messages import (
@@ -77,9 +77,18 @@ class TestGroupRequestValidation:
     def test_wrong_location_set_length(self, lsp, fast_config, pk):
         request = make_group_request(pk, fast_config)
         uploads = make_uploads(4, fast_config.d - 1, lsp.space)
-        from repro.errors import ConfigurationError
-
         with pytest.raises((ProtocolError, ConfigurationError)):
+            lsp.answer_group_query(request, uploads, CostLedger())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_upload_rejected(self, lsp, fast_config, pk, bad):
+        """A hostile location fails loudly instead of ranking POIs by NaN."""
+        request = make_group_request(pk, fast_config)
+        uploads = make_uploads(4, fast_config.d, lsp.space)
+        hostile = list(uploads[2].locations)
+        hostile[1] = Point(bad, 0.5)
+        uploads[2] = LocationSetUpload(2, tuple(hostile))
+        with pytest.raises(ConfigurationError, match="non-finite"):
             lsp.answer_group_query(request, uploads, CostLedger())
 
     def test_uploads_accepted_in_any_order(self, lsp, fast_config, pk):
