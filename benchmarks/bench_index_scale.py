@@ -1,16 +1,13 @@
-"""Index substrate crossover: exact candidate work vs. approximate recall.
+"""Index substrate crossover: exact candidate work per index kind.
 
 Builds every index kind over clustered datasets of increasing size and
 runs one seeded group-query workload through each, freezing the exact
 per-workload candidate counters into the ``index-scale`` baseline.  The
 counters are the crossover story in numbers: the hierarchical indexes
-(rtree/kdtree/grid) score a near-constant candidate set per query while
-brute force scores the whole database, and the approximate paths
-(spill/lsh) cut candidates sub-linearly at a measured, seeded recall —
-which freezes too, as a fixed metric, so a recall drop can never slip
-through as "just a perf change".
+(rtree/grid) score a near-constant candidate set per query while brute
+force scores the whole database.
 
-All exact kinds must return identical answer ids for every query; that
+All kinds must return identical answer ids for every query; that
 equivalence is asserted here on every run, baseline or not.
 """
 
@@ -20,7 +17,7 @@ import pytest
 
 from repro.datasets import stream_clustered
 from repro.geometry.space import LocationSpace
-from repro.gnn.engine import APPROXIMATE_INDEX_KINDS, INDEX_KINDS, GNNQueryEngine
+from repro.gnn.engine import INDEX_KINDS, GNNQueryEngine
 
 import numpy as np
 
@@ -29,9 +26,6 @@ QUERIES = 12
 K = 8
 GROUP = 2
 SEED = 20180326
-
-#: Minimum acceptable seeded recall for the approximate kinds at any size.
-RECALL_FLOOR = 0.6
 
 
 def _workload(space: LocationSpace):
@@ -56,44 +50,18 @@ def scale_results():
             per_kind[kind] = {
                 "answers": answers,
                 "counters": engine.index_counters,
-                "recall": engine.recall_estimate,
             }
         results[size] = per_kind
     return results
 
 
 def test_exact_kinds_answer_identically(scale_results):
-    exact_kinds = [k for k in INDEX_KINDS if k not in APPROXIMATE_INDEX_KINDS]
     for size, per_kind in scale_results.items():
         reference = per_kind["rtree"]["answers"]
-        for kind in exact_kinds:
+        for kind in INDEX_KINDS:
             assert per_kind[kind]["answers"] == reference, (
                 f"{kind} diverged from rtree at n={size}"
             )
-
-
-def test_approximate_recall_meets_floor(scale_results):
-    for size, per_kind in scale_results.items():
-        for kind in APPROXIMATE_INDEX_KINDS:
-            recall = per_kind[kind]["recall"]
-            assert recall is not None, f"{kind} must carry a recall estimate"
-            assert recall.expected_recall >= RECALL_FLOOR, (
-                f"{kind} recall {recall.expected_recall:.2f} below "
-                f"{RECALL_FLOOR} at n={size}"
-            )
-
-
-def test_approximate_candidates_sublinear(scale_results):
-    """Candidate work of the approximate paths must not scale with n."""
-    lo, hi = SIZES[0], SIZES[-1]
-    growth = hi / lo
-    for kind in APPROXIMATE_INDEX_KINDS:
-        c_lo = scale_results[lo][kind]["counters"].candidates_scored
-        c_hi = scale_results[hi][kind]["counters"].candidates_scored
-        assert c_hi < scale_results[hi]["bruteforce"]["counters"].candidates_scored
-        assert c_hi / max(c_lo, 1) < growth / 2, (
-            f"{kind} candidate growth {c_hi}/{c_lo} tracks n too closely"
-        )
 
 
 def test_index_scale_baseline(scale_results, recorder, sentinel):
@@ -103,12 +71,6 @@ def test_index_scale_baseline(scale_results, recorder, sentinel):
             counters = per_kind[kind]["counters"]
             metrics[f"candidates.{kind}.n{size}"] = counters.candidates_scored
             metrics[f"nodes.{kind}.n{size}"] = counters.nodes_visited
-        for kind in APPROXIMATE_INDEX_KINDS:
-            # "answers" marks the metric direction-fixed: seeded recall is
-            # deterministic, so *any* drift is a behavior change.
-            metrics[f"answers.recall.{kind}.n{size}"] = round(
-                per_kind[kind]["recall"].expected_recall, 6
-            )
     sentinel.gate(
         "index-scale",
         metrics,
@@ -127,10 +89,9 @@ def test_index_scale_baseline(scale_results, recorder, sentinel):
     )
     largest = SIZES[-1]
     brute = scale_results[largest]["bruteforce"]["counters"].candidates_scored
-    lsh = scale_results[largest]["lsh"]["counters"].candidates_scored
+    rtree = scale_results[largest]["rtree"]["counters"].candidates_scored
     recorder.note(
         "index-scale",
-        f"n={largest}: lsh scores {lsh} candidates vs {brute} brute-force "
-        f"({lsh / brute:.1%}), recall "
-        f"{scale_results[largest]['lsh']['recall'].expected_recall:.2f}",
+        f"n={largest}: rtree scores {rtree} candidates vs {brute} brute-force "
+        f"({rtree / brute:.1%})",
     )

@@ -49,6 +49,7 @@ from repro.core.opt import run_ppgnn_opt
 from repro.core.single import run_single_user
 from repro.datasets.sequoia import load_sequoia
 from repro.errors import ConfigurationError, ReproError
+from repro.gnn.engine import INDEX_KINDS
 from repro.partition.solver import solve_partition
 
 _PROTOCOLS = {
@@ -177,11 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard partitioning strategy",
     )
     serve.add_argument(
-        "--index", default="rtree",
-        choices=["rtree", "kdtree", "grid", "bruteforce", "spill", "lsh"],
-        help="index substrate behind the kGNN engine (exact kinds keep the "
-        "answers digest byte-identical; spill/lsh are approximate and mark "
-        "answers partial with a measured recall)",
+        "--index", default="rtree", choices=INDEX_KINDS,
+        help="index substrate behind the kGNN engine (every kind keeps the "
+        "answers digest byte-identical)",
     )
     serve.add_argument(
         "--hedge-factor", type=float, default=2.0,

@@ -182,14 +182,8 @@ class ClusterRunner:
         self.ring = HashRing(
             cluster.shards, cluster.replicas, cluster.virtual_nodes
         )
-        # Shards inherit the cell's index substrate — exact kinds only:
-        # the merge's coverage math assumes exact per-shard answers.
+        # Shards inherit the cell's index substrate.
         index = getattr(lsp.engine, "index_kind", "rtree")
-        if getattr(lsp.engine, "is_approximate", False):
-            raise ConfigurationError(
-                f"approximate index {index!r} cannot back a cluster; "
-                "use an exact index kind"
-            )
         self.shard_lsps = [
             LSPServer(
                 pois=list(cell),

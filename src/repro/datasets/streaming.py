@@ -152,7 +152,7 @@ def stream_geo_skewed(
     Hotspot ``r`` (0-indexed by rank) receives weight proportional to
     ``(r + 1) ** -zipf_exponent``, so the top hotspot holds a constant
     fraction of all POIs regardless of ``count`` — the adversarial shape
-    for uniform grids and fixed-width LSH buckets.  Hotspot spread also
+    for uniform grids.  Hotspot spread also
     shrinks with rank: the densest city is also the most compact.
     """
     _check(count, chunk_size)

@@ -6,23 +6,16 @@ gives that black box a concrete default — MBM over an R-tree — behind an
 interface narrow enough that any group query (e.g. a meeting-location
 determination algorithm, see ``examples/ppmld.py``) can be swapped in.
 
-The index substrate is selectable (:data:`INDEX_KINDS`).  The exact kinds
-(``rtree``, ``kdtree``, ``grid``, ``bruteforce``) produce byte-identical
-answers — only the traversal work differs, metered through
-``engine.index_counters``.  The approximate kinds (``spill``, ``lsh``)
-trade exactness for sub-linear candidate sets: they score only the union
-of the index's :meth:`candidate_entries` per query location, and every
-such engine carries a seeded, measured ``recall_estimate`` so consumers
-(the serving layer) can mark answers as partial rather than silently
-degrade.
+The index substrate is selectable (:data:`INDEX_KINDS`).  Every kind
+(``rtree``, ``grid``, ``bruteforce``) answers exactly and byte-identically
+— only the traversal work differs, metered through
+``engine.index_counters``.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
-
-import numpy as np
 
 from repro.datasets.poi import POI
 from repro.errors import ConfigurationError
@@ -36,23 +29,13 @@ from repro.gnn.spm import spm_kgnn
 from repro.index.base import IndexCounters, validate_location
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.grid import GridIndex
-from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree
-from repro.metrics.quality import PartialAnswerQuality
 
 #: The three classic group-kNN algorithms of [24], selectable per engine.
 _ALGORITHMS = {"mbm": mbm_kgnn, "spm": spm_kgnn, "mqm": mqm_kgnn}
 
 #: Selectable index substrates behind the kGNN black box.
-INDEX_KINDS = ("rtree", "kdtree", "grid", "bruteforce", "spill", "lsh")
-
-#: Kinds whose query path is candidate-based and carries a recall estimate.
-APPROXIMATE_INDEX_KINDS = ("spill", "lsh")
-
-#: Calibration workload: seeded single-point probes measuring recall@k.
-_CALIBRATION_QUERIES = 24
-_CALIBRATION_K = 8
-_CALIBRATION_SEED = 20180326
+INDEX_KINDS = ("rtree", "grid", "bruteforce")
 
 #: Signature of a pluggable group-query function: (k, locations) -> ranked POIs.
 GroupQueryFn = Callable[[int, Sequence[Point]], list[POI]]
@@ -107,7 +90,6 @@ class GNNQueryEngine:
                 f"unknown index kind {index!r}; known: {list(INDEX_KINDS)}"
             )
         self.index_kind = index
-        self.is_approximate = index in APPROXIMATE_INDEX_KINDS
         self.index_counters = IndexCounters()
         entries = [(poi.location, poi) for poi in pois]
         # `tree` keeps its historical name: callers poke engine.tree for
@@ -116,11 +98,6 @@ class GNNQueryEngine:
         self._by_id = {poi.poi_id: poi for poi in pois}
         if len(self._by_id) != len(pois):
             raise ConfigurationError("duplicate poi_id values in the database")
-        #: Measured answer quality of the approximate candidate path
-        #: (None for exact indexes).
-        self.recall_estimate: PartialAnswerQuality | None = (
-            self._calibrate_recall() if self.is_approximate else None
-        )
         #: Optional exact-match kGNN result cache (see repro.serve.cache).
         #: None keeps the historical uncached behavior.
         self.knn_cache = None
@@ -142,10 +119,6 @@ class GNNQueryEngine:
             else:
                 tree.bulk_load(entries)
             return tree
-        if kind == "kdtree":
-            tree = KDTree()
-            tree.bulk_load(entries)
-            return tree
         if kind == "grid":
             if space is None:
                 space = LocationSpace(Rect.from_points([p for p, _ in entries]))
@@ -153,87 +126,11 @@ class GNNQueryEngine:
             tree = GridIndex(space, cells_per_side=cells)
             tree.bulk_load(entries)
             return tree
-        if kind == "bruteforce":
-            tree = BruteForceIndex()
-            tree.bulk_load(entries)
-            return tree
-        if kind == "spill":
-            from repro.spatial.parttree import PartitionTree
-
-            tree = PartitionTree(rule="rp", spill=0.25, leaf_capacity=max(
-                4 * max_entries, 64
-            ))
-            tree.bulk_load(entries)
-            return tree
-        from repro.spatial.lsh import LSHIndex
-
-        tree = LSHIndex()
+        tree = BruteForceIndex()
         tree.bulk_load(entries)
         return tree
 
-    # --------------------------------------------------------------- recall
-
-    def _exact_topk(self, k: int, locations: Sequence[Point]) -> list[int]:
-        """Exhaustive reference answer (poi ids) for recall calibration."""
-        ranked = sorted(
-            (self.aggregate(p.distance_to(q) for q in locations), (p.x, p.y), item.poi_id)
-            for p, item in self.tree.entries()
-        )
-        return [pid for _, _, pid in ranked[:k]]
-
-    def _calibrate_recall(self) -> PartialAnswerQuality:
-        """Measure the candidate path's recall@k on a seeded probe workload.
-
-        ``_CALIBRATION_QUERIES`` single-location probes drawn uniformly
-        over the data's bounding box; each compares the approximate top-k
-        against the exhaustive exact answer.  The mean recall rides along
-        with every answer this engine produces, so downstream layers can
-        report honest quality instead of assuming exactness.
-        """
-        mbr = Rect.from_points([p for p, _ in self.tree.entries()])
-        rng = np.random.default_rng(_CALIBRATION_SEED)
-        k = min(_CALIBRATION_K, len(self.tree))
-        total = 0.0
-        for _ in range(_CALIBRATION_QUERIES):
-            q = Point(
-                float(rng.uniform(mbr.xmin, mbr.xmax)),
-                float(rng.uniform(mbr.ymin, mbr.ymax)),
-            )
-            exact = set(self._exact_topk(k, [q]))
-            approx = {
-                item.poi_id for _, item, _ in self._approximate_kgnn([q], k)
-            }
-            total += len(approx & exact) / k
-        # Calibration probes should not pollute the serving counters.
-        self.index_counters = IndexCounters()
-        return PartialAnswerQuality(
-            coverage=1.0,
-            expected_recall=total / _CALIBRATION_QUERIES,
-            guaranteed_recall=0.0,
-        )
-
     # ---------------------------------------------------------------- queries
-
-    def _approximate_kgnn(
-        self, locations: Sequence[Point], k: int
-    ) -> list[tuple[Point, POI, float]]:
-        """Candidate-union scoring: the approximate analogue of the kGNN walk.
-
-        Unions :meth:`candidate_entries` over the query locations (deduped
-        by poi id), scores each candidate under the aggregate exactly, and
-        returns the top-``k`` with the same ``(score, location)`` ordering
-        contract as the exact algorithms.
-        """
-        cands: dict[int, tuple[Point, POI]] = {}
-        for q in locations:
-            for p, item in self.tree.candidate_entries(q):
-                cands.setdefault(item.poi_id, (p, item))
-        self.index_counters.candidates_scored += len(cands)
-        ranked = sorted(
-            (self.aggregate(p.distance_to(q) for q in locations), (p.x, p.y), pid, p, item)
-            for pid, (p, item) in cands.items()
-        )
-        return [(p, item, score) for score, _, _, p, item in ranked[:k]]
 
     def _run_kgnn(
         self, k: int, locations: Sequence[Point]
@@ -243,8 +140,6 @@ class GNNQueryEngine:
         for location in locations:
             validate_location(location)
         self.index_counters.queries += 1
-        if self.is_approximate:
-            return self._approximate_kgnn(locations, k)
         return self._kgnn(
             self.tree, locations, k, self.aggregate, self.index_counters
         )
@@ -276,14 +171,11 @@ class GNNQueryEngine:
     def query(self, k: int, locations: Sequence[Point]) -> list[POI]:
         """Definition 2.1: the top-``k`` POIs by ascending F.
 
-        Exact for the exact index kinds; for approximate kinds the ranking
-        is exact *within* the candidate set and ``recall_estimate`` bounds
-        how much of the true answer the candidates capture.  ``k`` is
-        capped at the database size, mirroring ``k <= D``.  With a cache
-        installed, a verbatim repeat of an earlier query (same index
-        version, same k, same locations) is served from memory; results
-        are identical to the uncached path by construction of the exact
-        key.  A NaN or infinite location raises :class:`ConfigurationError`.
+        ``k`` is capped at the database size, mirroring ``k <= D``.  With
+        a cache installed, a verbatim repeat of an earlier query (same
+        index version, same k, same locations) is served from memory;
+        results are identical to the uncached path by construction of the
+        exact key.  A NaN or infinite location raises :class:`ConfigurationError`.
         """
         k = min(k, len(self.tree))
         cache = self.knn_cache
@@ -322,22 +214,8 @@ class GNNQueryEngine:
         self._by_id[poi.poi_id] = poi
 
     def delete(self, poi: POI) -> bool:
-        """Remove a POI; returns False when it was not present.
-
-        The R-tree deletes in place; the other substrates are static
-        builds, so deletion filters the entry list and re-bulk-loads —
-        correct for every kind, if not cheap for the static ones.
-        """
-        deleter = getattr(self.tree, "delete", None)
-        if deleter is not None:
-            removed = deleter(poi.location, poi)
-        else:
-            remaining = [
-                (p, item) for p, item in self.tree.entries() if item != poi
-            ]
-            removed = len(remaining) != len(self.tree)
-            if removed:
-                self.tree.bulk_load(remaining)
+        """Remove a POI; returns False when it was not present."""
+        removed = self.tree.delete(poi.location, poi)
         if removed:
             del self._by_id[poi.poi_id]
         return removed

@@ -7,10 +7,10 @@ points are the exact answer.
 
 The search is index-agnostic: any :class:`~repro.index.base.SpatialIndex`
 whose :meth:`~repro.index.base.SpatialIndex.traversal_roots` returns a
-node hierarchy (R-tree, grid's synthetic two-level tree, zero-spill
-partition trees) is walked best-first; indexes without one (brute force,
-LSH) fall back to an exhaustive scan sorted with the same deterministic
-tie-breaking, so answers are identical either way — only the work differs.
+node hierarchy (R-tree, grid's synthetic two-level tree) is walked
+best-first; an index without one (brute force) falls back to an exhaustive
+scan sorted with the same deterministic tie-breaking, so answers are
+identical either way — only the work differs.
 Pass an :class:`~repro.index.base.IndexCounters` to meter that work.
 """
 

@@ -10,8 +10,6 @@ structures in Python:
   best-first kNN/kGNN searches consume,
 - :class:`~repro.index.grid.GridIndex` — a uniform grid (used by the APNN
   baseline's precomputation),
-- :class:`~repro.index.kdtree.KDTree` — a median-balanced k-d tree with
-  best-first kNN (an independent cross-check and snapping structure),
 - :class:`~repro.index.bruteforce.BruteForceIndex` — the O(D) oracle used to
   property-test the tree-based indexes.
 """
@@ -19,7 +17,6 @@ structures in Python:
 from repro.index.base import SpatialIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.grid import GridIndex
-from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree
 
-__all__ = ["SpatialIndex", "BruteForceIndex", "GridIndex", "KDTree", "RTree"]
+__all__ = ["SpatialIndex", "BruteForceIndex", "GridIndex", "RTree"]

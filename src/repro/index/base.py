@@ -164,10 +164,21 @@ class SpatialIndex(ABC):
     def range_query(self, rect: Rect) -> list[tuple[Point, Any]]:
         """All entries whose location falls inside ``rect`` (inclusive)."""
 
+    @abstractmethod
     def bulk_load(self, items: Iterable[tuple[Point, Any]]) -> None:
-        """Insert many entries; subclasses may override with a faster path."""
-        for location, item in validate_entries(items):
-            self.insert(location, item)
+        """Load many entries; replaces the current contents.
+
+        Every entry is validated before any is stored, so a NaN halfway
+        through ``items`` leaves the index unchanged.
+        """
+
+    @abstractmethod
+    def delete(self, location: Point, item: Any) -> bool:
+        """Remove one entry matching ``(location, item)``, in place.
+
+        Returns True when an entry was removed; of several identical
+        entries, only one goes.  A removal bumps :attr:`version`.
+        """
 
     def traversal_roots(self) -> list | None:
         """Best-first traversal hook: root node(s), or None when unavailable.

@@ -7,11 +7,11 @@ index, and the kNN / kGNN algorithms.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.index.base import SpatialIndex, validate_location
+from repro.index.base import SpatialIndex, validate_entries, validate_location
 
 
 class BruteForceIndex(SpatialIndex):
@@ -25,6 +25,19 @@ class BruteForceIndex(SpatialIndex):
         validate_location(location)
         self.version += 1
         self._entries.append((location, item))
+
+    def bulk_load(self, items: Iterable[tuple[Point, Any]]) -> None:
+        pairs = validate_entries(items)
+        self.version += 1
+        self._entries = pairs
+
+    def delete(self, location: Point, item: Any) -> bool:
+        for i, (p, it) in enumerate(self._entries):
+            if p == location and (it is item or it == item):
+                self.version += 1
+                del self._entries[i]
+                return True
+        return False
 
     def __len__(self) -> int:
         return len(self._entries)

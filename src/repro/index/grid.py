@@ -86,6 +86,21 @@ class GridIndex(SpatialIndex):
         self._buckets = buckets
         self._count = len(pairs)
 
+    def delete(self, location: Point, item: Any) -> bool:
+        if not self.space.bounds.contains_point(location):
+            return False
+        key = self.cell_of(location)
+        bucket = self._buckets.get(key, [])
+        for i, (p, it) in enumerate(bucket):
+            if p == location and (it is item or it == item):
+                self.version += 1
+                del bucket[i]
+                if not bucket:
+                    del self._buckets[key]
+                self._count -= 1
+                return True
+        return False
+
     def traversal_roots(self) -> list[TraversalNode]:
         """A synthetic two-level hierarchy: one leaf node per occupied cell.
 

@@ -1,4 +1,8 @@
-"""Retrieval-quality metrics for (possibly approximate) kGNN answers."""
+"""Retrieval quality of kGNN answers.
+
+Scores a baseline's answer against the exact kGNN answer, and estimates
+the recall of a shard-degraded cluster answer when no exact answer exists.
+"""
 
 from __future__ import annotations
 

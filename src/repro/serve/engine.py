@@ -86,9 +86,8 @@ class ServeConfig:
     cluster: object | None = None  # a repro.cluster.ClusterConfig, or None
     # Index substrate override for the serving replicas (one of
     # repro.gnn.engine.INDEX_KINDS, or None to keep whatever index the
-    # LSP was built with).  Exact kinds keep the answers digest
-    # byte-identical; approximate kinds mark every answer partial with
-    # the engine's measured recall.
+    # LSP was built with).  Every kind keeps the answers digest
+    # byte-identical.
     index: str | None = None
     # Latency-histogram exemplars: record each bucket's worst observation
     # together with the span id of the job that produced it, so a flagged
@@ -146,17 +145,11 @@ class ServeConfig:
             if self.trace_capacity < 1:
                 raise ConfigurationError("trace_capacity must be >= 1")
         if self.index is not None:
-            from repro.gnn.engine import APPROXIMATE_INDEX_KINDS, INDEX_KINDS
+            from repro.gnn.engine import INDEX_KINDS
 
             if self.index not in INDEX_KINDS:
                 raise ConfigurationError(
                     f"unknown index kind {self.index!r}; known: {list(INDEX_KINDS)}"
-                )
-            if self.cluster is not None and self.index in APPROXIMATE_INDEX_KINDS:
-                # Shard merge assumes exact per-shard answers; an
-                # approximate substrate would corrupt the coverage math.
-                raise ConfigurationError(
-                    f"approximate index {self.index!r} cannot back a cluster"
                 )
 
     def runner_options(self, workload_seed: int) -> RunnerOptions:

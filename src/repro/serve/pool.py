@@ -129,14 +129,15 @@ class JobOutcome:
     comm_bytes: int = 0
     error_type: str | None = None
     error: str | None = None
-    # Cluster degradation provenance.  The defaults describe every
-    # non-cluster outcome, so the digest formula (and the pinned
-    # regression fixtures) are untouched when ``cluster=None``.
+    # Cluster degradation provenance.  Only a cluster job can be partial,
+    # so the defaults describe every non-cluster outcome and the digest
+    # formula (and the pinned regression fixtures) are untouched when
+    # ``cluster=None``.
     partial: bool = False
     coverage: float = 1.0
     lost_shards: tuple[int, ...] = ()
     expected_recall: float = 1.0
-    # The quality-scored PartialAnswer a partial job returned.
+    # The quality-scored PartialAnswer a degraded cluster job returned.
     partial_answer: object | None = None
 
 
@@ -298,13 +299,6 @@ class BucketRunner:
 
     # ------------------------------------------------------------ execution
 
-    def _approximate_quality(self):
-        """The engine's measured recall, when it serves approximate answers."""
-        engine = self.lsp.engine
-        if not getattr(engine, "is_approximate", False):
-            return None
-        return getattr(engine, "recall_estimate", None)
-
     def run_job(self, job: QueryJob, group: GroupProfile) -> JobOutcome:
         if self.obs is not None and self.options.exemplars:
             # One root span per job, stamped with the job id: the engine's
@@ -342,29 +336,6 @@ class BucketRunner:
                 error_type=type(exc).__name__,
                 error=str(exc),
             )
-        quality = self._approximate_quality()
-        if quality is None:
-            return JobOutcome(
-                job_id=job.job_id,
-                tenant=job.tenant,
-                group_id=job.group_id,
-                protocol=job.protocol,
-                ok=True,
-                answer_ids=result.answer_ids,
-                comm_bytes=result.report.total_comm_bytes,
-            )
-        from repro.cluster.merge import PartialAnswer
-
-        # Approximate-index answer: exact within the candidate set, marked
-        # partial with the engine's measured recall so it can never
-        # masquerade (or digest) as an exact answer.
-        partial_answer = PartialAnswer(
-            answer_ids=result.answer_ids,
-            covered_shards=(),
-            lost_shards=(),
-            coverage=quality.coverage,
-            quality=quality,
-        )
         return JobOutcome(
             job_id=job.job_id,
             tenant=job.tenant,
@@ -373,10 +344,6 @@ class BucketRunner:
             ok=True,
             answer_ids=result.answer_ids,
             comm_bytes=result.report.total_comm_bytes,
-            partial=True,
-            coverage=quality.coverage,
-            expected_recall=quality.expected_recall,
-            partial_answer=partial_answer,
         )
 
     def _run_cluster_job(self, job: QueryJob, group: GroupProfile) -> JobOutcome:

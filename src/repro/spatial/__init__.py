@@ -1,27 +1,11 @@
-"""The million-POI spatial index substrate.
+"""The R-tree's parallel bulk loader.
 
-Three families of sub-linear candidate machinery behind the
-:class:`~repro.index.base.SpatialIndex` ABC:
-
-- :mod:`repro.spatial.str_build` — a sharded parallel Sort-Tile-Recursive
-  bulk loader for the R-tree (worker processes tile independent vertical
-  slices; the stitched tree is byte-identical to a serial build for any
-  worker count), plus the STR tiling reused by cluster partitioning.
-- :mod:`repro.spatial.parttree` — a configurable partition-tree family
-  (kd / rp / 2-means split rules with a spill fraction, after the
-  spatialtree design): exact via per-node MBRs, approximate via defeatist
-  single-branch descent.
-- :mod:`repro.spatial.lsh` — a seeded p-stable LSH bucket index producing
-  sub-linear candidate sets with measured recall.
-
-Exact indexes answer byte-identically to the R-tree; the approximate
-candidate paths (spill > 0 descent, LSH buckets) are opt-in and always
-carry a measured recall estimate (see
-:meth:`repro.gnn.engine.GNNQueryEngine.recall_estimate`).
+:mod:`repro.spatial.str_build` is a sharded parallel Sort-Tile-Recursive
+bulk loader for the R-tree: worker processes tile independent vertical
+slices, and the stitched tree is byte-identical to a serial build for any
+worker count.  Its STR tiling is reused by cluster partitioning.
 """
 
-from repro.spatial.lsh import LSHIndex
-from repro.spatial.parttree import SPLIT_RULES, PartitionTree
 from repro.spatial.str_build import (
     parallel_str_bulk_load,
     str_partition_tiles,
@@ -29,9 +13,6 @@ from repro.spatial.str_build import (
 )
 
 __all__ = [
-    "LSHIndex",
-    "PartitionTree",
-    "SPLIT_RULES",
     "parallel_str_bulk_load",
     "str_partition_tiles",
     "tree_digest",

@@ -99,6 +99,13 @@ class TestServeBench:
         assert "simulated throughput" in out
         assert "kNN cache" in out
 
+    @pytest.mark.parametrize("index", ["lsh", "kdtree"])
+    def test_serve_bench_rejects_retired_index(self, capsys, index):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*self.ARGS, "--index", index])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{index}'" in capsys.readouterr().err
+
     def test_serve_bench_records_json(self, capsys, tmp_path):
         import json
 

@@ -129,9 +129,6 @@ _SCALAR_WALK_COUNTERS = {
     ("lattice", "rtree", "max"): (56, 896, "676e3137c107e796"),
     ("lattice", "rtree", "min"): (71, 1121, "74e04e69e89bbd96"),
     ("lattice", "rtree", "custom"): (110, 2344, "0c9d2950961ffffe"),
-    ("lattice", "kdtree", "sum"): (506, 3152, "edde91a12c7c8133"),
-    ("lattice", "kdtree", "max"): (189, 705, "c9a93065c25355ef"),
-    ("lattice", "kdtree", "min"): (232, 1016, "c198a11915d7bc03"),
     ("lattice", "grid", "sum"): (36, 242, "2ddec15709d53809"),
     ("lattice", "grid", "max"): (35, 236, "0404e9ce8ccaf1ba"),
     ("lattice", "grid", "min"): (30, 229, "d5c2581c496660de"),
@@ -139,9 +136,6 @@ _SCALAR_WALK_COUNTERS = {
     ("sequoia", "rtree", "max"): (83, 1464, "0778403f39bf82ff"),
     ("sequoia", "rtree", "min"): (81, 1460, "30b728db40713092"),
     ("sequoia", "rtree", "custom"): (172, 3936, "660b2361fb27d85f"),
-    ("sequoia", "kdtree", "sum"): (408, 3181, "7ef94e8c8cf2407f"),
-    ("sequoia", "kdtree", "max"): (206, 1244, "9d3c59eed94f7f4f"),
-    ("sequoia", "kdtree", "min"): (214, 1335, "248d6e8666273681"),
     ("sequoia", "grid", "sum"): (418, 5427, "d9fc04a91b15c5e8"),
     ("sequoia", "grid", "max"): (83, 492, "2b7fe3edabc1db63"),
     ("sequoia", "grid", "min"): (51, 933, "cbf28ee8eae6a33c"),
@@ -150,10 +144,8 @@ _SCALAR_WALK_COUNTERS = {
 #: SUM's counters with the convexity bound in its keys (``sum_support_arrays``).
 _CONVEX_SUM_COUNTERS = {
     ("lattice", "rtree"): (67, 1115, "af66ae54b7ad3931"),
-    ("lattice", "kdtree"): (285, 1358, "f1e1741d1b1a20ef"),
     ("lattice", "grid"): (36, 242, "2ddec15709d53809"),
     ("sequoia", "rtree"): (117, 2384, "f8fe38562194cf63"),
-    ("sequoia", "kdtree"): (231, 1458, "34124c6a3a551ef9"),
     ("sequoia", "grid"): (116, 1176, "c167265d0d333288"),
 }
 
@@ -275,7 +267,7 @@ class TestMBMDifferential:
     does no more work than it did, and its own pins record how much less.
     """
 
-    @pytest.mark.parametrize("index", ["rtree", "kdtree", "grid"])
+    @pytest.mark.parametrize("index", ["rtree", "grid"])
     @pytest.mark.parametrize("dataset", sorted(_DIFF_DATASETS))
     def test_builtin_aggregates(self, diff_run, dataset, index):
         counters = diff_run(dataset, index, (SUM, MAX, MIN))
@@ -324,7 +316,7 @@ class TestNodeArrayCache:
         tree = engine.tree
         mbm_kgnn(tree, [Point(0.5, 0.5)], len(tree), SUM)
 
-    @pytest.mark.parametrize("index", ["rtree", "kdtree", "grid"])
+    @pytest.mark.parametrize("index", INDEX_KINDS)
     def test_inserts_and_deletes(self, index):
         pois = uniform_pois(400, seed=31)
         engine = GNNQueryEngine(pois, index=index, max_entries=8)
@@ -337,9 +329,15 @@ class TestNodeArrayCache:
             if i % 10 == 9:
                 self._assert_exact(engine)
                 self._warm(engine)
-        for poi in pois[:60:3]:
+        size = len(engine)
+        deleted = pois[:60:3]
+        for count, poi in enumerate(deleted, start=1):
             assert engine.delete(poi)
+            assert len(engine) == size - count
         self._assert_exact(engine)
+        ids = {p.poi_id for p in engine.query(len(engine), [Point(0.5, 0.5)])}
+        assert len(ids) == len(engine)
+        assert not ids & {p.poi_id for p in deleted}
 
     def test_rtree_split_and_condense(self):
         pois = uniform_pois(400, seed=32)
@@ -415,14 +413,19 @@ class TestEngine:
         assert after[0].poi_id == 10_000
         assert before[0].poi_id != 10_000
 
-    def test_dynamic_delete(self):
+    @pytest.mark.parametrize("index", INDEX_KINDS)
+    def test_dynamic_delete(self, index):
         pois = uniform_pois(50, seed=4)
-        engine = GNNQueryEngine(pois)
+        engine = GNNQueryEngine(pois, index=index)
         q = pois[7].location
         assert engine.query(1, [q])[0].poi_id == 7
         assert engine.delete(pois[7])
         assert engine.query(1, [q])[0].poi_id != 7
         assert not engine.delete(pois[7])
+        assert not engine.delete(POI(7, Point(5.0, 5.0)))
+        assert len(engine) == 49
+        ids = [p.poi_id for p in engine.query(len(engine), [q])]
+        assert sorted(ids) == [pid for pid in range(50) if pid != 7]
 
     def test_insert_duplicate_id_rejected(self):
         pois = uniform_pois(10, seed=5)

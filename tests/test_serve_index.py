@@ -1,4 +1,4 @@
-"""Serving over every index substrate: digest identity and recall marking."""
+"""Serving over every index substrate: one answers digest."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.core.lsp import LSPServer
 from repro.datasets.synthetic import uniform_pois
 from repro.errors import ConfigurationError
 from repro.geometry.space import LocationSpace
-from repro.gnn.engine import APPROXIMATE_INDEX_KINDS
 from repro.serve import ServeConfig, ServeEngine, WorkloadSpec, generate_workload
 
 SAMPLES = 8
@@ -56,7 +55,7 @@ def _report(pois, space, config, workload, index):
 
 
 class TestExactDigestIdentity:
-    @pytest.mark.parametrize("kind", ["kdtree", "grid", "bruteforce"])
+    @pytest.mark.parametrize("kind", ["grid", "bruteforce"])
     def test_exact_kind_matches_rtree_digest(
         self, kind, pois, space, config, workload
     ):
@@ -66,38 +65,16 @@ class TestExactDigestIdentity:
         assert all(o.ok for o in got.outcomes.values())
 
 
-class TestApproximateServing:
-    @pytest.mark.parametrize("kind", sorted(APPROXIMATE_INDEX_KINDS))
-    def test_approximate_answers_marked_partial(
-        self, kind, pois, space, config, workload
-    ):
-        report = _report(pois, space, config, workload, kind)
-        for outcome in report.outcomes.values():
-            assert outcome.ok
-            assert outcome.partial, f"{kind} answers must be marked partial"
-            assert outcome.partial_answer is not None
-            quality = outcome.partial_answer.quality
-            assert quality is not None
-            assert 0.0 < quality.expected_recall <= 1.0
-            assert quality.guaranteed_recall == 0.0
-
-
 class TestConfigValidation:
     def test_unknown_index_rejected(self):
         with pytest.raises(ConfigurationError):
             ServeConfig(index="quadtree")
 
-    def test_approximate_with_cluster_rejected(self):
-        from repro.cluster import ClusterConfig
-
-        with pytest.raises(ConfigurationError):
-            ServeConfig(index="lsh", cluster=ClusterConfig(shards=2))
-
     def test_exact_with_cluster_allowed(self):
         from repro.cluster import ClusterConfig
 
-        cfg = ServeConfig(index="kdtree", cluster=ClusterConfig(shards=2))
-        assert cfg.index == "kdtree"
+        cfg = ServeConfig(index="grid", cluster=ClusterConfig(shards=2))
+        assert cfg.index == "grid"
 
 
 class TestIndexMetrics:
