@@ -80,10 +80,13 @@ class APNNServer:
         """Materialize every cell's answer for one k; returns the cell count.
 
         This is the offline step of [36]; its cost explains why APNN cannot
-        track a dynamic database.
+        track a dynamic database.  Every cell not yet cached is answered in
+        one batched :meth:`~repro.gnn.engine.GNNQueryEngine.query_many`.
         """
-        for cell in self.grid.all_cells():
-            self._cell_answer(cell, k)
+        cells = [cell for cell in self.grid.all_cells() if (cell, k) not in self._cache]
+        centers = [[self.grid.cell_center(*cell)] for cell in cells]
+        for cell, answer in zip(cells, self.engine.query_many(k, centers), strict=True):
+            self._cache[cell, k] = answer
         return self.grid.cells_per_side**2
 
     def invalidate(self) -> int:

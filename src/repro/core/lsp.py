@@ -1,9 +1,10 @@
 """The location-based service provider (LSP).
 
 Owns the POI database behind a :class:`~repro.gnn.engine.GNNQueryEngine`,
-executes Algorithm 2 (candidate-query generation, per-candidate kGNN,
-answer sanitation, private selection), and serves the single-user protocol
-of Section 3 plus the two-phase selection of PPGNN-OPT.  Every request
+executes Algorithm 2 (candidate-query generation, one batch of kGNN
+queries for the candidates, answer sanitation, private selection), and
+serves the single-user protocol of Section 3 plus the two-phase selection
+of PPGNN-OPT.  Every request
 handler charges its computation to the ledger's LSP clock and its
 homomorphic work to the LSP operation counter.
 """
@@ -161,21 +162,30 @@ class LSPServer:
         theta0: float | None,
         codec: AnswerCodec,
     ) -> list[list[int]]:
-        """Lines 2-6 of Algorithm 2: one encoded answer column per candidate."""
+        """Lines 2-6 of Algorithm 2: one encoded answer column per candidate.
+
+        An engine with ``query_many`` answers every candidate's kGNN query
+        in one call; any other engine is queried per candidate.  Either
+        way the answers are sanitized and encoded in candidate order, so
+        the sanitizer draws its samples in the same order.
+        """
         sanitizer = self._sanitizer(theta0) if theta0 is not None else None
+        candidates = list(candidates)
+        query_many = getattr(self.engine, "query_many", None)
+        if query_many is not None:
+            answers = query_many(k, candidates)
+        else:
+            answers = [self.engine.query(k, candidate) for candidate in candidates]
         columns: list[list[int]] = []
         lengths: list[int] = []
-        count = 0
-        for candidate in candidates:
-            count += 1
-            pois = self.engine.query(k, candidate)
+        for candidate, pois in zip(candidates, answers, strict=True):
             if sanitizer is not None:
                 pois = list(sanitizer.sanitize(pois, candidate).prefix)
             lengths.append(len(pois))
             columns.append(codec.encode(pois))
         self.last_stats = QueryStats(
-            candidate_count=count,
-            kgnn_queries=count,
+            candidate_count=len(candidates),
+            kgnn_queries=len(candidates),
             sanitized_answer_lengths=tuple(lengths),
             sanitation_samples=sanitizer.plan.n_samples if sanitizer else 0,
         )

@@ -23,7 +23,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.space import LocationSpace
 from repro.gnn.aggregate import Aggregate, SUM
-from repro.gnn.mbm import mbm_kgnn
+from repro.gnn.mbm import mbm_kgnn_many
 from repro.gnn.mqm import mqm_kgnn
 from repro.gnn.spm import spm_kgnn
 from repro.index.base import IndexCounters, validate_location
@@ -31,14 +31,34 @@ from repro.index.bruteforce import BruteForceIndex
 from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 
-#: The three classic group-kNN algorithms of [24], selectable per engine.
-_ALGORITHMS = {"mbm": mbm_kgnn, "spm": spm_kgnn, "mqm": mqm_kgnn}
+
+def _per_set(kgnn):
+    """A one-group kGNN function, looped over a batch of groups."""
+
+    def many(tree, groups, k, aggregate, counters):
+        return [kgnn(tree, group, k, aggregate, counters) for group in groups]
+
+    return many
+
+
+#: The three classic group-kNN algorithms of [24], selectable per engine,
+#: each answering a batch of location sets.
+_ALGORITHMS = {"mbm": mbm_kgnn_many, "spm": _per_set(spm_kgnn), "mqm": _per_set(mqm_kgnn)}
 
 #: Selectable index substrates behind the kGNN black box.
 INDEX_KINDS = ("rtree", "grid", "bruteforce")
 
 #: Signature of a pluggable group-query function: (k, locations) -> ranked POIs.
 GroupQueryFn = Callable[[int, Sequence[Point]], list[POI]]
+
+
+class _Pending:
+    """A kNN-cache placeholder for a miss the batched walk has yet to answer."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        self.index = index
 
 
 class GNNQueryEngine:
@@ -132,16 +152,29 @@ class GNNQueryEngine:
 
     # ---------------------------------------------------------------- queries
 
+    def _checked_k(self, k: int, location_sets: Sequence[Sequence[Point]]) -> int:
+        """``k`` capped at the database size, once every input is valid.
+
+        A NaN or infinite location would poison every score comparison and
+        return some ranking without an error.
+        """
+        if k < 1:
+            raise ConfigurationError("k must be positive")
+        if not len(self.tree):
+            raise ConfigurationError("the POI database must be non-empty")
+        for locations in location_sets:
+            if not locations:
+                raise ConfigurationError("kGNN query needs at least one location")
+            for location in locations:
+                validate_location(location)
+        return min(k, len(self.tree))
+
     def _run_kgnn(
-        self, k: int, locations: Sequence[Point]
-    ) -> list[tuple[Point, POI, float]]:
-        # A NaN or infinite location would poison every score comparison
-        # and return some ranking without an error.
-        for location in locations:
-            validate_location(location)
-        self.index_counters.queries += 1
+        self, k: int, location_sets: Sequence[Sequence[Point]]
+    ) -> list[list[tuple[Point, POI, float]]]:
+        self.index_counters.queries += len(location_sets)
         return self._kgnn(
-            self.tree, locations, k, self.aggregate, self.index_counters
+            self.tree, location_sets, k, self.aggregate, self.index_counters
         )
 
     def __len__(self) -> int:
@@ -175,34 +208,66 @@ class GNNQueryEngine:
         a cache installed, a verbatim repeat of an earlier query (same
         index version, same k, same locations) is served from memory;
         results are identical to the uncached path by construction of the
-        exact key.  A NaN or infinite location raises :class:`ConfigurationError`.
+        exact key.  A NaN or infinite location, a ``k`` below 1 or an
+        emptied database raises :class:`ConfigurationError`.
         """
-        k = min(k, len(self.tree))
+        return self.query_many(k, [locations])[0]
+
+    def query_many(
+        self, k: int, location_sets: Sequence[Sequence[Point]]
+    ) -> list[list[POI]]:
+        """:meth:`query` for each location set, the kGNN calls in one batch.
+
+        Every location is validated before any work.  With a cache
+        installed, the sets are looked up in order, and each miss stores a
+        placeholder at once, so recency, hits, misses and evictions are
+        those of a loop of :meth:`query` calls (a repeat within the batch
+        hits its placeholder).  Only the misses are answered, in one
+        batched walk, and each placeholder still cached is then filled in
+        place.
+        """
+        k = self._checked_k(k, location_sets)
         cache = self.knn_cache
         if cache is None:
-            return [poi for _, poi, _ in self._run_kgnn(k, locations)]
+            return [
+                [poi for _, poi, _ in ranked]
+                for ranked in self._run_kgnn(k, location_sets)
+            ]
         from repro.serve.cache import knn_cache_key
 
-        key = knn_cache_key(
-            self.tree.version,
-            self.algorithm,
-            self.aggregate.name,
-            k,
-            locations,
-        )
-        hit = cache.lookup(key)
-        if hit is not None:
-            return list(hit)
-        result = [poi for _, poi, _ in self._run_kgnn(k, locations)]
-        cache.store(key, tuple(result))
-        return result
+        answers: list = []
+        misses: list[tuple[tuple, Sequence[Point]]] = []
+        for locations in location_sets:
+            key = knn_cache_key(
+                self.tree.version, self.algorithm, self.aggregate.name, k, locations
+            )
+            answer = cache.lookup(key)
+            if answer is None:
+                answer = _Pending(len(misses))
+                misses.append((key, locations))
+                cache.store(key, answer)
+            answers.append(answer)
+        results: list[tuple[POI, ...]] = []
+        if misses:
+            try:
+                walked = self._run_kgnn(k, [locations for _, locations in misses])
+            except BaseException:
+                for key, _ in misses:
+                    cache.discard(key)
+                raise
+            results = [tuple(poi for _, poi, _ in ranked) for ranked in walked]
+            for (key, _), result in zip(misses, results, strict=True):
+                cache.fill(key, result)
+        return [
+            list(results[a.index] if isinstance(a, _Pending) else a) for a in answers
+        ]
 
     def query_scored(
         self, k: int, locations: Sequence[Point]
     ) -> list[tuple[POI, float]]:
         """Like :meth:`query` but keeps the aggregate scores (for tests)."""
-        k = min(k, len(self.tree))
-        return [(poi, score) for _, poi, score in self._run_kgnn(k, locations)]
+        k = self._checked_k(k, [locations])
+        return [(poi, score) for _, poi, score in self._run_kgnn(k, [locations])[0]]
 
     # Mutation passthroughs: the dynamic-database story of Section 1.
 

@@ -4,9 +4,9 @@ MBM generalizes best-first kNN to a *group* of query locations: a tree node
 is ranked by ``F(mindist(MBR, l_1), ..., mindist(MBR, l_n))``.  Because F
 is monotonically increasing and ``mindist`` lower-bounds every real
 distance from any point inside the MBR, this value lower-bounds the
-aggregate cost of every POI under the node, so best-first order remains
-exact.  This is the plaintext kGNN black box run per candidate query by the
-LSP (Algorithm 2 line 3).
+aggregate cost of every POI under the node, so best-first search remains
+exact.  This is the plaintext kGNN black box the LSP runs for every
+candidate query (Algorithm 2 line 3).
 
 For ``sum`` and two or more users that bound is loose around a spread
 group: every user's mindist can be small while no point is near all of
@@ -17,31 +17,25 @@ key is then the larger of the two bounds, still at most the cost of every
 POI under it.  MAX, MIN, custom aggregates and single users keep F of the
 mindists.
 
-Like :mod:`repro.gnn.knn` the search is index-agnostic: it walks whatever
-hierarchy :meth:`~repro.index.base.SpatialIndex.traversal_roots` exposes,
-and falls back to scoring every entry exhaustively for flat indexes —
-identical answers, different work, both metered through the optional
+Like :mod:`repro.gnn.knn` the search is index-agnostic: it walks the
+:meth:`~repro.index.base.SpatialIndex.flat_view` of whatever hierarchy
+:meth:`~repro.index.base.SpatialIndex.traversal_roots` exposes, and falls
+back to scoring every entry exhaustively for flat indexes — identical
+answers, different work, both metered through the optional
 :class:`~repro.index.base.IndexCounters`.
 
-Node expansion is computed in numpy.  Each expanded node's coordinates or
-child MBRs come from :func:`~repro.index.base.node_arrays`, cached on the
-node.  One ``(entries, n)`` distance matrix per node gives every leaf score
-or child bound, and heap keys are pushed straight from it.  The numpy
-distance and the built-in aggregates' ``combine_rows`` equal their scalar
-forms bit for bit, so every leaf score is the scalar score; a custom
-aggregate applies its own ``combine`` to each row.  An entry is pushed
-only while its key is at most ``kth``, the k-th smallest point score pushed
-so far: anything above it could never be popped before the k-th result.
-Points pop in ``(score, location)`` order whatever the node keys, as long
-as each lower-bounds its POIs, so tighter keys change only how many nodes
-are expanded (see DESIGN.md, "kGNN hot path").
+:func:`mbm_kgnn_many` answers a batch of groups (the δ′ candidates of one
+request) in one walk of rounds over the flat view.  Each round, every
+group expands its best pending nodes whose key is at most its current
+k-th score, ``kth``: child keys come from :func:`rect_keyer` and leaf
+scores from the aggregate's rows, each on one stacked array per round.
+Every entry that can reach a group's top k is scored, so the result is
+exact; the rounds only change how many nodes are expanded (see DESIGN.md,
+"kGNN hot path").  :func:`mbm_kgnn` is its one-group call.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from itertools import count
 from typing import Any, Sequence
 
 import numpy as np
@@ -50,10 +44,18 @@ from repro.errors import ConfigurationError
 from repro.geometry.distance import mindist_arrays, stacked_norm
 from repro.geometry.point import Point
 from repro.gnn.aggregate import MAX, MIN, SUM, Aggregate
-from repro.index.base import IndexCounters, SpatialIndex, mbr_array, node_arrays
+from repro.index.base import FlatView, IndexCounters, SpatialIndex
 
 #: Aggregates whose ``combine_rows`` equals ``combine`` bit for bit.
 _VECTOR_AGGREGATES = (SUM, MAX, MIN)
+
+#: Pending nodes a group expands per round: the first entry while it holds
+#: fewer than k candidates, then one entry further each round; the last
+#: takes every remaining node.  Small rounds let ``kth`` tighten before the
+#: frontier widens.
+_BUDGETS = np.array((2, 2, 4, 8, 16, 64, np.iinfo(np.intp).max))
+
+Ranked = list[tuple[Point, Any, float]]
 
 
 def _fallback_kgnn(
@@ -62,8 +64,8 @@ def _fallback_kgnn(
     k: int,
     aggregate: Aggregate,
     counters: IndexCounters | None,
-) -> list[tuple[Point, Any, float]]:
-    """Score every entry; same ordering contract as the best-first walk."""
+) -> Ranked:
+    """Score every entry; same ordering contract as the walk."""
     ranked = sorted(
         (aggregate(p.distance_to(q) for q in locations), (p.x, p.y), i, p, item)
         for i, (p, item) in enumerate(tree.entries())
@@ -81,22 +83,151 @@ def _row_scorer(aggregate: Aggregate):
 
 
 def rect_keyer(aggregate: Aggregate, n: int):
-    """The walk's key function for rectangles, for a group of ``n`` users.
+    """The walk's key function for rectangles, for groups of ``n`` users.
 
-    Maps stacked users ``q`` ``(2, 1, n)`` and rectangle corners ``lo``,
-    ``hi`` ``(2, m, 1)`` to m heap keys, as floats: F of the users'
-    mindists [24], raised to the aggregate's ``rect_bound`` where it has one
-    and n >= 2 (one user's mindist is already its exact minimum over the
-    rectangle).  ``np.fmax`` keeps F of the mindists where that bound is
-    NaN.  Both lower-bound the cost of every point inside.
+    Maps stacked users ``q``, ``(2, 1, n)`` for one group or ``(2, m, n)``
+    for one group per rectangle, and rectangle corners ``lo``, ``hi``
+    ``(2, m, 1)`` to an array of m keys: F of the users' mindists [24],
+    raised to the aggregate's ``rect_bound`` where it has one and n >= 2
+    (one user's mindist is already its exact minimum over the rectangle).
+    ``np.fmax`` keeps F of the mindists where that bound is NaN.  Both
+    lower-bound the cost of every point inside.
     """
     score = _row_scorer(aggregate)
     bound = aggregate.rect_bound if n > 1 else None
     if bound is None:
-        return lambda q, lo, hi: score(mindist_arrays(q, lo, hi)).tolist()
-    return lambda q, lo, hi: np.fmax(
-        score(mindist_arrays(q, lo, hi)), bound(q, lo, hi)
-    ).tolist()
+        return lambda q, lo, hi: score(mindist_arrays(q, lo, hi))
+    return lambda q, lo, hi: np.fmax(score(mindist_arrays(q, lo, hi)), bound(q, lo, hi))
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``first[i] .. first[i] + count[i] - 1`` concatenated.
+
+    Returns the ids and, for each, the index ``i`` of its range.
+    """
+    owner = np.repeat(np.arange(len(count)), count)
+    ids = np.arange(len(owner)) + np.repeat(first - (np.cumsum(count) - count), count)
+    return ids, owner
+
+
+def _ranks(sorted_groups: np.ndarray) -> np.ndarray:
+    """Each element's position within its run of a sorted group-id array."""
+    return np.arange(len(sorted_groups)) - np.searchsorted(sorted_groups, sorted_groups)
+
+
+def _walk(
+    view: FlatView,
+    groups: Sequence[Sequence[Point]],
+    k: int,
+    aggregate: Aggregate,
+    counters: IndexCounters | None,
+) -> list[Ranked]:
+    """The batched best-first walk over groups of one size."""
+    # Users stacked (2, groups, n); q[:, g] lines one group up per row.
+    q = np.array([[[p.x for p in g] for g in groups], [[p.y for p in g] for g in groups]])
+    score = _row_scorer(aggregate)
+    rect_keys = rect_keyer(aggregate, q.shape[2])
+
+    def node_keys(g: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        rects = view.rects[:, nodes]
+        return rect_keys(q[:, g], rects[:2], rects[2:])
+
+    kth = np.full(len(groups), np.inf)
+    stage = np.zeros(len(groups), dtype=np.intp)
+    # Pending nodes, one (group, node, key) per row.
+    pend_g = np.repeat(np.arange(len(groups)), view.roots)
+    pend_n = np.tile(np.arange(view.roots), len(groups))
+    pend_k = node_keys(pend_g, pend_n)
+    # Candidate entries, one (group, entry, score) per row, each at most
+    # its group's kth.
+    cand_g = cand_e = np.empty(0, dtype=np.intp)
+    cand_s = np.empty(0)
+    while True:
+        # Each group's best pending nodes, up to its budget.  kth only
+        # falls, so a node keyed above it is dropped for good.
+        stage = np.minimum(stage + np.isfinite(kth), len(_BUDGETS) - 1)
+        order = np.lexsort((pend_k, pend_g))
+        sorted_g = pend_g[order]
+        live = pend_k[order] <= kth[sorted_g]
+        within = _ranks(sorted_g) < _BUDGETS[stage[sorted_g]]
+        take, rest = order[live & within], order[live & ~within]
+        if not len(take):
+            break
+        node, node_g = pend_n[take], pend_g[take]
+        pend_g, pend_n, pend_k = pend_g[rest], pend_n[rest], pend_k[rest]
+        ids, owner = _ranges(view.first[node], view.count[node])
+        ids_g = node_g[owner]
+        at_leaf = view.leaf[node][owner]
+        children, child_g = ids[~at_leaf], ids_g[~at_leaf]
+        entries, entry_g = ids[at_leaf], ids_g[at_leaf]
+        if counters is not None:
+            counters.nodes_visited += len(node)
+            counters.candidates_scored += len(entries)
+        child_k = node_keys(child_g, children)
+        fits = child_k <= kth[child_g]
+        pend_g = np.concatenate((pend_g, child_g[fits]))
+        pend_n = np.concatenate((pend_n, children[fits]))
+        pend_k = np.concatenate((pend_k, child_k[fits]))
+        scores = score(stacked_norm(view.xy[:, entries] - q[:, entry_g]))
+        fits = scores <= kth[entry_g]
+        cand_g = np.concatenate((cand_g, entry_g[fits]))
+        cand_e = np.concatenate((cand_e, entries[fits]))
+        cand_s = np.concatenate((cand_s, scores[fits]))
+        # The k-th smallest score of each group holding k candidates.
+        order = np.lexsort((cand_s, cand_g))
+        at = order[_ranks(cand_g[order]) == k - 1]
+        kth[cand_g[at]] = cand_s[at]
+        fits = cand_s <= kth[cand_g]
+        cand_g, cand_e, cand_s = cand_g[fits], cand_e[fits], cand_s[fits]
+    # Rank by (score, x, y).  Entries tied on all three (two POIs at one
+    # location) follow their leaves' (key, corner), then flat order: the
+    # order in which a one-group best-first heap pops those leaves.
+    leaves = np.flatnonzero(view.leaf)
+    cand_l = leaves[np.searchsorted(view.first[leaves], cand_e, side="right") - 1]
+    corners = view.rects[:2, cand_l, 0]
+    x, y = view.xy[:, cand_e, 0]
+    order = np.lexsort(
+        (cand_e, corners[1], corners[0], node_keys(cand_g, cand_l), y, x, cand_s, cand_g)
+    )
+    top = order[_ranks(cand_g[order]) < k]
+    results: list[Ranked] = [[] for _ in groups]
+    positions = (cand_e[top] - view.first[cand_l[top]]).tolist()
+    for g, leaf, i, s in zip(
+        cand_g[top].tolist(), cand_l[top].tolist(), positions, cand_s[top].tolist(), strict=True
+    ):
+        node = view.nodes[leaf]
+        results[g].append((node.points[i], node.items[i], s))
+    return results
+
+
+def mbm_kgnn_many(
+    tree: SpatialIndex,
+    groups: Sequence[Sequence[Point]],
+    k: int,
+    aggregate: Aggregate,
+    counters: IndexCounters | None = None,
+) -> list[Ranked]:
+    """Exact top-``k`` group nearest neighbors of every group, in one walk.
+
+    Returns one list per group, as :func:`mbm_kgnn` would for it alone.
+    Groups of different sizes are walked separately, one walk per size.
+    """
+    if k < 1:
+        raise ConfigurationError("k must be positive")
+    if not all(groups):
+        raise ConfigurationError("kGNN query needs at least one location")
+    view = tree.flat_view()
+    if view is None:
+        return [_fallback_kgnn(tree, g, k, aggregate, counters) for g in groups]
+    by_size: dict[int, list[int]] = {}
+    for i, group in enumerate(groups):
+        by_size.setdefault(len(group), []).append(i)
+    results: list[Ranked] = [[] for _ in groups]
+    for members in by_size.values():
+        answers = _walk(view, [groups[i] for i in members], k, aggregate, counters)
+        for i, answer in zip(members, answers, strict=True):
+            results[i] = answer
+    return results
 
 
 def mbm_kgnn(
@@ -105,67 +236,11 @@ def mbm_kgnn(
     k: int,
     aggregate: Aggregate,
     counters: IndexCounters | None = None,
-) -> list[tuple[Point, Any, float]]:
+) -> Ranked:
     """Exact top-``k`` group nearest neighbors.
 
     Returns ``(location, item, score)`` triples in ascending aggregate-cost
     order, where ``score = F(dis(p, l_1), ..., dis(p, l_n))``.  Ties break
     deterministically on location.
     """
-    if k < 1:
-        raise ConfigurationError("k must be positive")
-    if not locations:
-        raise ConfigurationError("kGNN query needs at least one location")
-    roots = tree.traversal_roots()
-    if roots is None:
-        return _fallback_kgnn(tree, locations, k, aggregate, counters)
-    version = tree.version
-    score = _row_scorer(aggregate)
-    rect_keys = rect_keyer(aggregate, len(locations))
-    # Query locations stacked as (x, y) rows; they broadcast against the
-    # (2, entries, 1) node arrays into (2, entries, n) differences.
-    q = np.array([[[loc.x for loc in locations]], [[loc.y for loc in locations]]])
-    seq = count()
-    heap: list[tuple[float, tuple[float, float], int, bool, Any]] = []
-    rects = mbr_array(roots)
-    root_bounds = rect_keys(q, rects[:2], rects[2:])
-    for root, bound in zip(roots, root_bounds, strict=True):
-        if root.mbr is not None:
-            heapq.heappush(heap, (bound, (0.0, 0.0), next(seq), False, root))
-    # The k smallest scores pushed so far, negated (a max-heap); an entry
-    # scoring above kth sits behind k pushed points and is never popped.
-    best: list[float] = []
-    kth = math.inf
-    result: list[tuple[Point, Any, float]] = []
-    while heap and len(result) < k:
-        key, _, _, is_point, payload = heapq.heappop(heap)
-        if is_point:
-            p, item = payload
-            result.append((p, item, key))
-            continue
-        node = payload
-        if counters is not None:
-            counters.nodes_visited += 1
-        arrays = node_arrays(node, version)
-        if node.is_leaf:
-            if counters is not None:
-                counters.candidates_scored += len(node.points)
-            costs = score(stacked_norm(arrays - q)).tolist()
-            for p, item, cost in zip(node.points, node.items, costs, strict=True):
-                if cost > kth:
-                    continue
-                heapq.heappush(heap, (cost, (p.x, p.y), next(seq), True, (p, item)))
-                if len(best) < k:
-                    heapq.heappush(best, -cost)
-                else:
-                    heapq.heapreplace(best, -cost)
-                if len(best) == k:
-                    kth = -best[0]
-        else:
-            bounds = rect_keys(q, arrays[:2], arrays[2:])
-            for child, bound in zip(node.children, bounds, strict=True):
-                mbr = child.mbr
-                if bound > kth or mbr is None:
-                    continue
-                heapq.heappush(heap, (bound, (mbr.xmin, mbr.ymin), next(seq), False, child))
-    return result
+    return mbm_kgnn_many(tree, [locations], k, aggregate, counters)[0]

@@ -12,6 +12,10 @@ structures in Python:
   baseline's precomputation),
 - :class:`~repro.index.bruteforce.BruteForceIndex` — the O(D) oracle used to
   property-test the tree-based indexes.
+
+Every hierarchical index also exposes its traversal as one version-stamped
+:class:`~repro.index.base.FlatView` of numpy arrays, the form the batched
+MBM walk reads.
 """
 
 from repro.index.base import SpatialIndex

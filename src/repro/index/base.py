@@ -41,12 +41,12 @@ class TraversalNode:
     """A synthetic best-first traversal node for non-tree indexes.
 
     Matches the node protocol of the R-tree (``is_leaf`` / ``points`` /
-    ``items`` / ``children`` / ``mbr`` / ``arrays``), so an index without a
-    native node hierarchy can still expose
-    :meth:`SpatialIndex.traversal_roots` by wrapping its buckets.
+    ``items`` / ``children`` / ``mbr``), so an index without a native node
+    hierarchy can still expose :meth:`SpatialIndex.traversal_roots` by
+    wrapping its buckets.
     """
 
-    __slots__ = ("is_leaf", "points", "items", "children", "mbr", "arrays")
+    __slots__ = ("is_leaf", "points", "items", "children", "mbr")
 
     def __init__(
         self,
@@ -61,50 +61,74 @@ class TraversalNode:
         self.items = items if items is not None else []
         self.children = children if children is not None else []
         self.mbr = mbr
-        self.arrays: tuple[int, np.ndarray] | None = None
 
 
-_NO_MBR = Rect(0.0, 0.0, 0.0, 0.0)
+class FlatView:
+    """A whole traversal hierarchy as a few flat numpy arrays.
 
+    Nodes are numbered breadth-first from the roots, so the children of an
+    inner node take consecutive numbers in their stored order, and so do
+    the entries of a leaf.  A node without an MBR (an empty root or child)
+    is left out.
 
-def mbr_array(nodes: Sequence) -> np.ndarray:
-    """The MBRs of ``nodes`` as one ``(4, len(nodes), 1)`` float array.
-
-    Rows are ``xmin``, ``ymin``, ``xmax``, ``ymax``, so ``[:2]`` and ``[2:]``
-    stack the low and high corners, and the trailing axis broadcasts
-    against a ``(2, 1, n)`` stack of query locations.  A node without an
-    MBR gets a zero column, which searches must skip on ``node.mbr is None``.
+    Attributes
+    ----------
+    version:
+        The index :attr:`~SpatialIndex.version` the view was built at.
+    nodes:
+        The traversal nodes in flat order; a result entry resolves to
+        ``nodes[leaf].points[i]`` and ``nodes[leaf].items[i]``, so the view
+        keeps no second copy of the entry lists.
+    roots:
+        The number of roots; they are nodes ``0 .. roots - 1``.
+    rects:
+        Node MBRs, shape ``(4, nodes, 1)``, rows ``xmin``, ``ymin``,
+        ``xmax``, ``ymax``: ``[:2]`` and ``[2:]`` stack the corners, and
+        the trailing axis broadcasts against stacked query locations.
+    leaf:
+        Whether each node is a leaf.
+    first, count:
+        An inner node's children are nodes ``first .. first + count - 1``;
+        a leaf's entries are entries ``first .. first + count - 1``.
+    xy:
+        Entry coordinates, shape ``(2, entries, 1)``, leaf by leaf in flat
+        order.
     """
-    rects = [_NO_MBR if n.mbr is None else n.mbr for n in nodes]
-    array = np.empty((4, len(rects), 1))
-    array[0, :, 0] = [r.xmin for r in rects]
-    array[1, :, 0] = [r.ymin for r in rects]
-    array[2, :, 0] = [r.xmax for r in rects]
-    array[3, :, 0] = [r.ymax for r in rects]
-    return array
 
+    __slots__ = ("version", "nodes", "roots", "rects", "leaf", "first", "count", "xy")
 
-def node_arrays(node, version: int) -> np.ndarray:
-    """A traversal node's entries as one float array, built on first visit.
-
-    A leaf gives its point coordinates, shape ``(2, len(points), 1)`` with
-    rows ``x`` and ``y``; an inner node gives :func:`mbr_array` of its
-    children.  The array is cached in the node's ``arrays`` slot, stamped
-    with the index ``version`` it was built at.  Every mutation bumps the
-    version, so a node changed by an insert or delete is rebuilt on its
-    next visit and the index needs no other bookkeeping.
-    """
-    cached = node.arrays
-    if cached is not None and cached[0] == version:
-        return cached[1]
-    if node.is_leaf:
-        array = np.empty((2, len(node.points), 1))
-        array[0, :, 0] = [p.x for p in node.points]
-        array[1, :, 0] = [p.y for p in node.points]
-    else:
-        array = mbr_array(node.children)
-    node.arrays = (version, array)
-    return array
+    def __init__(self, roots: Sequence, version: int) -> None:
+        nodes = [root for root in roots if root.mbr is not None]
+        self.roots = len(nodes)
+        first: list[int] = []
+        count: list[int] = []
+        entries = 0
+        # Breadth-first: the loop reaches the children it appends.
+        for node in nodes:
+            if node.is_leaf:
+                first.append(entries)
+                count.append(len(node.points))
+                entries += len(node.points)
+            else:
+                children = [child for child in node.children if child.mbr is not None]
+                first.append(len(nodes))
+                count.append(len(children))
+                nodes.extend(children)
+        self.version = version
+        self.nodes = nodes
+        self.leaf = np.array([node.is_leaf for node in nodes], dtype=bool)
+        self.first = np.array(first, dtype=np.intp)
+        self.count = np.array(count, dtype=np.intp)
+        self.rects = np.empty((4, len(nodes), 1))
+        for row, attr in enumerate(("xmin", "ymin", "xmax", "ymax")):
+            self.rects[row, :, 0] = [getattr(node.mbr, attr) for node in nodes]
+        # Leaf by leaf: no list of every coordinate is built on the way.
+        self.xy = np.empty((2, entries, 1))
+        for node, start in zip(nodes, first, strict=True):
+            if node.is_leaf:
+                stop = start + len(node.points)
+                self.xy[0, start:stop, 0] = [p.x for p in node.points]
+                self.xy[1, start:stop, 0] = [p.y for p in node.points]
 
 
 def validate_location(location: Point) -> Point:
@@ -144,9 +168,10 @@ class SpatialIndex(ABC):
     """
 
     #: Monotone mutation counter: every content change bumps it, so result
-    #: caches keyed on ``(version, query)`` and the node arrays cached by
-    #: :func:`node_arrays` invalidate automatically.
+    #: caches keyed on ``(version, query)`` and the :class:`FlatView` cached
+    #: by :meth:`flat_view` invalidate automatically.
     version: int = 0
+    _flat_view: FlatView | None = None
 
     @abstractmethod
     def insert(self, location: Point, item: Any) -> None:
@@ -184,14 +209,28 @@ class SpatialIndex(ABC):
         """Best-first traversal hook: root node(s), or None when unavailable.
 
         Returned nodes follow the R-tree node protocol (``is_leaf``,
-        ``points``/``items`` on leaves, ``children`` on inner nodes, an
-        ``mbr`` that bounds everything beneath, and an ``arrays`` slot,
-        initially None, where :func:`node_arrays` caches the node's numpy
-        view against this index's ``version``).  Query algorithms fall
+        ``points``/``items`` on leaves, ``children`` on inner nodes, and an
+        ``mbr`` that bounds everything beneath).  Query algorithms fall
         back to an exhaustive sorted scan over :meth:`entries` when this
         returns None, so non-hierarchical indexes stay exact.
         """
         return None
+
+    def flat_view(self) -> FlatView | None:
+        """The :meth:`traversal_roots` hierarchy as one :class:`FlatView`.
+
+        Built on the first call after a mutation and kept, stamped with
+        :attr:`version`, until the next one: every mutation bumps the
+        version, so inserts and deletes need no other bookkeeping.  None
+        when :meth:`traversal_roots` is.
+        """
+        view = self._flat_view
+        if view is None or view.version != self.version:
+            roots = self.traversal_roots()
+            if roots is None:
+                return None
+            view = self._flat_view = FlatView(roots, self.version)
+        return view
 
     def __bool__(self) -> bool:
         return len(self) > 0

@@ -106,7 +106,8 @@ class GridIndex(SpatialIndex):
 
         Built on demand from the live buckets (O(n)); leaf MBRs are tight
         over the actual points, so best-first searches prune exactly.
-        Cells are visited in sorted key order for determinism.
+        Cells are visited in sorted key order for determinism.  The MBM
+        walk reads it through :meth:`flat_view`, built once per version.
         """
         children: list[TraversalNode] = []
         root_mbr: Rect | None = None

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, Iterator
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -58,13 +56,9 @@ def slice_leaf_chunks(
 
 
 class _Node:
-    """An R-tree node: a leaf holds (Point, item) pairs, an inner node holds children.
+    """An R-tree node: a leaf holds (Point, item) pairs, an inner node holds children."""
 
-    ``arrays`` is the version-stamped numpy cache of
-    :func:`repro.index.base.node_arrays`.
-    """
-
-    __slots__ = ("is_leaf", "points", "items", "children", "mbr", "arrays")
+    __slots__ = ("is_leaf", "points", "items", "children", "mbr")
 
     def __init__(self, is_leaf: bool) -> None:
         self.is_leaf = is_leaf
@@ -72,7 +66,6 @@ class _Node:
         self.items: list[Any] = []
         self.children: list["_Node"] = []
         self.mbr: Rect | None = None
-        self.arrays: tuple[int, np.ndarray] | None = None
 
     def entry_count(self) -> int:
         return len(self.points) if self.is_leaf else len(self.children)

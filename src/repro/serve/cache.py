@@ -98,6 +98,20 @@ class KnnLRUCache:
             self.stats.evictions += 1
         self._entries[key] = value
 
+    def fill(self, key: Hashable, value: Any) -> None:
+        """Replace the value under ``key`` if it is still cached.
+
+        Neither recency nor the counters move: the batched engine stores a
+        placeholder per miss in lookup order and fills in the answers once
+        its walk is done.
+        """
+        if key in self._entries:
+            self._entries[key] = value
+
+    def discard(self, key: Hashable) -> None:
+        """Drop ``key`` if present, without touching the counters."""
+        self._entries.pop(key, None)
+
     def clear(self) -> None:
         self._entries.clear()
 

@@ -61,6 +61,21 @@ class TestAPNN:
         assert server.invalidate() == 16
         assert server.invalidate() == 0
 
+    def test_precompute_equals_per_cell_queries(self, medium_pois):
+        """One batched call fills the cells a per-cell loop would, with the
+        same answers; cells already cached are not walked again."""
+        server = APNNServer(medium_pois, cells_per_side=8)
+        server._cell_answer((3, 5), 4)
+        counters = server.engine.index_counters
+        assert counters.queries == 1
+        assert server.precompute(k=4) == 64
+        assert counters.queries == 64
+        assert sorted(server._cache) == sorted((cell, 4) for cell in server.grid.all_cells())
+        for cell in server.grid.all_cells():
+            center = server.grid.cell_center(*cell)
+            expected = [p.poi_id for p in server.engine.query(4, [center])]
+            assert [p.poi_id for p in server._cache[cell, 4]] == expected
+
     def test_lazy_cache_reused(self, server, fast_config):
         run_apnn(server, Point(0.5, 0.5), fast_config, seed=1)
         cached = len(server._cache)

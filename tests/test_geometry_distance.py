@@ -329,14 +329,14 @@ class TestConvexSumBound:
         q = user_stack(group)
         lower = mindist_arrays(q, lo, hi)
         for aggregate in (MAX, MIN):
-            assert rect_keyer(aggregate, len(group))(q, lo, hi) == (
+            assert rect_keyer(aggregate, len(group))(q, lo, hi).tolist() == (
                 aggregate.combine_rows(lower).tolist()
             )
         one = user_stack(group[:1])
-        assert rect_keyer(SUM, 1)(one, lo, hi) == (
+        assert rect_keyer(SUM, 1)(one, lo, hi).tolist() == (
             SUM.combine_rows(mindist_arrays(one, lo, hi)).tolist()
         )
         custom = faithful_custom()
-        assert rect_keyer(custom, len(group))(q, lo, hi) == [
+        assert rect_keyer(custom, len(group))(q, lo, hi).tolist() == [
             custom.combine(row) for row in lower.tolist()
         ]

@@ -12,6 +12,8 @@ from repro.datasets.sequoia import load_sequoia
 from repro.datasets.synthetic import uniform_pois
 from repro.errors import ConfigurationError
 from repro.geometry.point import Point
+from repro.geometry.rect import Rect
+from repro.geometry.space import LocationSpace
 from repro.gnn.aggregate import (
     MAX,
     MIN,
@@ -23,7 +25,7 @@ from repro.gnn.aggregate import (
 from repro.gnn.bruteforce import brute_force_kgnn
 from repro.gnn.engine import INDEX_KINDS, GNNQueryEngine
 from repro.gnn.knn import best_first_knn
-from repro.gnn.mbm import mbm_kgnn
+from repro.gnn.mbm import mbm_kgnn, mbm_kgnn_many
 from repro.gnn.mqm import mqm_kgnn
 from repro.gnn.spm import spm_kgnn
 from repro.index.base import IndexCounters
@@ -121,32 +123,51 @@ def _counter_digests(runs) -> dict[str, tuple[int, int, str]]:
     }
 
 
+def _answer_digest(runs) -> str:
+    """One digest of every ``(point, poi_id, score)`` list, in run order."""
+    lists = [[(p.x, p.y, item.poi_id, s) for p, item, s in got] for _, got, _ in runs]
+    return hashlib.sha256(repr(lists).encode()).hexdigest()[:16]
+
+
 #: Counters of the differential workloads per aggregate, recorded from the
-#: MBM walk keyed by F of the mindists alone (the scalar walk that scored
-#: every entry of every expanded node has the same counters).
+#: batched walk.  ``sum`` is keyed here by F of the mindists alone
+#: (``rect_bound=None``), the key MAX, MIN and the custom aggregate keep.
 _SCALAR_WALK_COUNTERS = {
-    ("lattice", "rtree", "sum"): (110, 2427, "6e38d8d36dcf6922"),
-    ("lattice", "rtree", "max"): (56, 896, "676e3137c107e796"),
-    ("lattice", "rtree", "min"): (71, 1121, "74e04e69e89bbd96"),
-    ("lattice", "rtree", "custom"): (110, 2344, "0c9d2950961ffffe"),
-    ("lattice", "grid", "sum"): (36, 242, "2ddec15709d53809"),
-    ("lattice", "grid", "max"): (35, 236, "0404e9ce8ccaf1ba"),
-    ("lattice", "grid", "min"): (30, 229, "d5c2581c496660de"),
-    ("sequoia", "rtree", "sum"): (244, 6140, "427b978a25831a93"),
-    ("sequoia", "rtree", "max"): (83, 1464, "0778403f39bf82ff"),
-    ("sequoia", "rtree", "min"): (81, 1460, "30b728db40713092"),
-    ("sequoia", "rtree", "custom"): (172, 3936, "660b2361fb27d85f"),
-    ("sequoia", "grid", "sum"): (418, 5427, "d9fc04a91b15c5e8"),
-    ("sequoia", "grid", "max"): (83, 492, "2b7fe3edabc1db63"),
-    ("sequoia", "grid", "min"): (51, 933, "cbf28ee8eae6a33c"),
+    ("lattice", "rtree", "sum"): (118, 2459, "af54fbe331d5509f"),
+    ("lattice", "rtree", "max"): (71, 1088, "64c4ddda5e335a27"),
+    ("lattice", "rtree", "min"): (94, 1633, "3741547c1d73a412"),
+    ("lattice", "rtree", "custom"): (118, 2376, "6fb42c0c5e0f640e"),
+    ("lattice", "grid", "sum"): (44, 344, "d3d8bc741f8e4380"),
+    ("lattice", "grid", "max"): (46, 347, "61a0426fc421b6f2"),
+    ("lattice", "grid", "min"): (50, 440, "67603fe27737ada2"),
+    ("sequoia", "rtree", "sum"): (248, 6172, "026fc0925ef8ec4e"),
+    ("sequoia", "rtree", "max"): (89, 1528, "207ab6d6f0a2729b"),
+    ("sequoia", "rtree", "min"): (88, 1544, "92a60ac243b6cb80"),
+    ("sequoia", "rtree", "custom"): (175, 3968, "52d0470a299513f5"),
+    ("sequoia", "grid", "sum"): (422, 5457, "86a328753aeb201f"),
+    ("sequoia", "grid", "max"): (86, 527, "f86ba4e5a271b251"),
+    ("sequoia", "grid", "min"): (57, 1119, "1ce839fddae14bbb"),
 }
 
 #: SUM's counters with the convexity bound in its keys (``sum_support_arrays``).
 _CONVEX_SUM_COUNTERS = {
-    ("lattice", "rtree"): (67, 1115, "af66ae54b7ad3931"),
-    ("lattice", "grid"): (36, 242, "2ddec15709d53809"),
-    ("sequoia", "rtree"): (117, 2384, "f8fe38562194cf63"),
-    ("sequoia", "grid"): (116, 1176, "c167265d0d333288"),
+    ("lattice", "rtree"): (77, 1179, "6475153ee3393dfe"),
+    ("lattice", "grid"): (44, 344, "d3d8bc741f8e4380"),
+    ("sequoia", "rtree"): (122, 2416, "4a1e8e21abf6264d"),
+    ("sequoia", "grid"): (122, 1255, "f3f9f4cbed59dac7"),
+}
+
+#: :func:`_answer_digest` of the differential runs, recorded from the
+#: one-group heap walk the batched walk replaced.  On the lattice most
+#: answers hold POIs tied on score and location, so these pin the order
+#: of such ties, which the oracle comparison leaves open.
+_DIFF_ANSWER_DIGESTS = {
+    ("lattice", "rtree", "builtin"): "97481966e2585928",
+    ("lattice", "rtree", "custom"): "2d9a1235b835d90a",
+    ("lattice", "grid", "builtin"): "07601c8976314830",
+    ("sequoia", "rtree", "builtin"): "b87ac1d1622f289e",
+    ("sequoia", "rtree", "custom"): "b9db1d38dc143e7f",
+    ("sequoia", "grid", "builtin"): "a8709792c3575a0f",
 }
 
 
@@ -236,7 +257,8 @@ class TestMBM:
 
 @pytest.fixture(scope="module")
 def diff_run():
-    """Checks a differential run against ``brute_force_kgnn``; returns its counters.
+    """Checks a differential run against ``brute_force_kgnn``; returns its
+    counters and :func:`_answer_digest`.
 
     Each dataset/index is built once per module.
     """
@@ -255,22 +277,24 @@ def diff_run():
             assert all(item.location == p for p, item, _ in got)
             ids = [item.poi_id for _, item, _ in got]
             assert len(set(ids)) == len(ids)
-        return _counter_digests(runs)
+        return _counter_digests(runs), _answer_digest(runs)
 
     return run
 
 
 class TestMBMDifferential:
-    """The walk against the oracle and the pinned counters of each aggregate.
+    """The walk against the oracle, the pinned answers and the pinned
+    counters of each aggregate.
 
-    MAX, MIN and the custom aggregate keep the scalar walk's counters; SUM
-    does no more work than it did, and its own pins record how much less.
+    SUM does no more work than it does keyed by F of the mindists alone, and
+    its own pins record how much less.
     """
 
     @pytest.mark.parametrize("index", ["rtree", "grid"])
     @pytest.mark.parametrize("dataset", sorted(_DIFF_DATASETS))
     def test_builtin_aggregates(self, diff_run, dataset, index):
-        counters = diff_run(dataset, index, (SUM, MAX, MIN))
+        counters, answers = diff_run(dataset, index, (SUM, MAX, MIN))
+        assert answers == _DIFF_ANSWER_DIGESTS[dataset, index, "builtin"]
         for name in ("max", "min"):
             assert counters[name] == _SCALAR_WALK_COUNTERS[dataset, index, name]
         nodes, scored, _ = _SCALAR_WALK_COUNTERS[dataset, index, "sum"]
@@ -279,7 +303,8 @@ class TestMBMDifferential:
 
     @pytest.mark.parametrize("dataset", sorted(_DIFF_DATASETS))
     def test_custom_aggregate_scores_exactly(self, diff_run, dataset):
-        counters = diff_run(dataset, "rtree", (_sum_of_squares(),))
+        counters, answers = diff_run(dataset, "rtree", (_sum_of_squares(),))
+        assert answers == _DIFF_ANSWER_DIGESTS[dataset, "rtree", "custom"]
         assert counters == {
             _sum_of_squares().name: _SCALAR_WALK_COUNTERS[dataset, "rtree", "custom"]
         }
@@ -292,8 +317,110 @@ def _leaves(node) -> list:
     return [leaf for child in node.children for leaf in _leaves(child)]
 
 
+_AGGREGATES = {"sum": lambda: SUM, "max": lambda: MAX, "min": lambda: MIN, "custom": _sum_of_squares}
+
+
+@st.composite
+def _lattice_group(draw, n: int):
+    """n users on a 6 x 6 half-unit lattice, often stacked on one spot."""
+    spot = st.builds(Point, *[st.integers(0, 10).map(lambda v: v / 2)] * 2)
+    if draw(st.booleans()):
+        return [draw(spot)] * n
+    return draw(st.lists(spot, min_size=n, max_size=n))
+
+
+class TestBatchedWalk:
+    """``mbm_kgnn_many`` against the oracle and against one-group calls."""
+
+    @staticmethod
+    def _assert_batch(tree, groups, k, aggregate):
+        counters = IndexCounters()
+        got = mbm_kgnn_many(tree, groups, k, aggregate, counters)
+        alone = IndexCounters()
+        assert len(got) == len(groups)
+        for group, answer in zip(groups, got, strict=True):
+            want = brute_force_kgnn(tree.entries(), group, k, aggregate)
+            # Entries tied on (score, location) are interchangeable for the
+            # oracle; a one-group call must match the batch exactly.
+            assert [(s, p) for p, _, s in answer] == [(s, p) for p, _, s in want]
+            single = mbm_kgnn(tree, group, k, aggregate, alone)
+            assert [(p, i.poi_id, s) for p, i, s in answer] == [
+                (p, i.poi_id, s) for p, i, s in single
+            ]
+        # Each group's rounds depend on it alone: the batch does their work.
+        assert (counters.nodes_visited, counters.candidates_scored) == (
+            alone.nodes_visited,
+            alone.candidates_scored,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        index=st.sampled_from(INDEX_KINDS),
+        aggregate=st.sampled_from(sorted(_AGGREGATES)),
+        count=st.integers(1, 60),
+    )
+    def test_agrees_with_oracle_and_one_group_calls(self, data, index, aggregate, count):
+        aggregate = _AGGREGATES[aggregate]()
+        pois = _lattice_pois(count, 6, seed=count)
+        space = LocationSpace(Rect(0.0, 0.0, 5.0, 5.0))
+        engine = GNNQueryEngine(pois, index=index, max_entries=4, space=space)
+        tree = engine.tree
+        next_id = count
+        for _ in range(3):
+            sizes = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))
+            groups = data.draw(
+                st.lists(
+                    st.sampled_from(sizes).flatmap(_lattice_group), min_size=1, max_size=30
+                )
+            )
+            k = data.draw(st.integers(1, len(tree) + 2))
+            self._assert_batch(tree, groups, k, aggregate)
+            view = tree.flat_view()
+            assert view is None or view.version == tree.version
+            # Mutate between batches: the next batch must see a rebuilt view.
+            for _ in range(data.draw(st.integers(0, 6))):
+                spot = data.draw(_lattice_group(1))[0]
+                engine.insert(POI(next_id, spot))
+                next_id += 1
+            live = engine.pois
+            for poi in data.draw(
+                st.lists(st.sampled_from(live), max_size=len(live) - 1, unique=True)
+            ):
+                assert engine.delete(poi)
+
+    def test_rtree_split_and_condense(self):
+        pois = uniform_pois(400, seed=32)
+        engine = GNNQueryEngine(pois, max_entries=8)
+        tree = engine.tree
+        groups = [
+            [Point(0.2, 0.3), Point(0.25, 0.35), Point(0.3, 0.2)],
+            [Point(0.9, 0.1), Point(0.1, 0.9)],
+            [Point(0.5, 0.5)],
+        ]
+        self._assert_batch(tree, groups, 12, SUM)
+        # STR packs full leaves, so one insert into a leaf splits it.
+        leaves = len(_leaves(tree.root))
+        leaf = _leaves(tree.root)[7]
+        engine.insert(POI(1000, leaf.points[0]))
+        assert len(_leaves(tree.root)) == leaves + 1
+        for aggregate in (SUM, MAX, MIN):
+            self._assert_batch(tree, groups, 12, aggregate)
+        # Deleting down past the fill floor dissolves the leaf and
+        # reinserts its remaining entries elsewhere.
+        victim = _leaves(tree.root)[20]
+        for item in list(victim.items)[: len(victim.items) - tree.min_entries + 1]:
+            assert engine.delete(item)
+        assert all(victim is not node for node in _leaves(tree.root))
+        for aggregate in (SUM, MAX, MIN):
+            self._assert_batch(tree, groups, 12, aggregate)
+        assert tree.flat_view().version == tree.version
+        ids = {p.poi_id for p in engine.query(len(engine), [Point(0.5, 0.5)])}
+        assert len(ids) == len(engine)
+
+
 class TestNodeArrayCache:
-    """A node's cached arrays never outlive a mutation of its index."""
+    """An index's cached node arrays never outlive a mutation of it."""
 
     GROUPS = [
         [Point(0.2, 0.3), Point(0.25, 0.35), Point(0.3, 0.2)],
@@ -309,10 +436,12 @@ class TestNodeArrayCache:
                 got = mbm_kgnn(tree, group, 12, aggregate)
                 want = brute_force_kgnn(tree.entries(), group, 12, aggregate)
                 assert [(s, p) for p, _, s in got] == [(s, p) for p, _, s in want]
+        view = tree.flat_view()
+        assert view is None or view.version == tree.version
 
     @staticmethod
     def _warm(engine):
-        """One query that expands every node, so every node caches its arrays."""
+        """One query that expands every node, so the flat view is built."""
         tree = engine.tree
         mbm_kgnn(tree, [Point(0.5, 0.5)], len(tree), SUM)
 
@@ -338,27 +467,6 @@ class TestNodeArrayCache:
         ids = {p.poi_id for p in engine.query(len(engine), [Point(0.5, 0.5)])}
         assert len(ids) == len(engine)
         assert not ids & {p.poi_id for p in deleted}
-
-    def test_rtree_split_and_condense(self):
-        pois = uniform_pois(400, seed=32)
-        engine = GNNQueryEngine(pois, max_entries=8)
-        tree = engine.tree
-        self._warm(engine)
-        # STR packs full leaves, so one insert into a leaf splits it.
-        leaves = len(_leaves(tree.root))
-        leaf = _leaves(tree.root)[7]
-        engine.insert(POI(1000, leaf.points[0]))
-        assert len(_leaves(tree.root)) == leaves + 1
-        self._assert_exact(engine)
-        # Deleting down past the fill floor dissolves the leaf and
-        # reinserts its remaining entries elsewhere.
-        self._warm(engine)
-        victim = _leaves(tree.root)[20]
-        for item in list(victim.items)[: len(victim.items) - tree.min_entries + 1]:
-            assert engine.delete(item)
-        assert all(victim is not node for node in _leaves(tree.root))
-        self._assert_exact(engine)
-        assert tree.root.arrays is not None and tree.root.arrays[0] == tree.version
 
 
 class TestDuplicateEntries:
@@ -426,6 +534,36 @@ class TestEngine:
         assert len(engine) == 49
         ids = [p.poi_id for p in engine.query(len(engine), [q])]
         assert sorted(ids) == [pid for pid in range(50) if pid != 7]
+
+    @pytest.mark.parametrize("index", INDEX_KINDS)
+    def test_emptied_database_rejected(self, index):
+        """Every POI deleted: the error names the empty database, not k."""
+        pois = uniform_pois(12, seed=8)
+        engine = GNNQueryEngine(pois, index=index)
+        for poi in pois:
+            assert engine.delete(poi)
+        group = [Point(0.5, 0.5)]
+        calls = (
+            lambda: engine.query(3, group),
+            lambda: engine.query_scored(3, group),
+            lambda: engine.query_many(3, [group, group]),
+        )
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="POI database must be non-empty"):
+                call()
+
+    def test_query_many_equals_one_query_per_set(self):
+        engine = GNNQueryEngine(uniform_pois(200, seed=9))
+        sets = [[Point(0.1, 0.2)], [Point(0.3, 0.3), Point(0.8, 0.1)], [Point(0.1, 0.2)]]
+        got = engine.query_many(7, sets)
+        assert [[p.poi_id for p in a] for a in got] == [
+            [p.poi_id for p in engine.query(7, locations)] for locations in sets
+        ]
+        assert engine.query_many(7, []) == []
+        with pytest.raises(ConfigurationError, match="at least one location"):
+            engine.query_many(7, [[Point(0.5, 0.5)], []])
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            engine.query_many(7, [[Point(0.5, 0.5)], [Point(float("nan"), 0.5)]])
 
     def test_insert_duplicate_id_rejected(self):
         pois = uniform_pois(10, seed=5)

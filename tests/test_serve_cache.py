@@ -73,6 +73,34 @@ class TestEngineCaching:
         stats = cached.knn_cache.stats
         assert stats.hits > 0 and stats.misses > 0 and stats.evictions > 0
 
+    def test_query_many_matches_a_query_loop(self, pois, space):
+        """A cache smaller than one request, with repeats inside a request:
+        answers, counters and the final LRU order and contents equal a loop
+        of ``query`` calls.  ``g[0]`` returns after its entry was evicted."""
+        nprng = np.random.default_rng(21)
+        g = [tuple(space.sample_points(3, nprng)) for _ in range(7)]
+        requests = [
+            [g[0], g[1], g[2], g[3], g[4], g[1], g[0]],
+            [g[4], g[5], g[0], g[5], g[6], g[2], g[6]],
+        ]
+        batched, looped = GNNQueryEngine(pois), GNNQueryEngine(pois)
+        batched.set_knn_cache(KnnLRUCache(4))
+        looped.set_knn_cache(KnnLRUCache(4))
+        for request in requests:
+            got = batched.query_many(5, request)
+            want = [looped.query(5, group) for group in request]
+            assert [[p.poi_id for p in a] for a in got] == [
+                [p.poi_id for p in a] for a in want
+            ]
+            assert batched.knn_cache.stats == looped.knn_cache.stats
+            assert list(batched.knn_cache._entries.items()) == list(
+                looped.knn_cache._entries.items()
+            )
+        stats = batched.knn_cache.stats
+        assert (stats.hits, stats.misses, stats.evictions) == (5, 9, 5)
+        # Only the misses were walked.
+        assert batched.index_counters.queries == looped.index_counters.queries == 9
+
     def test_mutation_invalidates_entries(self, pois, space):
         engine = GNNQueryEngine(pois)
         engine.set_knn_cache(KnnLRUCache(16))
