@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.datasets.poi import POI
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_int
 from repro.geometry.point import Point
 from repro.gnn.aggregate import Aggregate
 from repro.metrics.quality import PartialAnswerQuality
@@ -79,8 +79,7 @@ def merge_answers(
     float expression, so the result matches a single-LSP query over the
     union of the responding shards' POIs bit for bit.
     """
-    if k < 1:
-        raise ConfigurationError("k must be >= 1")
+    k = positive_int(k, "k")
     candidates: dict[int, POI] = {}
     for answer in answers:
         for poi_id in answer.answer_ids:

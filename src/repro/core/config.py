@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_int
 from repro.gnn.aggregate import Aggregate, get_aggregate
 
 
@@ -62,12 +62,14 @@ class PPGNNConfig:
     aggregate_name: str = "sum"
 
     def __post_init__(self) -> None:
+        for name in ("d", "delta", "k", "keysize"):
+            positive_int(getattr(self, name), name)
+        if self.sanitation_samples is not None:
+            positive_int(self.sanitation_samples, "sanitation_samples")
         if self.d < 2:
             raise ConfigurationError("d must be > 1 (Privacy I, Definition 2.2)")
         if self.delta < self.d:
             raise ConfigurationError("delta must be >= d (Privacy II, Definition 2.2)")
-        if self.k < 1:
-            raise ConfigurationError("k must be positive")
         if self.theta0 is not None and not 0.0 < self.theta0 <= 1.0:
             raise ConfigurationError("theta0 must be in (0, 1]")
         if self.sanitize and self.theta0 is None:

@@ -388,9 +388,11 @@ class PaillierPrivateKey:
     def obfuscate_stages(self, s: int = 1) -> tuple[tuple[int, int], ...]:
         """``(multiplications, modulus bits)`` of each step of :meth:`obfuscate`.
 
-        The square-and-multiply count of each builtin ``pow`` (what CPython
-        runs below its 60-digit windowing cutoff) at its own nominal width,
-        plus Garner; with the fast paths off, one full-width ``pow``.
+        A binary square-and-multiply model of each builtin ``pow`` at its
+        own nominal width, plus Garner; with the fast paths off, one
+        full-width ``pow``.  A model, not a count: CPython 3.11 switches
+        to a sliding window above 60-bit exponents, and these exponents
+        have about half the key's bits or more.
         """
         if not fastexp.enabled():
             public = self.public_key

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from repro.datasets.poi import POI
 from repro.encoding.packing import join_bitstream, split_bitstream
-from repro.errors import ConfigurationError, EncodingError
+from repro.errors import ConfigurationError, EncodingError, positive_int
 from repro.geometry.point import Point
 from repro.geometry.space import LocationSpace
 
@@ -65,8 +65,7 @@ class AnswerCodec:
         coord_bits: int = 20,
         count_bits: int = 16,
     ) -> None:
-        if k < 1:
-            raise ConfigurationError("k must be positive")
+        k = positive_int(k, "k")
         if min(id_bits, coord_bits, count_bits) < 1:
             raise ConfigurationError("field widths must be positive")
         if k >= (1 << count_bits):

@@ -8,6 +8,8 @@ violations.
 
 from __future__ import annotations
 
+import numbers
+
 
 class ReproError(Exception):
     """Base class for every error raised by this library."""
@@ -20,6 +22,22 @@ class ConfigurationError(ReproError, ValueError):
     larger than ``d ** n`` (no feasible partition exists), or a key size too
     small to hold an encoded answer integer.
     """
+
+
+def positive_int(value: object, name: str) -> int:
+    """``value`` as an ``int`` when it is an integer of at least 1.
+
+    Python and numpy integers pass; a float (even ``2.0``), a bool or any
+    other type raises :class:`ConfigurationError`, as does a value below 1.
+    This is the one check behind every ``k`` and every count setting.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(
+            f"{name} must be an integer >= 1, not {type(value).__name__} {value!r}"
+        )
+    if value < 1:
+        raise ConfigurationError(f"{name} must be an integer >= 1, got {value}")
+    return int(value)
 
 
 class CryptoError(ReproError):

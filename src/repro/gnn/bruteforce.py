@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_int
 from repro.geometry.point import Point
 from repro.gnn.aggregate import Aggregate
 
@@ -20,8 +20,7 @@ def brute_force_kgnn(
     Same tie-breaking contract as :func:`~repro.gnn.mbm.mbm_kgnn` (score,
     then location), so results are comparable element-wise in tests.
     """
-    if k < 1:
-        raise ConfigurationError("k must be positive")
+    k = positive_int(k, "k")
     if not locations:
         raise ConfigurationError("kGNN query needs at least one location")
     scored = [

@@ -18,7 +18,7 @@ import math
 from typing import Callable, Sequence
 
 from repro.datasets.poi import POI
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_int
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.space import LocationSpace
@@ -26,7 +26,7 @@ from repro.gnn.aggregate import Aggregate, SUM
 from repro.gnn.mbm import mbm_kgnn_many
 from repro.gnn.mqm import mqm_kgnn
 from repro.gnn.spm import spm_kgnn
-from repro.index.base import IndexCounters, validate_location
+from repro.index.base import IndexCounters, SpatialIndex, validate_location
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
@@ -45,11 +45,52 @@ def _per_set(kgnn):
 #: each answering a batch of location sets.
 _ALGORITHMS = {"mbm": mbm_kgnn_many, "spm": _per_set(spm_kgnn), "mqm": _per_set(mqm_kgnn)}
 
+_INDEX_TYPES = {"rtree": RTree, "grid": GridIndex, "bruteforce": BruteForceIndex}
+
 #: Selectable index substrates behind the kGNN black box.
-INDEX_KINDS = ("rtree", "grid", "bruteforce")
+INDEX_KINDS = tuple(_INDEX_TYPES)
 
 #: Signature of a pluggable group-query function: (k, locations) -> ranked POIs.
 GroupQueryFn = Callable[[int, Sequence[Point]], list[POI]]
+
+
+def build_index(
+    kind: str,
+    pois: Sequence[POI],
+    space: LocationSpace | None = None,
+    max_entries: int = 32,
+    build_workers: int | None = None,
+) -> SpatialIndex:
+    """The ``kind`` index over ``pois``, as :class:`GNNQueryEngine` builds it.
+
+    ``max_entries`` is the R-tree fan-out; ``space`` sizes the grid (the
+    POIs' bounding box when omitted); ``build_workers`` > 1 bulk-loads an
+    R-tree through the parallel STR builder, which gives the same tree.
+    """
+    if kind not in _INDEX_TYPES:
+        raise ConfigurationError(
+            f"unknown index kind {kind!r}; known: {list(INDEX_KINDS)}"
+        )
+    entries = [(poi.location, poi) for poi in pois]
+    if kind == "rtree":
+        tree = RTree(max_entries=max_entries)
+        if build_workers is not None and build_workers > 1:
+            from repro.spatial.str_build import parallel_str_bulk_load
+
+            parallel_str_bulk_load(tree, entries, workers=build_workers)
+        else:
+            tree.bulk_load(entries)
+        return tree
+    if kind == "grid":
+        if space is None:
+            space = LocationSpace(Rect.from_points([p for p, _ in entries]))
+        cells = max(1, math.ceil(math.sqrt(len(entries) / 8)))
+        tree = GridIndex(space, cells_per_side=cells)
+        tree.bulk_load(entries)
+        return tree
+    tree = BruteForceIndex()
+    tree.bulk_load(entries)
+    return tree
 
 
 class _Pending:
@@ -84,6 +125,12 @@ class GNNQueryEngine:
         When > 1 and ``index="rtree"``, bulk-load via the sharded parallel
         STR builder — the resulting tree is byte-identical to a serial
         build, so this is purely a wall-clock knob.
+    tree:
+        An index of kind ``index`` that :func:`build_index` already built
+        over exactly ``pois``.  The engine shares it instead of building
+        its own and only reads it: :meth:`insert` and :meth:`delete`
+        raise, since other engines answer from the same index.  Counters,
+        the kNN cache and the id map stay the engine's own.
     """
 
     def __init__(
@@ -95,6 +142,7 @@ class GNNQueryEngine:
         index: str = "rtree",
         space: LocationSpace | None = None,
         build_workers: int | None = None,
+        tree: SpatialIndex | None = None,
     ) -> None:
         if not pois:
             raise ConfigurationError("the POI database must be non-empty")
@@ -105,50 +153,24 @@ class GNNQueryEngine:
             raise ConfigurationError(
                 f"unknown kGNN algorithm {algorithm!r}; known: {sorted(_ALGORITHMS)}"
             )
-        if index not in INDEX_KINDS:
-            raise ConfigurationError(
-                f"unknown index kind {index!r}; known: {list(INDEX_KINDS)}"
-            )
         self.index_kind = index
         self.index_counters = IndexCounters()
-        entries = [(poi.location, poi) for poi in pois]
+        self._shared = tree is not None
+        if tree is None:
+            tree = build_index(index, pois, space, max_entries, build_workers)
+        elif not isinstance(tree, _INDEX_TYPES.get(index, ())) or len(tree) != len(pois):
+            raise ConfigurationError(
+                f"a shared index must be a {index!r} index over exactly the given POIs"
+            )
         # `tree` keeps its historical name: callers poke engine.tree for
         # version/height regardless of which substrate is behind it.
-        self.tree = self._build_index(index, entries, max_entries, space, build_workers)
+        self.tree = tree
         self._by_id = {poi.poi_id: poi for poi in pois}
         if len(self._by_id) != len(pois):
             raise ConfigurationError("duplicate poi_id values in the database")
         #: Optional exact-match kGNN result cache (see repro.serve.cache).
         #: None keeps the historical uncached behavior.
         self.knn_cache = None
-
-    @staticmethod
-    def _build_index(
-        kind: str,
-        entries: list[tuple[Point, POI]],
-        max_entries: int,
-        space: LocationSpace | None,
-        build_workers: int | None,
-    ):
-        if kind == "rtree":
-            tree = RTree(max_entries=max_entries)
-            if build_workers is not None and build_workers > 1:
-                from repro.spatial.str_build import parallel_str_bulk_load
-
-                parallel_str_bulk_load(tree, entries, workers=build_workers)
-            else:
-                tree.bulk_load(entries)
-            return tree
-        if kind == "grid":
-            if space is None:
-                space = LocationSpace(Rect.from_points([p for p, _ in entries]))
-            cells = max(1, math.ceil(math.sqrt(len(entries) / 8)))
-            tree = GridIndex(space, cells_per_side=cells)
-            tree.bulk_load(entries)
-            return tree
-        tree = BruteForceIndex()
-        tree.bulk_load(entries)
-        return tree
 
     # ---------------------------------------------------------------- queries
 
@@ -158,8 +180,7 @@ class GNNQueryEngine:
         A NaN or infinite location would poison every score comparison and
         return some ranking without an error.
         """
-        if k < 1:
-            raise ConfigurationError("k must be positive")
+        k = positive_int(k, "k")
         if not len(self.tree):
             raise ConfigurationError("the POI database must be non-empty")
         for locations in location_sets:
@@ -273,6 +294,7 @@ class GNNQueryEngine:
 
     def insert(self, poi: POI) -> None:
         """Add a POI to the live database (no precomputation to refresh)."""
+        self._check_owned()
         if poi.poi_id in self._by_id:
             raise ConfigurationError(f"poi_id {poi.poi_id} already present")
         self.tree.insert(poi.location, poi)
@@ -280,7 +302,15 @@ class GNNQueryEngine:
 
     def delete(self, poi: POI) -> bool:
         """Remove a POI; returns False when it was not present."""
+        self._check_owned()
         removed = self.tree.delete(poi.location, poi)
         if removed:
             del self._by_id[poi.poi_id]
         return removed
+
+    def _check_owned(self) -> None:
+        if self._shared:
+            raise ConfigurationError(
+                "this engine shares its index read-only; mutate an engine "
+                "that built its own"
+            )

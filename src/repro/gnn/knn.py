@@ -20,7 +20,7 @@ import heapq
 from itertools import count
 from typing import Any, Iterator
 
-from repro.errors import ConfigurationError
+from repro.errors import positive_int
 from repro.geometry.distance import mindist_point_rect
 from repro.geometry.point import Point
 from repro.index.base import IndexCounters, SpatialIndex
@@ -108,8 +108,7 @@ def best_first_knn(
     Ties break deterministically on location then insertion order (via the
     queue sequence number), so repeated runs over the same tree agree.
     """
-    if k < 1:
-        raise ConfigurationError("k must be positive")
+    k = positive_int(k, "k")
     stream = incremental_nearest(tree, query, counters)
     result: list[tuple[Point, Any]] = []
     for _, p, item in stream:

@@ -40,7 +40,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_int
 from repro.geometry.distance import mindist_arrays, stacked_norm
 from repro.geometry.point import Point
 from repro.gnn.aggregate import MAX, MIN, SUM, Aggregate
@@ -212,8 +212,7 @@ def mbm_kgnn_many(
     Returns one list per group, as :func:`mbm_kgnn` would for it alone.
     Groups of different sizes are walked separately, one walk per size.
     """
-    if k < 1:
-        raise ConfigurationError("k must be positive")
+    k = positive_int(k, "k")
     if not all(groups):
         raise ConfigurationError("kGNN query needs at least one location")
     view = tree.flat_view()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_int
 from repro.geometry.point import Point
 from repro.gnn.aggregate import Aggregate
 from repro.gnn.knn import incremental_nearest
@@ -35,8 +35,7 @@ def mqm_kgnn(
 
     Same result contract as :func:`~repro.gnn.mbm.mbm_kgnn`.
     """
-    if k < 1:
-        raise ConfigurationError("k must be positive")
+    k = positive_int(k, "k")
     if not locations:
         raise ConfigurationError("kGNN query needs at least one location")
     streams = [incremental_nearest(tree, l, counters) for l in locations]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_int
 from repro.geometry.point import Point
 from repro.gnn.aggregate import Aggregate
 from repro.gnn.knn import incremental_nearest
@@ -56,8 +56,7 @@ def spm_kgnn(
     triangle-inequality bound); same result contract as
     :func:`~repro.gnn.mbm.mbm_kgnn`.
     """
-    if k < 1:
-        raise ConfigurationError("k must be positive")
+    k = positive_int(k, "k")
     if not locations:
         raise ConfigurationError("kGNN query needs at least one location")
     bound_factory = _BOUNDS.get(aggregate.name)

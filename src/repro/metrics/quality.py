@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.datasets.poi import POI
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_int
 from repro.geometry.point import Point
 from repro.gnn.aggregate import Aggregate
 
@@ -96,8 +96,7 @@ def estimate_partial_quality(
         raise ConfigurationError(
             "need 0 <= covered_pois <= total_pois with total_pois >= 1"
         )
-    if k < 1:
-        raise ConfigurationError("k must be >= 1")
+    k = positive_int(k, "k")
     coverage = covered_pois / total_pois
     lost = total_pois - covered_pois
     return PartialAnswerQuality(

@@ -12,7 +12,9 @@ The engine runs in three phases:
 2. **Execute** — every planned job actually runs (real Paillier crypto,
    real R-tree search) through :mod:`repro.serve.pool`, bucketed by
    group so the serial and multiprocessing backends produce identical
-   answers, cache hits, and pool statistics.
+   answers, cache hits, and pool statistics.  The replicas' index is
+   built once per engine and index kind and shared read-only by the
+   cells; process workers still build their own.
 3. **Report** — timeline and outcomes merge into a
    :class:`ServingReport` whose :meth:`~ServingReport.to_dict` is
    byte-identical across runs (wall-clock throughput is carried
@@ -30,7 +32,7 @@ import hashlib
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from repro.core.config import PPGNNConfig
@@ -39,6 +41,7 @@ from repro.errors import (
     AdmissionRejectedError,
     BackpressureError,
     ConfigurationError,
+    positive_int,
 )
 from repro.obs import MetricsRegistry, Span, merge_span_groups
 from repro.serve.costs import CostModel
@@ -100,8 +103,11 @@ class ServeConfig:
     trace_capacity: int | None = None
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
+        for name in ("workers", "queue_capacity", "nonce_chunk"):
+            positive_int(getattr(self, name), name)
+        for name in ("tenant_quota", "knn_cache_size"):
+            if getattr(self, name) is not None:
+                positive_int(getattr(self, name), name)
         if self.executor not in _EXECUTORS:
             raise ConfigurationError(
                 f"unknown executor {self.executor!r}; known: {list(_EXECUTORS)}"
@@ -110,10 +116,6 @@ class ServeConfig:
             raise ConfigurationError(
                 f"unknown policy {self.policy!r}; known: {list(POLICIES)}"
             )
-        if self.queue_capacity < 1:
-            raise ConfigurationError("queue_capacity must be >= 1")
-        if self.tenant_quota is not None and self.tenant_quota < 1:
-            raise ConfigurationError("tenant_quota must be >= 1 or None")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ConfigurationError("deadline_seconds must be positive or None")
         if self.cluster is not None:
@@ -142,8 +144,7 @@ class ServeConfig:
                 raise ConfigurationError(
                     "trace_capacity only applies with obs=True"
                 )
-            if self.trace_capacity < 1:
-                raise ConfigurationError("trace_capacity must be >= 1")
+            positive_int(self.trace_capacity, "trace_capacity")
         if self.index is not None:
             from repro.gnn.engine import INDEX_KINDS
 
@@ -153,8 +154,6 @@ class ServeConfig:
                 )
 
     def runner_options(self, workload_seed: int) -> RunnerOptions:
-        from dataclasses import replace
-
         faults = self.faults
         if faults is not None:
             # FaultPlan defaults its mappings to MappingProxyType, which
@@ -368,7 +367,12 @@ class ServingReport:
 
 
 class ServeEngine:
-    """Runs one workload against one LSP under one serving configuration."""
+    """Runs workloads against one LSP under one serving configuration.
+
+    The replica recipe and the index built from it are kept across runs
+    and rebuilt only when the primary LSP's index object or ``version``
+    changes, or ``serve_config.index`` names another kind.
+    """
 
     def __init__(
         self,
@@ -379,6 +383,7 @@ class ServeEngine:
         self.lsp = lsp
         self.base_config = base_config
         self.serve_config = serve_config or ServeConfig()
+        self._replica: tuple[tuple, LSPSpec] | None = None
         if self.serve_config.cluster is not None and base_config.sanitize:
             raise ConfigurationError(
                 "the cluster merge needs unsanitized per-shard answers; "
@@ -388,8 +393,6 @@ class ServeEngine:
     # ------------------------------------------------------------ phase 1
 
     def _predict(self, workload: Workload, job: QueryJob) -> float:
-        from dataclasses import replace
-
         config = (
             self.base_config
             if job.k == self.base_config.k
@@ -500,20 +503,26 @@ class ServeEngine:
         for slot in planned:
             buckets[slot.job.group_id % cfg.workers].append(slot.job)
         started = time.perf_counter()
-        spec = LSPSpec.from_lsp(self.lsp)
-        if cfg.index is not None:
-            from dataclasses import replace as dc_replace
-
-            spec = dc_replace(spec, index=cfg.index)
         outcomes, stats = execute_buckets(
             buckets,
-            spec,
+            self._replica_spec(),
             self.base_config,
             cfg.runner_options(workload.spec.seed),
             workload.groups,
             processes=cfg.workers if cfg.executor == "process" else None,
         )
         return outcomes, stats, time.perf_counter() - started
+
+    def _replica_spec(self) -> LSPSpec:
+        """The replica recipe for the primary's database and the index kind."""
+        tree = self.lsp.engine.tree
+        key = (tree, tree.version, self.serve_config.index)
+        if self._replica is None or self._replica[0] != key:
+            spec = LSPSpec.from_lsp(self.lsp)
+            if self.serve_config.index is not None:
+                spec = replace(spec, index=self.serve_config.index)
+            self._replica = (key, spec)
+        return self._replica[1]
 
     # ------------------------------------------------------------ phase 3
 

@@ -9,16 +9,20 @@ never on the execution backend — the serial and multiprocessing executors
 produce *identical* outcomes and cache/pool statistics; processes only
 shrink wall-clock time.
 
-:class:`LSPSpec` is the picklable recipe a worker process uses to rebuild
-its LSP replica (POIs, space, sanitation knobs).  Real crypto runs here —
-the simulated clock of :mod:`repro.serve.engine` never consults these
-timings.
+:class:`LSPSpec` is the picklable recipe of an LSP replica (POIs, space,
+sanitation knobs, index kind).  Its spatial index is built once per
+recipe and shared read-only by the cells that run in this process, so the
+serving engine, which keeps one recipe per database version and index
+kind, builds it once; a process worker receives the recipe without the
+index and builds its own.  Real crypto runs here — the simulated clock of
+:mod:`repro.serve.engine` never consults these timings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.core.common import group_keypair
@@ -30,8 +34,10 @@ from repro.crypto.noncepool import NoncePoolRegistry, PoolStats
 from repro.datasets.poi import POI
 from repro.errors import ReproError
 from repro.geometry.space import LocationSpace
+from repro.gnn.aggregate import get_aggregate
+from repro.gnn.engine import GNNQueryEngine, build_index
 from repro.guard.guard import ProtocolGuard
-from repro.index.base import IndexCounters
+from repro.index.base import IndexCounters, SpatialIndex
 from repro.obs import MetricsRegistry, MetricsSnapshot, Observability, Tracer
 from repro.partition.solver import solve_partition
 from repro.serve.cache import CacheStats, KnnLRUCache
@@ -48,7 +54,15 @@ _PROTOCOL_INDEX = {"ppgnn": 0, "ppgnn-opt": 1, "naive": 2}
 
 @dataclass(frozen=True)
 class LSPSpec:
-    """Everything needed to rebuild an equivalent LSP in another process."""
+    """Everything needed to build an equivalent LSP, here or in another process.
+
+    Each :meth:`build` returns a fresh :class:`LSPServer` with its own
+    index counters, kNN cache slot and sanitation RNG, over one index that
+    the first call builds from the recipe and every later call shares
+    read-only.  The index is not part of the recipe: equality, ``repr``
+    and the pickled state leave it out, so a process worker that receives
+    the spec builds its own.
+    """
 
     pois: tuple[POI, ...]
     space: LocationSpace
@@ -75,16 +89,28 @@ class LSPSpec:
         )
 
     def build(self) -> LSPServer:
-        return LSPServer(
-            pois=list(self.pois),
+        engine = GNNQueryEngine(
+            self.pois,
+            aggregate=get_aggregate(self.aggregate_name),
+            index=self.index,
             space=self.space,
-            aggregate_name=self.aggregate_name,
+            tree=self._index,
+        )
+        return LSPServer(
+            space=self.space,
             gamma=self.gamma,
             eta=self.eta,
             phi=self.phi,
             sanitation_samples=self.sanitation_samples,
-            index=self.index,
+            engine=engine,
         )
+
+    @cached_property
+    def _index(self) -> SpatialIndex:
+        return build_index(self.index, self.pois, self.space)
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name != "_index"}
 
 
 @dataclass(frozen=True)
@@ -429,7 +455,7 @@ class BucketRunner:
 
 
 def _run_bucket(payload) -> tuple[list[JobOutcome], BucketStats]:
-    """Worker entry point: rebuild the cell, run its jobs in order."""
+    """Worker entry point: build the cell, run its jobs in order."""
     spec, base_config, options, groups, jobs = payload
     runner = BucketRunner(spec.build(), base_config, options)
     outcomes = [runner.run_job(job, groups[job.group_id]) for job in jobs]

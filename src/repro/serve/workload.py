@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_int
 from repro.geometry.point import Point
 from repro.geometry.space import LocationSpace
 
@@ -132,11 +132,9 @@ class WorkloadSpec:
                     f"unknown protocol {protocol!r}; known: {list(_PROTOCOLS)}"
                 )
         for size in self.group_size_mix:
-            if size < 1:
-                raise ConfigurationError("group sizes must be >= 1")
+            positive_int(size, "a group size")
         for k in self.k_mix:
-            if k < 1:
-                raise ConfigurationError("k values must be >= 1")
+            positive_int(k, "k")
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,5 +1,6 @@
 """Tests for PPGNNConfig validation and derivation."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import PPGNNConfig
@@ -24,6 +25,26 @@ class TestValidation:
     def test_k_positive(self):
         with pytest.raises(ConfigurationError):
             PPGNNConfig(k=0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"k": 2.5},
+            {"d": 2.5},
+            {"keysize": 128.0},
+            {"delta": 6.5},
+            {"k": True},
+            {"sanitation_samples": 2.5},
+        ],
+        ids=lambda field: "-".join(f"{k}={v!r}" for k, v in field.items()),
+    )
+    def test_integer_fields_reject_floats_and_bools(self, field):
+        with pytest.raises(ConfigurationError, match="must be an integer >= 1"):
+            PPGNNConfig(**field)
+
+    def test_numpy_integers_accepted(self):
+        cfg = PPGNNConfig(d=np.int64(4), delta=np.int32(8), k=np.int64(3), keysize=np.int64(128))
+        assert (cfg.d, cfg.delta, cfg.k, cfg.keysize) == (4, 8, 3, 128)
 
     def test_theta0_domain(self):
         with pytest.raises(ConfigurationError):

@@ -207,6 +207,16 @@ class TestBestFirstKNN:
         with pytest.raises(ConfigurationError):
             best_first_knn(tree, Point(0, 0), 0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True], ids=repr)
+    def test_non_integer_k_rejected(self, k):
+        tree = RTree()
+        tree.bulk_load([(Point(i / 10, i / 10), i) for i in range(10)])
+        with pytest.raises(ConfigurationError, match="must be an integer >= 1"):
+            best_first_knn(tree, Point(0, 0), k)
+        assert best_first_knn(tree, Point(0, 0), np.int64(3)) == best_first_knn(
+            tree, Point(0, 0), 3
+        )
+
     def test_empty_tree(self):
         assert best_first_knn(RTree(), Point(0, 0), 3) == []
 
@@ -580,6 +590,21 @@ class TestEngine:
                 engine.query(3, [Point(0.5, 0.5), location])
             with pytest.raises(ConfigurationError, match="non-finite"):
                 engine.query_scored(3, [location])
+
+    @pytest.mark.parametrize("k", [2.5, 1.5, True], ids=repr)
+    @pytest.mark.parametrize("algorithm", ["mbm", "spm", "mqm"])
+    def test_non_integer_k_rejected(self, algorithm, k):
+        engine = GNNQueryEngine(uniform_pois(100, seed=7), algorithm=algorithm)
+        group = [Point(0.5, 0.5), Point(0.2, 0.3)]
+        calls = (
+            lambda: engine.query(k, group),
+            lambda: engine.query_many(k, [group]),
+            lambda: engine.query_scored(k, group),
+        )
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="must be an integer >= 1"):
+                call()
+        assert engine.query(np.int64(3), group) == engine.query(3, group)
 
     @pytest.mark.parametrize("index", INDEX_KINDS)
     def test_non_finite_location_rejected_by_every_index(self, index):

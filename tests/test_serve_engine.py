@@ -1,15 +1,29 @@
 """The serving engine: identity with direct sessions, determinism, faults."""
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.config import PPGNNConfig
 from repro.core.lsp import LSPServer
 from repro.core.session import QuerySession
+from repro.datasets.poi import POI
 from repro.datasets.synthetic import uniform_pois
 from repro.errors import ConfigurationError
+from repro.geometry.point import Point
 from repro.geometry.space import LocationSpace
-from repro.serve import ServeConfig, ServeEngine, WorkloadSpec, generate_workload
+from repro.index.rtree import RTree
+from repro.serve import (
+    BucketRunner,
+    LSPSpec,
+    RunnerOptions,
+    ServeConfig,
+    ServeEngine,
+    WorkloadSpec,
+    generate_workload,
+)
 from repro.transport.faults import FaultPlan
 
 SAMPLES = 8  # small Monte-Carlo override keeps sanitation fast
@@ -49,6 +63,20 @@ MIXED = WorkloadSpec(
     repeat_fraction=0.3,
     seed=5,
 )
+
+
+@pytest.fixture
+def bulk_loads(monkeypatch):
+    """Counts R-tree bulk loads from here on."""
+    calls = []
+    original = RTree.bulk_load
+
+    def bulk_load(tree, items):
+        calls.append(tree)
+        return original(tree, items)
+
+    monkeypatch.setattr(RTree, "bulk_load", bulk_load)
+    return calls
 
 
 class TestByteIdentity:
@@ -107,18 +135,38 @@ class TestDeterminism:
         assert one.wall_seconds != 0.0  # real work actually happened
 
     def test_serial_and_process_reports_match(self, make_lsp, config, space):
-        """The executor only changes wall-clock, never the report."""
-        workload = generate_workload(MIXED, space)
+        """The executor only changes wall-clock, never the report, run after run."""
         serial = ServeEngine(
             make_lsp(), config, ServeConfig(workers=2, executor="serial")
-        ).run(workload)
+        )
         process = ServeEngine(
             make_lsp(), config, ServeConfig(workers=2, executor="process")
-        ).run(workload)
-        a, b = serial.to_dict(), process.to_dict()
-        assert a.pop("executor") == "serial"
-        assert b.pop("executor") == "process"
-        assert a == b
+        )
+        for seed in (5, 6):
+            workload = generate_workload(replace(MIXED, seed=seed), space)
+            a, b = serial.run(workload).to_dict(), process.run(workload).to_dict()
+            assert a.pop("executor") == "serial"
+            assert b.pop("executor") == "process"
+            assert a == b
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("runs", [2, 3])
+    def test_consecutive_runs_equal_fresh_engines(
+        self, runs, workers, make_lsp, config, space, bulk_loads
+    ):
+        """One engine's runs share one replica index and report as fresh engines do."""
+        serve = ServeConfig(workers=workers, knn_cache_size=64)
+        workloads = [
+            generate_workload(replace(MIXED, seed=seed), space)
+            for seed in range(5, 5 + runs)
+        ]
+        engine = ServeEngine(make_lsp(), config, serve)
+        del bulk_loads[:]  # the primary LSP's own index
+        reports = [engine.run(workload).to_dict() for workload in workloads]
+        assert len(bulk_loads) == 1
+        for workload, report in zip(workloads, reports, strict=True):
+            # The dict carries answers_digest, the cache and the pool counters.
+            assert report == ServeEngine(make_lsp(), config, serve).run(workload).to_dict()
 
     def test_report_json_serializable(self, make_lsp, config, space):
         import json
@@ -127,6 +175,73 @@ class TestDeterminism:
             generate_workload(MIXED, space)
         )
         json.dumps(report.to_dict(include_wall=True))
+
+
+class TestReplicaIndex:
+    """One index per engine, database version and kind, shared by the replicas."""
+
+    def test_primary_mutation_rebuilds_the_replicas(
+        self, pois, make_lsp, config, space, bulk_loads
+    ):
+        """An insert, then a delete, each make the next run rebuild its index."""
+        serve = ServeConfig(workers=2, knn_cache_size=64)
+        workloads = [
+            generate_workload(replace(MIXED, seed=seed), space) for seed in (5, 6, 7)
+        ]
+        # One new POI on a member of every group: it ranks high in their answers.
+        added = [
+            POI(10_000 + group.group_id, group.locations[0])
+            for group in workloads[1].groups
+        ]
+        lsp = make_lsp()
+        engine = ServeEngine(lsp, config, serve)
+        del bulk_loads[:]  # the primary LSP's own index
+        engine.run(workloads[0])
+        for poi in added:
+            lsp.engine.insert(poi)
+        grown = engine.run(workloads[1])
+        for poi in added:
+            assert lsp.engine.delete(poi)
+        shrunk = engine.run(workloads[2])
+        assert len(bulk_loads) == 3
+
+        fresh = ServeEngine(
+            LSPServer(list(pois) + added, space=space, sanitation_samples=SAMPLES),
+            config,
+            serve,
+        ).run(workloads[1])
+        assert grown.to_dict() == fresh.to_dict()
+        assert {poi.poi_id for poi in added} & {
+            poi_id for o in grown.outcomes.values() for poi_id in o.answer_ids
+        }
+        fresh = ServeEngine(make_lsp(), config, serve).run(workloads[2])
+        assert shrunk.to_dict() == fresh.to_dict()
+
+    def test_replicas_share_only_the_index(self, make_lsp, config):
+        """Each build is a fresh LSP with its own index counters and kNN cache."""
+        spec = LSPSpec.from_lsp(make_lsp())
+        one, two = spec.build(), spec.build()
+        assert one is not two and one.engine.tree is two.engine.tree
+        assert one.engine.index_counters is not two.engine.index_counters
+        runners = [BucketRunner(lsp, config, RunnerOptions()) for lsp in (one, two)]
+        assert runners[0].lsp.engine.knn_cache is not runners[1].lsp.engine.knn_cache
+        centre = [Point(0.5, 0.5)]
+        answer = one.engine.query(3, centre)
+        assert one.engine.index_counters.queries == 1
+        assert two.engine.index_counters.queries == 0
+        assert two.engine.query(3, centre) == answer
+        with pytest.raises(ConfigurationError):
+            one.engine.insert(POI(10_000, Point(0.5, 0.5)))
+
+    def test_pickled_spec_carries_no_index(self, make_lsp):
+        """A process worker receives the recipe only and builds its own index."""
+        lsp = make_lsp()
+        spec = LSPSpec.from_lsp(lsp)
+        spec.build()
+        clone = pickle.loads(pickle.dumps(spec))
+        assert pickle.dumps(spec) == pickle.dumps(LSPSpec.from_lsp(lsp))
+        assert clone == spec and repr(clone) == repr(spec)
+        assert clone.build().engine.tree is not spec.build().engine.tree
 
 
 class TestSchedulingAndBackpressure:
@@ -238,3 +353,16 @@ class TestConfigValidation:
             ServeConfig(deadline_seconds=0.0)
         with pytest.raises(ConfigurationError):
             ServeConfig(deadline_seconds=-1.0)
+        # Every count is a positive integer, checked when constructed.
+        for bad in (
+            {"knn_cache_size": 0},
+            {"nonce_chunk": 0},
+            {"workers": 2.5},
+            {"queue_capacity": 2.5},
+            {"tenant_quota": 1.5},
+            {"knn_cache_size": 2.5},
+            {"workers": True},
+        ):
+            with pytest.raises(ConfigurationError):
+                ServeConfig(**bad)
+        assert ServeConfig(workers=np.int64(2), knn_cache_size=None).workers == 2

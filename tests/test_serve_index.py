@@ -1,5 +1,7 @@
 """Serving over every index substrate: one answers digest."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from repro.core.lsp import LSPServer
 from repro.datasets.synthetic import uniform_pois
 from repro.errors import ConfigurationError
 from repro.geometry.space import LocationSpace
-from repro.serve import ServeConfig, ServeEngine, WorkloadSpec, generate_workload
+from repro.index.grid import GridIndex
+from repro.index.rtree import RTree
+from repro.serve import LSPSpec, ServeConfig, ServeEngine, WorkloadSpec, generate_workload
 
 SAMPLES = 8
 
@@ -63,6 +67,29 @@ class TestExactDigestIdentity:
         got = _report(pois, space, config, workload, kind)
         assert got.answers_digest == reference.answers_digest
         assert all(o.ok for o in got.outcomes.values())
+
+    def test_engines_over_one_lsp_keep_their_kind(
+        self, pois, space, config, workload, monkeypatch
+    ):
+        """Two engines over one primary each build and keep the kind they asked for."""
+        built = []
+        original = LSPSpec.build
+
+        def build(spec):
+            replica = original(spec)
+            built.append(type(replica.engine.tree))
+            return replica
+
+        monkeypatch.setattr(LSPSpec, "build", build)
+        lsp = LSPServer(pois, space=space, sanitation_samples=SAMPLES)
+        serve = ServeConfig(workers=1, nonce_pool=False, knn_cache_size=None)
+        grid = ServeEngine(lsp, config, replace(serve, index="grid"))
+        default = ServeEngine(lsp, config, serve)
+        digests = set()
+        for engine, kind in ((grid, GridIndex), (default, RTree), (grid, GridIndex)):
+            digests.add(engine.run(workload).answers_digest)
+            assert built.pop() is kind
+        assert len(digests) == 1
 
 
 class TestConfigValidation:
