@@ -7,8 +7,11 @@ Three design decisions get quantified here:
    generic Damgård–Jurik recursion stays as the reference.
 2. The coordinator holds the secret key, so it encrypts its indicators on
    the owner path: each nonce factor ``r^{N^s}`` is built per prime in two
-   short stages and joined by Garner.  The public path stays the
-   reference; both must give the same ciphertexts from the same rng state.
+   short stages (a Fermat-reduced power modulo the prime, then the
+   Teichmüller lift: one ``(p - 1)`` power modulo ``p^{s+1}`` and a
+   binomial series) and joined by Garner.  The public path stays the
+   reference; both must give the same ciphertexts from the same rng state
+   at every level measured (s = 1, 2, 3).
 3. PPGNN-OPT's block count omega: the exact integer optimum of the byte
    model vs the paper's closed form sqrt(delta'/2), swept over omega to
    show the cost curve is convex with the chosen minimum.
@@ -61,7 +64,7 @@ def test_ablation_encryption_path(settings, recorder, benchmark):
     count = 40
     times = {"public": [], "owner": []}
     notes = []
-    for s in (1, 2):
+    for s in (1, 2, 3):
         values = {}
         for name, key in (("public", pk), ("owner", sk)):
             rng = random.Random(s)
@@ -74,7 +77,7 @@ def test_ablation_encryption_path(settings, recorder, benchmark):
         "ablation_crypto",
         f"Ablation: encryption path ({settings.keysize}-bit keys, {count} ops per level)",
         "level",
-        ["s=1", "s=2"],
+        ["s=1", "s=2", "s=3"],
         {
             path: [f"{t * 1000:.1f} ms" for t in series]
             for path, series in times.items()

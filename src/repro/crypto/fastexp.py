@@ -14,9 +14,11 @@ modular exponentiation, and each shape admits a classical speedup:
   ``max_i bits(x_i)`` squarings total instead of per term.
 - **Known factorization** — the key holder's own nonce factor
   ``r^{N^s}``: :meth:`~repro.crypto.paillier.PaillierPrivateKey.obfuscate`
-  builds it per prime in two short builtin-``pow`` stages (modulo ``p``,
-  then ``p^{s+1}``) and joins the halves by Garner; its
-  ``obfuscate_stages`` reports the exact per-stage cost.
+  builds it per prime in two short stages (a builtin ``pow`` modulo
+  ``p``, then the Teichmüller lift modulo ``p^{s+1}``: one ``(p - 1)``
+  builtin ``pow`` and a binomial series of ``s + 1`` terms) and joins the
+  halves by Garner; its ``obfuscate_stages`` reports the modelled cost of
+  each stage.
 
 Every kernel is *value-identical* to the builtin ``pow`` it replaces and
 never consumes randomness, so ciphertexts, answers, and digests are byte

@@ -21,9 +21,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.crypto import fastexp
-from repro.crypto.paillier import Ciphertext, PaillierPrivateKey, PaillierPublicKey
+from repro.crypto.paillier import (
+    Ciphertext,
+    PaillierPrivateKey,
+    PaillierPublicKey,
+    check_level,
+)
 from repro.encoding.packing import pack_uniform, unpack_uniform
-from repro.errors import ConfigurationError, CryptoError
+from repro.errors import ConfigurationError, CryptoError, positive_int
 
 
 @dataclass
@@ -102,8 +107,8 @@ class NoncePool:
 
     def refill(self, count: int, s: int = 1, rng: random.Random | None = None) -> None:
         """Precompute ``count`` fresh factors at level ``s`` (offline work)."""
-        if count < 0:
-            raise ConfigurationError("refill count must be non-negative")
+        count = positive_int(count, "refill count")
+        s = check_level(s)
         rng = rng or random.Random()
         pk, sk = self.public_key, self.secret_key
         owner = sk if sk is not None else pk

@@ -24,7 +24,14 @@ exponentiation, the same trick GMP-based implementations use.
 Whoever holds the secret key (the paper's coordinator, who generated the
 pair) encrypts through :meth:`PaillierPrivateKey.encrypt`, which builds
 the nonce factor ``r^{N^s}`` at half width from p and q and yields the
-same ciphertext as the public path at the same rng state.
+same ciphertext as the public path at the same rng state.  Per prime the
+factor is a Teichmüller lift: one ``(p - 1)`` power modulo ``p^{s+1}``
+and a binomial series of ``s + 1`` terms, the trick ``g_pow`` plays on
+``(1+N)^m``, so its costly exponent has half the key's bits at every
+level.
+
+Every level ``s`` a caller passes goes through :func:`check_level` before
+it reaches a per-level cache or a :class:`Ciphertext`.
 """
 
 from __future__ import annotations
@@ -32,18 +39,69 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 from typing import NamedTuple
 
 from repro.crypto import fastexp
 from repro.crypto.modmath import factorial_inverse_table, invmod, lcm
 from repro.crypto.primes import generate_distinct_primes
-from repro.errors import CryptoError
+from repro.errors import ConfigurationError, CryptoError, positive_int
 
 #: Bound on the nonce rejection loop.  Each draw from ``Z_N`` is a non-unit
 #: with probability ~2^-(keysize/2); this many consecutive failures means
 #: the modulus is degenerate, not that we are unlucky.
 _RANDOM_UNIT_ATTEMPTS = 128
+
+
+def check_level(s: object) -> int:
+    """``s`` as a Damgård–Jurik level: an ``int`` of at least 1.
+
+    :func:`~repro.errors.positive_int`, raising :class:`CryptoError` like
+    every other level fault.  The keys' per-level caches are dicts, and
+    ``2.0`` or ``True`` hash like ``2`` and ``1``: an unchecked float level
+    would leave float moduli behind for every later caller of the key.
+    A plain ``int`` skips ``positive_int``'s abstract-type check, which
+    costs close to a microsecond; a pooled encryption, a few microseconds
+    of arithmetic, checks its level five times.
+    """
+    if type(s) is int and s >= 1:
+        return s
+    try:
+        return positive_int(s, "ciphertext level s")
+    except ConfigurationError as exc:
+        raise CryptoError(str(exc)) from None
+
+
+def _lift_series(prime: int, s: int) -> tuple[int, ...]:
+    """Horner coefficients of ``u^E mod prime^{s+1}``, highest degree first.
+
+    ``E = (prime^s - 1) / (prime - 1)``.  For ``u ≡ 1 (mod prime)`` the
+    difference ``t = u - 1`` is divisible by ``prime``, so ``u^E`` is the
+    binomial series ``sum_{i <= s} C(E, i) t^i`` and ``C(E, i)`` matters
+    only modulo ``prime^{s+1-i}``.  ``E``'s base-``prime`` digits are all 1,
+    so for ``s < prime`` Lucas' theorem puts the leading coefficient
+    ``C(E, s) mod prime`` at 1 for ``s = 1`` and at 0 above: the first
+    Horner step multiplies by a single digit, and ``s - 1`` full
+    multiplications remain.
+    """
+    e = (prime**s - 1) // (prime - 1)
+    return tuple(comb(e, i) % prime ** (s + 1 - i) for i in range(s, -1, -1))
+
+
+def _teichmuller(x: int, prime: int, modulus: int, series: tuple[int, ...]) -> int:
+    """``x^{prime^s} mod prime^{s+1}`` for ``0 <= x < prime``, as ``x * u^E``.
+
+    ``prime^s = 1 + (prime - 1) E``, so ``x^{prime^s} = x * u^E`` with
+    ``u = x^{prime-1}``, which Fermat puts at 1 modulo ``prime`` for every
+    ``x != 0``; ``u^E`` is then the series of :func:`_lift_series`.  At
+    ``s = 1`` this is ``x * x^{prime-1} = x^prime``; for ``x = 0`` the
+    product is 0 whatever the series gives.
+    """
+    t = pow(x, prime - 1, modulus) - 1
+    acc = series[0]
+    for coeff in series[1:]:
+        acc = (acc * t + coeff) % modulus
+    return x * acc % modulus
 
 
 @lru_cache(maxsize=64)
@@ -101,8 +159,7 @@ class Ciphertext:
     public_key: "PaillierPublicKey"
 
     def __post_init__(self) -> None:
-        if self.s < 1:
-            raise CryptoError("ciphertext level s must be >= 1")
+        object.__setattr__(self, "s", check_level(self.s))
 
     @property
     def byte_size(self) -> int:
@@ -156,11 +213,11 @@ class PaillierPublicKey:
 
     def plaintext_modulus(self, s: int = 1) -> int:
         """The plaintext space modulus ``N^s``."""
-        return self.n_pow(s)
+        return self.n_pow(check_level(s))
 
     def ciphertext_modulus(self, s: int = 1) -> int:
         """The ciphertext space modulus ``N^{s+1}``."""
-        return self.n_pow(s + 1)
+        return self.n_pow(check_level(s) + 1)
 
     def ciphertext_bytes(self, s: int = 1) -> int:
         """Wire size in bytes of one level-``s`` ciphertext.
@@ -169,7 +226,7 @@ class PaillierPublicKey:
         ciphertext ``3 * keysize / 8`` — the L_e and 2x-L_e lengths of the
         paper's cost analysis (Sections 6-7).
         """
-        return ((s + 1) * self.key_bits + 7) // 8
+        return ((check_level(s) + 1) * self.key_bits + 7) // 8
 
     def check_plaintext(self, plaintext: int, s: int = 1) -> None:
         """Raise :class:`CryptoError` unless ``0 <= plaintext < N^s``."""
@@ -203,6 +260,7 @@ class PaillierPublicKey:
         shared by :meth:`encrypt`, :meth:`rerandomize`, and the nonce
         pool's refills.
         """
+        s = check_level(s)
         plan = self._nonce_plans.get(s)
         if plan is None:
             plan = fastexp.plan(self.n_pow(s))
@@ -282,8 +340,8 @@ class _OwnerLevel(NamedTuple):
 
     stage_p: int  # q^s reduced modulo p - 1 (Fermat), in [1, p - 1]
     stage_q: int
-    lift_p: int  # p^s
-    lift_q: int
+    series_p: tuple[int, ...]  # Horner coefficients of the lift (_lift_series)
+    series_q: tuple[int, ...]
     mod_p: int  # p^{s+1}
     mod_q: int
     garner: int  # (q^{s+1})^-1 mod p^{s+1}
@@ -335,6 +393,7 @@ class PaillierPrivateKey:
 
     def _owner_level(self, s: int) -> _OwnerLevel:
         """Per-level constants of the two-stage nonce factor (see :meth:`obfuscate`)."""
+        s = check_level(s)
         level = self._owner_levels.get(s)
         if level is None:
             p, q = self.p, self.q
@@ -346,19 +405,21 @@ class PaillierPrivateKey:
             # so a nonce divisible by the prime still maps to 0 in stage one.
             stage_p = (qs - 1) % (p - 1) + 1
             stage_q = (ps - 1) % (q - 1) + 1
+            # Stage two: the (prime - 1) chain, s - 1 full Horner steps and
+            # the multiply by x; at s = 1 that is binary_pow_cost(prime).
             level = _OwnerLevel(
                 stage_p=stage_p,
                 stage_q=stage_q,
-                lift_p=ps,
-                lift_q=qs,
+                series_p=_lift_series(p, s),
+                series_q=_lift_series(q, s),
                 mod_p=ps1,
                 mod_q=qs1,
                 garner=invmod(qs1, ps1),
                 stages=(
                     (fastexp.binary_pow_cost(stage_p), half),
-                    (fastexp.binary_pow_cost(ps), width),
+                    (fastexp.binary_pow_cost(p - 1) + s, width),
                     (fastexp.binary_pow_cost(stage_q), half),
-                    (fastexp.binary_pow_cost(qs), width),
+                    (fastexp.binary_pow_cost(q - 1) + s, width),
                     (2, width),  # Garner: one modular and one plain multiply
                 ),
             )
@@ -368,37 +429,42 @@ class PaillierPrivateKey:
     def obfuscate(self, r: int, s: int = 1) -> int:
         """``r^{N^s} mod N^{s+1}`` for the key holder, at half width.
 
-        Modulo ``p^{s+1}``, ``r^{N^s} = (r^{q^s})^{p^s}``.  Fermat's little
-        theorem gives ``r^{q^s} mod p`` from ``(r mod p)`` raised to
-        ``q^s mod (p - 1)``, and ``x^{p^s} mod p^{s+1}`` depends only on
-        ``x mod p``; so two short chains (modulo ``p``, then ``p^{s+1}``)
-        produce the ``p``-part, likewise for ``q``, and Garner joins them.
+        Modulo ``p^{s+1}``, ``r^{N^s} = (r^{q^s})^{p^s}``.  Stage one:
+        Fermat's little theorem gives ``x = r^{q^s} mod p`` from
+        ``(r mod p)`` raised to ``q^s mod (p - 1)``.  Stage two: ``x^{p^s}
+        mod p^{s+1}`` depends only on ``x mod p`` (it is ``x``'s Teichmüller
+        lift), and is built as ``x * u^E`` from one ``u = x^{p-1}`` chain
+        modulo ``p^{s+1}`` and a binomial series in ``u - 1`` of ``s + 1``
+        terms (:func:`_teichmuller`); at ``s = 1`` that is just ``x^p``.
+        Likewise for ``q``, and Garner joins the halves.
         Value-identical to :meth:`PaillierPublicKey.obfuscate` for every
         ``r`` in ``Z_N``; with the fast paths off it is builtin ``pow``.
         """
         public = self.public_key
         if not fastexp.enabled():
-            return pow(r, public.n_pow(s), public.ciphertext_modulus(s))
+            return pow(r, public.plaintext_modulus(s), public.ciphertext_modulus(s))
         level = self._owner_level(s)
         p, q = self.p, self.q
-        xp = pow(pow(r % p, level.stage_p, p), level.lift_p, level.mod_p)
-        xq = pow(pow(r % q, level.stage_q, q), level.lift_q, level.mod_q)
+        xp = _teichmuller(pow(r % p, level.stage_p, p), p, level.mod_p, level.series_p)
+        xq = _teichmuller(pow(r % q, level.stage_q, q), q, level.mod_q, level.series_q)
         return xq + level.mod_q * ((xp - xq) * level.garner % level.mod_p)
 
     def obfuscate_stages(self, s: int = 1) -> tuple[tuple[int, int], ...]:
         """``(multiplications, modulus bits)`` of each step of :meth:`obfuscate`.
 
-        A binary square-and-multiply model of each builtin ``pow`` at its
-        own nominal width, plus Garner; with the fast paths off, one
-        full-width ``pow``.  A model, not a count: CPython 3.11 switches
-        to a sliding window above 60-bit exponents, and these exponents
-        have about half the key's bits or more.
+        Per prime: stage one, a binary square-and-multiply model of its
+        ``pow`` modulo the prime; stage two, the model of the ``(p - 1)``
+        chain modulo ``p^{s+1}`` plus the series' ``s - 1`` full Horner
+        steps and the multiply by ``x``.  Then Garner.  With the fast paths
+        off, one full-width ``pow``.  A model, not a count: CPython 3.11
+        switches to a sliding window above 60-bit exponents, and both
+        stage exponents have about half the key's bits at every level.
         """
         if not fastexp.enabled():
             public = self.public_key
             return (
                 (
-                    fastexp.binary_pow_cost(public.n_pow(s)),
+                    fastexp.binary_pow_cost(public.plaintext_modulus(s)),
                     (s + 1) * public.key_bits,
                 ),
             )

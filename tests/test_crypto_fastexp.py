@@ -157,7 +157,7 @@ class TestOwnerObfuscate:
 
         keypair = generate_keypair(128, seed=54321)
         sk, pk = keypair.secret_key, keypair.public_key
-        for s in (1, 2):
+        for s in (1, 2, 3):
             with fastexp.forced(True):
                 stages = sk.obfuscate_stages(s)
                 pool = NoncePool(pk, sk)
@@ -167,9 +167,43 @@ class TestOwnerObfuscate:
             assert [bits for _, bits in stages] == [64, 64 * (s + 1)] * 2 + [
                 64 * (s + 1)
             ]
-            assert stages[1][0] == binary_pow_cost(sk.p**s)
+            # Stage two is the (p - 1) chain, s - 1 Horner steps and the
+            # multiply by x; at s = 1 that is the plain x^p chain.
+            assert stages[1][0] == binary_pow_cost(sk.p - 1) + s
+            if s == 1:
+                assert stages[1][0] == binary_pow_cost(sk.p**s)
             assert stages[-1][0] == 2
             assert pool.stats.fast_muls == 3 * sum(m for m, _ in stages)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        keysize=st.sampled_from([64, 128]),
+        s=st.integers(min_value=1, max_value=4),
+        data=st.data(),
+    )
+    def test_lift_matches_builtin_pow(self, keysize, s, data):
+        sk, pk = generate_keypair(keysize, seed=54321)
+        r = data.draw(
+            st.one_of(
+                st.integers(min_value=0, max_value=pk.n - 1),
+                st.integers(min_value=0, max_value=sk.q - 1).map(lambda k: k * sk.p),
+                st.integers(min_value=0, max_value=sk.p - 1).map(lambda k: k * sk.q),
+            )
+        )
+        with fastexp.forced(True):
+            got = sk.obfuscate(r, s)
+        assert got == pow(r, pk.n_pow(s), pk.ciphertext_modulus(s))
+
+    @pytest.mark.parametrize("keysize", [512, 1024])
+    def test_lift_matches_builtin_pow_at_protocol_sizes(self, keysize):
+        sk, pk = generate_keypair(keysize, seed=20260808)
+        rng = random.Random(keysize)
+        for s in (2, 3):
+            mod = pk.ciphertext_modulus(s)
+            for r in (pk.random_unit(rng), 5 * sk.p, pk.n - 1):
+                with fastexp.forced(True):
+                    got = sk.obfuscate(r, s)
+                assert got == pow(r, pk.n_pow(s), mod)
 
     def test_rejects_degenerate_inputs(self):
         from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey

@@ -228,6 +228,43 @@ class TestFastRefillPaths:
                 factors[name] = [pool.take() for _ in range(4)]
         assert factors["slow"] == factors["windowed"] == factors["crt"]
 
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_owner_refills_and_fallbacks_equal_public_at_higher_levels(self, kp, s):
+        from repro.crypto import fastexp
+
+        sk, pk = kp
+        with fastexp.forced(True):
+            owner, public = NoncePool(pk, sk), NoncePool(pk)
+            owner.refill(3, s=s, rng=random.Random(s))
+            public.refill(3, s=s, rng=random.Random(s))
+            assert [owner.take(s) for _ in range(3)] == [
+                public.take(s) for _ in range(3)
+            ]
+            # Both pools are dry now: the owner falls back to sk.encrypt.
+            fallbacks = [
+                encrypt_with_pool(pool, 31337, s=s, rng=random.Random(9))
+                for pool in (owner, public)
+            ]
+        assert fallbacks[0].value == fallbacks[1].value
+        assert sk.decrypt(fallbacks[0]) == 31337
+        assert owner.stats.dry == public.stats.dry == 1
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, 0])
+    def test_refill_rejects_non_integer_or_zero_count(self, kp, count):
+        sk, pk = kp
+        for pool in (NoncePool(pk), NoncePool(pk, sk)):
+            with pytest.raises(ConfigurationError):
+                pool.refill(count, rng=random.Random(1))
+            assert pool.stats.refills == 0
+
+    @pytest.mark.parametrize("s", [2.5, 2.0, True, 0])
+    def test_refill_rejects_bad_levels(self, kp, s):
+        sk, pk = kp
+        for pool in (NoncePool(pk), NoncePool(pk, sk)):
+            with pytest.raises(CryptoError):
+                pool.refill(1, s=s, rng=random.Random(1))
+            assert pool.stats.refills == 0
+
     def test_stats_track_which_kernel_ran(self, kp):
         from repro.crypto import fastexp
 

@@ -116,6 +116,58 @@ class TestCiphertextSizes:
             Ciphertext(value=1, s=0, public_key=pk)
 
 
+class TestLevelValidation:
+    """A level is checked before it reaches a key's per-level caches."""
+
+    @staticmethod
+    def fresh_keys(keypair):
+        # New key objects, so no other test shares (or pollutes) the caches.
+        sk, pk = keypair
+        public = PaillierPublicKey(pk.n)
+        return PaillierPrivateKey(public, sk.p, sk.q), public
+
+    @pytest.mark.parametrize("s", [2.0, 2.5, True, 0, -1, "2", None])
+    def test_every_entry_point_rejects_the_level(self, keypair, s):
+        sk, pk = self.fresh_keys(keypair)
+        calls = (
+            lambda: pk.encrypt(1, s=s),
+            lambda: sk.encrypt(1, s=s),
+            lambda: pk.encrypt_with_factor(1, 1, s=s),
+            lambda: pk.obfuscate(3, s),
+            lambda: sk.obfuscate(3, s),
+            lambda: sk.obfuscate_stages(s),
+            lambda: pk.g_pow(1, s),
+            lambda: pk.nonce_plan(s),
+            lambda: pk.plaintext_modulus(s),
+            lambda: pk.ciphertext_modulus(s),
+            lambda: pk.ciphertext_bytes(s),
+            lambda: Ciphertext(value=1, s=s, public_key=pk),
+        )
+        for call in calls:
+            with pytest.raises(CryptoError, match="level s"):
+                call()
+
+    def test_rejected_float_level_leaves_the_key_intact(self, keypair):
+        sk, pk = self.fresh_keys(keypair)
+        with pytest.raises(CryptoError):
+            pk.encrypt(1, s=2.0)
+        with pytest.raises(CryptoError):
+            sk.encrypt(1, s=3.0)
+        rng = random.Random(8)
+        for s in (1, 2):
+            for c in (pk.encrypt(7, s=s, rng=rng), sk.encrypt(7, s=s, rng=rng)):
+                assert type(c.value) is int and type(c.s) is int and c.s == s
+                assert sk.decrypt(c) == 7
+        assert sk.decrypt_nested(pk.encrypt(pk.encrypt(9, rng=rng).value, s=2)) == 9
+
+    def test_integer_likes_are_stored_as_int(self, keypair):
+        np = pytest.importorskip("numpy")
+        sk, pk = self.fresh_keys(keypair)
+        c = pk.encrypt(5, s=np.int64(2), rng=random.Random(1))
+        assert type(c.s) is int and c.s == 2
+        assert sk.decrypt(c) == 5
+
+
 class TestGPower:
     def test_g_pow_matches_pow(self, keypair):
         _, pk = keypair

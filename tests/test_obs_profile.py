@@ -207,7 +207,7 @@ class TestHandCountedOps:
             binary, _ = pow_mul_estimate(pk.n, 2 * pk.key_bits)
             assert plan.per_call_muls < binary
 
-    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("s", [1, 2, 3])
     def test_owner_encrypt_charges_each_stage_at_its_width(self, s):
         from repro.crypto import fastexp
         from repro.crypto.fastexp import binary_pow_cost
@@ -218,10 +218,13 @@ class TestHandCountedOps:
             sk.encrypt(5, s=s, rng=random.Random(1))
         p, q, half = sk.p, sk.q, pk.key_bits // 2
         # Hand count: per prime a Fermat stage modulo the prime and a lift
-        # modulo its (s+1)-th power, then 2 Garner muls, then the 2s
+        # modulo its (s+1)-th power (the (prime - 1) chain, s - 1 Horner
+        # steps and the multiply by x), then 2 Garner muls, then the 2s
         # binomial muls and 1 combine at full width.
         stage_one = binary_pow_cost(q**s % (p - 1)) + binary_pow_cost(p**s % (q - 1))
-        lift = binary_pow_cost(p**s) + binary_pow_cost(q**s)
+        lift = binary_pow_cost(p - 1) + binary_pow_cost(q - 1) + 2 * s
+        if s == 1:
+            assert lift == binary_pow_cost(p**s) + binary_pow_cost(q**s)
         owner = profiler.ops["encrypt.owner"]
         assert owner.bigint_muls == stage_one + lift + 2 + 2 * s + 1
         assert owner.mul_work == pytest.approx(
