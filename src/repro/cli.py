@@ -766,16 +766,13 @@ def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
 
     from repro.crypto import fastexp
     from repro.crypto.homomorphic import hom_dot
-    from repro.crypto.noncepool import (
-        NoncePool,
-        decrypt_packed,
-        encrypt_packed,
-        encrypt_with_pool,
-    )
+    from repro.crypto.noncepool import NoncePool, encrypt_with_pool
     from repro.crypto.paillier import generate_keypair
     from repro.obs.profile import profile_keypair, stage_work
 
+    # Eight 8-bit fields in one plaintext, first field least significant.
     packed_fields = [3, 1, 4, 1, 5, 9, 2, 6]
+    packed_plaintext = sum(v << (8 * i) for i, v in enumerate(packed_fields))
 
     def run(fast: bool):
         with fastexp.forced(fast):
@@ -804,9 +801,9 @@ def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
             refill_work = owner_pool.stats.precomputed * stage_work(
                 sk.obfuscate_stages(1)
             )
-            packed = encrypt_packed(owner_pool, packed_fields, 8)
+            packed = encrypt_with_pool(owner_pool, packed_plaintext)
             values.append(packed.value)
-            if decrypt_packed(sk, packed, 8, len(packed_fields)) != packed_fields:
+            if sk.decrypt(packed) != packed_plaintext:
                 raise ReproError("packed encryption round trip failed")
 
             # Full-width scalars, as in the answer-matrix selection.

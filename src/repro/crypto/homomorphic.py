@@ -16,6 +16,7 @@ time (used by tests for deterministic cost assertions).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +26,7 @@ from repro.crypto.paillier import (
     PaillierPrivateKey,
     PaillierPublicKey,
 )
-from repro.errors import CryptoError
+from repro.errors import ConfigurationError, CryptoError, positive_int
 
 
 @dataclass
@@ -184,6 +185,28 @@ def nested_select(
     return result
 
 
+def check_indicator(length: object, hot_index: object) -> tuple[int, int]:
+    """``(length, hot_index)`` of a basis-vector indicator, checked.
+
+    ``length`` must pass :func:`~repro.errors.positive_int` and
+    ``hot_index`` must be an integer (not a bool) in ``[0, length)``;
+    anything else raises :class:`CryptoError`.  An unchecked float index
+    matches no slot and would encrypt a vector that selects nothing.
+    """
+    try:
+        length = positive_int(length, "indicator length")
+    except ConfigurationError as exc:
+        raise CryptoError(str(exc)) from None
+    if isinstance(hot_index, bool) or not isinstance(hot_index, numbers.Integral):
+        raise CryptoError(
+            f"hot index must be an integer, not {type(hot_index).__name__} "
+            f"{hot_index!r}"
+        )
+    if not 0 <= hot_index < length:
+        raise CryptoError(f"hot index {hot_index} out of range [0, {length})")
+    return length, int(hot_index)
+
+
 def encrypt_indicator(
     key: PaillierPublicKey | PaillierPrivateKey,
     length: int,
@@ -196,13 +219,15 @@ def encrypt_indicator(
 
     The workhorse of query generation (Algorithm 1 line 10 and the two small
     vectors of PPGNN-OPT).  ``key`` is whichever key the caller holds: the
-    coordinator passes its secret key and encrypts at half width, anyone
-    else the public key; the ciphertexts are the same either way.
+    coordinator passes its secret key and encrypts at half width, as one
+    batch (:meth:`~repro.crypto.paillier.PaillierPrivateKey.encrypt_many`),
+    anyone else the public key; the ciphertexts are the same either way.
     """
-    if not 0 <= hot_index < length:
-        raise CryptoError(f"hot index {hot_index} out of range [0, {length})")
+    length, hot_index = check_indicator(length, hot_index)
     if counter is not None:
         counter.encryptions += length
-    return [
-        key.encrypt(1 if i == hot_index else 0, s=s, rng=rng) for i in range(length)
-    ]
+    plaintexts = [0] * length
+    plaintexts[hot_index] = 1
+    if isinstance(key, PaillierPrivateKey):
+        return key.encrypt_many(plaintexts, s=s, rng=rng)
+    return [key.encrypt(m, s=s, rng=rng) for m in plaintexts]

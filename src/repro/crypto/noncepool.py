@@ -20,15 +20,15 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.crypto import fastexp
+from repro.crypto import cores, fastexp
+from repro.crypto.homomorphic import check_indicator
 from repro.crypto.paillier import (
     Ciphertext,
     PaillierPrivateKey,
     PaillierPublicKey,
     check_level,
 )
-from repro.encoding.packing import pack_uniform, unpack_uniform
-from repro.errors import ConfigurationError, CryptoError, positive_int
+from repro.errors import CryptoError, positive_int
 
 
 @dataclass
@@ -77,8 +77,9 @@ class NoncePool:
     With a ``secret_key`` the pool belongs to the key owner (the paper's
     coordinator precomputes its *own* nonces), so refills and dry-pool
     encryptions run the owner's half-width path
-    (:meth:`~repro.crypto.paillier.PaillierPrivateKey.obfuscate`); without
-    one they use the public windowed fixed-exponent program.  Both produce
+    (:meth:`~repro.crypto.paillier.PaillierPrivateKey.obfuscate`), a
+    refill's batch on two cores when it can; without one they use the
+    public windowed fixed-exponent program.  Both produce
     the exact values builtin ``pow`` would, so pool contents never depend
     on which kernel ran.
     """
@@ -103,24 +104,30 @@ class NoncePool:
 
     def available(self, s: int = 1) -> int:
         """How many factors remain at level ``s``."""
-        return len(self._factors[s])
+        return len(self._factors[check_level(s)])
 
     def refill(self, count: int, s: int = 1, rng: random.Random | None = None) -> None:
-        """Precompute ``count`` fresh factors at level ``s`` (offline work)."""
+        """Precompute ``count`` fresh factors at level ``s`` (offline work).
+
+        Every nonce is drawn first; a key-owned pool then builds the
+        factors as one batch, on two cores when it can
+        (:func:`~repro.crypto.cores.obfuscate_many`).
+        """
         count = positive_int(count, "refill count")
         s = check_level(s)
         rng = rng or random.Random()
         pk, sk = self.public_key, self.secret_key
-        owner = sk if sk is not None else pk
         if sk is not None:
             muls = sum(m for m, _ in sk.obfuscate_stages(s))
         elif fastexp.enabled():
             muls = pk.nonce_plan(s).per_call_muls
         else:
             muls = fastexp.binary_pow_cost(pk.n_pow(s))
-        bucket = self._factors[s]
-        for _ in range(count):
-            bucket.append(owner.obfuscate(pk.random_unit(rng), s))
+        nonces = [pk.random_unit(rng) for _ in range(count)]
+        if sk is not None:
+            self._factors[s].extend(cores.obfuscate_many(sk, nonces, s))
+        else:
+            self._factors[s].extend(pk.obfuscate(r, s) for r in nonces)
         if fastexp.enabled():
             if sk is not None:
                 self.stats.crt_split += count
@@ -137,7 +144,7 @@ class NoncePool:
         handed out again, so two ciphertexts can only share an obfuscation
         factor if ``refill`` drew the same unit twice (probability ~2^-keysize).
         """
-        bucket = self._factors[s]
+        bucket = self._factors[check_level(s)]
         if bucket:
             self.stats.pooled += 1
             return bucket.pop()
@@ -156,10 +163,8 @@ class NoncePoolRegistry:
     """
 
     def __init__(self, seed: int = 0, chunk: int = 64) -> None:
-        if chunk < 1:
-            raise ConfigurationError("refill chunk must be positive")
         self.seed = seed
-        self.chunk = chunk
+        self.chunk = positive_int(chunk, "refill chunk")
         self._pools: dict[PaillierPublicKey, NoncePool] = {}
         self._refills = 0
 
@@ -241,52 +246,6 @@ def encrypt_with_pool(
     return pk.encrypt_with_factor(plaintext, factor, s=s)
 
 
-def packed_capacity(public_key: PaillierPublicKey, field_bits: int, s: int = 1) -> int:
-    """How many ``field_bits``-wide fields fit in one level-``s`` plaintext.
-
-    One bit is reserved below ``N^s`` (whose top bit is not guaranteed),
-    mirroring :class:`~repro.encoding.answers.AnswerCodec`'s
-    ``keysize - 1`` chunking.
-    """
-    if field_bits < 1:
-        raise ConfigurationError("field width must be positive")
-    return max((public_key.key_bits * s - 1) // field_bits, 0)
-
-
-def encrypt_packed(
-    pool: NoncePool,
-    values: list[int],
-    field_bits: int,
-    s: int = 1,
-    rng: random.Random | None = None,
-    public_key: PaillierPublicKey | None = None,
-) -> Ciphertext:
-    """Encrypt many small fields as one pooled ciphertext.
-
-    Packs ``values`` with :func:`~repro.encoding.packing.pack_uniform`
-    and spends a *single* obfuscation factor, so a batch of serving-side
-    payload fields costs one encryption instead of ``len(values)``.
-    """
-    capacity = packed_capacity(pool.public_key, field_bits, s)
-    if len(values) > capacity:
-        raise CryptoError(
-            f"{len(values)} fields of {field_bits} bits exceed the "
-            f"level-{s} plaintext capacity of {capacity} fields"
-        )
-    plaintext = pack_uniform(values, field_bits)
-    return encrypt_with_pool(pool, plaintext, s=s, rng=rng, public_key=public_key)
-
-
-def decrypt_packed(
-    secret_key: PaillierPrivateKey,
-    c: Ciphertext,
-    field_bits: int,
-    count: int,
-) -> list[int]:
-    """Inverse of :func:`encrypt_packed` for ``count`` fields."""
-    return unpack_uniform(secret_key.decrypt(c), field_bits, count)
-
-
 def pooled_indicator(
     pool: NoncePool,
     length: int,
@@ -300,8 +259,7 @@ def pooled_indicator(
     ``public_key`` pins the expected group key — see
     :func:`encrypt_with_pool`.
     """
-    if not 0 <= hot_index < length:
-        raise CryptoError(f"hot index {hot_index} out of range [0, {length})")
+    length, hot_index = check_indicator(length, hot_index)
     return [
         encrypt_with_pool(
             pool, 1 if i == hot_index else 0, s=s, rng=rng, public_key=public_key

@@ -28,7 +28,9 @@ same ciphertext as the public path at the same rng state.  Per prime the
 factor is a Teichmüller lift: one ``(p - 1)`` power modulo ``p^{s+1}``
 and a binomial series of ``s + 1`` terms, the trick ``g_pow`` plays on
 ``(1+N)^m``, so its costly exponent has half the key's bits at every
-level.
+level.  :meth:`PaillierPrivateKey.encrypt_many` encrypts a batch, such as
+an indicator, and builds its factors on two cores when the host has them
+(:mod:`repro.crypto.cores`).
 
 Every level ``s`` a caller passes goes through :func:`check_level` before
 it reaches a per-level cache or a :class:`Ciphertext`.
@@ -40,9 +42,9 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from repro.crypto import fastexp
+from repro.crypto import cores, fastexp
 from repro.crypto.modmath import factorial_inverse_table, invmod, lcm
 from repro.crypto.primes import generate_distinct_primes
 from repro.errors import ConfigurationError, CryptoError, positive_int
@@ -487,6 +489,36 @@ class PaillierPrivateKey:
         return Ciphertext(
             value=value % public.ciphertext_modulus(s), s=s, public_key=public
         )
+
+    def encrypt_many(
+        self,
+        plaintexts: Sequence[int],
+        s: int = 1,
+        rng: random.Random | None = None,
+    ) -> list[Ciphertext]:
+        """:meth:`encrypt` of each plaintext, with the nonce factors built
+        as one batch by :func:`~repro.crypto.cores.obfuscate_many`.
+
+        Every nonce is drawn first, in the order that as many :meth:`encrypt`
+        calls would draw them, so each ciphertext is byte-identical to
+        theirs; the batch may then run on two cores.
+        """
+        public = self.public_key
+        s = check_level(s)
+        for plaintext in plaintexts:
+            public.check_plaintext(plaintext, s)
+        rng = rng or random.Random()
+        nonces = [public.random_unit(rng) for _ in plaintexts]
+        factors = cores.obfuscate_many(self, nonces, s)
+        mod_cipher = public.ciphertext_modulus(s)
+        return [
+            Ciphertext(
+                value=public.g_pow(plaintext, s) * factor % mod_cipher,
+                s=s,
+                public_key=public,
+            )
+            for plaintext, factor in zip(plaintexts, factors, strict=True)
+        ]
 
     def __repr__(self) -> str:
         return f"PaillierPrivateKey(bits={self.public_key.key_bits})"

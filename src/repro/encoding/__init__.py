@@ -9,18 +9,11 @@ smaller than N, zero-padded so every candidate uses exactly the same ``m``
 """
 
 from repro.encoding.answers import AnswerCodec, DecodedAnswer
-from repro.encoding.packing import (
-    pack_fields,
-    pack_uniform,
-    unpack_fields,
-    unpack_uniform,
-)
+from repro.encoding.packing import pack_fields, unpack_fields
 
 __all__ = [
     "AnswerCodec",
     "DecodedAnswer",
     "pack_fields",
-    "pack_uniform",
     "unpack_fields",
-    "unpack_uniform",
 ]

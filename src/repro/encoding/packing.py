@@ -44,37 +44,6 @@ def unpack_fields(packed: int, widths: Sequence[int]) -> list[int]:
     return values
 
 
-def pack_uniform(values: Sequence[int], width: int) -> int:
-    """Pack equal-width unsigned fields, first value least significant.
-
-    The common case of :func:`pack_fields` (every field the same width),
-    used to batch many small plaintexts into one Paillier plaintext so a
-    single encryption replaces ``len(values)`` of them.
-    """
-    if width < 1:
-        raise EncodingError("field width must be positive")
-    packed = 0
-    for i, value in enumerate(values):
-        if not 0 <= value < (1 << width):
-            raise EncodingError(f"value {value} at index {i} does not fit in {width} bits")
-        packed |= value << (i * width)
-    return packed
-
-
-def unpack_uniform(packed: int, width: int, count: int) -> list[int]:
-    """Inverse of :func:`pack_uniform` for ``count`` fields."""
-    if width < 1:
-        raise EncodingError("field width must be positive")
-    if count < 0:
-        raise EncodingError("field count must be non-negative")
-    if packed < 0:
-        raise EncodingError("packed value must be non-negative")
-    if packed >> (width * count):
-        raise EncodingError("packed value has stray bits beyond the declared fields")
-    mask = (1 << width) - 1
-    return [(packed >> (i * width)) & mask for i in range(count)]
-
-
 def split_bitstream(stream: int, chunk_bits: int, chunk_count: int) -> list[int]:
     """Split a big integer into ``chunk_count`` integers of ``chunk_bits`` each.
 

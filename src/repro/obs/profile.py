@@ -196,18 +196,29 @@ class ProfiledPrivateKey(PaillierPrivateKey):
         super().__init__(public_key, p, q)
         self.profiler = profiler if profiler is not None else KeyProfiler()
 
-    def encrypt(self, plaintext, s=1, rng=None) -> Ciphertext:
-        started = time.perf_counter()
-        result = super().encrypt(plaintext, s, rng)
-        wall = time.perf_counter() - started
+    def _charge_owner(self, s: int, count: int, wall: float) -> None:
+        """Charge ``count`` owner encryptions at level ``s``, ``wall`` seconds in all."""
         # Each stage of the owner's nonce factor at its own modulus width,
         # then the full-width binomial expansion and combine multiply.
         stages = self.obfuscate_stages(s)
         stages += ((2 * s + 1, (s + 1) * self.public_key.key_bits),)
-        muls = sum(count for count, _ in stages)
-        self.profiler.profile("encrypt.owner").record(
-            muls, stage_work(stages), wall
-        )
+        muls = sum(n for n, _ in stages)
+        work = stage_work(stages)
+        profile = self.profiler.profile("encrypt.owner")
+        for _ in range(count):
+            profile.record(muls, work, wall / count)
+
+    def encrypt(self, plaintext, s=1, rng=None) -> Ciphertext:
+        started = time.perf_counter()
+        result = super().encrypt(plaintext, s, rng)
+        self._charge_owner(s, 1, time.perf_counter() - started)
+        return result
+
+    def encrypt_many(self, plaintexts, s=1, rng=None) -> list[Ciphertext]:
+        # Charged per ciphertext, exactly as that many encrypt calls are.
+        started = time.perf_counter()
+        result = super().encrypt_many(plaintexts, s, rng)
+        self._charge_owner(s, len(result), time.perf_counter() - started)
         return result
 
     def decrypt_with_path(self, c: Ciphertext, use_crt: bool = True):

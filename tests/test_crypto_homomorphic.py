@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from repro.crypto.homomorphic import (
     matrix_select,
     nested_select,
 )
+from repro.crypto.noncepool import NoncePool, pooled_indicator
 from repro.crypto.paillier import generate_keypair
 from repro.errors import CryptoError
 
@@ -132,6 +134,26 @@ class TestPrivateSelection:
             encrypt_indicator(pk, 3, 3)
         with pytest.raises(CryptoError):
             encrypt_indicator(pk, 3, -1)
+
+    @pytest.mark.parametrize(
+        "length, hot",
+        [(3, 1.5), (3, 1.0), (3, True), (3, "1"), (3.0, 1), (True, 0), (0, 0), (-2, 0)],
+    )
+    @pytest.mark.parametrize("entry", ["secret", "public", "pooled"])
+    def test_indicator_arguments_are_integers(self, kp, entry, length, hot):
+        # A float hot index matched no slot: three encryptions of 0, a
+        # vector that selects nothing; a float length raised TypeError.
+        sk, pk = kp
+        with pytest.raises(CryptoError):
+            if entry == "pooled":
+                pooled_indicator(NoncePool(pk, sk), length, hot)
+            else:
+                encrypt_indicator(sk if entry == "secret" else pk, length, hot)
+
+    def test_indicator_accepts_numpy_integers(self, kp):
+        sk, _ = kp
+        indicator = encrypt_indicator(sk, np.int64(3), np.int64(1))
+        assert [sk.decrypt(c) for c in indicator] == [0, 1, 0]
 
     def test_counter_tracks_encryptions(self, kp):
         _, pk = kp

@@ -158,6 +158,25 @@ class TestPoolStatsAndSharing:
         assert registry.pool_for(other) is not a
         assert registry.stats.precomputed == a.stats.precomputed
 
+    @pytest.mark.parametrize("chunk", [2.5, 2.0, True, 0])
+    def test_registry_chunk_checked_at_construction(self, chunk):
+        from repro.crypto.noncepool import NoncePoolRegistry
+
+        with pytest.raises(ConfigurationError, match="refill chunk"):
+            NoncePoolRegistry(chunk=chunk)
+
+    @pytest.mark.parametrize("s", [0, -1, 2.0, True])
+    def test_take_and_available_check_the_level(self, kp, s):
+        # take(0) used to record a dry take and return None.
+        _, pk = kp
+        pool = NoncePool(pk)
+        pool.refill(2, rng=random.Random(4))
+        with pytest.raises(CryptoError):
+            pool.take(s)
+        with pytest.raises(CryptoError):
+            pool.available(s)
+        assert pool.stats.dry == 0 and pool.available() == 2
+
     def test_registry_refills_are_deterministic(self, kp):
         from repro.crypto.noncepool import NoncePoolRegistry
 
@@ -335,36 +354,3 @@ class TestFastRefillPaths:
         assert pool.secret_key is None
         assert registry.pool_for(pk, sk) is pool
         assert pool.secret_key is sk
-
-
-class TestPackedEncryption:
-    def test_roundtrip_spends_one_factor(self, kp):
-        from repro.crypto.noncepool import decrypt_packed, encrypt_packed
-
-        sk, pk = kp
-        pool = NoncePool(pk)
-        pool.refill(2, rng=random.Random(5))
-        fields = [17, 0, 255, 3]
-        c = encrypt_packed(pool, fields, 8)
-        assert decrypt_packed(sk, c, 8, len(fields)) == fields
-        assert pool.available() == 1  # one factor for four fields
-
-    def test_capacity_enforced(self, kp):
-        from repro.crypto.noncepool import encrypt_packed, packed_capacity
-
-        _, pk = kp
-        pool = NoncePool(pk)
-        capacity = packed_capacity(pk, 8)
-        assert capacity == (pk.key_bits - 1) // 8
-        with pytest.raises(CryptoError):
-            encrypt_packed(pool, [0] * (capacity + 1), 8)
-
-    def test_level_two_capacity_doubles(self, kp):
-        from repro.crypto.noncepool import decrypt_packed, encrypt_packed, packed_capacity
-
-        sk, pk = kp
-        assert packed_capacity(pk, 8, s=2) > packed_capacity(pk, 8)
-        pool = NoncePool(pk)
-        fields = list(range(20))
-        c = encrypt_packed(pool, fields, 8, s=2)
-        assert decrypt_packed(sk, c, 8, len(fields)) == fields

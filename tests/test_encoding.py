@@ -10,10 +10,8 @@ from repro.encoding.answers import AnswerCodec
 from repro.encoding.packing import (
     join_bitstream,
     pack_fields,
-    pack_uniform,
     split_bitstream,
     unpack_fields,
-    unpack_uniform,
 )
 from repro.errors import ConfigurationError, EncodingError
 from repro.geometry.point import Point
@@ -149,32 +147,3 @@ class TestAnswerCodec:
         pois = uniform_pois(count, space, seed=seed % 1000)
         decoded = codec.decode(codec.encode(pois))
         assert [d.poi_id for d in decoded] == [p.poi_id for p in pois]
-
-
-class TestUniformPacking:
-    def test_roundtrip(self):
-        values = [0, 1, 255, 128, 7]
-        packed = pack_uniform(values, 8)
-        assert unpack_uniform(packed, 8, len(values)) == values
-
-    def test_matches_pack_fields(self):
-        values = [3, 1, 4, 1, 5]
-        assert pack_uniform(values, 6) == pack_fields(values, [6] * 5)
-
-    def test_width_and_range_validated(self):
-        with pytest.raises(EncodingError):
-            pack_uniform([1], 0)
-        with pytest.raises(EncodingError):
-            pack_uniform([256], 8)
-        with pytest.raises(EncodingError):
-            unpack_uniform(1 << 16, 8, 2)
-        with pytest.raises(EncodingError):
-            unpack_uniform(-1, 8, 1)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.integers(min_value=0, max_value=1023), max_size=12),
-    )
-    def test_roundtrip_property(self, values):
-        packed = pack_uniform(values, 10)
-        assert unpack_uniform(packed, 10, len(values)) == values
