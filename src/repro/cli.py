@@ -48,7 +48,7 @@ from repro.core.naive import run_naive
 from repro.core.opt import run_ppgnn_opt
 from repro.core.single import run_single_user
 from repro.datasets.sequoia import load_sequoia
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 from repro.gnn.engine import INDEX_KINDS
 from repro.partition.solver import solve_partition
 
@@ -160,38 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the merged span trace as JSONL (implies --obs)",
     )
     serve.add_argument(
-        "--shards", type=int, default=0,
-        help="partition the database across this many LSP shards "
-        "(0 serves from a single LSP)",
-    )
-    serve.add_argument(
-        "--shard-replicas", type=int, default=1,
-        help="replicas per shard for failover and hedging",
-    )
-    serve.add_argument(
-        "--quorum", type=float, default=0.5,
-        help="minimum POI coverage fraction before a job fails outright",
-    )
-    serve.add_argument(
-        "--partition", default="spatial",
-        choices=["spatial", "round-robin", "str"],
-        help="shard partitioning strategy",
-    )
-    serve.add_argument(
         "--index", default="rtree", choices=INDEX_KINDS,
         help="index substrate behind the kGNN engine (every kind keeps the "
         "answers digest byte-identical)",
-    )
-    serve.add_argument(
-        "--hedge-factor", type=float, default=2.0,
-        help="hedge a straggling sub-query once it exceeds this multiple "
-        "of its predicted time (<= 1 disables hedging)",
-    )
-    serve.add_argument(
-        "--kill-shard", action="append", type=int, default=None,
-        metavar="SHARD", dest="kill_shards",
-        help="kill every replica of this shard from the start "
-        "(repeatable; needs --shards; exercises graceful degradation)",
     )
 
     index_build = sub.add_parser(
@@ -455,38 +426,13 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.serve import ServeConfig, ServeEngine, WorkloadSpec, generate_workload
     from repro.transport.faults import FaultPlan
 
-    if args.kill_shards and args.shards == 0:
-        raise ConfigurationError("--kill-shard needs --shards")
     lsp = LSPServer(load_sequoia(args.pois), seed=args.seed, index=args.index)
-    cluster = None
-    if args.shards > 0:
-        from repro.cluster import ClusterConfig, ShardFaultPlan
-
-        faults = None
-        if args.kill_shards:
-            kills = {
-                (shard, replica): 0
-                for shard in sorted(set(args.kill_shards))
-                for replica in range(args.shard_replicas)
-            }
-            faults = ShardFaultPlan.killing(kills, seed=args.seed)
-        cluster = ClusterConfig(
-            shards=args.shards,
-            replicas=args.shard_replicas,
-            quorum=args.quorum,
-            partition=args.partition,
-            hedge_factor=args.hedge_factor if args.hedge_factor > 1.0 else None,
-            faults=faults,
-        )
     config = PPGNNConfig(
         d=args.d,
         delta=args.delta,
         k=args.k,
         keysize=args.keysize,
         key_seed=args.seed,
-        # The scatter-gather merge needs full local top-k lists, so
-        # cluster mode serves the paper's unsanitized (NAS) variant.
-        sanitize=cluster is None,
         sanitation_samples=16,
     )
     spec = WorkloadSpec(
@@ -508,7 +454,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         if args.fault_rate > 0
         else None,
         obs=args.obs or args.trace_out is not None,
-        cluster=cluster,
         index=args.index,
     )
     workload = generate_workload(spec, lsp.space)
@@ -543,18 +488,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         )
         if report.retransmissions:
             print(f"transport: {report.retransmissions} retransmissions")
-        if report.cluster is not None:
-            c = report.cluster
-            print(
-                f"cluster: {c['shards']} shards x {c['replicas']} replicas; "
-                f"{c['subqueries']} sub-queries, load imbalance "
-                f"{c['load_imbalance']:.2f}"
-            )
-            print(
-                f"faults: {c['failovers']} failovers, {c['hedges']} hedges "
-                f"({c['hedge_wins']} won), {c['partial_answers']} partial "
-                f"answers (min coverage {c['coverage_min']:.0%})"
-            )
     if args.record:
         from repro.bench.recorder import SeriesRecorder
 
@@ -573,8 +506,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 "rate_qps": args.rate,
                 "repeat_fraction": args.repeat_fraction,
                 "fault_rate": args.fault_rate,
-                "shards": args.shards,
-                "shard_replicas": args.shard_replicas,
                 "seed": args.seed,
             },
         )

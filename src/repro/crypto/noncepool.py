@@ -194,6 +194,7 @@ class NoncePoolRegistry:
         knob: one big refill amortizes better than many small ones when
         several sessions drain the same pool.
         """
+        count = positive_int(count, "ensure count")
         pool = self.pool_for(public_key)
         deficit = count - pool.available(s)
         if deficit > 0:

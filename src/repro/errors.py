@@ -164,39 +164,6 @@ class RetryExhaustedError(TransportError):
         )
 
 
-class ShardLostError(RetryExhaustedError):
-    """An LSP shard (every reachable replica of it) is unreachable.
-
-    Distinguishes a dead *party* on the provider side from a merely dead
-    channel: the failed endpoint was a scripted-dead LSP, so retrying the
-    same link is pointless — the cure is failover to another replica or,
-    past the quorum, a degraded :class:`~repro.cluster.merge.PartialAnswer`.
-    Deliberately *not* a :class:`GroupMemberLostError`: losing a shard
-    never invalidates the group's partition layout, so
-    :class:`~repro.transport.session.ResilientSession` must not regroup
-    around it.
-    """
-
-    def __init__(
-        self,
-        party: str,
-        shard_id: int,
-        link: tuple[str, str],
-        attempts: int,
-    ) -> None:
-        self.party = party
-        self.shard_id = shard_id
-        # Skip RetryExhaustedError.__init__ to keep its fields but not
-        # its message; a dead shard is not a dead link.
-        self.link = link
-        self.attempts = attempts
-        TransportError.__init__(
-            self,
-            f"LSP shard {shard_id} ({party}) unreachable after "
-            f"{attempts} attempts",
-        )
-
-
 class GroupMemberLostError(TransportError, ProtocolError):
     """A group member became unreachable mid-protocol.
 

@@ -37,14 +37,10 @@ from repro.crypto.serialization import (
 from repro.errors import CheckpointError, CryptoError
 
 if TYPE_CHECKING:
-    from repro.cluster.scatter import ScatterState
     from repro.core.session import QuerySession
 
 _MAGIC = b"RPSS"
 _VERSION = 1
-
-_SCATTER_MAGIC = b"RPCS"
-_SCATTER_VERSION = 1
 
 
 def _pack_bool(value: bool) -> bytes:
@@ -203,128 +199,3 @@ def restore_session(data: bytes, lsp, *, session_cls=None, **session_kwargs):
         **session_kwargs,
     )
 
-
-# --------------------------------------------------------------- scatter
-
-
-def _pack_int_list(values) -> bytes:
-    return pack_int(len(values)) + b"".join(pack_int(v) for v in values)
-
-
-def _unpack_int_list(data: bytes, offset: int) -> tuple[list[int], int]:
-    count, offset = unpack_int(data, offset)
-    values = []
-    for _ in range(count):
-        value, offset = unpack_int(data, offset)
-        values.append(value)
-    return values, offset
-
-
-def checkpoint_scatter(state: "ScatterState") -> bytes:
-    """Freeze a mid-scatter state (see :mod:`repro.cluster.scatter`).
-
-    Captures the job progress — pending / answered / lost shards, the
-    gathered per-shard answers, the simulated scatter clock — *and* the
-    shard-fault interpreter snapshot (per-replica served counts plus the
-    cell's sub-query sequence), so the resumed run replays the exact
-    failure schedule of an uninterrupted one.
-
-    Wire format: magic ``RPCS``, a 2-byte version, then the fields in
-    fixed order using the same hardened length-prefixed primitives as the
-    session checkpoint.
-    """
-    parts = [
-        _SCATTER_MAGIC,
-        struct.pack(">H", _SCATTER_VERSION),
-        pack_int(state.job_id),
-        _pack_int_list(state.pending),
-        pack_int(len(state.answers)),
-    ]
-    for answer in state.answers:
-        parts.extend(
-            (
-                pack_int(answer.shard_id),
-                pack_int(answer.replica),
-                _pack_int_list(answer.answer_ids),
-                pack_int(answer.comm_bytes),
-                pack_float(answer.simulated_seconds),
-                pack_int(answer.failovers),
-                _pack_bool(answer.hedged),
-                _pack_bool(answer.hedge_won),
-            )
-        )
-    parts.append(_pack_int_list(state.lost))
-    parts.append(pack_float(state.elapsed_seconds))
-    parts.append(pack_int(len(state.fault_served)))
-    for (shard, replica), count in sorted(state.fault_served.items()):
-        parts.extend((pack_int(shard), pack_int(replica), pack_int(count)))
-    parts.append(pack_int(state.fault_sequence))
-    return b"".join(parts)
-
-
-def restore_scatter(data: bytes) -> "ScatterState":
-    """Rebuild a mid-scatter state from :func:`checkpoint_scatter` bytes."""
-    from repro.cluster.merge import ShardAnswer
-    from repro.cluster.scatter import ScatterState
-
-    if len(data) < 6:
-        raise CryptoError("scatter checkpoint shorter than its header")
-    if data[:4] != _SCATTER_MAGIC:
-        raise CryptoError(f"bad scatter checkpoint magic {data[:4]!r}")
-    (version,) = struct.unpack_from(">H", data, 4)
-    if version != _SCATTER_VERSION:
-        raise CryptoError(f"unsupported scatter checkpoint version {version}")
-    offset = 6
-    job_id, offset = unpack_int(data, offset)
-    pending, offset = _unpack_int_list(data, offset)
-    answer_count, offset = unpack_int(data, offset)
-    answers = []
-    for _ in range(answer_count):
-        shard_id, offset = unpack_int(data, offset)
-        replica, offset = unpack_int(data, offset)
-        answer_ids, offset = _unpack_int_list(data, offset)
-        comm_bytes, offset = unpack_int(data, offset)
-        simulated_seconds, offset = unpack_float(data, offset)
-        failovers, offset = unpack_int(data, offset)
-        hedged, offset = _unpack_bool(data, offset)
-        hedge_won, offset = _unpack_bool(data, offset)
-        answers.append(
-            ShardAnswer(
-                shard_id=shard_id,
-                replica=replica,
-                answer_ids=tuple(answer_ids),
-                comm_bytes=comm_bytes,
-                simulated_seconds=simulated_seconds,
-                failovers=failovers,
-                hedged=hedged,
-                hedge_won=hedge_won,
-            )
-        )
-    lost, offset = _unpack_int_list(data, offset)
-    elapsed_seconds, offset = unpack_float(data, offset)
-    served_count, offset = unpack_int(data, offset)
-    fault_served: dict[tuple[int, int], int] = {}
-    for _ in range(served_count):
-        shard, offset = unpack_int(data, offset)
-        replica, offset = unpack_int(data, offset)
-        count, offset = unpack_int(data, offset)
-        fault_served[(shard, replica)] = count
-    fault_sequence, offset = unpack_int(data, offset)
-    if offset != len(data):
-        raise CryptoError("trailing bytes after scatter checkpoint")
-    if elapsed_seconds < 0.0:
-        raise CheckpointError("scatter checkpoint carries a negative clock")
-    answered = {a.shard_id for a in answers}
-    if answered & set(pending) or answered & set(lost):
-        raise CheckpointError(
-            "scatter checkpoint lists a shard as both answered and open"
-        )
-    return ScatterState(
-        job_id=job_id,
-        pending=pending,
-        answers=answers,
-        lost=lost,
-        elapsed_seconds=elapsed_seconds,
-        fault_served=fault_served,
-        fault_sequence=fault_sequence,
-    )

@@ -15,7 +15,10 @@ from repro.geometry.rect import Rect
 
 @dataclass
 class IndexCounters:
-    """Exact per-engine work counters, published as ``index.*`` metrics.
+    """Exact per-engine work counters.
+
+    A serving bucket publishes its engine's counters as the ``index.*``
+    metrics when it closes.
 
     ``candidates_scored`` counts entries of expanded leaves examined (every
     entry, for exhaustive scans) — the measure of per-query candidate
@@ -29,12 +32,6 @@ class IndexCounters:
     queries: int = 0
     nodes_visited: int = 0
     candidates_scored: int = 0
-
-    def merge(self, other: "IndexCounters") -> None:
-        """Fold another engine's counters into this one (cluster roll-up)."""
-        self.queries += other.queries
-        self.nodes_visited += other.nodes_visited
-        self.candidates_scored += other.candidates_scored
 
 
 class TraversalNode:

@@ -1,7 +1,6 @@
 """Retrieval quality of kGNN answers.
 
-Scores a baseline's answer against the exact kGNN answer, and estimates
-the recall of a shard-degraded cluster answer when no exact answer exists.
+Scores a baseline's answer against the exact kGNN answer.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.datasets.poi import POI
-from repro.errors import ConfigurationError, positive_int
+from repro.errors import ConfigurationError
 from repro.geometry.point import Point
 from repro.gnn.aggregate import Aggregate
 
@@ -58,52 +57,6 @@ def cost_ratio(
     if optimum == 0.0:
         return 1.0
     return mean_cost(returned) / optimum
-
-
-@dataclass(frozen=True, slots=True)
-class PartialAnswerQuality:
-    """A-priori quality estimate of a shard-degraded answer.
-
-    Unlike :class:`AnswerQuality` this needs no ground truth: it is what
-    a serving cluster can honestly promise about a
-    :class:`~repro.cluster.merge.PartialAnswer` *at answer time*, when the
-    lost shards' POIs are unreachable and the exact top-k is unknowable.
-    """
-
-    coverage: float
-    expected_recall: float
-    guaranteed_recall: float
-
-    @property
-    def complete(self) -> bool:
-        return self.coverage == 1.0
-
-
-def estimate_partial_quality(
-    covered_pois: int, total_pois: int, k: int
-) -> PartialAnswerQuality:
-    """Estimate the recall of a top-k computed over a covered subset.
-
-    Under the exchangeability prior (any POI equally likely to be in the
-    exact top-k), the overlap between the top-k and a covered subset of
-    size ``c`` out of ``t`` is hypergeometric with mean ``k * c / t``, so
-    the expected recall is exactly the coverage fraction ``c / t``.  The
-    guaranteed (worst-case) recall accounts for the pigeonhole floor: at
-    most ``t - c`` of the exact top-k can hide in the lost shards, so at
-    least ``k - (t - c)`` answers are certainly correct.
-    """
-    if total_pois < 1 or not 0 <= covered_pois <= total_pois:
-        raise ConfigurationError(
-            "need 0 <= covered_pois <= total_pois with total_pois >= 1"
-        )
-    k = positive_int(k, "k")
-    coverage = covered_pois / total_pois
-    lost = total_pois - covered_pois
-    return PartialAnswerQuality(
-        coverage=coverage,
-        expected_recall=coverage,
-        guaranteed_recall=max(0, k - lost) / k,
-    )
 
 
 @dataclass(frozen=True, slots=True)

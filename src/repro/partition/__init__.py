@@ -11,28 +11,15 @@ contains:
 - :mod:`~repro.partition.layout` — the
   :class:`~repro.partition.layout.GroupLayout` that places real locations,
   computes the query index of Eqn (12), and enumerates the candidate query
-  list in the canonical lexicographic order shared by users and LSP,
-- :mod:`~repro.partition.spatial` — deterministic POI-database
-  partitioning (balanced kd-style or round-robin) for the sharded
-  serving cluster of :mod:`repro.cluster`.
+  list in the canonical lexicographic order shared by users and LSP.
 """
 
 from repro.partition.layout import GroupLayout, PlacementPlan
 from repro.partition.solver import PartitionParameters, solve_partition
-from repro.partition.spatial import (
-    PARTITION_STRATEGIES,
-    partition_pois,
-    round_robin_partition,
-    spatial_partition,
-)
 
 __all__ = [
-    "PARTITION_STRATEGIES",
     "PartitionParameters",
     "solve_partition",
     "GroupLayout",
     "PlacementPlan",
-    "partition_pois",
-    "round_robin_partition",
-    "spatial_partition",
 ]

@@ -54,6 +54,7 @@ from repro.serve.pool import (
 )
 from repro.serve.scheduler import POLICIES, make_scheduler
 from repro.serve.workload import QueryJob, Workload
+from repro.transport.faults import FaultPlan
 
 _EXECUTORS = ("serial", "process")
 
@@ -81,12 +82,11 @@ class ServeConfig:
     nonce_pool: bool = True
     nonce_chunk: int = 64
     knn_cache_size: int | None = 256
-    faults: object | None = None
+    faults: FaultPlan | None = None
     guard: bool = False
     deadline_seconds: float | None = None
     obs: bool = False
     cost_model: CostModel = field(default_factory=CostModel)
-    cluster: object | None = None  # a repro.cluster.ClusterConfig, or None
     # Index substrate override for the serving replicas (one of
     # repro.gnn.engine.INDEX_KINDS, or None to keep whatever index the
     # LSP was built with).  Every kind keeps the answers digest
@@ -118,23 +118,14 @@ class ServeConfig:
             )
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ConfigurationError("deadline_seconds must be positive or None")
-        if self.cluster is not None:
-            shards = getattr(self.cluster, "shards", None)
-            if not isinstance(shards, int):
-                raise ConfigurationError(
-                    "cluster must be a repro.cluster.ClusterConfig or None"
-                )
-            if self.executor == "process" and shards > self.workers:
-                # Every one of the `workers` pool processes materializes
-                # all `shards` LSP replicas and serves their sub-queries
-                # serially — oversharding past the process count would
-                # silently serialize with no parallelism to show for the
-                # memory.  (The serial executor is explicitly a
-                # one-process simulation, so it may shard freely.)
-                raise ConfigurationError(
-                    f"{shards} shards exceed {self.workers} workers under "
-                    "the process executor; raise workers or lower shards"
-                )
+        if self.faults is not None and not isinstance(self.faults, FaultPlan):
+            raise ConfigurationError(
+                f"faults must be a FaultPlan or None, not {type(self.faults).__name__}"
+            )
+        if not isinstance(self.cost_model, CostModel):
+            raise ConfigurationError(
+                f"cost_model must be a CostModel, not {type(self.cost_model).__name__}"
+            )
         if self.exemplars and not self.obs:
             raise ConfigurationError(
                 "exemplars need the observability pipeline; pass obs=True"
@@ -170,7 +161,6 @@ class ServeConfig:
             obs=self.obs,
             trace_capacity=self.trace_capacity,
             exemplars=self.exemplars,
-            cluster=self.cluster,
         )
 
 
@@ -255,7 +245,6 @@ class ServingReport:
     rejections: list[RejectedJob]
     answers_digest: str
     obs: dict | None = None
-    cluster: dict | None = None
     outcomes: dict[int, JobOutcome] = field(default_factory=dict, repr=False)
     wall_seconds: float = 0.0
 
@@ -305,8 +294,6 @@ class ServingReport:
         }
         if self.obs is not None:
             data["obs"] = self.obs
-        if self.cluster is not None:
-            data["cluster"] = self.cluster
         if include_wall:
             data["wall_seconds"] = self.wall_seconds
             data["wall_qps"] = self.wall_qps
@@ -361,7 +348,6 @@ class ServingReport:
             ],
             answers_digest=data["answers_digest"],
             obs=data.get("obs"),
-            cluster=data.get("cluster"),
             wall_seconds=data.get("wall_seconds", 0.0),
         )
 
@@ -384,11 +370,6 @@ class ServeEngine:
         self.base_config = base_config
         self.serve_config = serve_config or ServeConfig()
         self._replica: tuple[tuple, LSPSpec] | None = None
-        if self.serve_config.cluster is not None and base_config.sanitize:
-            raise ConfigurationError(
-                "the cluster merge needs unsanitized per-shard answers; "
-                "use a sanitize=False config (PPGNN-NAS) with cluster mode"
-            )
 
     # ------------------------------------------------------------ phase 1
 
@@ -590,54 +571,10 @@ class ServeEngine:
                 f"{job_id}:{','.join(map(str, outcome.answer_ids))}"
                 f":{outcome.comm_bytes}:{outcome.error_type}"
             )
-            if outcome.partial:
-                # Degraded answers must never digest-collide with full
-                # ones; non-cluster outcomes are never partial, so the
-                # historical digest formula is byte-identical.
-                entry += (
-                    f":partial:{outcome.coverage:.9f}"
-                    f":{','.join(map(str, outcome.lost_shards))}"
-                )
             digest.update(entry.encode())
 
         makespan = max((slot.finish for slot in planned), default=0.0)
         depths = [depth for _, depth in depth_timeline]
-
-        cluster_section = None
-        if cfg.cluster is not None:
-            from repro.cluster.scatter import ClusterStats
-
-            cs = stats.cluster if stats.cluster is not None else ClusterStats()
-            partials = [o for o in completed if o.partial]
-            cluster_section = {
-                "shards": cfg.cluster.shards,
-                "replicas": cfg.cluster.replicas,
-                "quorum": cfg.cluster.quorum,
-                "subqueries": cs.subqueries,
-                "failovers": cs.failovers,
-                "hedges": cs.hedges,
-                "hedge_wins": cs.hedge_wins,
-                "partial_answers": cs.partial_answers,
-                "shards_lost": cs.shards_lost,
-                "load_imbalance": round(cs.load_imbalance(), 9),
-                "coverage_min": round(
-                    min((o.coverage for o in completed), default=1.0), 9
-                ),
-                "mean_expected_recall": round(
-                    sum(o.expected_recall for o in partials) / len(partials), 9
-                )
-                if partials
-                else 1.0,
-                "per_shard": {
-                    str(shard): {
-                        "subqueries": cs.per_shard_subqueries.get(shard, 0),
-                        "simulated_seconds": round(
-                            cs.per_shard_seconds.get(shard, 0.0), 9
-                        ),
-                    }
-                    for shard in range(cfg.cluster.shards)
-                },
-            }
 
         obs_payload = None
         if cfg.obs:
@@ -722,7 +659,6 @@ class ServeEngine:
             rejections=rejected,
             answers_digest=digest.hexdigest(),
             obs=obs_payload,
-            cluster=cluster_section,
             outcomes=outcomes,
             wall_seconds=wall,
         )

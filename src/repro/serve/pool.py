@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from repro.core.common import group_keypair
 from repro.core.config import PPGNNConfig
@@ -37,7 +36,7 @@ from repro.geometry.space import LocationSpace
 from repro.gnn.aggregate import get_aggregate
 from repro.gnn.engine import GNNQueryEngine, build_index
 from repro.guard.guard import ProtocolGuard
-from repro.index.base import IndexCounters, SpatialIndex
+from repro.index.base import SpatialIndex
 from repro.obs import MetricsRegistry, MetricsSnapshot, Observability, Tracer
 from repro.partition.solver import solve_partition
 from repro.serve.cache import CacheStats, KnnLRUCache
@@ -45,9 +44,6 @@ from repro.serve.workload import GroupProfile, QueryJob
 from repro.transport.channel import FaultyChannel
 from repro.transport.faults import FaultPlan
 from repro.transport.session import ResilientSession
-
-if TYPE_CHECKING:
-    from repro.cluster.scatter import ClusterRunner, ClusterStats
 
 _PROTOCOL_INDEX = {"ppgnn": 0, "ppgnn-opt": 1, "naive": 2}
 
@@ -134,7 +130,6 @@ class RunnerOptions:
     # trace.  Off by default: the no-exemplar trace is byte-identical to
     # every prior release.
     exemplars: bool = False
-    cluster: object | None = None  # a repro.cluster.ClusterConfig, or None
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,16 +150,6 @@ class JobOutcome:
     comm_bytes: int = 0
     error_type: str | None = None
     error: str | None = None
-    # Cluster degradation provenance.  Only a cluster job can be partial,
-    # so the defaults describe every non-cluster outcome and the digest
-    # formula (and the pinned regression fixtures) are untouched when
-    # ``cluster=None``.
-    partial: bool = False
-    coverage: float = 1.0
-    lost_shards: tuple[int, ...] = ()
-    expected_recall: float = 1.0
-    # The quality-scored PartialAnswer a degraded cluster job returned.
-    partial_answer: object | None = None
 
 
 @dataclass
@@ -185,19 +170,12 @@ class BucketStats:
     corrupt_rejected: int = 0
     metrics: MetricsSnapshot | None = None
     spans: tuple = ()
-    cluster: ClusterStats | None = None
 
     def merge(self, other: "BucketStats") -> None:
         self.pool.merge(other.pool)
         self.cache.merge(other.cache)
         self.retransmissions += other.retransmissions
         self.corrupt_rejected += other.corrupt_rejected
-        if other.cluster is not None:
-            if self.cluster is None:
-                from repro.cluster.scatter import ClusterStats
-
-                self.cluster = ClusterStats()
-            self.cluster.merge(other.cluster)
         if other.metrics is not None:
             registry = MetricsRegistry()
             if self.metrics is not None:
@@ -231,7 +209,7 @@ class BucketRunner:
             if options.nonce_pool
             else None
         )
-        if options.knn_cache_size is not None and options.cluster is None:
+        if options.knn_cache_size is not None:
             lsp.engine.set_knn_cache(KnnLRUCache(options.knn_cache_size))
         self._sessions: dict[tuple[int, str, int], QuerySession] = {}
         self.obs = None
@@ -246,28 +224,6 @@ class BucketRunner:
             if options.guard
             else None
         )
-        self._cluster: ClusterRunner | None = None
-        if options.cluster is not None:
-            # The cell becomes a scatter–gather cluster: its database is
-            # partitioned across shard LSPs (the cell's own LSP is never
-            # queried directly) while nonce pools, guard, observability,
-            # and message-level faults thread through unchanged.  Imported
-            # lazily: repro.cluster reaches back into repro.serve for the
-            # cost model, so a module-level import would be circular.
-            from repro.cluster.scatter import ClusterRunner
-
-            self._cluster = ClusterRunner(
-                lsp,
-                base_config,
-                options.cluster,
-                transport_faults=options.faults,
-                guard=self._guard,
-                obs=self.obs,
-                registry=self.registry,
-                top_up=self._top_up_pool if self.registry is not None else None,
-                deadline_seconds=options.deadline_seconds,
-                knn_cache_size=options.knn_cache_size,
-            )
 
     # ------------------------------------------------------------- sessions
 
@@ -336,8 +292,6 @@ class BucketRunner:
         return self._execute_job(job, group)
 
     def _execute_job(self, job: QueryJob, group: GroupProfile) -> JobOutcome:
-        if self._cluster is not None:
-            return self._run_cluster_job(job, group)
         config = (
             self.base_config
             if job.k == self.base_config.k
@@ -372,35 +326,6 @@ class BucketRunner:
             comm_bytes=result.report.total_comm_bytes,
         )
 
-    def _run_cluster_job(self, job: QueryJob, group: GroupProfile) -> JobOutcome:
-        """Scatter–gather path: full answer, typed partial, or typed failure."""
-        try:
-            scattered = self._cluster.run_job(job, group)
-        except ReproError as exc:
-            return JobOutcome(
-                job_id=job.job_id,
-                tenant=job.tenant,
-                group_id=job.group_id,
-                protocol=job.protocol,
-                ok=False,
-                error_type=type(exc).__name__,
-                error=str(exc),
-            )
-        return JobOutcome(
-            job_id=job.job_id,
-            tenant=job.tenant,
-            group_id=job.group_id,
-            protocol=job.protocol,
-            ok=True,
-            answer_ids=scattered.answer_ids,
-            comm_bytes=scattered.comm_bytes,
-            partial=scattered.partial,
-            coverage=scattered.coverage,
-            lost_shards=scattered.lost_shards,
-            expected_recall=scattered.expected_recall,
-            partial_answer=scattered.partial_answer,
-        )
-
     def stats(self) -> BucketStats:
         stats = BucketStats()
         if self.registry is not None:
@@ -413,12 +338,6 @@ class BucketRunner:
             if transport is not None:
                 stats.retransmissions += transport.stats.retransmissions
                 stats.corrupt_rejected += transport.stats.corrupt_rejected
-        if self._cluster is not None:
-            stats.cluster = self._cluster.stats
-            stats.cache.merge(self._cluster.cache_stats())
-            for transport in self._cluster.transports():
-                stats.retransmissions += transport.stats.retransmissions
-                stats.corrupt_rejected += transport.stats.corrupt_rejected
         if self.obs is not None:
             # Shared-resource counters are published once, at bucket close,
             # so repeats and evictions are already folded in.
@@ -429,17 +348,10 @@ class BucketRunner:
             self.obs.count("crypto.fastexp.crt_split", stats.pool.crt_split)
             self.obs.count("crypto.fastexp.fast_muls", stats.pool.fast_muls)
             self.obs.count("crypto.fastexp.dry", stats.pool.dry)
-            index_totals = IndexCounters()
-            engines = [self.lsp.engine]
-            if self._cluster is not None:
-                engines.extend(s.engine for s in self._cluster.shard_lsps)
-            for engine in engines:
-                counters = getattr(engine, "index_counters", None)
-                if counters is not None:
-                    index_totals.merge(counters)
-            self.obs.count("index.queries", index_totals.queries)
-            self.obs.count("index.nodes_visited", index_totals.nodes_visited)
-            self.obs.count("index.candidates_scored", index_totals.candidates_scored)
+            index = self.lsp.engine.index_counters
+            self.obs.count("index.queries", index.queries)
+            self.obs.count("index.nodes_visited", index.nodes_visited)
+            self.obs.count("index.candidates_scored", index.candidates_scored)
             if self.obs.tracer.dropped:
                 # Ring-buffer evictions mean the exported trace (and any
                 # exemplar span ids pointing into it) is incomplete;

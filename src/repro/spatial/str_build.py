@@ -8,11 +8,6 @@ processes and stitches the returned leaf payloads in slice order, so the
 packed tree is **byte-identical** to a serial
 :meth:`~repro.index.rtree.RTree.bulk_load` for any worker count —
 verified structurally by :func:`tree_digest`.
-
-:func:`str_partition_tiles` reuses the same sort-tile pass to cut a point
-set into exactly ``tiles`` contiguous spatial cells; the serving cluster's
-``"str"`` partition strategy builds its shards from these tiles, so shard
-boundaries coincide with the index's own leaf tiling.
 """
 
 from __future__ import annotations
@@ -98,40 +93,3 @@ def tree_digest(tree: RTree) -> str:
                 stack.append((child, depth + 1))
     return h.hexdigest()
 
-
-def str_partition_tiles(
-    entries: Iterable[tuple[Point, Any]], tiles: int
-) -> list[list[tuple[Point, Any]]]:
-    """Cut ``entries`` into exactly ``tiles`` non-empty contiguous STR cells.
-
-    The same sort-tile pass as the bulk loader, parameterized by the target
-    cell count instead of the node capacity: ``ceil(sqrt(tiles))`` vertical
-    slices, each cut horizontally, with integer boundaries ``n*k // m``
-    that guarantee every cell is non-empty whenever ``len(entries) >=
-    tiles``.  Deterministic in the entry multiset.
-    """
-    if tiles < 1:
-        raise ConfigurationError("tiles must be >= 1")
-    pairs = validate_entries(entries)
-    if len(pairs) < tiles:
-        raise ConfigurationError(
-            f"cannot tile {len(pairs)} entries into {tiles} non-empty cells"
-        )
-    pairs.sort(key=lambda e: (e[0].x, e[0].y))
-    slice_count = min(tiles, max(1, round(tiles**0.5)))
-    base, extra = divmod(tiles, slice_count)
-    cells_per_slice = [
-        base + (1 if i < extra else 0) for i in range(slice_count)
-    ]
-    out: list[list[tuple[Point, Any]]] = []
-    n = len(pairs)
-    consumed_cells = 0
-    for cells in cells_per_slice:
-        lo = n * consumed_cells // tiles
-        hi = n * (consumed_cells + cells) // tiles
-        chunk = sorted(pairs[lo:hi], key=lambda e: (e[0].y, e[0].x))
-        m = len(chunk)
-        for j in range(cells):
-            out.append(chunk[m * j // cells : m * (j + 1) // cells])
-        consumed_cells += cells
-    return out

@@ -26,7 +26,6 @@ from repro.errors import (
     ConfigurationError,
     GroupMemberLostError,
     RetryExhaustedError,
-    ShardLostError,
 )
 from repro.obs import Observability, maybe_span
 from repro.protocol.messages import Message
@@ -51,22 +50,6 @@ def user_index(party: str) -> int | None:
     """The user number of a ``user:i`` endpoint, else None."""
     prefix, _, index = party.partition(":")
     if prefix == USER and index.isdigit():
-        return int(index)
-    return None
-
-
-def shard_index(party: str) -> int | None:
-    """The shard number of an LSP endpoint, else None.
-
-    The single-provider endpoint ``"lsp"`` is shard 0; a cluster names its
-    shards ``"lsp:i"``.
-    """
-    prefix, _, index = party.partition(":")
-    if prefix != LSP:
-        return None
-    if not index:
-        return 0
-    if index.isdigit():
         return int(index)
     return None
 
@@ -112,10 +95,9 @@ class Transport:
         """Reliably deliver one message; returns the receiver's copy.
 
         Raises :class:`~repro.errors.GroupMemberLostError` when the failed
-        endpoint is a scripted-dead group member,
-        :class:`~repro.errors.ShardLostError` when it is a scripted-dead
-        LSP shard, otherwise :class:`~repro.errors.RetryExhaustedError`
-        (a dead *channel*) after the policy's attempt budget.
+        endpoint is a scripted-dead group member, otherwise
+        :class:`~repro.errors.RetryExhaustedError` after the policy's
+        attempt budget.
         """
         with maybe_span(
             self.obs, "transport.send", link=f"{sender}->{receiver}"
@@ -166,11 +148,6 @@ class Transport:
             lost = user_index(dead)
             if lost is not None:
                 raise GroupMemberLostError(dead, lost, self.policy.max_attempts)
-            shard = shard_index(dead)
-            if shard is not None:
-                # A dead *party* on the provider side, not a dead channel:
-                # failover (not regroup, not blind retry) is the cure.
-                raise ShardLostError(dead, shard, link, self.policy.max_attempts)
         raise RetryExhaustedError(link, self.policy.max_attempts)
 
     def _receive(

@@ -128,10 +128,22 @@ class TestServeBench:
         assert report["completed"] == 8
         assert report["answers_digest"]
 
-    def test_serve_bench_rejects_kill_of_missing_shard(self, capsys):
-        for extra in (["--kill-shard", "1"], ["--shards", "2", "--kill-shard", "7"]):
-            assert run_cli([*self.ARGS, *extra]) == 2
-            assert "error:" in capsys.readouterr().err
+    def test_serve_bench_rejects_retired_cluster_flags(self, capsys):
+        retired = (
+            ("shards", "2"),
+            ("shard-replicas", "2"),
+            ("quorum", "0.5"),
+            ("partition", "str"),
+            ("hedge-factor", "2.0"),
+            ("kill-shard", "1"),
+        )
+        for name, value in retired:
+            with pytest.raises(SystemExit) as exc:
+                run_cli([*self.ARGS, f"--{name}", value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --{name} {value}" in (
+                capsys.readouterr().err
+            )
 
     def test_serve_bench_with_faults(self, capsys):
         assert run_cli([*self.ARGS, "--fault-rate", "0.05"]) == 0

@@ -165,6 +165,19 @@ class TestPoolStatsAndSharing:
         with pytest.raises(ConfigurationError, match="refill chunk"):
             NoncePoolRegistry(chunk=chunk)
 
+    @pytest.mark.parametrize("count", [2.5, True, -3, 0, 10.5, 4.0])
+    def test_registry_ensure_checks_the_count(self, kp, count):
+        # A fractional or bool count used to top the pool up to a chunk,
+        # a non-positive one passed, and 10.5 blamed a deficit of 6.5.
+        from repro.crypto.noncepool import NoncePoolRegistry
+
+        _, pk = kp
+        registry = NoncePoolRegistry(seed=3, chunk=4)
+        with pytest.raises(ConfigurationError, match=f"ensure count .*{count!r}"):
+            registry.ensure(pk, count)
+        assert registry.pool_for(pk).available() == 0
+        assert registry.stats.refills == 0
+
     @pytest.mark.parametrize("s", [0, -1, 2.0, True])
     def test_take_and_available_check_the_level(self, kp, s):
         # take(0) used to record a dry take and return None.

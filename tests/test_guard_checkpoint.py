@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.core.config import PPGNNConfig
 from repro.core.session import QuerySession, SessionTotals
 from repro.errors import CheckpointError, CryptoError, ReproError
 from repro.guard.checkpoint import checkpoint_session, restore_session
 from repro.transport.session import ResilientSession
+
+# SHA-256 of the bytes ``TestRoundTrip.test_wire_format_pinned`` builds.
+CHECKPOINT_SHA256 = (
+    "a42bd8ada856c4d663ac0b9dc94d6c41f3515d388f0743b66e22fd21940b8e73"
+)
 
 
 @pytest.fixture()
@@ -45,6 +53,28 @@ class TestRoundTrip:
     def test_negative_seed_round_trips(self, lsp, fast_config):
         session = QuerySession(lsp, fast_config, seed=-12)
         assert QuerySession.restore(session.checkpoint(), lsp).seed == -12
+
+    def test_wire_format_pinned(self, lsp):
+        """One checkpoint's bytes, pinned across releases.
+
+        Every field kind is present: a negative seed, absent and present
+        optionals, floats and a non-default configuration.
+        """
+        config = PPGNNConfig(
+            d=6, delta=18, k=6, theta0=0.02, keysize=128,
+            sanitation_samples=1500, key_seed=7, aggregate_name="max",
+        )
+        totals = SessionTotals(
+            queries=3, comm_bytes=12345, user_seconds=0.25,
+            lsp_seconds=0.5, answers_returned=9,
+        )
+        session = QuerySession(
+            lsp, config, protocol="ppgnn-opt", seed=-12, totals=totals,
+            max_history=None,
+        )
+        blob = checkpoint_session(session)
+        assert hashlib.sha256(blob).hexdigest() == CHECKPOINT_SHA256
+        assert restore_session(blob, lsp).totals == totals
 
 
 class TestResumeEquality:

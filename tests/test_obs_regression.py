@@ -6,7 +6,7 @@ Three contracts:
    code: a pinned serving fixture's ``answers_digest`` and full-report
    SHA-256 must never move (the ``guard=None`` / ``transport=None``
    regression pattern), and neither may those of the rejection,
-   closed-loop and degraded-cluster shapes.
+   closed-loop and lossy guarded process-executor shapes.
 2. ``obs=Observability()`` changes *observations only*: answers and comm
    bytes match the bare run for every protocol.
 3. With tracing on, a round span's encryption / decryption / kGNN-query
@@ -16,12 +16,9 @@ Three contracts:
 
 import hashlib
 import json
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, ShardFaultPlan
 from repro.core.config import PPGNNConfig
 from repro.core.group import run_ppgnn
 from repro.core.lsp import LSPServer
@@ -97,10 +94,11 @@ _MIX = {
     "k_mix": {3: 1.0},
 }
 
-# Serving shapes beyond the open-loop fixture: each takes a plan-loop or
-# failover branch the default run never does.  Their (answers digest,
-# report SHA-256) pairs were recorded before the overload-control plane
-# was deleted from the plan loop, the bucket runner and the cluster.
+# Serving shapes beyond the open-loop fixture: each takes a plan-loop,
+# guard or transport branch the default run never does.  Their (answers
+# digest, report SHA-256) pairs were recorded before the code they run
+# through was last cut down: the overload-control plane for the first
+# two, the sharded cluster for the third.
 _SHAPES = {
     # Three tenants under a quota of two overflow a three-slot queue, so
     # the plan loop rejects with both AdmissionRejectedError and
@@ -114,11 +112,12 @@ _SHAPES = {
         "b7c7a12f138a11aa2ea759caa1bdd390d1d7cab0b2d1aafe5235e61d43406ac0",
         "65949117e54ef3b117d7194f027573938c8965e55989de196520e57373870ef1",
     ),
-    # Both replicas of shard 1 dead under lossy links: failover,
-    # retransmissions and partial answers.
-    "cluster-killed-shard-lossy": (
-        "15b932d0c9c208b4a3657ee879d4361cc33778a5b0b2498319508ed509c14867",
-        "2f22ff6c8958c4e6733745679ddcac0a5a18b1a775fc49a4d4a7581aa5f3e1ba",
+    # Guarded rounds with a 0.2 s deadline over lossy links on the
+    # process executor: retransmissions, and half the jobs fail with a
+    # typed DeadlineExceededError.
+    "lossy-guarded-process": (
+        "c8692941ea19f53fdce321057d0e7ceaf40cee28e11e6b00229a5e6bbad9c56a",
+        "e4833951f1fbc08b97ad2071f9ce2d25a210c0630ebd4458d405f8b3b944cdcd",
     ),
 }
 
@@ -145,14 +144,9 @@ def _run_shape(shape, space, config):
             queries=8, rate_qps=20.0, tenants=("t0", "t1"), groups=3,
             repeat_fraction=0.25, seed=33, **_MIX,
         )
-        config = replace(config, sanitize=False)
         serve = ServeConfig(
-            workers=2,
-            faults=FaultPlan.uniform(0.1, seed=4),
-            cluster=ClusterConfig(
-                shards=3, replicas=2, quorum=0.5,
-                faults=ShardFaultPlan.killing({(1, 0): 0, (1, 1): 0}, seed=3),
-            ),
+            workers=2, executor="process", guard=True,
+            deadline_seconds=0.2, faults=FaultPlan.uniform(0.1, seed=4),
         )
     engine = ServeEngine(_make_lsp(space), config, serve)
     return engine.run(generate_workload(spec, space))

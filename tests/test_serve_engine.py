@@ -353,7 +353,8 @@ class TestConfigValidation:
             ServeConfig(deadline_seconds=0.0)
         with pytest.raises(ConfigurationError):
             ServeConfig(deadline_seconds=-1.0)
-        # Every count is a positive integer, checked when constructed.
+        # Every count is a positive integer and every object field has its
+        # type, checked when constructed.
         for bad in (
             {"knn_cache_size": 0},
             {"nonce_chunk": 0},
@@ -362,7 +363,12 @@ class TestConfigValidation:
             {"tenant_quota": 1.5},
             {"knn_cache_size": 2.5},
             {"workers": True},
+            {"faults": "x"},
+            {"faults": {"drop": 0.1}},
+            {"cost_model": "x"},
+            {"cost_model": None},
         ):
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(ConfigurationError, match=next(iter(bad))):
                 ServeConfig(**bad)
         assert ServeConfig(workers=np.int64(2), knn_cache_size=None).workers == 2
+

@@ -97,12 +97,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ServeConfig(index="quadtree")
 
-    def test_exact_with_cluster_allowed(self):
-        from repro.cluster import ClusterConfig
-
-        cfg = ServeConfig(index="grid", cluster=ClusterConfig(shards=2))
-        assert cfg.index == "grid"
-
 
 class TestIndexMetrics:
     def test_index_counters_published(self, pois, space, config, workload):

@@ -1,11 +1,11 @@
-"""Tests for the sharded parallel STR bulk loader and the STR tiling."""
+"""Tests for the sharded parallel STR bulk loader."""
 
 import pytest
 
 from repro.datasets import stream_clustered, stream_uniform
 from repro.errors import ConfigurationError
 from repro.index.rtree import RTree, slice_leaf_chunks, str_slices
-from repro.spatial import parallel_str_bulk_load, str_partition_tiles, tree_digest
+from repro.spatial import parallel_str_bulk_load, tree_digest
 
 
 def _entries(count, seed=7, clustered=False):
@@ -83,52 +83,3 @@ class TestParallelBuildIdentity:
         b = RTree(max_entries=16)
         b.bulk_load(_entries(100, seed=2))
         assert tree_digest(a) != tree_digest(b)
-
-
-class TestStrPartitionTiles:
-    @pytest.mark.parametrize("tiles", [1, 2, 5, 9, 16])
-    def test_exact_tile_count_nonempty_exhaustive(self, tiles):
-        entries = _entries(400, clustered=True)
-        cells = str_partition_tiles(entries, tiles)
-        assert len(cells) == tiles
-        assert all(cells)
-        ids = sorted(item.poi_id for cell in cells for _, item in cell)
-        assert ids == sorted(item.poi_id for _, item in entries)
-
-    def test_minimum_one_entry_per_tile(self):
-        entries = _entries(7)
-        cells = str_partition_tiles(entries, 7)
-        assert [len(c) for c in cells] == [1] * 7
-
-    def test_too_many_tiles_rejected(self):
-        with pytest.raises(ConfigurationError):
-            str_partition_tiles(_entries(3), 4)
-        with pytest.raises(ConfigurationError):
-            str_partition_tiles(_entries(3), 0)
-
-    def test_deterministic_in_entry_order(self):
-        entries = _entries(200)
-        shuffled = list(reversed(entries))
-        a = str_partition_tiles(entries, 6)
-        b = str_partition_tiles(shuffled, 6)
-        ids = lambda cells: [  # noqa: E731
-            sorted(item.poi_id for _, item in cell) for cell in cells
-        ]
-        assert ids(a) == ids(b)
-
-
-class TestPartitionStrategy:
-    def test_str_strategy_registered(self):
-        from repro.partition.spatial import PARTITION_STRATEGIES, partition_pois
-
-        assert "str" in PARTITION_STRATEGIES
-        pois = [item for _, item in _entries(120, clustered=True)]
-        cells = partition_pois(pois, 4, strategy="str")
-        assert len(cells) == 4
-        assert all(cells)
-        assert sorted(p.poi_id for cell in cells for p in cell) == sorted(
-            p.poi_id for p in pois
-        )
-        # Cells come back id-sorted like the other strategies.
-        for cell in cells:
-            assert list(cell) == sorted(cell, key=lambda p: p.poi_id)

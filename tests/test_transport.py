@@ -13,7 +13,6 @@ from repro.errors import (
     ConfigurationError,
     GroupMemberLostError,
     RetryExhaustedError,
-    ShardLostError,
 )
 from repro.geometry.point import Point
 from repro.protocol.messages import (
@@ -38,7 +37,6 @@ from repro.transport.transport import (
     Transport,
     party_role,
     send,
-    shard_index,
     user_index,
 )
 
@@ -343,47 +341,11 @@ class TestTransport:
             transport.deliver(
                 CostLedger(), "coordinator", "lsp", PositionAssignment(0)
             )
-        assert not isinstance(excinfo.value, GroupMemberLostError)
-
-    def test_dead_lsp_surfaces_as_shard_lost(self):
-        """A dead provider party is a typed shard loss, never a member loss.
-
-        ShardLostError still *is* a RetryExhaustedError (so the assertion
-        above stays true and ResilientSession never regroups around it),
-        but carries the shard identity for the cluster's failover logic.
-        """
-        channel = FaultyChannel(FaultPlan(kill={"lsp": 0}))
-        transport = Transport(channel, RetryPolicy(max_attempts=2))
-        with pytest.raises(ShardLostError) as excinfo:
-            transport.deliver(
-                CostLedger(), "coordinator", "lsp", PositionAssignment(0)
-            )
-        assert excinfo.value.shard_id == 0
-        assert excinfo.value.party == "lsp"
+        # The plain base class: a dead provider is a dead link, and
+        # ResilientSession must not regroup around it.
+        assert type(excinfo.value) is RetryExhaustedError
+        assert excinfo.value.link == ("coordinator", "lsp")
         assert excinfo.value.attempts == 2
-        assert isinstance(excinfo.value, RetryExhaustedError)
-        assert not isinstance(excinfo.value, GroupMemberLostError)
-
-    def test_dead_channel_is_not_shard_lost(self):
-        """A lossy link to a *live* party stays a plain retry error."""
-
-        class DropAll(PerfectChannel):
-            def transmit(self, envelope):
-                return []
-
-        transport = Transport(DropAll(), RetryPolicy(max_attempts=2))
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            transport.deliver(
-                CostLedger(), "coordinator", "lsp", PositionAssignment(0)
-            )
-        assert not isinstance(excinfo.value, ShardLostError)
-
-    def test_shard_index_parsing(self):
-        assert shard_index("lsp") == 0
-        assert shard_index("lsp:3") == 3
-        assert shard_index("user:0") is None
-        assert shard_index("coordinator") is None
-        assert shard_index("lsp:abc") is None
 
 
 class TestSendHelper:
