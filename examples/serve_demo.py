@@ -17,14 +17,11 @@ from repro.core.config import PPGNNConfig
 from repro.core.lsp import LSPServer
 from repro.datasets import load_sequoia
 from repro.serve import ServeConfig, ServeEngine, WorkloadSpec, generate_workload
-from repro.transport.faults import FaultPlan
 
 
 def main() -> None:
-    lsp = LSPServer(load_sequoia(2_000), seed=4)
-    config = PPGNNConfig(
-        d=4, delta=8, k=4, keysize=192, key_seed=7, sanitation_samples=16
-    )
+    lsp = LSPServer(load_sequoia(2_000), sanitation_samples=16, seed=4)
+    config = PPGNNConfig(d=4, delta=8, k=4, keysize=192, key_seed=7)
     spec = WorkloadSpec(
         queries=24,
         rate_qps=12.0,
@@ -41,7 +38,6 @@ def main() -> None:
         policy="fair-share",
         queue_capacity=16,
         knn_cache_size=128,
-        faults=FaultPlan.uniform(0.02, seed=9),  # a mildly lossy network
     )
 
     workload = generate_workload(spec, lsp.space)
@@ -65,10 +61,6 @@ def main() -> None:
     print(
         f"nonce pool: {report.pool['pooled']} pooled factors spent, "
         f"{report.pool['dry']} dry takes"
-    )
-    print(
-        f"network: {report.retransmissions} retransmissions, "
-        f"{report.corrupt_rejected} corrupted envelopes rejected"
     )
     for tenant, entry in report.per_tenant.items():
         print(f"  {tenant}: {entry['completed']} completed")

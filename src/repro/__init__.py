@@ -42,24 +42,15 @@ from repro.errors import (
     CheckpointError,
     ConfigurationError,
     CryptoError,
-    DeadlineExceededError,
     EncodingError,
-    GroupMemberLostError,
     GuardError,
     InboundValidationError,
     InfeasibleError,
     ProtocolError,
     ProtocolStateError,
     ReproError,
-    RetryExhaustedError,
-    TransportError,
 )
 from repro.guard import ProtocolGuard, restore_session
-from repro.transport.channel import FaultyChannel, PerfectChannel
-from repro.transport.faults import FaultPlan, LinkFaults
-from repro.transport.retry import RetryPolicy
-from repro.transport.session import ResilientSession
-from repro.transport.transport import Transport
 
 __version__ = "1.0.0"
 
@@ -84,19 +75,8 @@ __all__ = [
     "GuardError",
     "ProtocolStateError",
     "InboundValidationError",
-    "DeadlineExceededError",
     "CheckpointError",
     "InfeasibleError",
-    "TransportError",
-    "RetryExhaustedError",
-    "GroupMemberLostError",
-    "Transport",
-    "ResilientSession",
-    "PerfectChannel",
-    "FaultyChannel",
-    "FaultPlan",
-    "LinkFaults",
-    "RetryPolicy",
     "ProtocolGuard",
     "restore_session",
     "__version__",

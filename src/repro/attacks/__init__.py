@@ -4,15 +4,15 @@
   ranking of the returned POIs to carve out the feasible region of the
   remaining user's location.
 - Scripted malicious parties (:mod:`repro.attacks.malicious`): a cheating
-  LSP and cheating group members whose deviations the :mod:`repro.guard`
-  layer must detect or prove harmless.
+  LSP, and mutators for the runners' ``tamper=`` hook that forge a group
+  member's messages; the :mod:`repro.guard` layer must detect each
+  deviation or prove it harmless.
 """
 
 from repro.attacks.inequality import AttackResult, inequality_attack
 from repro.attacks.malicious import (
     LSP_DEVIATIONS,
     CheatingLSP,
-    MaliciousChannel,
     corrupt_position,
     duplicate_user_id,
     nan_location,
@@ -24,7 +24,6 @@ __all__ = [
     "AttackResult",
     "CheatingLSP",
     "LSP_DEVIATIONS",
-    "MaliciousChannel",
     "corrupt_position",
     "duplicate_user_id",
     "inequality_attack",

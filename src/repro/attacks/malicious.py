@@ -12,18 +12,12 @@ Two adversary shapes, mirroring the protocol's trust boundaries:
     decrypt to the identical answer, so a guarded run is *provably
     harmless* rather than detected.
 
-:class:`MaliciousChannel`
-    A channel wrapper that mutates chosen payloads **and re-seals the
-    envelope with a fresh, valid checksum**.  This models a cheating
-    group member (or an in-path adversary) rather than line noise: the
-    transport's CRC32 cannot object because the attacker computes it
-    honestly over the forged payload, so only the protocol-level guard
-    can catch the deviation.  ``replay=True`` additionally delivers a
-    verbatim duplicate of every envelope — the transport's sequence
-    numbers discard it, the second harmless case.
-
-The tamper helpers (:func:`nan_location`, :func:`short_set`, ...) build
-the mutator functions the tests script against specific rounds.
+Cheating group members
+    Mutators (:func:`nan_location`, :func:`short_set`, ...) for the
+    runners' ``tamper=`` hook: each forges one message that a member
+    uploads, or the position assignment a member receives, and the
+    receiver gets the forgery instead of the honest message.  Only the
+    protocol-level guard can catch the deviation.
 """
 
 from __future__ import annotations
@@ -42,70 +36,7 @@ from repro.protocol.messages import (
     Message,
     PositionAssignment,
 )
-from repro.protocol.metrics import CostLedger
-from repro.transport.channel import Channel, Delivery, PerfectChannel
-from repro.transport.envelope import Envelope, seal
-
-#: ``mutate(link, payload) -> forged payload | None`` — None leaves the
-#: transmission honest.
-Mutator = Callable[[tuple[str, str], Message], Message | None]
-
-
-class MaliciousChannel(Channel):
-    """A channel that forges payloads with *valid* checksums.
-
-    Parameters
-    ----------
-    mutate:
-        Called for every transmission; returning a message replaces the
-        payload and the envelope is re-sealed, so the forgery passes the
-        transport's integrity check.
-    inner:
-        The underlying medium (default perfect — the attack is the only
-        fault).
-    replay:
-        Deliver a verbatim duplicate of every envelope alongside the
-        original, emulating a record-and-replay adversary.
-    """
-
-    def __init__(
-        self,
-        mutate: Mutator | None = None,
-        inner: Channel | None = None,
-        replay: bool = False,
-    ) -> None:
-        self.mutate = mutate
-        self.inner = inner if inner is not None else PerfectChannel()
-        self.replay = replay
-        self.forged = 0
-        self.replayed = 0
-
-    def killed_party(self, link: tuple[str, str]) -> str | None:
-        """Delegate crash bookkeeping to the wrapped channel."""
-        return self.inner.killed_party(link)
-
-    def revive(self, party: str) -> None:
-        """Delegate revival to the wrapped channel."""
-        self.inner.revive(party)
-
-    def transmit(self, envelope: Envelope) -> list[Delivery]:
-        """Apply the mutator (re-sealing the envelope) and optional replay.
-
-        A forged payload gets a fresh, *valid* checksum so the transport
-        layer accepts it — only the protocol guard can catch it.
-        """
-        if self.mutate is not None:
-            forged = self.mutate(envelope.link, envelope.payload)
-            if forged is not None:
-                envelope = seal(envelope.link, envelope.seq, forged)
-                self.forged += 1
-        deliveries = self.inner.transmit(envelope)
-        if self.replay and deliveries:
-            self.replayed += len(deliveries)
-            deliveries = deliveries + [
-                Delivery(d.envelope, d.latency_seconds) for d in deliveries
-            ]
-        return deliveries
+from repro.protocol.metrics import CostLedger, Mutator
 
 
 # --------------------------------------------------------------- member side

@@ -198,7 +198,6 @@ def serving_report_metrics(report_dict: Mapping) -> dict[str, float]:
     """
     cache = report_dict.get("cache", {})
     pool = report_dict.get("pool", {})
-    transport = report_dict.get("transport", {})
     latency = report_dict.get("latency", {})
     metrics = {
         "serve.completed": report_dict.get("completed", 0),
@@ -208,8 +207,6 @@ def serving_report_metrics(report_dict: Mapping) -> dict[str, float]:
         "cache.hits": cache.get("hits", 0),
         "cache.misses": cache.get("misses", 0),
         "pool.pooled": pool.get("pooled", 0),
-        "transport.retransmissions": transport.get("retransmissions", 0),
-        "transport.corrupt_rejected": transport.get("corrupt_rejected", 0),
         "latency.p95_seconds": latency.get("p95", 0.0),
         "makespan_seconds": report_dict.get("makespan_seconds", 0.0),
     }

@@ -141,10 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="probability a job re-issues an earlier query verbatim",
     )
     serve.add_argument(
-        "--fault-rate", type=float, default=0.0,
-        help="uniform drop/dup/reorder/corrupt rate (0 disables faults)",
-    )
-    serve.add_argument(
         "--record", metavar="DIR", default=None,
         help="write BENCH_serve.json into this directory",
     )
@@ -424,16 +420,15 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.serve import ServeConfig, ServeEngine, WorkloadSpec, generate_workload
-    from repro.transport.faults import FaultPlan
 
-    lsp = LSPServer(load_sequoia(args.pois), seed=args.seed, index=args.index)
-    config = PPGNNConfig(
-        d=args.d,
-        delta=args.delta,
-        k=args.k,
-        keysize=args.keysize,
-        key_seed=args.seed,
+    lsp = LSPServer(
+        load_sequoia(args.pois),
         sanitation_samples=16,
+        seed=args.seed,
+        index=args.index,
+    )
+    config = PPGNNConfig(
+        d=args.d, delta=args.delta, k=args.k, keysize=args.keysize, key_seed=args.seed
     )
     spec = WorkloadSpec(
         queries=args.queries,
@@ -450,9 +445,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         workers=args.workers,
         executor=args.executor,
         policy=args.policy,
-        faults=FaultPlan.uniform(args.fault_rate, seed=args.seed)
-        if args.fault_rate > 0
-        else None,
         obs=args.obs or args.trace_out is not None,
         index=args.index,
     )
@@ -486,8 +478,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             f"{report.cache['misses']} misses; nonce pool hit rate "
             f"{report.pool['hit_rate']:.0%}"
         )
-        if report.retransmissions:
-            print(f"transport: {report.retransmissions} retransmissions")
     if args.record:
         from repro.bench.recorder import SeriesRecorder
 
@@ -505,7 +495,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 "policy": args.policy,
                 "rate_qps": args.rate,
                 "repeat_fraction": args.repeat_fraction,
-                "fault_rate": args.fault_rate,
                 "seed": args.seed,
             },
         )

@@ -48,8 +48,14 @@ from repro.protocol.messages import (
     PlaintextAnswerBroadcast,
     PositionAssignment,
 )
-from repro.protocol.metrics import COORDINATOR, LSP, USER, CostLedger
-from repro.transport.transport import Transport, send
+from repro.protocol.metrics import (
+    COORDINATOR,
+    LSP,
+    USER,
+    CostLedger,
+    Mutator,
+    send,
+)
 
 
 def random_group(
@@ -68,7 +74,7 @@ def run_ppgnn(
     seed: int = 0,
     dummy_generator=None,
     nonce_pool=None,
-    transport: Transport | None = None,
+    tamper: Mutator | None = None,
     guard: ProtocolGuard | None = None,
     obs: Observability | None = None,
 ) -> ProtocolResult:
@@ -79,19 +85,19 @@ def run_ppgnn(
     :class:`~repro.crypto.noncepool.NoncePool` under the group key) moves
     the indicator encryption's obfuscation exponentiations offline — the
     mobile-coordinator optimization; the measured coordinator time then
-    covers only the online phase.  ``transport`` routes every message
-    through a :mod:`repro.transport` channel (envelopes, checksums,
-    retries); None keeps the historical perfect in-memory network.
-    ``guard`` arms the hostile-input defenses of :mod:`repro.guard`
-    (state machines, inbound validation, round deadlines); None keeps the
-    historical trusting behavior.  ``obs`` traces the round as a
+    covers only the online phase.  ``tamper`` sees every message as it is
+    handed over and may return a forgery for the receiver (see
+    :func:`repro.protocol.metrics.send`); None hands every message over
+    untouched.  ``guard`` arms the hostile-input defenses of
+    :mod:`repro.guard` (state machines, inbound validation); None keeps
+    the historical trusting behavior.  ``obs`` traces the round as a
     ``round.ppgnn`` span with per-phase children and publishes the crypto
     operation counters; None keeps the uninstrumented path byte-identical.
     """
     with maybe_span(obs, "round.ppgnn", n=len(locations), seed=seed) as round_span:
         result = _run_ppgnn(
             lsp, locations, config, seed, dummy_generator, nonce_pool,
-            transport, guard, obs,
+            tamper, guard, obs,
         )
         if round_span is not None:
             publish_round(obs, round_span, result, lsp)
@@ -105,7 +111,7 @@ def _run_ppgnn(
     seed: int,
     dummy_generator,
     nonce_pool,
-    transport: Transport | None,
+    tamper: Mutator | None,
     guard: ProtocolGuard | None,
     obs: Observability | None,
 ) -> ProtocolResult:
@@ -123,7 +129,6 @@ def _run_ppgnn(
         layout=layout,
         public_key=keypair.public_key,
         space=lsp.space,
-        ledger=ledger,
         k=config.k,
         answer_m=codec.m,
     )
@@ -163,10 +168,10 @@ def _run_ppgnn(
     for subgroup, position in enumerate(plan.absolute_positions):
         message = PositionAssignment(position)
         for user in layout.users_of_subgroup(subgroup):
-            delivered = send(transport, ledger, COORDINATOR, f"user:{user}", message)
+            delivered = send(ledger, COORDINATOR, f"user:{user}", message, tamper)
             rg.position_delivered(user, delivered)
             positions[user] = delivered.position
-    request = send(transport, ledger, COORDINATOR, LSP, request)
+    request = send(ledger, COORDINATOR, LSP, request, tamper)
     rg.request_delivered(request)
 
     # --- Algorithm 1: every user uploads its location set ----------------
@@ -178,7 +183,7 @@ def _run_ppgnn(
                     real, positions[i], config.d, lsp.space, nprng, dummy_generator
                 )
                 upload = LocationSetUpload(i, location_set)
-            delivered = send(transport, ledger, f"user:{i}", LSP, upload)
+            delivered = send(ledger, f"user:{i}", LSP, upload, tamper)
             rg.upload_delivered(delivered)
             uploads.append(delivered)
 
@@ -188,7 +193,7 @@ def _run_ppgnn(
         encrypted = lsp.answer_group_query(request, uploads, ledger)
     if lsp_span is not None:
         lsp_span.set(kgnn_queries=lsp.last_stats.kgnn_queries)
-    encrypted = send(transport, ledger, LSP, COORDINATOR, encrypted)
+    encrypted = send(ledger, LSP, COORDINATOR, encrypted, tamper)
     rg.answer_delivered(encrypted)
 
     # --- Answer decryption and broadcast ----------------------------------
@@ -197,7 +202,7 @@ def _run_ppgnn(
     )
     broadcast = PlaintextAnswerBroadcast(tuple(answers))
     for user in range(1, n):
-        delivered = send(transport, ledger, COORDINATOR, f"user:{user}", broadcast)
+        delivered = send(ledger, COORDINATOR, f"user:{user}", broadcast, tamper)
         rg.broadcast_delivered(user, delivered)
     rg.finished()
 

@@ -20,7 +20,7 @@ from repro.crypto.homomorphic import matrix_select, nested_select
 from repro.crypto.paillier import PaillierPublicKey
 from repro.datasets.poi import POI
 from repro.encoding.answers import AnswerCodec
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, positive_int
 from repro.geometry.point import Point
 from repro.geometry.space import LocationSpace
 from repro.gnn.engine import GNNQueryEngine
@@ -79,6 +79,8 @@ class LSPServer:
         """
         from repro.gnn.aggregate import get_aggregate
 
+        if sanitation_samples is not None:
+            positive_int(sanitation_samples, "sanitation_samples")
         self.space = space or LocationSpace.unit_square()
         if engine is not None:
             if pois is not None:

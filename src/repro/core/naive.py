@@ -39,8 +39,14 @@ from repro.protocol.messages import (
     PlaintextAnswerBroadcast,
     PositionAssignment,
 )
-from repro.protocol.metrics import COORDINATOR, LSP, USER, CostLedger
-from repro.transport.transport import Transport, send
+from repro.protocol.metrics import (
+    COORDINATOR,
+    LSP,
+    USER,
+    CostLedger,
+    Mutator,
+    send,
+)
 
 
 def naive_partition(n: int, delta: int) -> PartitionParameters:
@@ -59,7 +65,7 @@ def run_naive(
     seed: int = 0,
     dummy_generator=None,
     nonce_pool=None,
-    transport: Transport | None = None,
+    tamper: Mutator | None = None,
     guard: ProtocolGuard | None = None,
     obs: Observability | None = None,
 ) -> ProtocolResult:
@@ -67,18 +73,17 @@ def run_naive(
 
     ``nonce_pool`` moves the delta-length indicator's obfuscation
     exponentiations offline, exactly as in :func:`repro.core.group
-    .run_ppgnn`.  ``transport`` routes every message through a
-    :mod:`repro.transport` channel; None keeps the historical perfect
-    in-memory network.  ``guard`` arms the hostile-input defenses of
-    :mod:`repro.guard`; None keeps the historical trusting behavior.
-    ``obs`` traces the round as a ``round.naive`` span and publishes the
-    crypto operation counters; None keeps the uninstrumented path
-    byte-identical.
+    .run_ppgnn`.  ``tamper`` may forge any message a receiver gets, as
+    there; None hands every message over untouched.  ``guard`` arms the
+    hostile-input defenses of :mod:`repro.guard`; None keeps the
+    historical trusting behavior.  ``obs`` traces the round as a
+    ``round.naive`` span and publishes the crypto operation counters;
+    None keeps the uninstrumented path byte-identical.
     """
     with maybe_span(obs, "round.naive", n=len(locations), seed=seed) as round_span:
         result = _run_naive(
             lsp, locations, config, seed, dummy_generator, nonce_pool,
-            transport, guard, obs,
+            tamper, guard, obs,
         )
         if round_span is not None:
             publish_round(obs, round_span, result, lsp)
@@ -92,7 +97,7 @@ def _run_naive(
     seed: int,
     dummy_generator,
     nonce_pool,
-    transport: Transport | None,
+    tamper: Mutator | None,
     guard: ProtocolGuard | None,
     obs: Observability | None,
 ) -> ProtocolResult:
@@ -110,7 +115,6 @@ def _run_naive(
         layout=layout,
         public_key=keypair.public_key,
         space=lsp.space,
-        ledger=ledger,
         k=config.k,
         answer_m=codec.m,
     )
@@ -149,10 +153,10 @@ def _run_naive(
     message = PositionAssignment(position)
     positions = {}
     for user in range(n):
-        delivered = send(transport, ledger, COORDINATOR, f"user:{user}", message)
+        delivered = send(ledger, COORDINATOR, f"user:{user}", message, tamper)
         rg.position_delivered(user, delivered)
         positions[user] = delivered.position
-    request = send(transport, ledger, COORDINATOR, LSP, request)
+    request = send(ledger, COORDINATOR, LSP, request, tamper)
     rg.request_delivered(request)
 
     uploads = []
@@ -165,7 +169,7 @@ def _run_naive(
                     dummy_generator,
                 )
                 upload = LocationSetUpload(i, location_set)
-            delivered = send(transport, ledger, f"user:{i}", LSP, upload)
+            delivered = send(ledger, f"user:{i}", LSP, upload, tamper)
             rg.upload_delivered(delivered)
             uploads.append(delivered)
 
@@ -174,7 +178,7 @@ def _run_naive(
         encrypted = lsp.answer_group_query(request, uploads, ledger)
     if lsp_span is not None:
         lsp_span.set(kgnn_queries=lsp.last_stats.kgnn_queries)
-    encrypted = send(transport, ledger, LSP, COORDINATOR, encrypted)
+    encrypted = send(ledger, LSP, COORDINATOR, encrypted, tamper)
     rg.answer_delivered(encrypted)
 
     answers = decrypt_answer(
@@ -182,7 +186,7 @@ def _run_naive(
     )
     broadcast = PlaintextAnswerBroadcast(tuple(answers))
     for user in range(1, n):
-        delivered = send(transport, ledger, COORDINATOR, f"user:{user}", broadcast)
+        delivered = send(ledger, COORDINATOR, f"user:{user}", broadcast, tamper)
         rg.broadcast_delivered(user, delivered)
     rg.finished()
 

@@ -48,8 +48,14 @@ from repro.protocol.messages import (
     PlaintextAnswerBroadcast,
     PositionAssignment,
 )
-from repro.protocol.metrics import COORDINATOR, LSP, USER, CostLedger
-from repro.transport.transport import Transport, send
+from repro.protocol.metrics import (
+    COORDINATOR,
+    LSP,
+    USER,
+    CostLedger,
+    Mutator,
+    send,
+)
 
 
 def paper_omega(delta_prime: int) -> int:
@@ -88,7 +94,7 @@ def run_ppgnn_opt(
     omega: int | None = None,
     dummy_generator=None,
     nonce_pool=None,
-    transport: Transport | None = None,
+    tamper: Mutator | None = None,
     guard: ProtocolGuard | None = None,
     obs: Observability | None = None,
 ) -> ProtocolResult:
@@ -99,9 +105,9 @@ def run_ppgnn_opt(
     :class:`~repro.crypto.noncepool.NoncePool` under the group key) moves
     the obfuscation exponentiations of *both* indicators offline — the
     inner eps_1 vector and the outer eps_2 vector each consume one pooled
-    factor per ciphertext at their level.  ``transport`` routes every
-    message through a :mod:`repro.transport` channel; None keeps the
-    historical perfect in-memory network.  ``guard`` arms the
+    factor per ciphertext at their level.  ``tamper`` may forge any
+    message a receiver gets, as in :func:`repro.core.group.run_ppgnn`;
+    None hands every message over untouched.  ``guard`` arms the
     hostile-input defenses of :mod:`repro.guard`; None keeps the
     historical trusting behavior.  ``obs`` traces the round as a
     ``round.ppgnn-opt`` span and publishes the crypto operation counters;
@@ -112,7 +118,7 @@ def run_ppgnn_opt(
     ) as round_span:
         result = _run_ppgnn_opt(
             lsp, locations, config, seed, omega, dummy_generator, nonce_pool,
-            transport, guard, obs,
+            tamper, guard, obs,
         )
         if round_span is not None:
             publish_round(obs, round_span, result, lsp)
@@ -127,7 +133,7 @@ def _run_ppgnn_opt(
     omega: int | None,
     dummy_generator,
     nonce_pool,
-    transport: Transport | None,
+    tamper: Mutator | None,
     guard: ProtocolGuard | None,
     obs: Observability | None,
 ) -> ProtocolResult:
@@ -151,7 +157,6 @@ def _run_ppgnn_opt(
         layout=layout,
         public_key=keypair.public_key,
         space=lsp.space,
-        ledger=ledger,
         k=config.k,
         answer_m=codec.m,
         answer_s=2,
@@ -197,10 +202,10 @@ def _run_ppgnn_opt(
     for subgroup, position in enumerate(plan.absolute_positions):
         message = PositionAssignment(position)
         for user in layout.users_of_subgroup(subgroup):
-            delivered = send(transport, ledger, COORDINATOR, f"user:{user}", message)
+            delivered = send(ledger, COORDINATOR, f"user:{user}", message, tamper)
             rg.position_delivered(user, delivered)
             positions[user] = delivered.position
-    request = send(transport, ledger, COORDINATOR, LSP, request)
+    request = send(ledger, COORDINATOR, LSP, request, tamper)
     rg.request_delivered(request)
 
     uploads = []
@@ -211,7 +216,7 @@ def _run_ppgnn_opt(
                     real, positions[i], config.d, lsp.space, nprng, dummy_generator
                 )
                 upload = LocationSetUpload(i, location_set)
-            delivered = send(transport, ledger, f"user:{i}", LSP, upload)
+            delivered = send(ledger, f"user:{i}", LSP, upload, tamper)
             rg.upload_delivered(delivered)
             uploads.append(delivered)
 
@@ -220,7 +225,7 @@ def _run_ppgnn_opt(
         encrypted = lsp.answer_group_query_opt(request, uploads, ledger)
     if lsp_span is not None:
         lsp_span.set(kgnn_queries=lsp.last_stats.kgnn_queries)
-    encrypted = send(transport, ledger, LSP, COORDINATOR, encrypted)
+    encrypted = send(ledger, LSP, COORDINATOR, encrypted, tamper)
     rg.answer_delivered(encrypted)
 
     answers = decrypt_answer(
@@ -228,7 +233,7 @@ def _run_ppgnn_opt(
     )
     broadcast = PlaintextAnswerBroadcast(tuple(answers))
     for user in range(1, n):
-        delivered = send(transport, ledger, COORDINATOR, f"user:{user}", broadcast)
+        delivered = send(ledger, COORDINATOR, f"user:{user}", broadcast, tamper)
         rg.broadcast_delivered(user, delivered)
     rg.finished()
 

@@ -64,7 +64,7 @@ class GuardError(ProtocolError):
     """A hostile-input defense in :mod:`repro.guard` fired.
 
     Every guard rejection names the protocol round it happened in and the
-    party whose inbound message (or silence) triggered it, so an operator
+    party whose inbound message triggered it, so an operator
     can attribute the abuse without replaying the transcript.
     """
 
@@ -94,35 +94,6 @@ class InboundValidationError(GuardError):
     """
 
 
-class DeadlineExceededError(GuardError):
-    """A round blew its simulated-network time budget.
-
-    Carries the ``elapsed`` and ``budget`` seconds plus a partial
-    ``report`` (a :class:`~repro.protocol.metrics.CostReport` frozen at
-    abort time) so callers can account the wasted traffic instead of
-    hanging on a silent or stalling counterpart.
-    """
-
-    def __init__(
-        self,
-        *,
-        round_id: int = 0,
-        party: str = "",
-        elapsed: float = 0.0,
-        budget: float = 0.0,
-        report: object | None = None,
-    ) -> None:
-        self.elapsed = elapsed
-        self.budget = budget
-        self.report = report
-        super().__init__(
-            f"round deadline exceeded: {elapsed:.3f}s of simulated network "
-            f"time against a budget of {budget:.3f}s",
-            round_id=round_id,
-            party=party,
-        )
-
-
 class CheckpointError(ReproError):
     """A session checkpoint could not be restored.
 
@@ -138,47 +109,6 @@ class InfeasibleError(ConfigurationError):
     Raised by the partition-parameter solver when ``delta > d ** n`` — the
     paper requires users to pick a larger ``d`` in that case.
     """
-
-
-class TransportError(ReproError):
-    """A message could not be carried across an unreliable channel.
-
-    Base class for delivery failures in :mod:`repro.transport`; protocol
-    answers are never silently wrong — an undeliverable message surfaces
-    as one of the subclasses below instead.
-    """
-
-
-class RetryExhaustedError(TransportError):
-    """Every retransmission attempt for one message failed.
-
-    Carries the directed ``link`` and the number of ``attempts`` made so
-    callers can report which hop of the protocol died.
-    """
-
-    def __init__(self, link: tuple[str, str], attempts: int) -> None:
-        self.link = link
-        self.attempts = attempts
-        super().__init__(
-            f"link {link[0]} -> {link[1]} dead after {attempts} attempts"
-        )
-
-
-class GroupMemberLostError(TransportError, ProtocolError):
-    """A group member became unreachable mid-protocol.
-
-    Also a :class:`ProtocolError`: losing a member invalidates the round's
-    partition layout.  ``user_index`` identifies the lost member so a
-    resilient caller can re-run the round with the survivors.
-    """
-
-    def __init__(self, party: str, user_index: int, attempts: int) -> None:
-        self.party = party
-        self.user_index = user_index
-        self.attempts = attempts
-        super().__init__(
-            f"group member {party} unreachable after {attempts} attempts"
-        )
 
 
 class BackpressureError(ReproError):

@@ -1,12 +1,11 @@
-"""Protocol hardening: state machines, inbound validation, deadlines,
-crash-safe checkpoints.
+"""Protocol hardening: state machines, inbound validation, crash-safe
+checkpoints.
 
-The paper proves privacy against semi-honest parties and
-:mod:`repro.transport` (PR 1) survives a faulty *network*; this package
-defends the runners against a faulty or cheating *counterpart*.  Pass a
-:class:`ProtocolGuard` to any runner (or session) via ``guard=``; like
-``transport=None``, the ``guard=None`` default keeps the historical
-trusting behavior byte-for-byte.
+The paper proves privacy against semi-honest parties over a reliable
+channel; this package defends the runners against a faulty or cheating
+*counterpart*.  Pass a :class:`ProtocolGuard` to any runner (or session)
+via ``guard=``; the ``guard=None`` default keeps the historical trusting
+behavior byte-for-byte.
 
 Layers:
 
@@ -14,17 +13,14 @@ Layers:
   round ordering (:class:`~repro.errors.ProtocolStateError`),
 - :mod:`repro.guard.validate` — inbound structural/cryptographic checks
   (:class:`~repro.errors.InboundValidationError`),
-- :mod:`repro.guard.deadline` — round deadlines on the simulated network
-  clock (:class:`~repro.errors.DeadlineExceededError`),
 - :mod:`repro.guard.checkpoint` — crash-safe session checkpoint/resume.
 
-The scripted adversaries of :mod:`repro.attacks.malicious` exercise every
-layer; ``tests/test_attacks_malicious.py`` asserts each deviation is
-either detected or provably harmless.
+The scripted adversaries of :mod:`repro.attacks.malicious` exercise the
+first two layers; ``tests/test_attacks_malicious.py`` asserts each
+deviation is either detected or provably harmless.
 """
 
 from repro.guard.checkpoint import checkpoint_session, restore_session
-from repro.guard.deadline import RoundDeadline
 from repro.guard.guard import NULL_ROUND_GUARD, ProtocolGuard, RoundGuard, begin_round
 from repro.guard.state import (
     LSPStateMachine,
@@ -39,7 +35,6 @@ __all__ = [
     "LSPStateMachine",
     "ProtocolGuard",
     "RoleStateMachine",
-    "RoundDeadline",
     "RoundGuard",
     "begin_round",
     "checkpoint_session",

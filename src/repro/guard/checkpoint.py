@@ -120,11 +120,10 @@ def restore_session(data: bytes, lsp, *, session_cls=None, **session_kwargs):
 
     ``lsp`` is the (re-established) provider handle — server state is the
     LSP's own durable concern and never part of a client checkpoint.
-    ``session_cls`` picks the session flavor (default
-    :class:`~repro.core.session.QuerySession`;
-    :class:`~repro.transport.session.ResilientSession` works too) and
-    ``session_kwargs`` passes through its extra constructor fields
-    (channel, retry policy, guard, ...).
+    ``session_cls`` picks the session class (default
+    :class:`~repro.core.session.QuerySession`, or the subclass whose
+    ``restore`` was called) and ``session_kwargs`` passes through its
+    extra constructor fields (guard, nonce pool, ...).
 
     The restored session's next query runs with ``seed + totals.queries``
     — the same seed the dead session would have used.

@@ -1,13 +1,11 @@
 """The protocol guard the runners thread their messages through.
 
-:class:`ProtocolGuard` is the per-session hardening configuration — like
-``transport=None``, passing ``guard=None`` to a runner keeps the
-historical trusting behavior byte-for-byte.  :meth:`ProtocolGuard.begin`
-arms one :class:`RoundGuard` per protocol round: three role state
-machines (coordinator / members / LSP), the inbound validators of
-:mod:`repro.guard.validate`, and an optional
-:class:`~repro.guard.deadline.RoundDeadline` on the simulated network
-clock.
+:class:`ProtocolGuard` is the per-session hardening configuration —
+passing ``guard=None`` to a runner keeps the historical trusting
+behavior byte-for-byte.  :meth:`ProtocolGuard.begin` arms one
+:class:`RoundGuard` per protocol round: three role state machines
+(coordinator / members / LSP) and the inbound validators of
+:mod:`repro.guard.validate`.
 
 The runner calls one hook per choreography step, always *before* the
 delivered payload reaches the crypto layer; every rejection is a typed
@@ -25,7 +23,6 @@ from typing import Sequence
 from repro.crypto.paillier import PaillierPublicKey
 from repro.encoding.answers import AnswerCodec, DecodedAnswer
 from repro.errors import (
-    DeadlineExceededError,
     EncodingError,
     GuardError,
     InboundValidationError,
@@ -33,7 +30,6 @@ from repro.errors import (
 )
 from repro.obs import Observability
 from repro.geometry.space import LocationSpace
-from repro.guard.deadline import RoundDeadline
 from repro.guard.state import (
     LSPStateMachine,
     RoleStateMachine,
@@ -57,26 +53,15 @@ from repro.protocol.messages import (
     PlaintextAnswerBroadcast,
     PositionAssignment,
 )
-from repro.protocol.metrics import CostLedger
 
 
 def _observed(hook):
-    """Count a hook's rejections before re-raising them.
-
-    Applied to the public choreography hooks only — never to ``tick``,
-    which runs *inside* hooks and would double-count a deadline miss.
-    :class:`~repro.errors.DeadlineExceededError` is a
-    :class:`~repro.errors.GuardError`, so it must be matched first.
-    """
+    """Count a hook's rejections before re-raising them."""
 
     @functools.wraps(hook)
     def wrapper(self, *args, **kwargs):
         try:
             return hook(self, *args, **kwargs)
-        except DeadlineExceededError:
-            if self.obs is not None:
-                self.obs.count("guard.deadline_misses")
-            raise
         except GuardError:
             if self.obs is not None:
                 self.obs.count("guard.violations")
@@ -100,26 +85,22 @@ class RoundGuard:
         layout: GroupLayout,
         public_key: PaillierPublicKey,
         space: LocationSpace,
-        ledger: CostLedger,
         k: int,
         answer_m: int,
         answer_s: int = 1,
         inner_length: int | None = None,
         outer_length: int | None = None,
-        deadline: RoundDeadline | None = None,
         round_id: int = 0,
         obs: Observability | None = None,
     ) -> None:
         self.layout = layout
         self.public_key = public_key
         self.space = space
-        self.ledger = ledger
         self.k = k
         self.answer_m = answer_m
         self.answer_s = answer_s
         self.inner_length = inner_length
         self.outer_length = outer_length
-        self.deadline = deadline
         self.round_id = round_id
         self.obs = obs
         self.coordinator: RoleStateMachine = coordinator_machine(round_id)
@@ -129,11 +110,6 @@ class RoundGuard:
         self.lsp: LSPStateMachine = lsp_machine(layout.n, round_id)
 
     # ------------------------------------------------------------- plumbing
-
-    def tick(self, party: str = "") -> None:
-        """Deadline check after a delivery from ``party``."""
-        if self.deadline is not None:
-            self.deadline.tick(self.ledger, party=party)
 
     def _member(self, user: int) -> RoleStateMachine:
         machine = self.members.get(user)
@@ -169,7 +145,6 @@ class RoundGuard:
             round_id=self.round_id,
             party="coordinator",
         )
-        self.tick("coordinator")
 
     @_observed
     def request_delivered(self, request: object) -> None:
@@ -180,7 +155,6 @@ class RoundGuard:
             self._check_opt_request(request)
         else:
             self._check_group_request(request)
-        self.tick("coordinator")
 
     def _check_common_request(self, request) -> None:
         if request.k != self.k:
@@ -277,7 +251,6 @@ class RoundGuard:
             round_id=self.round_id,
             party=party,
         )
-        self.tick(party)
 
     @_observed
     def uploads_complete(self) -> None:
@@ -303,7 +276,6 @@ class RoundGuard:
             party="lsp",
             what="answer",
         )
-        self.tick("lsp")
 
     @_observed
     def decode_plaintexts(
@@ -361,7 +333,6 @@ class RoundGuard:
                 round_id=self.round_id,
                 party="coordinator",
             )
-        self.tick("coordinator")
 
     @_observed
     def finished(self) -> None:
@@ -378,8 +349,6 @@ class _NullRoundGuard:
     """
 
     __slots__ = ()
-
-    def tick(self, party: str = "") -> None: ...
 
     def planned(self) -> None: ...
 
@@ -410,15 +379,12 @@ class ProtocolGuard:
 
     Attributes
     ----------
-    deadline_seconds:
-        Simulated-network time budget per round; None disables deadlines.
     obs:
         An :class:`~repro.obs.Observability` handle; every round guard
-        then counts its rejections into the ``guard.violations`` /
-        ``guard.deadline_misses`` metrics.  None keeps the hooks silent.
+        then counts its rejections into the ``guard.violations`` metric.
+        None keeps the hooks silent.
     """
 
-    deadline_seconds: float | None = None
     obs: Observability | None = None
 
     def begin(
@@ -427,7 +393,6 @@ class ProtocolGuard:
         layout: GroupLayout,
         public_key: PaillierPublicKey,
         space: LocationSpace,
-        ledger: CostLedger,
         k: int,
         answer_m: int,
         answer_s: int = 1,
@@ -436,24 +401,17 @@ class ProtocolGuard:
         round_id: int = 0,
     ) -> RoundGuard:
         """Arm a :class:`RoundGuard` for one protocol round."""
-        deadline = (
-            RoundDeadline(self.deadline_seconds, round_id)
-            if self.deadline_seconds is not None
-            else None
-        )
         if self.obs is not None:
             self.obs.count("guard.rounds")
         return RoundGuard(
             layout=layout,
             public_key=public_key,
             space=space,
-            ledger=ledger,
             k=k,
             answer_m=answer_m,
             answer_s=answer_s,
             inner_length=inner_length,
             outer_length=outer_length,
-            deadline=deadline,
             round_id=round_id,
             obs=self.obs,
         )
@@ -462,7 +420,7 @@ class ProtocolGuard:
 def begin_round(
     guard: ProtocolGuard | None, **context
 ) -> RoundGuard | _NullRoundGuard:
-    """Runner-side hook mirroring :func:`repro.transport.transport.send`.
+    """Runner-side hook that arms a round guard, or none.
 
     With ``guard=None`` the returned object is the shared no-op round
     guard, keeping the historical trusting path intact.

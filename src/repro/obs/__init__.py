@@ -1,6 +1,6 @@
 """repro.obs — zero-dependency tracing, metrics, and profiling hooks.
 
-The library layers (serving engine, transport, guard, Paillier) accept an
+The library layers (serving engine, runners, guard, Paillier) accept an
 optional :class:`Observability` handle.  ``obs=None`` — the default
 everywhere — is a hard no-op with byte-identical behaviour, enforced by
 regression fixtures; passing a handle turns on hierarchical span tracing

@@ -38,9 +38,8 @@ from repro.obs.trace import Span, validate_spans
 PHASES: tuple[str, ...] = ("crypto", "transport", "queue", "compute", "other")
 
 #: Span-name prefixes per phase, checked in order (first match wins).
-#: ``uploads`` is the user->LSP upload leg, so its self time is transport
-#: even when no Transport object (and hence no ``transport.send`` child)
-#: is threaded through the round.
+#: ``uploads`` is the user->LSP upload leg, so its self time is transport;
+#: ``transport.`` spans also appear in traces recorded by older releases.
 _PHASE_PREFIXES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("crypto", ("coordinator.", "crypto.")),
     ("transport", ("transport.", "uploads")),

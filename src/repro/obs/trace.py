@@ -1,7 +1,7 @@
 """Hierarchical spans on a deterministic logical clock.
 
 A :class:`Tracer` produces :class:`Span` trees — session → protocol round
-→ crypto / transport / cache steps — timestamped by a *logical tick
+→ crypto / upload / cache steps — timestamped by a *logical tick
 counter* instead of wall time: every span start and finish advances the
 clock by one, so two runs that execute the same call sequence emit
 byte-identical traces (the same reproducibility contract the serving

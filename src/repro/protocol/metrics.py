@@ -8,6 +8,10 @@ Role conventions: ``"user"`` aggregates the regular group members,
 ``"coordinator"`` is u_c, and ``"lsp"`` is the server.  The paper's "user
 cost" is the sum of user and coordinator time; exposed as
 :attr:`CostReport.user_cost_seconds`.
+
+The runners hand every protocol message over through :func:`send`: one
+ledger record, then the object itself, as in the paper's reliable
+channel.  Its ``tamper`` hook lets a test forge what a receiver gets.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ import time
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.crypto.homomorphic import OpCounter
+from repro.errors import ConfigurationError
 from repro.protocol.messages import Message
 
 USER = "user"
@@ -26,6 +31,11 @@ COORDINATOR = "coordinator"
 LSP = "lsp"
 
 _ROLES = (USER, COORDINATOR, LSP)
+
+#: ``tamper(link, message) -> forged message | None`` — ``link`` is the
+#: ``(sender, receiver)`` pair of party endpoints; None leaves the message
+#: honest.
+Mutator = Callable[[tuple[str, str], Message], Message | None]
 
 
 @dataclass(frozen=True)
@@ -94,16 +104,13 @@ class CostLedger:
     transcript: list = field(default_factory=list)
 
     def record(self, sender: str, receiver: str, message: Message) -> None:
-        """Account one message crossing the ``sender -> receiver`` link.
-
-        Wrappers (e.g. transport envelopes) expose a ``transcript_kind`` so
-        the transcript names the payload they carry, not the wrapper.
-        """
+        """Account one message crossing the ``sender -> receiver`` link."""
         size = message.byte_size
-        kind = getattr(message, "transcript_kind", type(message).__name__)
         self.comm_bytes[(sender, receiver)] += size
         self.message_counts[(sender, receiver)] += 1
-        self.transcript.append(TranscriptEntry(sender, receiver, kind, size))
+        self.transcript.append(
+            TranscriptEntry(sender, receiver, type(message).__name__, size)
+        )
 
     def record_broadcast(
         self, sender: str, receivers: int, message: Message, receiver_role: str
@@ -134,3 +141,35 @@ class CostLedger:
             messages_by_link=dict(self.message_counts),
             transcript=tuple(self.transcript),
         )
+
+
+def party_role(party: str) -> str:
+    """Map a party endpoint onto its ledger accounting role.
+
+    Endpoints are ``"coordinator"``, ``"lsp"`` and ``"user:<i>"``.
+    """
+    role = party.split(":", 1)[0]
+    if role not in _ROLES:
+        raise ConfigurationError(f"unknown party endpoint {party!r}")
+    return role
+
+
+def send(
+    ledger: CostLedger,
+    sender: str,
+    receiver: str,
+    message: Message,
+    tamper: Mutator | None = None,
+) -> Message:
+    """Hand one protocol message from ``sender`` to ``receiver``.
+
+    The ledger records the honest message, and the receiver gets the same
+    object.  When ``tamper`` returns a forged message for this link, the
+    receiver gets the forgery instead, as from a cheating sender.
+    """
+    ledger.record(party_role(sender), party_role(receiver), message)
+    if tamper is not None:
+        forged = tamper((sender, receiver), message)
+        if forged is not None:
+            return forged
+    return message

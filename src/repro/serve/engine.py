@@ -23,7 +23,7 @@ The engine runs in three phases:
 Splitting simulated time from real execution is what makes the engine
 both *reproducible* (the report never depends on host load or core
 count) and *honest* (answers and communication bytes come from the real
-protocol stack, faults and guards included).
+protocol stack, guards included).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from repro.serve.pool import (
 )
 from repro.serve.scheduler import POLICIES, make_scheduler
 from repro.serve.workload import QueryJob, Workload
-from repro.transport.faults import FaultPlan
 
 _EXECUTORS = ("serial", "process")
 
@@ -82,9 +81,7 @@ class ServeConfig:
     nonce_pool: bool = True
     nonce_chunk: int = 64
     knn_cache_size: int | None = 256
-    faults: FaultPlan | None = None
     guard: bool = False
-    deadline_seconds: float | None = None
     obs: bool = False
     cost_model: CostModel = field(default_factory=CostModel)
     # Index substrate override for the serving replicas (one of
@@ -116,12 +113,6 @@ class ServeConfig:
             raise ConfigurationError(
                 f"unknown policy {self.policy!r}; known: {list(POLICIES)}"
             )
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ConfigurationError("deadline_seconds must be positive or None")
-        if self.faults is not None and not isinstance(self.faults, FaultPlan):
-            raise ConfigurationError(
-                f"faults must be a FaultPlan or None, not {type(self.faults).__name__}"
-            )
         if not isinstance(self.cost_model, CostModel):
             raise ConfigurationError(
                 f"cost_model must be a CostModel, not {type(self.cost_model).__name__}"
@@ -145,19 +136,12 @@ class ServeConfig:
                 )
 
     def runner_options(self, workload_seed: int) -> RunnerOptions:
-        faults = self.faults
-        if faults is not None:
-            # FaultPlan defaults its mappings to MappingProxyType, which
-            # cannot cross a process boundary; plain dicts behave the same.
-            faults = replace(faults, links=dict(faults.links), kill=dict(faults.kill))
         return RunnerOptions(
             nonce_pool=self.nonce_pool,
             nonce_seed=workload_seed,
             nonce_chunk=self.nonce_chunk,
             knn_cache_size=self.knn_cache_size,
-            faults=faults,
             guard=self.guard,
-            deadline_seconds=self.deadline_seconds,
             obs=self.obs,
             trace_capacity=self.trace_capacity,
             exemplars=self.exemplars,
@@ -238,8 +222,6 @@ class ServingReport:
     per_tenant: dict[str, dict]
     cache: dict[str, float]
     pool: dict[str, float]
-    retransmissions: int
-    corrupt_rejected: int
     comm_bytes_total: int
     failures: list[tuple[int, str]]
     rejections: list[RejectedJob]
@@ -280,10 +262,6 @@ class ServingReport:
             "per_tenant": self.per_tenant,
             "cache": self.cache,
             "pool": self.pool,
-            "transport": {
-                "retransmissions": self.retransmissions,
-                "corrupt_rejected": self.corrupt_rejected,
-            },
             "comm_bytes_total": self.comm_bytes_total,
             "failures": [list(item) for item in self.failures],
             "rejections": [
@@ -309,7 +287,6 @@ class ServingReport:
         """
         latency = data["latency"]
         queue = data["queue"]
-        transport = data["transport"]
         return cls(
             workers=data["workers"],
             policy=data["policy"],
@@ -333,8 +310,6 @@ class ServingReport:
             per_tenant=data["per_tenant"],
             cache=data["cache"],
             pool=data["pool"],
-            retransmissions=transport["retransmissions"],
-            corrupt_rejected=transport["corrupt_rejected"],
             comm_bytes_total=data["comm_bytes_total"],
             failures=[tuple(item) for item in data["failures"]],
             rejections=[
@@ -652,8 +627,6 @@ class ServeEngine:
                 "dry": stats.pool.dry,
                 "hit_rate": round(stats.pool.hit_rate, 9),
             },
-            retransmissions=stats.retransmissions,
-            corrupt_rejected=stats.corrupt_rejected,
             comm_bytes_total=sum(o.comm_bytes for o in completed),
             failures=failures,
             rejections=rejected,

@@ -41,11 +41,6 @@ from repro.obs import MetricsRegistry, MetricsSnapshot, Observability, Tracer
 from repro.partition.solver import solve_partition
 from repro.serve.cache import CacheStats, KnnLRUCache
 from repro.serve.workload import GroupProfile, QueryJob
-from repro.transport.channel import FaultyChannel
-from repro.transport.faults import FaultPlan
-from repro.transport.session import ResilientSession
-
-_PROTOCOL_INDEX = {"ppgnn": 0, "ppgnn-opt": 1, "naive": 2}
 
 
 @dataclass(frozen=True)
@@ -117,9 +112,7 @@ class RunnerOptions:
     nonce_seed: int = 0
     nonce_chunk: int = 64
     knn_cache_size: int | None = 256
-    faults: FaultPlan | None = None
     guard: bool = False
-    deadline_seconds: float | None = None
     obs: bool = False
     # Per-bucket trace ring size (None keeps the Tracer default).  The
     # bucket publishes evictions as ``obs.trace.spans_dropped`` so trend
@@ -166,16 +159,12 @@ class BucketStats:
 
     pool: PoolStats = field(default_factory=PoolStats)
     cache: CacheStats = field(default_factory=CacheStats)
-    retransmissions: int = 0
-    corrupt_rejected: int = 0
     metrics: MetricsSnapshot | None = None
     spans: tuple = ()
 
     def merge(self, other: "BucketStats") -> None:
         self.pool.merge(other.pool)
         self.cache.merge(other.cache)
-        self.retransmissions += other.retransmissions
-        self.corrupt_rejected += other.corrupt_rejected
         if other.metrics is not None:
             registry = MetricsRegistry()
             if self.metrics is not None:
@@ -219,11 +208,7 @@ class BucketRunner:
                 if options.trace_capacity is not None
                 else Observability()
             )
-        self._guard = (
-            ProtocolGuard(deadline_seconds=options.deadline_seconds, obs=self.obs)
-            if options.guard
-            else None
-        )
+        self._guard = ProtocolGuard(obs=self.obs) if options.guard else None
 
     # ------------------------------------------------------------- sessions
 
@@ -232,7 +217,7 @@ class BucketRunner:
         session = self._sessions.get(key)
         if session is not None:
             return session
-        kwargs = dict(
+        session = QuerySession(
             lsp=self.lsp,
             config=config,
             protocol=job.protocol,
@@ -241,19 +226,6 @@ class BucketRunner:
             guard=self._guard,
             obs=self.obs,
         )
-        if self.options.faults is not None:
-            # One independent fault stream per session, derived from the
-            # plan seed and the session key so replays are exact.
-            plan = replace(
-                self.options.faults,
-                seed=self.options.faults.seed * 7919
-                + job.group_id * 31
-                + _PROTOCOL_INDEX[job.protocol] * 7
-                + job.k,
-            )
-            session = ResilientSession(channel=FaultyChannel(plan), **kwargs)
-        else:
-            session = QuerySession(**kwargs)
         if self.registry is not None:
             keypair = group_keypair(config)
             # The bucket owns the group's key pair, so its pool refills
@@ -333,11 +305,6 @@ class BucketRunner:
         cache = self.lsp.engine.knn_cache
         if cache is not None:
             stats.cache.merge(cache.stats)
-        for session in self._sessions.values():
-            transport = getattr(session, "transport", None)
-            if transport is not None:
-                stats.retransmissions += transport.stats.retransmissions
-                stats.corrupt_rejected += transport.stats.corrupt_rejected
         if self.obs is not None:
             # Shared-resource counters are published once, at bucket close,
             # so repeats and evictions are already folded in.

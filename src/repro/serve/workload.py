@@ -14,6 +14,8 @@ plan and the LSP sees the exact candidate queries it already answered.
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -103,18 +105,29 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.queries < 0:
-            raise ConfigurationError("queries must be non-negative")
+        if (
+            isinstance(self.queries, bool)
+            or not isinstance(self.queries, numbers.Integral)
+            or self.queries < 0
+        ):
+            raise ConfigurationError(
+                f"queries must be an integer >= 0, not {self.queries!r}"
+            )
         if self.arrival not in ("poisson", "closed"):
             raise ConfigurationError("arrival must be 'poisson' or 'closed'")
-        if self.arrival == "poisson" and self.rate_qps <= 0:
-            raise ConfigurationError("rate_qps must be positive")
-        if self.arrival == "closed" and self.concurrency < 1:
-            raise ConfigurationError("concurrency must be >= 1")
-        if self.think_seconds < 0:
-            raise ConfigurationError("think_seconds must be non-negative")
-        if self.groups < 1:
-            raise ConfigurationError("a workload needs at least one group")
+        if not math.isfinite(self.rate_qps) or (
+            self.arrival == "poisson" and self.rate_qps <= 0
+        ):
+            raise ConfigurationError(
+                f"rate_qps must be finite and positive, not {self.rate_qps!r}"
+            )
+        positive_int(self.concurrency, "concurrency")
+        if not (math.isfinite(self.think_seconds) and self.think_seconds >= 0):
+            raise ConfigurationError(
+                f"think_seconds must be finite and non-negative, "
+                f"not {self.think_seconds!r}"
+            )
+        positive_int(self.groups, "groups")
         if not self.tenants:
             raise ConfigurationError("a workload needs at least one tenant")
         if not 0.0 <= self.repeat_fraction <= 1.0:

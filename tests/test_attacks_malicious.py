@@ -1,12 +1,11 @@
-"""Chaos tests: every scripted deviation is detected or provably harmless.
+"""Adversary tests: every scripted deviation is detected or provably harmless.
 
-The adversaries in :mod:`repro.attacks.malicious` produce forgeries the
-transport layer cannot object to (their checksums are valid); the
-assertion here is the guard's contract: each deviation either raises a
-typed :class:`~repro.errors.GuardError` naming the offending round and
-party, or the run completes with answers *byte-identical* to the honest
-run (the only two harmless cases being ciphertext rerandomization and
-envelope replay).
+The adversaries in :mod:`repro.attacks.malicious` forge well-formed
+messages; the assertion here is the guard's contract: each deviation
+either raises a typed :class:`~repro.errors.GuardError` naming the
+offending round and party, or the run completes with answers
+*byte-identical* to the honest run (the one harmless case being
+ciphertext rerandomization).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import pytest
 from repro.attacks.malicious import (
     LSP_DEVIATIONS,
     CheatingLSP,
-    MaliciousChannel,
     corrupt_position,
     duplicate_user_id,
     nan_location,
@@ -25,6 +23,7 @@ from repro.attacks.malicious import (
 )
 from repro.core.group import run_ppgnn
 from repro.core.lsp import LSPServer
+from repro.core.naive import run_naive
 from repro.core.opt import run_ppgnn_opt
 from repro.errors import (
     ConfigurationError,
@@ -33,7 +32,6 @@ from repro.errors import (
     ProtocolStateError,
 )
 from repro.guard.guard import ProtocolGuard
-from repro.transport.session import ResilientSession
 
 GUARD = ProtocolGuard()
 
@@ -100,12 +98,34 @@ class TestCheatingLSP:
         assert len(result.answers) > 0
 
 
+RUNNERS = {"ppgnn": run_ppgnn, "ppgnn-opt": run_ppgnn_opt, "naive": run_naive}
+
+
+def counted(mutator):
+    """Wrap a mutator so the test can count the forgeries it made."""
+    forged = []
+
+    def tamper(link, message):
+        forgery = mutator(link, message)
+        if forgery is not None:
+            forged.append(link)
+        return forgery
+
+    return tamper, forged
+
+
+@pytest.mark.parametrize("protocol", sorted(RUNNERS))
 class TestCheatingMembers:
-    def _run(self, medium_pois, fast_config, locations, channel):
-        session = ResilientSession(
-            fresh_lsp(medium_pois), fast_config, seed=7, channel=channel, guard=GUARD
-        )
-        return session.query(locations)
+    def _run(self, protocol, medium_pois, fast_config, locations, mutator):
+        tamper, forged = counted(mutator)
+        runner = RUNNERS[protocol]
+        with pytest.raises(GuardError) as info:
+            runner(
+                fresh_lsp(medium_pois), locations, fast_config, seed=7,
+                tamper=tamper, guard=GUARD,
+            )
+        assert len(forged) == 1, "exactly one message is forged per run"
+        return info.value
 
     @pytest.mark.parametrize(
         "mutator_factory, expected_party",
@@ -116,48 +136,41 @@ class TestCheatingMembers:
         ],
     )
     def test_poisoned_uploads_detected(
-        self, medium_pois, fast_config, locations, mutator_factory, expected_party
+        self, protocol, medium_pois, fast_config, locations, mutator_factory,
+        expected_party,
     ):
-        channel = MaliciousChannel(mutator_factory(1))
-        with pytest.raises(InboundValidationError) as info:
-            self._run(medium_pois, fast_config, locations, channel)
-        assert info.value.party == expected_party
-        assert channel.forged == 1
+        error = self._run(
+            protocol, medium_pois, fast_config, locations, mutator_factory(1)
+        )
+        assert type(error) is InboundValidationError
+        assert error.party == expected_party
 
-    def test_impersonation_detected(self, medium_pois, fast_config, locations):
+    def test_impersonation_detected(
+        self, protocol, medium_pois, fast_config, locations
+    ):
         # Member 1 claims member 0's id: the LSP state machine sees a
         # duplicate upload and rejects before the candidate matrix forms.
-        channel = MaliciousChannel(duplicate_user_id(1, victim_id=0))
-        with pytest.raises(ProtocolStateError, match="duplicate"):
-            self._run(medium_pois, fast_config, locations, channel)
-
-    def test_forged_position_detected(self, medium_pois, fast_config, locations):
-        channel = MaliciousChannel(corrupt_position(1))
-        with pytest.raises(InboundValidationError, match="position"):
-            self._run(medium_pois, fast_config, locations, channel)
-
-    def test_replay_is_harmless(
-        self, medium_pois, fast_config, locations, honest_answers
-    ):
-        # Verbatim duplicates are absorbed by the transport's sequence
-        # numbers; the guarded protocol result is byte-identical.
-        session = ResilientSession(
-            fresh_lsp(medium_pois),
-            fast_config,
-            seed=7,
-            channel=MaliciousChannel(replay=True),
-            guard=GUARD,
+        error = self._run(
+            protocol, medium_pois, fast_config, locations,
+            duplicate_user_id(1, victim_id=0),
         )
-        result = session.query(locations)
-        assert result.answers == honest_answers
-        assert session.transport_stats.duplicates_discarded > 0
+        assert type(error) is ProtocolStateError
+        assert error.party == "user:0"
+        assert "duplicate" in str(error)
+
+    def test_forged_position_detected(
+        self, protocol, medium_pois, fast_config, locations
+    ):
+        error = self._run(
+            protocol, medium_pois, fast_config, locations, corrupt_position(1)
+        )
+        assert type(error) is InboundValidationError
+        assert error.party == "coordinator"
+        assert "position" in str(error)
 
     def test_every_deviation_raises_a_guard_error(
-        self, medium_pois, fast_config, locations
+        self, protocol, medium_pois, fast_config, locations
     ):
         # The blanket contract: nothing escapes as an untyped exception.
         for factory in (nan_location, outside_location, short_set):
-            with pytest.raises(GuardError):
-                self._run(
-                    medium_pois, fast_config, locations, MaliciousChannel(factory(2))
-                )
+            self._run(protocol, medium_pois, fast_config, locations, factory(2))

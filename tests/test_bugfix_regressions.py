@@ -6,8 +6,6 @@ Each class pins one fixed bug with inputs that failed before the fix:
   landed an epsilon above an integer (``100 * 0.55 == 55.000000000000007``).
 - ``KnnLRUCache``: a stored ``None`` read back as a miss, skewing hit rates
   and freezing the entry's LRU position.
-- ``RetryPolicy.backoff``: ``multiplier ** attempt`` overflowed to
-  OverflowError for attempt counts reachable with a large ``max_attempts``.
 - CRT decryption: Garner recombination divides by ``q^{-1} mod p`` and the
   per-prime order argument needs unit ciphertexts — ``p == q`` keys and
   adversarial non-unit values diverged from the generic path instead of
@@ -24,9 +22,6 @@ from repro.crypto.paillier import Ciphertext, PaillierPrivateKey, generate_keypa
 from repro.errors import ConfigurationError
 from repro.serve.cache import KnnLRUCache, LRUCache
 from repro.serve.engine import _percentile
-from repro.transport.retry import RetryPolicy
-
-LINK = ("coordinator", "lsp")
 
 
 class TestPercentile:
@@ -117,46 +112,6 @@ class TestLRUCacheStore:
 
     def test_generic_alias(self):
         assert LRUCache is KnnLRUCache
-
-
-class TestBackoffOverflow:
-    def test_huge_attempt_saturates_at_cap_instead_of_overflowing(self):
-        policy = RetryPolicy(max_attempts=10_000)
-        # 2.0 ** 4999 overflows a float; the fix saturates in log space.
-        wait = policy.backoff(5_000, LINK, 0)
-        assert wait <= policy.max_backoff_seconds * (1 + policy.jitter_fraction)
-        assert wait > 0
-
-    def test_raw_backoff_saturates_monotonically(self):
-        policy = RetryPolicy(max_attempts=10_000)
-        waits = [policy._raw_backoff(a) for a in (1, 10, 100, 1_000, 9_999)]
-        assert waits == sorted(waits)
-        assert waits[-1] == policy.max_backoff_seconds
-
-    def test_in_range_values_bit_identical_to_unguarded_expression(self):
-        """The guard must not perturb any value the old code computed."""
-        policy = RetryPolicy(
-            max_attempts=20,
-            base_backoff_seconds=0.01,
-            backoff_multiplier=2.0,
-            max_backoff_seconds=5.0,
-        )
-        for attempt in range(1, 16):
-            unguarded = min(
-                policy.base_backoff_seconds
-                * policy.backoff_multiplier ** (attempt - 1),
-                policy.max_backoff_seconds,
-            )
-            assert policy._raw_backoff(attempt) == unguarded
-
-    def test_zero_base_stays_zero(self):
-        policy = RetryPolicy(base_backoff_seconds=0.0, max_backoff_seconds=1.0)
-        assert policy.backoff(3, LINK, 1) == 0.0
-
-    def test_jitter_is_per_link_deterministic(self):
-        policy = RetryPolicy()
-        assert policy.backoff(2, LINK, 7) == policy.backoff(2, LINK, 7)
-        assert policy.backoff(2, LINK, 7) != policy.backoff(2, ("lsp", "user:0"), 7)
 
 
 class TestCrtDecryptFallback:

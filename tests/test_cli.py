@@ -128,7 +128,7 @@ class TestServeBench:
         assert report["completed"] == 8
         assert report["answers_digest"]
 
-    def test_serve_bench_rejects_retired_cluster_flags(self, capsys):
+    def test_serve_bench_rejects_retired_flags(self, capsys):
         retired = (
             ("shards", "2"),
             ("shard-replicas", "2"),
@@ -136,6 +136,7 @@ class TestServeBench:
             ("partition", "str"),
             ("hedge-factor", "2.0"),
             ("kill-shard", "1"),
+            ("fault-rate", "0.05"),
         )
         for name, value in retired:
             with pytest.raises(SystemExit) as exc:
@@ -144,10 +145,6 @@ class TestServeBench:
             assert f"unrecognized arguments: --{name} {value}" in (
                 capsys.readouterr().err
             )
-
-    def test_serve_bench_with_faults(self, capsys):
-        assert run_cli([*self.ARGS, "--fault-rate", "0.05"]) == 0
-        assert "served 8/8" in capsys.readouterr().out
 
     def test_serve_bench_obs_embeds_metrics(self, capsys):
         import json

@@ -8,6 +8,7 @@ import pytest
 from repro.core.common import group_keypair
 from repro.core.lsp import LSPServer, QueryStats
 from repro.crypto.homomorphic import encrypt_indicator
+from repro.errors import ConfigurationError
 from repro.geometry.point import Point
 from repro.partition.layout import GroupLayout
 from repro.partition.solver import solve_partition
@@ -135,3 +136,19 @@ class TestSingleHandler:
         assert sanitizer.plan.n_samples == required_sample_size(
             0.05, gamma=0.01, eta=0.1, phi=0.2
         )
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("samples", [2.5, 0, -1, True, "16"])
+    def test_sanitation_samples_must_be_a_positive_integer(
+        self, small_pois, samples
+    ):
+        # A float count used to be accepted here and fail later, at the
+        # first sanitized query, with a bare TypeError from numpy.
+        with pytest.raises(ConfigurationError, match="sanitation_samples"):
+            LSPServer(small_pois, sanitation_samples=samples)
+
+    def test_sanitation_samples_accepts_ints_and_none(self, small_pois):
+        assert LSPServer(small_pois, sanitation_samples=None).sanitation_samples is None
+        server = LSPServer(small_pois, sanitation_samples=np.int64(16))
+        assert server._sanitizer(0.05).plan.n_samples == 16

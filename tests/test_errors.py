@@ -1,9 +1,8 @@
 """Error-path coverage: every exception class fires from a real code path.
 
 Also pins the hierarchy contracts callers rely on (`except ReproError`
-catches everything; a lost member is both a transport and a protocol
-failure) and a property-style check that transcript rendering preserves
-byte totals under the run-collapsing it performs.
+catches everything) and a property-style check that transcript rendering
+preserves byte totals under the run-collapsing it performs.
 """
 
 import random
@@ -15,23 +14,17 @@ from repro.errors import (
     ConfigurationError,
     CryptoError,
     EncodingError,
-    GroupMemberLostError,
     InfeasibleError,
     ProtocolError,
     ReproError,
-    RetryExhaustedError,
-    TransportError,
 )
 
 ALL_ERRORS = [
     ConfigurationError,
     CryptoError,
     EncodingError,
-    GroupMemberLostError,
     InfeasibleError,
     ProtocolError,
-    RetryExhaustedError,
-    TransportError,
 ]
 
 
@@ -39,18 +32,6 @@ class TestHierarchy:
     @pytest.mark.parametrize("error", ALL_ERRORS)
     def test_everything_is_a_repro_error(self, error):
         assert issubclass(error, ReproError)
-
-    def test_member_lost_is_transport_and_protocol(self):
-        error = GroupMemberLostError("user:3", 3, 5)
-        assert isinstance(error, TransportError)
-        assert isinstance(error, ProtocolError)
-        assert error.user_index == 3
-
-    def test_retry_exhausted_carries_link(self):
-        error = RetryExhaustedError(("coordinator", "lsp"), 7)
-        assert error.link == ("coordinator", "lsp")
-        assert error.attempts == 7
-        assert isinstance(error, TransportError)
 
     def test_configuration_error_is_value_error(self):
         assert issubclass(ConfigurationError, ValueError)
@@ -88,48 +69,6 @@ class TestRaisedFromRealPaths:
 
         with pytest.raises(ProtocolError):
             LSPServer(pois=[])
-
-    def test_transport_error(self):
-        from repro.transport.envelope import Envelope
-        from repro.protocol.messages import PositionAssignment
-
-        with pytest.raises(TransportError):
-            Envelope(("a", "b"), -1, PositionAssignment(0), 0)
-
-    def test_retry_exhausted_error(self):
-        from repro.protocol.messages import PositionAssignment
-        from repro.protocol.metrics import CostLedger
-        from repro.transport.channel import FaultyChannel
-        from repro.transport.faults import FaultPlan, LinkFaults
-        from repro.transport.retry import RetryPolicy
-        from repro.transport.transport import Transport
-
-        transport = Transport(
-            FaultyChannel(FaultPlan(default=LinkFaults(drop=0.999), seed=0)),
-            RetryPolicy(max_attempts=2),
-        )
-        with pytest.raises(RetryExhaustedError):
-            for seq in range(20):
-                transport.deliver(
-                    CostLedger(), "coordinator", "lsp", PositionAssignment(seq)
-                )
-
-    def test_group_member_lost_error(self):
-        from repro.protocol.messages import PositionAssignment
-        from repro.protocol.metrics import CostLedger
-        from repro.transport.channel import FaultyChannel
-        from repro.transport.faults import FaultPlan
-        from repro.transport.retry import RetryPolicy
-        from repro.transport.transport import Transport
-
-        transport = Transport(
-            FaultyChannel(FaultPlan(kill={"user:5": 0})),
-            RetryPolicy(max_attempts=2),
-        )
-        with pytest.raises(GroupMemberLostError):
-            transport.deliver(
-                CostLedger(), "coordinator", "user:5", PositionAssignment(0)
-            )
 
 
 class TestTranscriptCollapseProperty:

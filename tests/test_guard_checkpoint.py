@@ -10,7 +10,7 @@ from repro.core.config import PPGNNConfig
 from repro.core.session import QuerySession, SessionTotals
 from repro.errors import CheckpointError, CryptoError, ReproError
 from repro.guard.checkpoint import checkpoint_session, restore_session
-from repro.transport.session import ResilientSession
+from repro.guard.guard import ProtocolGuard
 
 # SHA-256 of the bytes ``TestRoundTrip.test_wire_format_pinned`` builds.
 CHECKPOINT_SHA256 = (
@@ -112,11 +112,16 @@ class TestResumeEquality:
         assert resumed.totals.lsp_seconds > 0
         assert resumed_answers == straight_answers[2:]
 
-    def test_restore_as_resilient_session(self, lsp, fast_config, locations):
+    def test_restore_as_subclass(self, lsp, fast_config, locations):
+        class TaggedSession(QuerySession):
+            pass
+
         base = QuerySession(lsp, fast_config, seed=9)
         base.query(locations)
-        restored = ResilientSession.restore(base.checkpoint(), lsp)
-        assert isinstance(restored, ResilientSession)
+        guard = ProtocolGuard()
+        restored = TaggedSession.restore(base.checkpoint(), lsp, guard=guard)
+        assert type(restored) is TaggedSession
+        assert restored.guard is guard
         assert restored.totals.queries == 1
         result = restored.query(locations)
         assert len(result.answers) > 0

@@ -5,8 +5,7 @@ guard subsystem existed.  Two invariants are pinned:
 
 1. ``guard=None`` (the default) reproduces the pre-guard cost reports and
    answers exactly — the hardening layer added zero bytes, zero messages,
-   and zero behavioral drift to the trusting path (mirroring the
-   ``transport=None`` contract of the transport layer).
+   and zero behavioral drift to the trusting path.
 2. An *armed* guard over honest parties produces the same answers and
    the same per-link byte counts — validation observes the round, it
    never perturbs it.

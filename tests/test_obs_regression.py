@@ -4,9 +4,9 @@ Three contracts:
 
 1. ``obs=None`` (the default) is byte-identical to the pre-observability
    code: a pinned serving fixture's ``answers_digest`` and full-report
-   SHA-256 must never move (the ``guard=None`` / ``transport=None``
-   regression pattern), and neither may those of the rejection,
-   closed-loop and lossy guarded process-executor shapes.
+   SHA-256 must never move (the ``guard=None`` regression pattern), and
+   neither may those of the rejection, closed-loop and guarded
+   process-executor shapes.
 2. ``obs=Observability()`` changes *observations only*: answers and comm
    bytes match the bare run for every protocol.
 3. With tracing on, a round span's encryption / decryption / kGNN-query
@@ -30,14 +30,16 @@ from repro.obs import Observability
 from repro.serve.costs import CostModel
 from repro.serve.engine import ServeConfig, ServeEngine, ServingReport
 from repro.serve.workload import WorkloadSpec, generate_workload
-from repro.transport.faults import FaultPlan
 
 # Pinned from the pre-observability serving engine (12-query fixture).
+# Every report SHA-256 in this file is of the report before the fault
+# layer was deleted, with its then-constant ``transport`` key
+# ({"retransmissions": 0, "corrupt_rejected": 0}) removed.
 EXPECTED_ANSWERS_DIGEST = (
     "22ffdc8b6366ab98e6f29a79996e63086759d12b65a4bfae08f5be09c4bd795e"
 )
 EXPECTED_REPORT_SHA256 = (
-    "e08461ed684a8aad064e5b0ee649c003cac31dfc39965f92d2e855bffd8bd461"
+    "f63705e093dcd3b6a9e14d8d7ae996354f61e25f3a738b8fa462b97b9f460eb1"
 )
 
 _RUNNERS = {
@@ -95,29 +97,27 @@ _MIX = {
 }
 
 # Serving shapes beyond the open-loop fixture: each takes a plan-loop,
-# guard or transport branch the default run never does.  Their (answers
-# digest, report SHA-256) pairs were recorded before the code they run
-# through was last cut down: the overload-control plane for the first
-# two, the sharded cluster for the third.
+# guard or executor branch the default run never does.  Their answers
+# digests were recorded before the code they run through was last cut
+# down: the overload-control plane for the first two, the fault layer
+# for the third.
 _SHAPES = {
     # Three tenants under a quota of two overflow a three-slot queue, so
     # the plan loop rejects with both AdmissionRejectedError and
     # QueueFullError.
     "queue-quota-rejections": (
         "6ea58770e85e4458998fba9990311cc8681841405153f9d968ee33bebb0e8604",
-        "f5358b3d04b9f5bb551ff361688361a785afec52b4b87673cc4b974d30c3bd73",
+        "7447bfdb5807759d47c032e4115f71d8f69e9f3d3a5d115ae9cf65126666ea53",
     ),
     # Closed-loop clients chain each next arrival off a completion.
     "closed-loop-fair-share": (
         "b7c7a12f138a11aa2ea759caa1bdd390d1d7cab0b2d1aafe5235e61d43406ac0",
-        "65949117e54ef3b117d7194f027573938c8965e55989de196520e57373870ef1",
+        "acc1f26a76cd4416a10749eae23ddc4494abe64024593f62e335bf4da3f0df18",
     ),
-    # Guarded rounds with a 0.2 s deadline over lossy links on the
-    # process executor: retransmissions, and half the jobs fail with a
-    # typed DeadlineExceededError.
-    "lossy-guarded-process": (
-        "c8692941ea19f53fdce321057d0e7ceaf40cee28e11e6b00229a5e6bbad9c56a",
-        "e4833951f1fbc08b97ad2071f9ce2d25a210c0630ebd4458d405f8b3b944cdcd",
+    # Guarded rounds on the process executor: every job completes.
+    "guarded-process": (
+        "a7645c5dfd97e98785e8b253a17d72c03e78fb18d876b9f802d381de63dbdbe8",
+        "b090542da218ad595a278f65684711bf650191fc2ba40d25b2b12a36d0db27af",
     ),
 }
 
@@ -144,10 +144,7 @@ def _run_shape(shape, space, config):
             queries=8, rate_qps=20.0, tenants=("t0", "t1"), groups=3,
             repeat_fraction=0.25, seed=33, **_MIX,
         )
-        serve = ServeConfig(
-            workers=2, executor="process", guard=True,
-            deadline_seconds=0.2, faults=FaultPlan.uniform(0.1, seed=4),
-        )
+        serve = ServeConfig(workers=2, executor="process", guard=True)
     engine = ServeEngine(_make_lsp(space), config, serve)
     return engine.run(generate_workload(spec, space))
 

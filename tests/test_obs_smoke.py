@@ -15,24 +15,14 @@ from repro.core.config import PPGNNConfig
 from repro.core.lsp import LSPServer
 from repro.crypto.paillier import generate_keypair
 from repro.datasets.synthetic import clustered_pois
-from repro.errors import (
-    DeadlineExceededError,
-    GuardError,
-    RetryExhaustedError,
-)
+from repro.errors import GuardError
 from repro.geometry.space import LocationSpace
 from repro.guard.guard import ProtocolGuard
 from repro.obs import Observability, parse_jsonl, render_span_tree, validate_spans
 from repro.partition.layout import GroupLayout
 from repro.partition.solver import solve_partition
-from repro.protocol.messages import PositionAssignment
-from repro.protocol.metrics import CostLedger
 from repro.serve.engine import ServeConfig, ServeEngine
 from repro.serve.workload import WorkloadSpec, generate_workload
-from repro.transport.channel import FaultyChannel
-from repro.transport.faults import FaultPlan, LinkFaults
-from repro.transport.retry import RetryPolicy
-from repro.transport.transport import NETWORK, Transport
 
 DOC = Path(__file__).resolve().parent.parent / "OBSERVABILITY.md"
 
@@ -49,7 +39,7 @@ def documented_metric_names() -> set[str]:
 
 @pytest.fixture(scope="module")
 def served_report():
-    """20 queries, guard armed, faults on — the main publishing scenario."""
+    """20 queries, guard armed — the main publishing scenario."""
     space = LocationSpace.unit_square()
     lsp = LSPServer(
         clustered_pois(400, space, seed=11), sanitation_samples=16, seed=99
@@ -68,62 +58,25 @@ def served_report():
         repeat_fraction=0.2,
         seed=33,
     )
-    serve = ServeConfig(
-        workers=2,
-        obs=True,
-        guard=True,
-        faults=FaultPlan.uniform(0.08, seed=7),
-    )
+    serve = ServeConfig(workers=2, obs=True, guard=True)
     return ServeEngine(lsp, config, serve).run(generate_workload(spec, space))
 
 
 def _guard_scenarios() -> Observability:
-    """Drive a round guard into a deadline miss and a state violation."""
+    """Drive a round guard into a state violation."""
     obs = Observability()
     keypair = generate_keypair(128, seed=54321)
-    space = LocationSpace.unit_square()
-    guard = ProtocolGuard(deadline_seconds=1.0, obs=obs)
-
-    def arm():
-        return guard.begin(
-            layout=GroupLayout(solve_partition(2, 3, 6)),
-            public_key=keypair.public_key,
-            space=space,
-            ledger=ledger,
-            k=3,
-            answer_m=2,
-        )
-
-    # Deadline miss: network clock already past budget when a hook ticks.
-    ledger = CostLedger()
-    rg = arm()
-    rg.planned()
-    ledger.times[NETWORK] = 5.0
-    with pytest.raises(DeadlineExceededError):
-        rg.position_delivered(0, PositionAssignment(position=1))
-
-    # State violation: planning twice is out of choreography.
-    ledger = CostLedger()
-    rg = arm()
+    rg = ProtocolGuard(obs=obs).begin(
+        layout=GroupLayout(solve_partition(2, 3, 6)),
+        public_key=keypair.public_key,
+        space=LocationSpace.unit_square(),
+        k=3,
+        answer_m=2,
+    )
+    # Planning twice is out of choreography.
     rg.planned()
     with pytest.raises(GuardError):
         rg.planned()
-    return obs
-
-
-def _exhaustion_scenario() -> Observability:
-    """A dead link defeats the retry budget."""
-    obs = Observability()
-    plan = FaultPlan(default=LinkFaults(drop=0.99), seed=1)
-    transport = Transport(
-        channel=FaultyChannel(plan),
-        policy=RetryPolicy(max_attempts=2, base_backoff_seconds=0.0),
-        obs=obs,
-    )
-    with pytest.raises(RetryExhaustedError):
-        transport.deliver(
-            CostLedger(), "coordinator", "lsp", PositionAssignment(position=0)
-        )
     return obs
 
 
@@ -194,11 +147,11 @@ class TestObsSmoke:
         assert "session.query" in names
         assert names & {"round.ppgnn", "round.ppgnn-opt", "round.naive"}
         assert "coordinator.decrypt" in names
-        assert "transport.send" in names
+        assert "uploads" in names
 
     def test_every_documented_metric_is_published(self, served_report):
         documented = documented_metric_names()
-        assert len(documented) >= 31, "metric table went missing from the doc"
+        assert len(documented) >= 25, "metric table went missing from the doc"
         metrics = served_report.obs["metrics"]
         published = (
             set(metrics["counters"])
@@ -206,7 +159,6 @@ class TestObsSmoke:
             | set(metrics["histograms"])
         )
         published |= _guard_scenarios().snapshot().names
-        published |= _exhaustion_scenario().snapshot().names
         published |= _dropped_spans_scenario()
         published |= _exemplars_scenario()
         missing = documented - published
@@ -223,13 +175,6 @@ class TestObsSmoke:
         )
         undocumented = published - documented
         assert not undocumented, f"published but not documented: {sorted(undocumented)}"
-
-    def test_faulty_run_published_transport_reliability_metrics(self, served_report):
-        counters = served_report.obs["metrics"]["counters"]
-        assert counters["transport.messages"] > 0
-        assert counters["transport.retries"] > 0
-        assert counters["transport.corrupt_rejected"] > 0
-        assert counters["guard.rounds"] > 0
 
     def test_latency_histogram_observed_every_planned_job(self, served_report):
         hist = served_report.obs["metrics"]["histograms"]["serve.latency_seconds"]

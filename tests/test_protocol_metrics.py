@@ -1,10 +1,20 @@
-"""Tests for the cost ledger and report."""
+"""Tests for the cost ledger, the report and the runners' send hook."""
 
 import time
 
+import pytest
+
 from repro.crypto.homomorphic import OpCounter
-from repro.protocol.messages import GenericMessage
-from repro.protocol.metrics import COORDINATOR, LSP, USER, CostLedger
+from repro.errors import ConfigurationError
+from repro.protocol.messages import GenericMessage, PositionAssignment
+from repro.protocol.metrics import (
+    COORDINATOR,
+    LSP,
+    USER,
+    CostLedger,
+    party_role,
+    send,
+)
 
 
 class TestLedgerAccounting:
@@ -77,3 +87,36 @@ class TestLedgerAccounting:
         report = ledger.report()
         ledger.record(USER, LSP, GenericMessage("y", 1))
         assert report.total_comm_bytes == 1
+
+
+class TestSendHelper:
+    def test_untampered_send_matches_plain_record(self):
+        message = PositionAssignment(2)
+        via_helper, via_record = CostLedger(), CostLedger()
+        delivered = send(via_helper, "user:4", "lsp", message)
+        via_record.record("user", "lsp", message)
+        assert delivered is message
+        assert via_helper.comm_bytes == via_record.comm_bytes
+        assert via_helper.transcript == via_record.transcript
+
+    def test_tamper_forges_the_delivery_not_the_record(self):
+        honest, forged = PositionAssignment(2), PositionAssignment(10**6)
+        links = []
+
+        def tamper(link, message):
+            links.append(link)
+            return forged if link[1] == "user:1" else None
+
+        ledger = CostLedger()
+        assert send(ledger, "coordinator", "user:0", honest, tamper) is honest
+        assert send(ledger, "coordinator", "user:1", honest, tamper) is forged
+        assert links == [("coordinator", "user:0"), ("coordinator", "user:1")]
+        # The ledger charges what the honest sender sent.
+        assert ledger.comm_bytes[(COORDINATOR, USER)] == 2 * honest.byte_size
+
+    def test_party_role_parsing(self):
+        assert party_role("user:12") == "user"
+        assert party_role("coordinator") == "coordinator"
+        assert party_role("lsp") == "lsp"
+        with pytest.raises(ConfigurationError):
+            party_role("mallory")

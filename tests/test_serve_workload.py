@@ -1,5 +1,6 @@
 """Workload generation: determinism, mixes, repeats, validation."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -31,6 +32,24 @@ class TestWorkloadSpec:
             WorkloadSpec(groups=0)
         with pytest.raises(ConfigurationError):
             WorkloadSpec(tenants=())
+        # Non-finite rates and fractional counts are refused up front; each
+        # used to be accepted and then served a NaN report or raised a bare
+        # TypeError later.
+        for bad, field in (
+            ({"rate_qps": float("nan")}, "rate_qps"),
+            ({"rate_qps": float("inf")}, "rate_qps"),
+            ({"think_seconds": float("nan")}, "think_seconds"),
+            ({"think_seconds": float("inf")}, "think_seconds"),
+            ({"concurrency": 2.5}, "concurrency"),
+            ({"arrival": "closed", "concurrency": 2.5}, "concurrency"),
+            ({"queries": 2.5}, "queries"),
+            ({"queries": -1}, "queries"),
+            ({"queries": True}, "queries"),
+            ({"groups": 2.5}, "groups"),
+        ):
+            with pytest.raises(ConfigurationError, match=field):
+                WorkloadSpec(**bad)
+        assert WorkloadSpec(queries=0, groups=np.int64(2)).groups == 2
 
 
 class TestGeneration:
