@@ -72,7 +72,6 @@ def make_config(settings: BenchSettings, **overrides) -> PPGNNConfig:
         k=8,
         theta0=0.05,
         keysize=settings.keysize,
-        sanitation_samples=settings.sanitation_samples,
         key_seed=settings.seed,
     )
     parameters.update(overrides)

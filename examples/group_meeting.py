@@ -55,9 +55,7 @@ def main() -> None:
 
     print("\nMax aggregate (minimize the farthest user's travel):")
     max_lsp = LSPServer(pois, aggregate_name="max", seed=3)
-    max_config = PPGNNConfig(
-        d=25, delta=100, k=4, theta0=0.05, keysize=256, aggregate_name="max"
-    )
+    max_config = PPGNNConfig(d=25, delta=100, k=4, theta0=0.05, keysize=256)
     describe("PPGNN", run_ppgnn(max_lsp, group, max_config, seed=6), max_lsp)
 
 

@@ -54,9 +54,7 @@ def main() -> None:
         Point(0.28, 0.36),
     ]
 
-    config = PPGNNConfig(
-        d=15, delta=60, k=5, theta0=0.05, keysize=256, aggregate_name="fair"
-    )
+    config = PPGNNConfig(d=15, delta=60, k=5, theta0=0.05, keysize=256)
     lsp = LSPServer(pois, aggregate_name="fair", seed=9)
 
     print("PPMLD: 5 users negotiate a meeting place from private preferences")

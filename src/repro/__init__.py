@@ -39,7 +39,6 @@ from repro.core import (
     run_single_user_opt,
 )
 from repro.errors import (
-    CheckpointError,
     ConfigurationError,
     CryptoError,
     EncodingError,
@@ -50,7 +49,7 @@ from repro.errors import (
     ProtocolStateError,
     ReproError,
 )
-from repro.guard import ProtocolGuard, restore_session
+from repro.guard import ProtocolGuard
 
 __version__ = "1.0.0"
 
@@ -75,9 +74,7 @@ __all__ = [
     "GuardError",
     "ProtocolStateError",
     "InboundValidationError",
-    "CheckpointError",
     "InfeasibleError",
     "ProtocolGuard",
-    "restore_session",
     "__version__",
 ]

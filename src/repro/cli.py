@@ -343,7 +343,6 @@ def _build_config(args: argparse.Namespace, sanitize: bool = True) -> PPGNNConfi
         theta0=args.theta0,
         sanitize=sanitize,
         keysize=args.keysize,
-        aggregate_name=args.aggregate,
         key_seed=args.seed,
     )
 

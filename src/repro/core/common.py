@@ -13,7 +13,7 @@ if TYPE_CHECKING:
     from repro.dummies.base import DummyGenerator
 from repro.crypto.paillier import KeyPair, generate_keypair
 from repro.encoding.answers import AnswerCodec, DecodedAnswer
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_int
 from repro.geometry.point import Point
 from repro.geometry.space import LocationSpace
 from repro.obs import Observability, maybe_span
@@ -22,7 +22,13 @@ from repro.protocol.metrics import COORDINATOR, CostLedger
 
 
 def derive_rngs(seed: int) -> tuple[random.Random, np.random.Generator]:
-    """One seed -> (protocol randomness, dummy-location randomness)."""
+    """One seed -> (protocol randomness, dummy-location randomness).
+
+    The seed must be a non-negative integer (a numpy integer is taken as
+    ``int``); anything else, a bool or a float included, raises
+    :class:`ConfigurationError`.  Every runner takes its seed through here.
+    """
+    seed = positive_int(seed, "seed", floor=0)
     return random.Random(seed), np.random.default_rng(seed)
 
 

@@ -5,18 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError, positive_int
-from repro.gnn.aggregate import Aggregate, get_aggregate
 
 
 @dataclass(frozen=True, slots=True)
 class PPGNNConfig:
-    """All tunables of a PPGNN deployment.
+    """The users' tunables of a PPGNN query.
 
     Defaults mirror the paper's Table 3 (group-query column) except the key
     size: the paper's C++/GMP implementation uses 1024-bit keys, while the
     pure-Python default here is 512 so benchmark sweeps finish in sensible
     time — pass ``keysize=1024`` to match the paper exactly (supported and
-    tested).
+    tested).  The LSP applies the answer sanitation and the aggregate F, so
+    sanitation's γ, η, φ and sample count N_H and the aggregate are
+    :class:`~repro.core.lsp.LSPServer` arguments, not fields here.
 
     Attributes
     ----------
@@ -33,19 +34,11 @@ class PPGNNConfig:
     sanitize:
         Run the answer sanitation of Section 5 (PPGNN).  False gives
         PPGNN-NAS, the no-collusion relaxation benchmarked in Section 8.3.2.
-    gamma / eta / phi:
-        Hypothesis-test error bounds and effect size (Section 5.3 defaults).
-    sanitation_samples:
-        Optional override of the Monte-Carlo sample count N_H (tests use
-        small values; None means Eqn 17 decides).
     keysize:
         Paillier modulus bits.
     key_seed:
         Deterministic-key seed; also enables key caching across runs, which
         models the paper's implicit "keys exist before the query" timing.
-    aggregate_name:
-        The aggregate F: "sum" (paper default), "max", "min", or a
-        registered custom aggregate.
     """
 
     d: int = 25
@@ -53,19 +46,12 @@ class PPGNNConfig:
     k: int = 8
     theta0: float | None = 0.05
     sanitize: bool = True
-    gamma: float = 0.05
-    eta: float = 0.2
-    phi: float = 0.1
-    sanitation_samples: int | None = None
     keysize: int = 512
     key_seed: int | None = 1
-    aggregate_name: str = "sum"
 
     def __post_init__(self) -> None:
         for name in ("d", "delta", "k", "keysize"):
             positive_int(getattr(self, name), name)
-        if self.sanitation_samples is not None:
-            positive_int(self.sanitation_samples, "sanitation_samples")
         if self.d < 2:
             raise ConfigurationError("d must be > 1 (Privacy I, Definition 2.2)")
         if self.delta < self.d:
@@ -76,12 +62,6 @@ class PPGNNConfig:
             raise ConfigurationError("sanitation requires theta0")
         if self.keysize < 64:
             raise ConfigurationError("keysize below 64 bits cannot hold an answer")
-        get_aggregate(self.aggregate_name)  # fail fast on unknown aggregates
-
-    @property
-    def aggregate(self) -> Aggregate:
-        """The resolved aggregate function F."""
-        return get_aggregate(self.aggregate_name)
 
     def for_single_user(self) -> "PPGNNConfig":
         """The n = 1 specialization: delta = d, no Privacy IV (Section 3)."""

@@ -20,7 +20,7 @@ from repro.core.naive import run_naive
 from repro.core.opt import run_ppgnn_opt
 from repro.core.result import ProtocolResult
 from repro.crypto.noncepool import NoncePool
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, positive_int
 from repro.geometry.point import Point
 from repro.guard.guard import ProtocolGuard
 from repro.obs import Observability, maybe_span
@@ -74,13 +74,13 @@ class QuerySession:
     protocol:
         ``"ppgnn"`` (default), ``"ppgnn-opt"``, or ``"naive"``.
     seed:
-        Session seed; query i runs with ``seed + i``.
+        Session seed, an integer >= 0; query i runs with ``seed + i``.
     max_history:
-        Retained :class:`ProtocolResult` count.  A long-lived session would
-        otherwise grow ``history`` (and every transcript it pins) without
-        bound; only the newest ``max_history`` results are kept, while
-        ``totals`` stays exact over *all* queries.  ``None`` disables the
-        cap.
+        Retained :class:`ProtocolResult` count, an integer >= 0.  A
+        long-lived session would otherwise grow ``history`` (and every
+        transcript it pins) without bound; only the newest ``max_history``
+        results are kept, while ``totals`` stays exact over *all* queries.
+        ``None`` disables the cap.
     guard:
         A :class:`~repro.guard.guard.ProtocolGuard` arming the
         hostile-input defenses for every query; None (default) keeps the
@@ -102,12 +102,12 @@ class QuerySession:
     config: PPGNNConfig
     protocol: str = "ppgnn"
     seed: int = 0
-    totals: SessionTotals = field(default_factory=SessionTotals)
-    history: list[ProtocolResult] = field(default_factory=list)
     max_history: int | None = 256
     guard: ProtocolGuard | None = None
     nonce_pool: "NoncePool | None" = None
     obs: Observability | None = None
+    totals: SessionTotals = field(default_factory=SessionTotals, init=False)
+    history: list[ProtocolResult] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.protocol not in _RUNNERS:
@@ -118,8 +118,9 @@ class QuerySession:
             raise ConfigurationError(
                 "sessions reuse one key pair; set config.key_seed"
             )
-        if self.max_history is not None and self.max_history < 0:
-            raise ConfigurationError("max_history must be non-negative or None")
+        self.seed = positive_int(self.seed, "seed", floor=0)
+        if self.max_history is not None:
+            self.max_history = positive_int(self.max_history, "max_history", floor=0)
 
     def _remember(self, result: ProtocolResult) -> None:
         """Append to history, trimming to the newest ``max_history`` entries."""
@@ -161,29 +162,3 @@ class QuerySession:
         self.totals = SessionTotals()
         self.history = []
         return closed
-
-    # ----------------------------------------------------------- durability
-
-    def checkpoint(self) -> bytes:
-        """Freeze the session's durable state (crash-safe resume point).
-
-        Captures protocol, seed, configuration, and the exact running
-        totals — not the result history — via
-        :func:`repro.guard.checkpoint.checkpoint_session`.
-        """
-        from repro.guard.checkpoint import checkpoint_session
-
-        return checkpoint_session(self)
-
-    @classmethod
-    def restore(cls, data: bytes, lsp: LSPServer, **session_kwargs) -> "QuerySession":
-        """Rebuild a session from :meth:`checkpoint` bytes.
-
-        The restored session's next query uses ``seed + totals.queries`` —
-        exactly the seed the checkpointed session would have used next, so
-        finishing the remaining queries yields totals equal to an
-        uninterrupted run.
-        """
-        from repro.guard.checkpoint import restore_session
-
-        return restore_session(data, lsp, session_cls=cls, **session_kwargs)

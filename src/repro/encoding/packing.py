@@ -1,47 +1,10 @@
-"""Fixed-width bit packing of unsigned integers into big integers."""
+"""Splitting one big integer into fixed-width chunks and joining them back."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 from repro.errors import EncodingError
-
-
-def pack_fields(values: Sequence[int], widths: Sequence[int]) -> int:
-    """Pack unsigned ``values`` into one integer, first field least significant.
-
-    ``values[i]`` must satisfy ``0 <= values[i] < 2 ** widths[i]``.
-    """
-    if len(values) != len(widths):
-        raise EncodingError(
-            f"{len(values)} values for {len(widths)} field widths"
-        )
-    packed = 0
-    offset = 0
-    for value, width in zip(values, widths, strict=True):
-        if width < 1:
-            raise EncodingError("field widths must be positive")
-        if not 0 <= value < (1 << width):
-            raise EncodingError(f"value {value} does not fit in {width} bits")
-        packed |= value << offset
-        offset += width
-    return packed
-
-
-def unpack_fields(packed: int, widths: Sequence[int]) -> list[int]:
-    """Inverse of :func:`pack_fields` for the same ``widths``."""
-    if packed < 0:
-        raise EncodingError("packed value must be non-negative")
-    values = []
-    offset = 0
-    for width in widths:
-        if width < 1:
-            raise EncodingError("field widths must be positive")
-        values.append((packed >> offset) & ((1 << width) - 1))
-        offset += width
-    if packed >> offset:
-        raise EncodingError("packed value has stray bits beyond the declared fields")
-    return values
 
 
 def split_bitstream(stream: int, chunk_bits: int, chunk_count: int) -> list[int]:

@@ -24,19 +24,21 @@ class ConfigurationError(ReproError, ValueError):
     """
 
 
-def positive_int(value: object, name: str) -> int:
-    """``value`` as an ``int`` when it is an integer of at least 1.
+def positive_int(value: object, name: str, floor: int = 1) -> int:
+    """``value`` as an ``int`` when it is an integer of at least ``floor``.
 
     Python and numpy integers pass; a float (even ``2.0``), a bool or any
-    other type raises :class:`ConfigurationError`, as does a value below 1.
-    This is the one check behind every ``k`` and every count setting.
+    other type raises :class:`ConfigurationError`, as does a value below
+    ``floor``.  This is the one check behind every ``k``, every count
+    setting (floor 1) and every seed or cap that may be zero (floor 0).
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(
-            f"{name} must be an integer >= 1, not {type(value).__name__} {value!r}"
+            f"{name} must be an integer >= {floor}, "
+            f"not {type(value).__name__} {value!r}"
         )
-    if value < 1:
-        raise ConfigurationError(f"{name} must be an integer >= 1, got {value}")
+    if value < floor:
+        raise ConfigurationError(f"{name} must be an integer >= {floor}, got {value}")
     return int(value)
 
 
@@ -91,15 +93,6 @@ class InboundValidationError(GuardError):
     crypto layer: ciphertexts outside ``Z*_{N^{s+1}}``, wrong level tags,
     indicator/candidate shapes that contradict the solved partition,
     NaN/out-of-space locations, undecodable plaintexts.
-    """
-
-
-class CheckpointError(ReproError):
-    """A session checkpoint could not be restored.
-
-    Raised for version/field mismatches the byte-level
-    :class:`CryptoError` checks cannot express, e.g. a checkpoint naming
-    an unknown protocol.
     """
 
 

@@ -1,5 +1,4 @@
-"""Protocol hardening: state machines, inbound validation, crash-safe
-checkpoints.
+"""Protocol hardening: state machines and inbound validation.
 
 The paper proves privacy against semi-honest parties over a reliable
 channel; this package defends the runners against a faulty or cheating
@@ -12,15 +11,13 @@ Layers:
 - :mod:`repro.guard.state` — per-role protocol state machines enforcing
   round ordering (:class:`~repro.errors.ProtocolStateError`),
 - :mod:`repro.guard.validate` — inbound structural/cryptographic checks
-  (:class:`~repro.errors.InboundValidationError`),
-- :mod:`repro.guard.checkpoint` — crash-safe session checkpoint/resume.
+  (:class:`~repro.errors.InboundValidationError`).
 
-The scripted adversaries of :mod:`repro.attacks.malicious` exercise the
-first two layers; ``tests/test_attacks_malicious.py`` asserts each
+The scripted adversaries of :mod:`repro.attacks.malicious` exercise both
+layers; ``tests/test_attacks_malicious.py`` asserts each
 deviation is either detected or provably harmless.
 """
 
-from repro.guard.checkpoint import checkpoint_session, restore_session
 from repro.guard.guard import NULL_ROUND_GUARD, ProtocolGuard, RoundGuard, begin_round
 from repro.guard.state import (
     LSPStateMachine,
@@ -37,9 +34,7 @@ __all__ = [
     "RoleStateMachine",
     "RoundGuard",
     "begin_round",
-    "checkpoint_session",
     "coordinator_machine",
     "lsp_machine",
     "member_machine",
-    "restore_session",
 ]

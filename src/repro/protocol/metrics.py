@@ -112,13 +112,6 @@ class CostLedger:
             TranscriptEntry(sender, receiver, type(message).__name__, size)
         )
 
-    def record_broadcast(
-        self, sender: str, receivers: int, message: Message, receiver_role: str
-    ) -> None:
-        """Account the same message delivered to ``receivers`` parties."""
-        for _ in range(receivers):
-            self.record(sender, receiver_role, message)
-
     @contextmanager
     def clock(self, role: str) -> Iterator[None]:
         """Attribute the wall time of the enclosed block to ``role``."""

@@ -15,7 +15,6 @@ plan and the LSP sees the exact candidate queries it already answered.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -105,14 +104,7 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if (
-            isinstance(self.queries, bool)
-            or not isinstance(self.queries, numbers.Integral)
-            or self.queries < 0
-        ):
-            raise ConfigurationError(
-                f"queries must be an integer >= 0, not {self.queries!r}"
-            )
+        positive_int(self.queries, "queries", floor=0)
         if self.arrival not in ("poisson", "closed"):
             raise ConfigurationError("arrival must be 'poisson' or 'closed'")
         if not math.isfinite(self.rate_qps) or (

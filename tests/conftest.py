@@ -64,7 +64,6 @@ def fast_config() -> PPGNNConfig:
         delta=18,
         k=6,
         keysize=128,
-        sanitation_samples=1500,
         key_seed=7,
     )
 

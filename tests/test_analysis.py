@@ -110,7 +110,7 @@ class TestExactAgreement:
 
         cfg = PPGNNConfig(
             d=d, delta=delta, k=k, keysize=keysize, sanitize=False,
-            sanitation_samples=500, key_seed=9,
+            key_seed=9,
         )
         group = random_group(n, lsp.space, np.random.default_rng(n * d))
         result = run_ppgnn(lsp, group, cfg, seed=7)

@@ -25,7 +25,7 @@ def report():
     space = LocationSpace.unit_square()
     pois = uniform_pois(200, space, np.random.default_rng(7))
     lsp = LSPServer(pois, space=space, sanitation_samples=SAMPLES)
-    config = PPGNNConfig(d=4, delta=8, k=3, keysize=128, sanitation_samples=SAMPLES)
+    config = PPGNNConfig(d=4, delta=8, k=3, keysize=128)
     spec = WorkloadSpec(
         queries=12,
         rate_qps=200.0,  # arrivals outpace service so the queue really forms

@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.group import random_group
+from repro.datasets import load_sequoia
+from repro.geometry.space import LocationSpace
+from repro.gnn.aggregate import MAX, SUM
+from repro.gnn.bruteforce import brute_force_kgnn
 
 
 def run_cli(args):
@@ -65,10 +71,28 @@ class TestQuery:
         assert "candidate queries : 4" in out
 
     def test_max_aggregate(self, capsys):
+        # --aggregate reaches the answers only through the LSP; at this seed
+        # the MAX and SUM top-3 differ, so the printed answer tells them apart.
         code = run_cli(
-            ["query", "--n", "2", "--aggregate", "max", *self.COMMON]
+            [
+                "query", "--n", "2", "--protocol", "nas", "--aggregate", "max",
+                "--pois", "400", "--d", "3", "--delta", "6", "--k", "3",
+                "--keysize", "128", "--seed", "2",
+            ]
         )
         assert code == 0
+        group = random_group(2, LocationSpace.unit_square(), np.random.default_rng(2))
+        entries = [(poi.location, poi) for poi in load_sequoia(400)]
+        best = {
+            aggregate.name: [poi for _, poi, _ in brute_force_kgnn(entries, group, 3, aggregate)]
+            for aggregate in (MAX, SUM)
+        }
+        assert best["max"] != best["sum"]
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("answer (3 of k=3 POIs):") + 1
+        assert lines[start : start + 3] == [
+            f"  {rank}. {poi}" for rank, poi in enumerate(best["max"], start=1)
+        ]
 
 
 class TestAttack:

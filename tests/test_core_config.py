@@ -12,7 +12,6 @@ class TestValidation:
         cfg = PPGNNConfig()
         assert cfg.d == 25 and cfg.delta == 100
         assert cfg.k == 8 and cfg.theta0 == 0.05
-        assert (cfg.gamma, cfg.eta, cfg.phi) == (0.05, 0.2, 0.1)
 
     def test_d_must_exceed_one(self):
         with pytest.raises(ConfigurationError):
@@ -34,7 +33,6 @@ class TestValidation:
             {"keysize": 128.0},
             {"delta": 6.5},
             {"k": True},
-            {"sanitation_samples": 2.5},
         ],
         ids=lambda field: "-".join(f"{k}={v!r}" for k, v in field.items()),
     )
@@ -62,10 +60,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             PPGNNConfig(keysize=32)
 
-    def test_unknown_aggregate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PPGNNConfig(aggregate_name="harmonic-mean")
-
 
 class TestDerivedConfigs:
     def test_for_single_user(self):
@@ -77,9 +71,6 @@ class TestDerivedConfigs:
         cfg = PPGNNConfig().without_sanitation()
         assert not cfg.sanitize
         assert cfg.theta0 == 0.05  # parameter survives; protocol ignores it
-
-    def test_aggregate_resolution(self):
-        assert PPGNNConfig(aggregate_name="max").aggregate.name == "max"
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

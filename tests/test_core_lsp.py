@@ -139,6 +139,18 @@ class TestSingleHandler:
 
 
 class TestConstruction:
+    def test_defaults_match_table3(self, small_pois):
+        server = LSPServer(small_pois)
+        assert (server.gamma, server.eta, server.phi) == (0.05, 0.2, 0.1)
+        assert server.aggregate.name == "sum"
+
+    def test_unknown_aggregate_rejected(self, small_pois):
+        with pytest.raises(ConfigurationError, match="harmonic-mean"):
+            LSPServer(small_pois, aggregate_name="harmonic-mean")
+
+    def test_aggregate_resolution(self, small_pois):
+        assert LSPServer(small_pois, aggregate_name="max").aggregate.name == "max"
+
     @pytest.mark.parametrize("samples", [2.5, 0, -1, True, "16"])
     def test_sanitation_samples_must_be_a_positive_integer(
         self, small_pois, samples

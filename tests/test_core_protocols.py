@@ -105,17 +105,14 @@ class TestGroupProtocol:
 
     @pytest.mark.parametrize("aggregate", ["sum", "max", "min"])
     def test_all_aggregates_end_to_end(self, medium_pois, fast_config, aggregate):
-        from dataclasses import replace
-
         from repro.core.lsp import LSPServer
 
         lsp = LSPServer(
             medium_pois, aggregate_name=aggregate, sanitation_samples=1000, seed=1
         )
-        cfg = replace(fast_config, aggregate_name=aggregate)
         group = random_group(3, lsp.space, np.random.default_rng(12))
-        result = run_ppgnn(lsp, group, cfg.without_sanitation(), seed=7)
-        assert list(result.answer_ids) == truth_ids(lsp, group, cfg.k)
+        result = run_ppgnn(lsp, group, fast_config.without_sanitation(), seed=7)
+        assert list(result.answer_ids) == truth_ids(lsp, group, fast_config.k)
 
 
 class TestOptProtocol:
@@ -287,3 +284,40 @@ class TestKeyHolderEncryption:
         monkeypatch.setattr(PaillierPublicKey, "obfuscate", refuse)
         assert one_round() == expected
         assert expected[0] and expected[1]
+
+
+SEEDED_RUNNERS = [
+    pytest.param(run_ppgnn, 3, id="ppgnn"),
+    pytest.param(run_ppgnn_opt, 3, id="ppgnn-opt"),
+    pytest.param(run_naive, 3, id="naive"),
+    pytest.param(run_single_user, 1, id="single"),
+    pytest.param(run_single_user_opt, 1, id="single-opt"),
+]
+
+
+class TestSeedValidation:
+    """Every runner takes its seed through ``derive_rngs``, the one check."""
+
+    @staticmethod
+    def _run(runner, n, lsp, config, seed):
+        group = random_group(n, lsp.space, np.random.default_rng(21))
+        return runner(lsp, group[0] if n == 1 else group, config, seed=seed)
+
+    @pytest.mark.parametrize("runner, n", SEEDED_RUNNERS)
+    @pytest.mark.parametrize(
+        "seed", [-1, 1.5, True, "3"], ids=["negative", "float", "bool", "str"]
+    )
+    def test_bad_seed_is_a_configuration_error(self, lsp, fast_config, runner, n, seed):
+        with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+            self._run(runner, n, lsp, fast_config, seed)
+
+    @pytest.mark.parametrize("runner, n", SEEDED_RUNNERS)
+    def test_numpy_seed_runs_as_int(self, lsp, fast_config, runner, n):
+        outcomes = []
+        for seed in (3, np.int64(3)):
+            lsp.reset_rng(5)
+            result = self._run(runner, n, lsp, fast_config, seed)
+            outcomes.append(
+                (result.answer_ids, result.query_index, result.report.total_comm_bytes)
+            )
+        assert outcomes[0] == outcomes[1]

@@ -1,4 +1,4 @@
-"""Tests for bit packing and the answer codec."""
+"""Tests for bit-stream chunking and the answer codec."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,42 +7,13 @@ from hypothesis import strategies as st
 from repro.datasets.poi import POI
 from repro.datasets.synthetic import uniform_pois
 from repro.encoding.answers import AnswerCodec
-from repro.encoding.packing import (
-    join_bitstream,
-    pack_fields,
-    split_bitstream,
-    unpack_fields,
-)
+from repro.encoding.packing import join_bitstream, split_bitstream
 from repro.errors import ConfigurationError, EncodingError
 from repro.geometry.point import Point
 from repro.geometry.space import LocationSpace
 
 
 class TestPacking:
-    def test_pack_unpack_roundtrip(self):
-        widths = [4, 8, 16, 1]
-        values = [15, 200, 65535, 1]
-        assert unpack_fields(pack_fields(values, widths), widths) == values
-
-    def test_value_too_wide_rejected(self):
-        with pytest.raises(EncodingError):
-            pack_fields([16], [4])
-
-    def test_length_mismatch(self):
-        with pytest.raises(EncodingError):
-            pack_fields([1, 2], [4])
-
-    def test_stray_bits_detected(self):
-        with pytest.raises(EncodingError):
-            unpack_fields(1 << 10, [4, 4])
-
-    @settings(max_examples=50)
-    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=40), st.integers(min_value=0)), min_size=1, max_size=10))
-    def test_roundtrip_property(self, spec):
-        widths = [w for w, _ in spec]
-        values = [v % (1 << w) for w, v in spec]
-        assert unpack_fields(pack_fields(values, widths), widths) == values
-
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=2**200), st.integers(min_value=8, max_value=64))
     def test_bitstream_roundtrip(self, stream, chunk_bits):

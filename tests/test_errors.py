@@ -53,16 +53,16 @@ class TestRaisedFromRealPaths:
             solve_partition(n=2, d=2, delta=5)  # delta > d**n = 4
 
     def test_crypto_error(self):
-        from repro.crypto.serialization import deserialize_public_key
+        from repro.crypto.paillier import generate_keypair
 
         with pytest.raises(CryptoError):
-            deserialize_public_key(b"NOPE\x00\x01\x00\x00\x00\x01\x05")
+            generate_keypair(15)  # odd, and below 16 bits
 
     def test_encoding_error(self):
-        from repro.encoding.packing import pack_fields
+        from repro.encoding.packing import split_bitstream
 
         with pytest.raises(EncodingError):
-            pack_fields([300], [8])  # 300 does not fit 8 bits
+            split_bitstream(1 << 64, 32, 2)  # 65 bits do not fit 2 x 32
 
     def test_protocol_error(self):
         from repro.core.lsp import LSPServer

@@ -83,9 +83,7 @@ RUNNERS = {"ppgnn": run_ppgnn, "ppgnn-opt": run_ppgnn_opt, "naive": run_naive}
 def fixture_setup():
     space = LocationSpace.unit_square()
     pois = clustered_pois(2000, space, seed=11)
-    config = PPGNNConfig(
-        d=4, delta=8, k=3, keysize=256, key_seed=5, sanitation_samples=400
-    )
+    config = PPGNNConfig(d=4, delta=8, k=3, keysize=256, key_seed=5)
     locations = space.sample_points(3, np.random.default_rng(42))
     return pois, config, locations
 

@@ -27,9 +27,7 @@ class TestPublicSurface:
         """The README/docstring quick start must actually run."""
         lsp = LSPServer(load_sequoia(500), sanitation_samples=800, seed=0)
         group = random_group(3, lsp.space, np.random.default_rng(7))
-        cfg = PPGNNConfig(
-            d=5, delta=15, k=4, keysize=128, sanitation_samples=800, key_seed=1
-        )
+        cfg = PPGNNConfig(d=5, delta=15, k=4, keysize=128, key_seed=1)
         result = run_ppgnn(lsp, group, cfg, seed=42)
         assert 1 <= len(result.answers) <= 4
         assert result.report.total_comm_bytes > 0
@@ -55,10 +53,7 @@ class TestBlackBoxSwap:
             medium_pois, aggregate_name="euclidean-norm",
             sanitation_samples=800, seed=3,
         )
-        cfg = PPGNNConfig(
-            d=4, delta=12, k=4, keysize=128, aggregate_name="euclidean-norm",
-            sanitation_samples=800, key_seed=1,
-        )
+        cfg = PPGNNConfig(d=4, delta=12, k=4, keysize=128, key_seed=1)
         group = random_group(3, lsp.space, np.random.default_rng(11))
         result = run_ppgnn(lsp, group, cfg.without_sanitation(), seed=5)
         # Verify against a direct engine query with the same aggregate.
@@ -72,7 +67,7 @@ class TestDynamicDatabase:
         lsp = LSPServer(list(medium_pois), sanitation_samples=800, seed=4)
         cfg = PPGNNConfig(
             d=4, delta=12, k=1, keysize=128, sanitize=False,
-            sanitation_samples=800, key_seed=1,
+            key_seed=1,
         )
         user = Point(0.345678, 0.876543)
         before = run_single_user(lsp, user, cfg, seed=1)
@@ -86,7 +81,7 @@ class TestDynamicDatabase:
         lsp = LSPServer(list(medium_pois), sanitation_samples=800, seed=5)
         cfg = PPGNNConfig(
             d=4, delta=12, k=1, keysize=128, sanitize=False,
-            sanitation_samples=800, key_seed=1,
+            key_seed=1,
         )
         user = medium_pois[50].location
         first = run_single_user(lsp, user, cfg, seed=1)
@@ -102,7 +97,7 @@ class TestKeySizes:
         lsp = LSPServer(medium_pois, sanitation_samples=600, seed=6)
         cfg = PPGNNConfig(
             d=3, delta=9, k=3, keysize=keysize, sanitize=False,
-            sanitation_samples=600, key_seed=2,
+            key_seed=2,
         )
         group = random_group(3, lsp.space, np.random.default_rng(13))
         plain = run_ppgnn(lsp, group, cfg, seed=9)
@@ -118,7 +113,7 @@ class TestKeySizes:
         for keysize in (128, 256):
             cfg = PPGNNConfig(
                 d=3, delta=9, k=3, keysize=keysize, sanitize=False,
-                sanitation_samples=600, key_seed=2,
+                key_seed=2,
             )
             reports[keysize] = run_ppgnn(lsp, group, cfg, seed=1).report
         from repro.protocol.metrics import COORDINATOR, LSP

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.group import random_group
-from repro.core.session import QuerySession
+from repro.core.session import QuerySession, SessionTotals
 from repro.datasets.synthetic import uniform_pois
 from repro.errors import ConfigurationError
 from repro.geometry.point import Point
@@ -153,3 +153,31 @@ class TestQuerySession:
     def test_negative_history_rejected(self, lsp, fast_config):
         with pytest.raises(ConfigurationError):
             QuerySession(lsp, fast_config, max_history=-1)
+
+    @pytest.mark.parametrize("cap", [2.5, float("nan"), True, "3"])
+    def test_history_cap_must_be_an_integer(self, lsp, fast_config, cap):
+        with pytest.raises(ConfigurationError, match="max_history"):
+            QuerySession(lsp, fast_config, max_history=cap)
+
+    def test_numpy_history_cap_taken_as_int(self, lsp, fast_config):
+        session = QuerySession(lsp, fast_config, max_history=np.int64(2))
+        assert session.max_history == 2 and type(session.max_history) is int
+
+    def test_totals_and_history_are_not_arguments(self, lsp, fast_config):
+        with pytest.raises(TypeError):
+            QuerySession(lsp, fast_config, totals=SessionTotals())
+        with pytest.raises(TypeError):
+            QuerySession(lsp, fast_config, history=[])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_bad_session_seed_rejected(self, lsp, fast_config, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            QuerySession(lsp, fast_config, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_query_seed_is_typed_and_not_counted(self, lsp, fast_config, seed):
+        session = QuerySession(lsp, fast_config)
+        group = random_group(2, lsp.space, np.random.default_rng(9))
+        with pytest.raises(ConfigurationError, match="seed"):
+            session.query(group, seed=seed)
+        assert session.totals.queries == 0 and session.history == []

@@ -34,9 +34,7 @@ def space():
 
 @pytest.fixture(scope="module")
 def config():
-    return PPGNNConfig(
-        d=3, delta=6, k=3, keysize=128, key_seed=5, sanitation_samples=16
-    )
+    return PPGNNConfig(d=3, delta=6, k=3, keysize=128, key_seed=5)
 
 
 @pytest.fixture(scope="module")

@@ -44,9 +44,7 @@ def served_report():
     lsp = LSPServer(
         clustered_pois(400, space, seed=11), sanitation_samples=16, seed=99
     )
-    config = PPGNNConfig(
-        d=3, delta=6, k=3, keysize=128, key_seed=5, sanitation_samples=16
-    )
+    config = PPGNNConfig(d=3, delta=6, k=3, keysize=128, key_seed=5)
     spec = WorkloadSpec(
         queries=20,
         rate_qps=40.0,
@@ -86,10 +84,7 @@ def _small_serve(queries: int, **serve_kwargs) -> "ServingReport":
     lsp = LSPServer(
         clustered_pois(120, space, seed=11), sanitation_samples=8, seed=99
     )
-    config = PPGNNConfig(
-        d=3, delta=6, k=3, keysize=128, key_seed=5,
-        sanitize=False, sanitation_samples=8,
-    )
+    config = PPGNNConfig(d=3, delta=6, k=3, keysize=128, key_seed=5, sanitize=False)
     spec = WorkloadSpec(
         queries=queries,
         rate_qps=40.0,

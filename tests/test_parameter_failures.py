@@ -14,7 +14,7 @@ class TestProtocolParameterFailures:
         paper's remedy (pick a larger d) in the message."""
         cfg = PPGNNConfig(
             d=3, delta=100, k=3, keysize=128, sanitize=False,
-            sanitation_samples=500, key_seed=1,
+            key_seed=1,
         )
         group = random_group(2, lsp.space, np.random.default_rng(1))  # 3^2 < 100
         with pytest.raises(InfeasibleError, match="larger d"):
@@ -24,7 +24,7 @@ class TestProtocolParameterFailures:
         """The identical (d, delta) succeeds once n makes d^n large enough."""
         cfg = PPGNNConfig(
             d=3, delta=100, k=3, keysize=128, sanitize=False,
-            sanitation_samples=500, key_seed=1,
+            key_seed=1,
         )
         group = random_group(5, lsp.space, np.random.default_rng(2))  # 3^5 = 243
         result = run_ppgnn(lsp, group, cfg, seed=2)

@@ -111,7 +111,7 @@ class TestPrivacyIV:
         theta0 = 0.05
         cfg = PPGNNConfig(
             d=6, delta=18, k=8, keysize=128, theta0=theta0,
-            sanitation_samples=4000, key_seed=7,
+            key_seed=7,
         )
         failures = 0
         trials = 0
@@ -137,7 +137,7 @@ class TestPrivacyIV:
         attack succeeds for at least one configuration."""
         cfg = PPGNNConfig(
             d=6, delta=18, k=8, keysize=128, sanitize=False,
-            sanitation_samples=2000, key_seed=7,
+            key_seed=7,
         )
         theta0 = 0.05
         attackable = 0

@@ -59,7 +59,7 @@ class TestProtocolContract:
             return
         cfg = PPGNNConfig(
             d=d, delta=delta, k=k, keysize=128, sanitize=False,
-            sanitation_samples=600, key_seed=5,
+            key_seed=5,
         )
         group = shared_lsp.space.sample_points(n, np.random.default_rng(seed))
         result = run_ppgnn(shared_lsp, group, cfg, seed=seed)
@@ -79,7 +79,7 @@ class TestProtocolContract:
             return
         cfg = PPGNNConfig(
             d=d, delta=delta, k=k, keysize=128, sanitize=False,
-            sanitation_samples=600, key_seed=5,
+            key_seed=5,
         )
         group = shared_lsp.space.sample_points(n, np.random.default_rng(seed))
         plain = run_ppgnn(shared_lsp, group, cfg, seed=seed)
@@ -100,7 +100,7 @@ class TestProtocolContract:
             return
         cfg = PPGNNConfig(
             d=d, delta=delta, k=k, keysize=128, theta0=0.05,
-            sanitation_samples=600, key_seed=5,
+            key_seed=5,
         )
         group = shared_lsp.space.sample_points(n, np.random.default_rng(seed))
         result = run_ppgnn(shared_lsp, group, cfg, seed=seed)

@@ -30,13 +30,6 @@ class TestLedgerAccounting:
         assert report.total_comm_bytes == 160
         assert report.messages_by_link[(USER, LSP)] == 2
 
-    def test_broadcast_counts_every_receiver(self):
-        ledger = CostLedger()
-        ledger.record_broadcast(COORDINATOR, 7, GenericMessage("x", 20), USER)
-        report = ledger.report()
-        assert report.link_bytes(COORDINATOR, USER) == 140
-        assert report.messages_by_link[(COORDINATOR, USER)] == 7
-
     def test_intra_group_bytes_exclude_lsp_links(self):
         ledger = CostLedger()
         ledger.record(USER, USER, GenericMessage("peer", 30))

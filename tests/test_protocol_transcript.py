@@ -18,11 +18,6 @@ class TestTranscriptRecording:
         assert [e.sender for e in transcript] == [COORDINATOR, USER, LSP]
         assert [e.byte_size for e in transcript] == [10, 20, 30]
 
-    def test_broadcast_recorded_per_receiver(self):
-        ledger = CostLedger()
-        ledger.record_broadcast(COORDINATOR, 3, GenericMessage("pos", 4), USER)
-        assert len(ledger.report().transcript) == 3
-
     def test_protocol_run_produces_expected_sequence(self, lsp, fast_config):
         group = random_group(3, lsp.space, np.random.default_rng(7))
         result = run_ppgnn(lsp, group, fast_config, seed=1)

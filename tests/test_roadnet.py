@@ -175,9 +175,7 @@ class TestProtocolIntegration:
     def test_sanitation_supported_for_road_metric(self, road_engine):
         """Full PPGNN (with Privacy IV) runs over the road metric."""
         lsp = LSPServer(engine=road_engine, sanitation_samples=800, seed=2)
-        cfg = PPGNNConfig(
-            d=4, delta=12, k=6, keysize=128, key_seed=3, sanitation_samples=800
-        )
+        cfg = PPGNNConfig(d=4, delta=12, k=6, keysize=128, key_seed=3)
         group = [Point(0.1, 0.1), Point(0.9, 0.2), Point(0.5, 0.95)]
         result = run_ppgnn(lsp, group, cfg, seed=6)
         expected = [p.poi_id for p in road_engine.query(6, group)]

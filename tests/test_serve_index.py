@@ -31,7 +31,7 @@ def pois(space):
 
 @pytest.fixture(scope="module")
 def config():
-    return PPGNNConfig(d=4, delta=8, k=3, keysize=128, sanitation_samples=SAMPLES)
+    return PPGNNConfig(d=4, delta=8, k=3, keysize=128)
 
 
 @pytest.fixture(scope="module")
