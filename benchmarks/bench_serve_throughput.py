@@ -1,13 +1,11 @@
-"""Serving-engine throughput: worker pool vs serial, shared caches on.
+"""Serving-engine throughput with the shared caches on.
 
-Runs one mixed workload through :class:`repro.serve.ServeEngine` twice —
-serial executor, then the multiprocessing pool — at the paper-adjacent
-512-bit key size, and records throughput plus cache statistics to
-``BENCH_serve.json`` (git-SHA/keysize/config stamped).
-
-The >= 2x speedup assertion only arms on hosts with at least 4 cores:
-the pool cannot beat serial on a single-core container, but the numbers
-are recorded either way so the report stays honest about where it ran.
+Runs one mixed workload through :class:`repro.serve.ServeEngine` at the
+paper-adjacent 512-bit key size and records the serving report, in the
+shape ``repro serve-bench --record`` writes, plus its metrics snapshot to
+``BENCH_serve.json`` (git-SHA/keysize/config stamped).  The buckets run
+one after another in this process; wall-clock throughput is recorded,
+not asserted.
 """
 
 from __future__ import annotations
@@ -35,41 +33,20 @@ SPEC = WorkloadSpec(
 
 
 @pytest.fixture(scope="module")
-def serve_runs(lsp, settings):
+def serve_run(lsp, settings):
     from conftest import make_config
 
     config = make_config(settings, d=4, delta=8, k=4, keysize=KEYSIZE)
-    workload = generate_workload(SPEC, lsp.space)
-    runs = {}
-    for executor in ("serial", "process"):
-        serve = ServeConfig(
-            workers=WORKERS,
-            executor=executor,
-            policy="fifo",
-            knn_cache_size=128,
-            obs=True,
-        )
-        runs[executor] = ServeEngine(lsp, config, serve).run(workload)
-    return config, runs
+    serve = ServeConfig(workers=WORKERS, policy="fifo", knn_cache_size=128, obs=True)
+    report = ServeEngine(lsp, config, serve).run(generate_workload(SPEC, lsp.space))
+    return config, report
 
 
-def test_serve_throughput(serve_runs, recorder, sentinel):
-    config, runs = serve_runs
-    serial, pooled = runs["serial"], runs["process"]
-    speedup = (
-        pooled.wall_qps / serial.wall_qps if serial.wall_qps > 0 else 0.0
-    )
-    cores = os.cpu_count() or 1
+def test_serve_throughput(serve_run, recorder, sentinel):
+    config, report = serve_run
     recorder.record_json(
         "serve",
-        {
-            "cores": cores,
-            "workers": WORKERS,
-            "queries": SPEC.queries,
-            "serial": serial.to_dict(include_wall=True),
-            "process": pooled.to_dict(include_wall=True),
-            "pool_speedup": round(speedup, 3),
-        },
+        report.to_dict(include_wall=True),
         keysize=KEYSIZE,
         config={
             "d": config.d,
@@ -80,7 +57,7 @@ def test_serve_throughput(serve_runs, recorder, sentinel):
             "repeat_fraction": SPEC.repeat_fraction,
             "seed": SPEC.seed,
         },
-        metrics=(pooled.obs or {}).get("metrics"),
+        metrics=(report.obs or {}).get("metrics"),
     )
     # Baseline gate: exact counters (ops, bytes, cache hits) must not
     # regress when the sentinel is armed via REPRO_BENCH_CHECK_BASELINE.
@@ -88,30 +65,19 @@ def test_serve_throughput(serve_runs, recorder, sentinel):
 
     sentinel.gate(
         "serve",
-        serving_report_metrics(pooled.to_dict(include_wall=False)),
+        serving_report_metrics(report.to_dict(include_wall=False)),
         keysize=KEYSIZE,
         config={"queries": SPEC.queries, "seed": SPEC.seed, "workers": WORKERS},
     )
     recorder.note(
         "serve",
-        f"pool speedup {speedup:.2f}x on {cores} cores "
-        f"({serial.wall_qps:.2f} -> {pooled.wall_qps:.2f} qps wall)",
+        f"{report.wall_qps:.2f} qps wall ({report.completed} queries in "
+        f"{report.wall_seconds:.2f} s) on {os.cpu_count() or 1} cores",
     )
 
-    # Everything below holds on any host.
-    assert serial.completed == SPEC.queries
-    assert pooled.completed == SPEC.queries
-    assert serial.answers_digest == pooled.answers_digest
-    assert pooled.cache["hits"] > 0  # repeats actually hit the kNN cache
-    assert pooled.pool["pooled"] > 0  # indicators spent precomputed nonces
-
-    # The headline claim needs real parallel hardware.
-    if cores >= 4:
-        assert speedup >= 2.0, (
-            f"worker pool only reached {speedup:.2f}x on {cores} cores"
-        )
-    else:
-        pytest.skip(f"speedup assertion needs >= 4 cores (host has {cores})")
+    assert report.completed == SPEC.queries
+    assert report.cache["hits"] > 0  # repeats actually hit the kNN cache
+    assert report.pool["pooled"] > 0  # indicators spent precomputed nonces
 
 
 def test_serve_report_deterministic(lsp, settings):

@@ -128,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=1, help="workload seed")
     serve.add_argument("--workers", type=int, default=2, help="serving workers")
     serve.add_argument(
-        "--executor", default="serial", choices=["serial", "process"],
-        help="execution backend",
-    )
-    serve.add_argument(
         "--policy", default="fifo", choices=["fifo", "shortest-cost", "fair-share"],
         help="scheduling policy",
     )
@@ -159,33 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--index", default="rtree", choices=INDEX_KINDS,
         help="index substrate behind the kGNN engine (every kind keeps the "
         "answers digest byte-identical)",
-    )
-
-    index_build = sub.add_parser(
-        "index-build",
-        help="bulk-load a large POI set through the parallel STR builder",
-    )
-    index_build.add_argument(
-        "--count", type=int, default=1_000_000, help="POIs to generate and load"
-    )
-    index_build.add_argument(
-        "--kind", default="uniform", choices=["uniform", "clustered", "geo-skew"],
-        help="streaming POI distribution",
-    )
-    index_build.add_argument(
-        "--workers", type=int, default=4, help="STR build worker processes"
-    )
-    index_build.add_argument(
-        "--max-entries", type=int, default=64, help="R-tree fan-out"
-    )
-    index_build.add_argument(
-        "--verify-count", type=int, default=50_000,
-        help="also build this many POIs serially AND in parallel and compare "
-        "structural digests (0 skips the check)",
-    )
-    index_build.add_argument("--seed", type=int, default=1, help="dataset seed")
-    index_build.add_argument(
-        "--json", action="store_true", help="print the result as JSON"
     )
 
     trace = sub.add_parser(
@@ -442,7 +411,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     )
     serve = ServeConfig(
         workers=args.workers,
-        executor=args.executor,
         policy=args.policy,
         obs=args.obs or args.trace_out is not None,
         index=args.index,
@@ -461,7 +429,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         print(
             f"served {report.completed}/{report.queries} queries "
             f"({report.failed} failed, {report.rejected} rejected) "
-            f"on {serve.workers} {serve.executor} workers [{serve.policy}]"
+            f"on {serve.workers} workers [{serve.policy}]"
         )
         print(
             f"simulated throughput: {report.throughput_qps:.2f} qps; "
@@ -490,7 +458,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 "queries": args.queries,
                 "groups": args.groups,
                 "workers": args.workers,
-                "executor": args.executor,
                 "policy": args.policy,
                 "rate_qps": args.rate,
                 "repeat_fraction": args.repeat_fraction,
@@ -794,69 +761,6 @@ def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
     return metrics
 
 
-def _cmd_index_build(args: argparse.Namespace) -> int:
-    import json as json_module
-    import time
-
-    from repro.datasets import stream_pois
-    from repro.index.rtree import RTree
-    from repro.spatial import parallel_str_bulk_load, tree_digest
-
-    if args.count < 1:
-        raise ReproError("--count must be >= 1")
-    started = time.perf_counter()
-    tree = RTree(max_entries=args.max_entries)
-    parallel_str_bulk_load(
-        tree,
-        ((poi.location, poi) for poi in stream_pois(args.kind, args.count, seed=args.seed)),
-        workers=args.workers,
-    )
-    build_seconds = time.perf_counter() - started
-    result = {
-        "count": len(tree),
-        "kind": args.kind,
-        "workers": args.workers,
-        "max_entries": args.max_entries,
-        "height": tree.height,
-        "build_seconds": round(build_seconds, 3),
-        "pois_per_second": round(args.count / build_seconds),
-    }
-    if args.verify_count > 0:
-        verify = min(args.verify_count, args.count)
-        entries = [
-            (poi.location, poi)
-            for poi in stream_pois(args.kind, verify, seed=args.seed)
-        ]
-        serial = RTree(max_entries=args.max_entries)
-        serial.bulk_load(entries)
-        parallel = RTree(max_entries=args.max_entries)
-        parallel_str_bulk_load(parallel, entries, workers=max(2, args.workers))
-        serial_digest = tree_digest(serial)
-        parallel_digest = tree_digest(parallel)
-        result["verify_count"] = verify
-        result["serial_digest"] = serial_digest
-        result["parallel_digest"] = parallel_digest
-        result["digests_identical"] = serial_digest == parallel_digest
-        if not result["digests_identical"]:
-            print(json_module.dumps(result, indent=2))
-            print("error: serial and parallel STR builds diverged", file=sys.stderr)
-            return 1
-    if args.json:
-        print(json_module.dumps(result, indent=2))
-    else:
-        print(
-            f"built {result['count']} POIs ({args.kind}) in "
-            f"{result['build_seconds']}s with {args.workers} workers "
-            f"({result['pois_per_second']}/s, height {result['height']})"
-        )
-        if args.verify_count > 0:
-            print(
-                f"serial == parallel digest at {result['verify_count']} POIs: "
-                f"{result['digests_identical']}"
-            )
-    return 0
-
-
 def _cmd_perf_check(args: argparse.Namespace) -> int:
     from repro.bench.recorder import git_sha
     from repro.bench.sentinel import gate_run, render_markdown
@@ -980,7 +884,6 @@ _COMMANDS = {
     "attack": _cmd_attack,
     "solve": _cmd_solve,
     "serve-bench": _cmd_serve_bench,
-    "index-build": _cmd_index_build,
     "trace": _cmd_trace,
     "analyze": _cmd_analyze,
     "perf-check": _cmd_perf_check,

@@ -50,8 +50,15 @@ class PPGNNConfig:
     key_seed: int | None = 1
 
     def __post_init__(self) -> None:
+        # Stored as ints: key generation shifts by the key size, which
+        # overflows a numpy integer, and seeds `random.Random`, which
+        # refuses one.
         for name in ("d", "delta", "k", "keysize"):
-            positive_int(getattr(self, name), name)
+            object.__setattr__(self, name, positive_int(getattr(self, name), name))
+        if self.key_seed is not None:
+            object.__setattr__(
+                self, "key_seed", positive_int(self.key_seed, "key_seed", floor=0)
+            )
         if self.d < 2:
             raise ConfigurationError("d must be > 1 (Privacy I, Definition 2.2)")
         if self.delta < self.d:

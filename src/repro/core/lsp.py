@@ -64,7 +64,6 @@ class LSPServer:
         seed: int = 0,
         engine=None,
         index: str = "rtree",
-        build_workers: int | None = None,
     ) -> None:
         """Build the provider from a POI list or a custom query engine.
 
@@ -81,6 +80,7 @@ class LSPServer:
 
         if sanitation_samples is not None:
             positive_int(sanitation_samples, "sanitation_samples")
+        seed = positive_int(seed, "seed", floor=0)
         self.space = space or LocationSpace.unit_square()
         if engine is not None:
             if pois is not None:
@@ -99,7 +99,6 @@ class LSPServer:
                 aggregate=self.aggregate,
                 index=index,
                 space=self.space,
-                build_workers=build_workers,
             )
             self._sanitation_supported = True
         self.gamma = gamma
@@ -118,7 +117,7 @@ class LSPServer:
         different lengths.  Tests and A/B benchmark comparisons pin the
         sampler with this before each run to make outcomes bit-identical.
         """
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(positive_int(seed, "seed", floor=0))
         for sanitizer in self._road_sanitizers.values():
             sanitizer.rng = self._rng  # type: ignore[attr-defined]
 

@@ -25,8 +25,8 @@ runs inline unless all of these hold:
   oracle and stays in one process);
 - the process may run on at least two CPUs;
 - the batch has at least two factors;
-- the process is not a ``multiprocessing`` child (the serve process
-  executor and the STR build pool already use the cores);
+- the process is not a ``multiprocessing`` child (a pool's parent
+  already spreads its work over the cores);
 - only one Python thread is alive, so a process running Python in
   another thread is never forked (the helper never calls the native
   code of threads Python does not see, such as OpenBLAS's workers);

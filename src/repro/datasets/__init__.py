@@ -12,25 +12,15 @@ substitution table.  Real Sequoia files, when present, can be loaded with
 
 from repro.datasets.poi import POI
 from repro.datasets.sequoia import SEQUOIA_SIZE, load_sequoia, load_sequoia_file
-from repro.datasets.streaming import (
-    POI_STREAM_KINDS,
-    stream_clustered,
-    stream_geo_skewed,
-    stream_pois,
-    stream_uniform,
-)
+from repro.datasets.streaming import stream_clustered
 from repro.datasets.synthetic import clustered_pois, uniform_pois
 
 __all__ = [
     "POI",
-    "POI_STREAM_KINDS",
     "SEQUOIA_SIZE",
     "load_sequoia",
     "load_sequoia_file",
     "uniform_pois",
     "clustered_pois",
-    "stream_uniform",
     "stream_clustered",
-    "stream_geo_skewed",
-    "stream_pois",
 ]

@@ -17,7 +17,6 @@ from repro.geometry.distance import (
     euclidean,
     maxdist_point_rect,
     mindist_point_rect,
-    squared_euclidean,
 )
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -28,7 +27,6 @@ __all__ = [
     "Rect",
     "LocationSpace",
     "euclidean",
-    "squared_euclidean",
     "mindist_point_rect",
     "maxdist_point_rect",
 ]

@@ -47,13 +47,6 @@ def euclidean(a: Point, b: Point) -> float:
     return a.distance_to(b)
 
 
-def squared_euclidean(a: Point, b: Point) -> float:
-    """Squared Euclidean distance (cheaper for pure comparisons)."""
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy
-
-
 def mindist_point_rect(p: Point, r: Rect) -> float:
     """Smallest distance from ``p`` to any point inside ``r``.
 

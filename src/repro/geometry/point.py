@@ -40,14 +40,6 @@ class Point:
         dy = self.y - other.y
         return dx * dx + dy * dy
 
-    def translate(self, dx: float, dy: float) -> "Point":
-        """Return a new point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
-    def as_tuple(self) -> tuple[float, float]:
-        """Return ``(x, y)``."""
-        return (self.x, self.y)
-
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y

@@ -46,18 +46,6 @@ class Rect:
         ys = [p.y for p in pts]
         return cls(min(xs), min(ys), max(xs), max(ys))
 
-    @classmethod
-    def from_center(cls, center: Point, half_width: float, half_height: float) -> "Rect":
-        """A rectangle centered at ``center`` with the given half extents."""
-        if half_width < 0 or half_height < 0:
-            raise ConfigurationError("half extents must be non-negative")
-        return cls(
-            center.x - half_width,
-            center.y - half_height,
-            center.x + half_width,
-            center.y + half_height,
-        )
-
     @property
     def width(self) -> float:
         return self.xmax - self.xmin
@@ -69,10 +57,6 @@ class Rect:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    @property
-    def perimeter(self) -> float:
-        return 2.0 * (self.width + self.height)
 
     @property
     def center(self) -> Point:

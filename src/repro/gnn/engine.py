@@ -59,13 +59,11 @@ def build_index(
     pois: Sequence[POI],
     space: LocationSpace | None = None,
     max_entries: int = 32,
-    build_workers: int | None = None,
 ) -> SpatialIndex:
     """The ``kind`` index over ``pois``, as :class:`GNNQueryEngine` builds it.
 
     ``max_entries`` is the R-tree fan-out; ``space`` sizes the grid (the
-    POIs' bounding box when omitted); ``build_workers`` > 1 bulk-loads an
-    R-tree through the parallel STR builder, which gives the same tree.
+    POIs' bounding box when omitted).
     """
     if kind not in _INDEX_TYPES:
         raise ConfigurationError(
@@ -74,12 +72,7 @@ def build_index(
     entries = [(poi.location, poi) for poi in pois]
     if kind == "rtree":
         tree = RTree(max_entries=max_entries)
-        if build_workers is not None and build_workers > 1:
-            from repro.spatial.str_build import parallel_str_bulk_load
-
-            parallel_str_bulk_load(tree, entries, workers=build_workers)
-        else:
-            tree.bulk_load(entries)
+        tree.bulk_load(entries)
         return tree
     if kind == "grid":
         if space is None:
@@ -121,10 +114,6 @@ class GNNQueryEngine:
     space:
         The location space (needed by ``"grid"``; defaults to the POIs'
         bounding box when omitted).
-    build_workers:
-        When > 1 and ``index="rtree"``, bulk-load via the sharded parallel
-        STR builder — the resulting tree is byte-identical to a serial
-        build, so this is purely a wall-clock knob.
     tree:
         An index of kind ``index`` that :func:`build_index` already built
         over exactly ``pois``.  The engine shares it instead of building
@@ -141,7 +130,6 @@ class GNNQueryEngine:
         algorithm: str = "mbm",
         index: str = "rtree",
         space: LocationSpace | None = None,
-        build_workers: int | None = None,
         tree: SpatialIndex | None = None,
     ) -> None:
         if not pois:
@@ -157,7 +145,7 @@ class GNNQueryEngine:
         self.index_counters = IndexCounters()
         self._shared = tree is not None
         if tree is None:
-            tree = build_index(index, pois, space, max_entries, build_workers)
+            tree = build_index(index, pois, space, max_entries)
         elif not isinstance(tree, _INDEX_TYPES.get(index, ())) or len(tree) != len(pois):
             raise ConfigurationError(
                 f"a shared index must be a {index!r} index over exactly the given POIs"

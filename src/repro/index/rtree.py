@@ -20,39 +20,20 @@ from repro.geometry.rect import Rect
 from repro.index.base import SpatialIndex, validate_entries, validate_location
 
 
-def str_slices(
-    pairs: list[tuple[Point, Any]], cap: int
-) -> list[list[tuple[Point, Any]]]:
-    """The vertical STR slices of ``pairs`` (already sorted by ``(x, y)``).
+def _str_runs(entries: list, cap: int, by_x, by_y) -> Iterator[list]:
+    """One Sort-Tile-Recursive level: ``entries`` in runs of at most ``cap``.
 
-    Pure and deterministic: the slice boundaries depend only on the entry
-    count and the node capacity, which is what lets
-    :func:`repro.spatial.str_build.parallel_str_bulk_load` hand each slice
-    to a different worker process and still stitch the exact tree a serial
-    build produces.
+    The entries are sorted by ``by_x`` and cut into ``ceil(sqrt(ceil(n /
+    cap)))`` vertical slices of equal size; each slice is sorted by
+    ``by_y`` and cut into runs of ``cap``.  Every run becomes one node.
     """
-    if not pairs:
-        return []
-    leaf_count = math.ceil(len(pairs) / cap)
-    slice_count = math.ceil(math.sqrt(leaf_count))
-    slice_size = math.ceil(len(pairs) / slice_count)
-    return [pairs[start : start + slice_size] for start in range(0, len(pairs), slice_size)]
-
-
-def slice_leaf_chunks(
-    chunk: list[tuple[Point, Any]], cap: int
-) -> list[tuple[list[Point], list[Any]]]:
-    """Sort one STR slice by ``(y, x)`` and cut it into leaf-sized chunks.
-
-    Returns picklable ``(points, items)`` payloads — the unit of work a
-    parallel STR build ships to worker processes.
-    """
-    ordered = sorted(chunk, key=lambda e: (e[0].y, e[0].x))
-    out: list[tuple[list[Point], list[Any]]] = []
-    for leaf_start in range(0, len(ordered), cap):
-        sub = ordered[leaf_start : leaf_start + cap]
-        out.append(([p for p, _ in sub], [item for _, item in sub]))
-    return out
+    entries.sort(key=by_x)
+    slice_count = math.ceil(math.sqrt(math.ceil(len(entries) / cap)))
+    slice_size = math.ceil(len(entries) / slice_count)
+    for start in range(0, len(entries), slice_size):
+        chunk = sorted(entries[start : start + slice_size], key=by_y)
+        for run_start in range(0, len(chunk), cap):
+            yield chunk[run_start : run_start + cap]
 
 
 class _Node:
@@ -320,65 +301,39 @@ class RTree(SpatialIndex):
     def bulk_load(self, items: Iterable[tuple[Point, Any]]) -> None:
         """Sort-Tile-Recursive construction; replaces the current contents.
 
-        Split into :func:`str_slices` / :func:`slice_leaf_chunks` /
-        :meth:`load_from_leaf_chunks` so the parallel bulk loader of
-        :mod:`repro.spatial.str_build` runs the identical pipeline with the
-        per-slice work farmed out to processes.
+        The entries are tiled into leaves, then each level's nodes, keyed
+        by their MBR centres, into parents, until one root remains.
         """
         pairs = validate_entries(items)
-        pairs.sort(key=lambda e: (e[0].x, e[0].y))
-        chunks = (
-            payload
-            for chunk in str_slices(pairs, self.max_entries)
-            for payload in slice_leaf_chunks(chunk, self.max_entries)
-        )
-        self.load_from_leaf_chunks(chunks, len(pairs))
-
-    def make_leaf(self, points: list[Point], items: list[Any]) -> _Node:
-        """Materialize one bulk-load leaf from a picklable chunk payload."""
-        leaf = _Node(is_leaf=True)
-        leaf.points = list(points)
-        leaf.items = list(items)
-        leaf.recompute_mbr()
-        return leaf
-
-    def load_from_leaf_chunks(
-        self, chunks: Iterable[tuple[list[Point], list[Any]]], count: int
-    ) -> None:
-        """Replace the contents with pre-tiled leaves, packing levels upward.
-
-        ``chunks`` must be the output of :func:`slice_leaf_chunks` applied
-        to every slice in order — the packing is deterministic in the chunk
-        sequence, never in how the chunks were computed.
-        """
         self.version += 1
-        leaves = [self.make_leaf(points, items) for points, items in chunks]
-        if not leaves:
+        self._count = len(pairs)
+        if not pairs:
             self.root = _Node(is_leaf=True)
-            self._count = 0
             return
         cap = self.max_entries
-        # Pack levels upward until a single root remains.
-        level = leaves
+        level: list[_Node] = []
+        for run in _str_runs(
+            pairs, cap, lambda e: (e[0].x, e[0].y), lambda e: (e[0].y, e[0].x)
+        ):
+            leaf = _Node(is_leaf=True)
+            leaf.points = [p for p, _ in run]
+            leaf.items = [item for _, item in run]
+            leaf.recompute_mbr()
+            level.append(leaf)
         while len(level) > 1:
-            level.sort(key=lambda nd: (nd.mbr.center.x, nd.mbr.center.y))  # type: ignore[union-attr]
-            node_count = math.ceil(len(level) / cap)
-            slice_count = math.ceil(math.sqrt(node_count))
-            slice_size = math.ceil(len(level) / slice_count)
             parents: list[_Node] = []
-            for start in range(0, len(level), slice_size):
-                chunk = sorted(
-                    level[start : start + slice_size],
-                    key=lambda nd: (nd.mbr.center.y, nd.mbr.center.x),  # type: ignore[union-attr]
-                )
-                for node_start in range(0, len(chunk), cap):
-                    parent = _Node(is_leaf=False)
-                    parent.children = chunk[node_start : node_start + cap]
-                    parent.recompute_mbr()
-                    parents.append(parent)
+            for run in _str_runs(
+                level,
+                cap,
+                lambda nd: (nd.mbr.center.x, nd.mbr.center.y),  # type: ignore[union-attr]
+                lambda nd: (nd.mbr.center.y, nd.mbr.center.x),  # type: ignore[union-attr]
+            ):
+                parent = _Node(is_leaf=False)
+                parent.children = run
+                parent.recompute_mbr()
+                parents.append(parent)
             level = parents
         self.root = level[0]
-        self._count = count
 
     def traversal_roots(self) -> list[_Node]:
         """Best-first traversal hook (see :meth:`SpatialIndex.traversal_roots`)."""

@@ -587,9 +587,10 @@ def load_report_document(text: str) -> dict:
 
     Accepts either a bare ``ServingReport.to_dict()`` document or a
     ``BENCH_*.json`` envelope (``{"experiment": ..., "results": ...}``)
-    whose results are a report — directly, or under a ``serial`` /
-    ``process`` executor key (the throughput bench records both; the
-    process run is preferred as the headline configuration).
+    whose results are a report — directly, or under the ``process`` or
+    ``serial`` key of the executor envelope that throughput-bench
+    documents recorded before the process executor was retired (the
+    ``process`` run is read first).
     """
     import json
 

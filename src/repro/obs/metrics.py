@@ -164,8 +164,7 @@ class MetricsRegistry:
     """Create-on-first-use instrument registry, one per process (or bucket).
 
     Serving buckets each own a registry; their snapshots merge into the
-    engine's registry in bucket order, so serial and multiprocessing
-    executors report identical totals.
+    engine's registry in bucket order.
     """
 
     def __init__(self) -> None:

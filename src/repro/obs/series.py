@@ -443,7 +443,12 @@ def _flatten_numeric(data: Mapping, prefix: str = "", depth: int = 3) -> dict:
 
 
 def _serving_metrics(results: Mapping) -> dict[str, float] | None:
-    """Sentinel metrics when ``results`` is (or wraps) a serving report."""
+    """Sentinel metrics when ``results`` is (or wraps) a serving report.
+
+    Throughput-bench documents recorded before the process executor was
+    retired wrap two reports under ``process`` and ``serial``; the
+    ``process`` one is read.
+    """
     from repro.bench.sentinel import serving_report_metrics
 
     if "latency" in results and "queue" in results:

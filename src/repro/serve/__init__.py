@@ -2,7 +2,7 @@
 
 Runs many PPGNN/PPGNN-OPT/Naive sessions against one shared LSP with a
 seeded workload generator, pluggable scheduling policies behind bounded
-queues, a (multi)process execution pool, and shared caches (nonce pools
+queues, bucketed execution over LSP replicas, and shared caches (nonce pools
 per public key, an LRU of kNN candidate answers).  See SERVING.md.
 """
 

@@ -11,10 +11,9 @@ The engine runs in three phases:
    seed and the serving configuration.
 2. **Execute** — every planned job actually runs (real Paillier crypto,
    real R-tree search) through :mod:`repro.serve.pool`, bucketed by
-   group so the serial and multiprocessing backends produce identical
-   answers, cache hits, and pool statistics.  The replicas' index is
-   built once per engine and index kind and shared read-only by the
-   cells; process workers still build their own.
+   group, one bucket after another in this process.  The replicas'
+   index is built once per engine and index kind and shared read-only
+   by the cells.
 3. **Report** — timeline and outcomes merge into a
    :class:`ServingReport` whose :meth:`~ServingReport.to_dict` is
    byte-identical across runs (wall-clock throughput is carried
@@ -32,7 +31,7 @@ import hashlib
 import heapq
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
 
 from repro.core.config import PPGNNConfig
@@ -55,8 +54,6 @@ from repro.serve.pool import (
 from repro.serve.scheduler import POLICIES, make_scheduler
 from repro.serve.workload import QueryJob, Workload
 
-_EXECUTORS = ("serial", "process")
-
 # Event kinds, ordered so completions free workers before same-instant
 # arrivals are admitted.
 _COMPLETION = 0
@@ -68,13 +65,10 @@ class ServeConfig:
     """Tunables of one serving run.
 
     ``workers`` is both the simulated server count and the execution
-    bucket count; ``executor`` only chooses how the buckets run
-    ("serial" in-process, "process" via multiprocessing) and never
-    affects the report.
+    bucket count; the buckets run one after another in this process.
     """
 
     workers: int = 2
-    executor: str = "serial"
     policy: str = "fifo"
     queue_capacity: int = 64
     tenant_quota: int | None = None
@@ -98,17 +92,21 @@ class ServeConfig:
     # Per-bucket trace ring size (None keeps the 4096-span default).
     # Evictions are published as `obs.trace.spans_dropped`.
     trace_capacity: int | None = None
+    # Retired: buckets always run serially.  A checked keyword, neither
+    # stored nor reported, because benchmarks/e2e/workloads.py still
+    # passes executor="serial"; drop it together with that argument.
+    executor: InitVar[str] = "serial"
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, executor: str) -> None:
+        if executor != "serial":
+            raise ConfigurationError(
+                f"executor {executor!r} is retired; buckets run serially"
+            )
         for name in ("workers", "queue_capacity", "nonce_chunk"):
             positive_int(getattr(self, name), name)
         for name in ("tenant_quota", "knn_cache_size"):
             if getattr(self, name) is not None:
                 positive_int(getattr(self, name), name)
-        if self.executor not in _EXECUTORS:
-            raise ConfigurationError(
-                f"unknown executor {self.executor!r}; known: {list(_EXECUTORS)}"
-            )
         if self.policy not in POLICIES:
             raise ConfigurationError(
                 f"unknown policy {self.policy!r}; known: {list(POLICIES)}"
@@ -204,7 +202,6 @@ class ServingReport:
 
     workers: int
     policy: str
-    executor: str
     queries: int
     completed: int
     failed: int
@@ -238,7 +235,6 @@ class ServingReport:
         data = {
             "workers": self.workers,
             "policy": self.policy,
-            "executor": self.executor,
             "queries": self.queries,
             "completed": self.completed,
             "failed": self.failed,
@@ -290,7 +286,6 @@ class ServingReport:
         return cls(
             workers=data["workers"],
             policy=data["policy"],
-            executor=data["executor"],
             queries=data["queries"],
             completed=data["completed"],
             failed=data["failed"],
@@ -465,7 +460,6 @@ class ServeEngine:
             self.base_config,
             cfg.runner_options(workload.spec.seed),
             workload.groups,
-            processes=cfg.workers if cfg.executor == "process" else None,
         )
         return outcomes, stats, time.perf_counter() - started
 
@@ -599,7 +593,6 @@ class ServeEngine:
         return ServingReport(
             workers=cfg.workers,
             policy=cfg.policy,
-            executor=cfg.executor,
             queries=len(workload.jobs),
             completed=len(completed),
             failed=len(failures),

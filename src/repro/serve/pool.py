@@ -1,21 +1,19 @@
-"""Execution backends: per-bucket runners, serial or multiprocessing.
+"""The serving cells: per-bucket runners over LSP replicas.
 
 Jobs are routed to buckets by ``group_id % workers``, so every query of a
 group executes in the same bucket, in planned start order.  A bucket is a
 self-contained serving cell: its own LSP replica, its own session table,
-its own shared nonce-pool registry and kNN result cache.  Because the
-bucket assignment and the within-bucket order depend only on the plan —
-never on the execution backend — the serial and multiprocessing executors
-produce *identical* outcomes and cache/pool statistics; processes only
-shrink wall-clock time.
+its own shared nonce-pool registry and kNN result cache.  The buckets run
+one after another in this process; the bucket assignment and the
+within-bucket order depend only on the plan, so outcomes and cache/pool
+statistics do too.
 
-:class:`LSPSpec` is the picklable recipe of an LSP replica (POIs, space,
-sanitation knobs, index kind).  Its spatial index is built once per
-recipe and shared read-only by the cells that run in this process, so the
-serving engine, which keeps one recipe per database version and index
-kind, builds it once; a process worker receives the recipe without the
-index and builds its own.  Real crypto runs here — the simulated clock of
-:mod:`repro.serve.engine` never consults these timings.
+:class:`LSPSpec` is the recipe of an LSP replica (POIs, space, sanitation
+knobs, index kind).  Its spatial index is built once per recipe and shared
+read-only by the cells, so the serving engine, which keeps one recipe per
+database version and index kind, builds it once.  Real crypto runs here —
+the simulated clock of :mod:`repro.serve.engine` never consults these
+timings.
 """
 
 from __future__ import annotations
@@ -45,14 +43,13 @@ from repro.serve.workload import GroupProfile, QueryJob
 
 @dataclass(frozen=True)
 class LSPSpec:
-    """Everything needed to build an equivalent LSP, here or in another process.
+    """Everything needed to build an equivalent LSP.
 
     Each :meth:`build` returns a fresh :class:`LSPServer` with its own
     index counters, kNN cache slot and sanitation RNG, over one index that
     the first call builds from the recipe and every later call shares
-    read-only.  The index is not part of the recipe: equality, ``repr``
-    and the pickled state leave it out, so a process worker that receives
-    the spec builds its own.
+    read-only.  The index is not part of the recipe: equality and
+    ``repr`` leave it out.
     """
 
     pois: tuple[POI, ...]
@@ -100,13 +97,10 @@ class LSPSpec:
     def _index(self) -> SpatialIndex:
         return build_index(self.index, self.pois, self.space)
 
-    def __getstate__(self) -> dict:
-        return {name: value for name, value in vars(self).items() if name != "_index"}
-
 
 @dataclass(frozen=True)
 class RunnerOptions:
-    """Picklable per-bucket execution knobs (a slice of ``ServeConfig``)."""
+    """Per-bucket execution knobs (a slice of ``ServeConfig``)."""
 
     nonce_pool: bool = True
     nonce_seed: int = 0
@@ -127,7 +121,7 @@ class RunnerOptions:
 
 @dataclass(frozen=True, slots=True)
 class JobOutcome:
-    """What one executed job produced (picklable, wall-time-free).
+    """What one executed job produced (wall-time-free).
 
     ``answer_ids`` and ``comm_bytes`` are the determinism-bearing fields:
     they must match a direct :class:`~repro.core.session.QuerySession` run
@@ -153,8 +147,7 @@ class BucketStats:
     registry snapshot and ``spans`` its trace as one span *group* (a tuple
     of span dicts with bucket-local ids).  Merging keeps groups separate —
     the engine remaps ids per group when it assembles the run-wide trace —
-    and always happens in bucket order, so serial and multiprocessing
-    executors produce identical merged observations.
+    and always happens in bucket order.
     """
 
     pool: PoolStats = field(default_factory=PoolStats)
@@ -274,7 +267,7 @@ class BucketRunner:
             self._top_up_pool(job, config, len(group.locations))
         # Pin the sanitation sampler to the job seed: a repeat re-runs the
         # exact round (cache-servable), and bucket order alone decides the
-        # stream — identical under serial and multiprocessing execution.
+        # stream.
         self.lsp.reset_rng(job.seed)
         try:
             result = session.query(group.locations, seed=job.seed)
@@ -333,45 +326,25 @@ class BucketRunner:
         return stats
 
 
-def _run_bucket(payload) -> tuple[list[JobOutcome], BucketStats]:
-    """Worker entry point: build the cell, run its jobs in order."""
-    spec, base_config, options, groups, jobs = payload
-    runner = BucketRunner(spec.build(), base_config, options)
-    outcomes = [runner.run_job(job, groups[job.group_id]) for job in jobs]
-    return outcomes, runner.stats()
-
-
 def execute_buckets(
     buckets: list[list[QueryJob]],
     spec: LSPSpec,
     base_config: PPGNNConfig,
     options: RunnerOptions,
     groups: tuple[GroupProfile, ...],
-    processes: int | None = None,
 ) -> tuple[dict[int, JobOutcome], BucketStats]:
-    """Run every bucket, serially or across ``processes`` workers.
+    """Run every bucket's jobs in order on its own replica of ``spec``.
 
     Returns outcomes keyed by job id plus bucket stats merged in bucket
-    order — both independent of the backend, by construction.
+    order.
     """
-    payloads = [
-        (spec, base_config, options, groups, jobs) for jobs in buckets if jobs
-    ]
-    if processes is not None and processes > 1 and len(payloads) > 1:
-        import multiprocessing as mp
-
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = mp.get_context("spawn")
-        with ctx.Pool(min(processes, len(payloads))) as pool:
-            results = pool.map(_run_bucket, payloads)
-    else:
-        results = [_run_bucket(payload) for payload in payloads]
     outcomes: dict[int, JobOutcome] = {}
     totals = BucketStats()
-    for bucket_outcomes, stats in results:
-        for outcome in bucket_outcomes:
-            outcomes[outcome.job_id] = outcome
-        totals.merge(stats)
+    for jobs in buckets:
+        if not jobs:
+            continue
+        runner = BucketRunner(spec.build(), base_config, options)
+        for job in jobs:
+            outcomes[job.job_id] = runner.run_job(job, groups[job.group_id])
+        totals.merge(runner.stats())
     return outcomes, totals

@@ -105,6 +105,9 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         positive_int(self.queries, "queries", floor=0)
+        # Stored as an int: `generate_workload` seeds `random.Random`,
+        # which refuses a numpy integer.
+        object.__setattr__(self, "seed", positive_int(self.seed, "seed", floor=0))
         if self.arrival not in ("poisson", "closed"):
             raise ConfigurationError("arrival must be 'poisson' or 'closed'")
         if not math.isfinite(self.rate_qps) or (

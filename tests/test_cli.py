@@ -161,6 +161,7 @@ class TestServeBench:
             ("hedge-factor", "2.0"),
             ("kill-shard", "1"),
             ("fault-rate", "0.05"),
+            ("executor", "process"),
         )
         for name, value in retired:
             with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.common import group_keypair
 from repro.core.config import PPGNNConfig
 from repro.errors import ConfigurationError
 
@@ -43,6 +44,27 @@ class TestValidation:
     def test_numpy_integers_accepted(self):
         cfg = PPGNNConfig(d=np.int64(4), delta=np.int32(8), k=np.int64(3), keysize=np.int64(128))
         assert (cfg.d, cfg.delta, cfg.k, cfg.keysize) == (4, 8, 3, 128)
+        assert {type(v) for v in (cfg.d, cfg.delta, cfg.k, cfg.keysize)} == {int}
+        # A numpy key size used to overflow in prime generation's shifts
+        # with a bare OverflowError.
+        expected = group_keypair(PPGNNConfig(keysize=128))
+        assert group_keypair(cfg).public_key.n == expected.public_key.n
+
+    @pytest.mark.parametrize("key_seed", [-1, True, 1.5, "1"])
+    def test_key_seed_must_be_a_non_negative_integer(self, key_seed):
+        # -1 and True used to give the key pair of key_seed=1, and 1.5 was
+        # accepted: two groups picking different seeds could share a key.
+        with pytest.raises(ConfigurationError, match="key_seed"):
+            PPGNNConfig(key_seed=key_seed)
+
+    def test_key_seed_accepts_zero_none_and_numpy_integers(self):
+        assert PPGNNConfig(key_seed=0).key_seed == 0
+        assert PPGNNConfig(key_seed=None).key_seed is None
+        cfg = PPGNNConfig(keysize=128, key_seed=np.int64(3))
+        assert cfg.key_seed == 3 and type(cfg.key_seed) is int
+        # A numpy seed used to reach `random.Random`, which refuses it.
+        expected = group_keypair(PPGNNConfig(keysize=128, key_seed=3))
+        assert group_keypair(cfg).public_key.n == expected.public_key.n
 
     def test_theta0_domain(self):
         with pytest.raises(ConfigurationError):

@@ -160,6 +160,22 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="sanitation_samples"):
             LSPServer(small_pois, sanitation_samples=samples)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_seed_must_be_a_non_negative_integer(self, small_pois, seed):
+        # -1 and 1.5 used to reach numpy and raise a bare ValueError or
+        # TypeError, from the constructor and from every reset_rng.
+        with pytest.raises(ConfigurationError, match="seed"):
+            LSPServer(small_pois, seed=seed)
+        server = LSPServer(small_pois)
+        with pytest.raises(ConfigurationError, match="seed"):
+            server.reset_rng(seed)
+
+    def test_seed_accepts_numpy_integers(self, small_pois):
+        server = LSPServer(small_pois, seed=np.int64(3))
+        first = server._rng.random()
+        server.reset_rng(np.int64(3))
+        assert server._rng.random() == first
+
     def test_sanitation_samples_accepts_ints_and_none(self, small_pois):
         assert LSPServer(small_pois, sanitation_samples=None).sanitation_samples is None
         server = LSPServer(small_pois, sanitation_samples=np.int64(16))

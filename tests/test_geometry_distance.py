@@ -14,7 +14,6 @@ from repro.geometry.distance import (
     mindist_arrays,
     mindist_point_rect,
     pairwise_distances,
-    squared_euclidean,
     sum_support_arrays,
 )
 from repro.geometry.point import Point
@@ -71,9 +70,6 @@ def stacked(points) -> np.ndarray:
 class TestScalarDistances:
     def test_euclidean(self):
         assert euclidean(Point(0, 0), Point(3, 4)) == 5.0
-
-    def test_squared(self):
-        assert squared_euclidean(Point(1, 1), Point(4, 5)) == 25.0
 
     def test_mindist_inside_is_zero(self):
         assert mindist_point_rect(Point(0.5, 0.5), Rect(0, 0, 1, 1)) == 0.0

@@ -22,13 +22,9 @@ class TestPointBasics:
     def test_squared_distance(self):
         assert Point(0, 0).squared_distance_to(Point(3, 4)) == 25.0
 
-    def test_translate(self):
-        assert Point(1, 2).translate(0.5, -1) == Point(1.5, 1)
-
-    def test_as_tuple_and_iter(self):
-        p = Point(3.0, 7.0)
-        assert p.as_tuple() == (3.0, 7.0)
-        assert list(p) == [3.0, 7.0]
+    def test_iter_unpacks(self):
+        x, y = Point(3.0, 7.0)
+        assert (x, y) == (3.0, 7.0)
 
     def test_points_are_hashable_and_equal_by_value(self):
         assert {Point(1, 2), Point(1, 2)} == {Point(1, 2)}
@@ -59,9 +55,3 @@ class TestPointProperties:
         assert math.isclose(
             a.squared_distance_to(b), a.distance_to(b) ** 2, rel_tol=1e-9, abs_tol=1e-9
         )
-
-    @given(points, finite, finite)
-    def test_translate_roundtrip(self, p, dx, dy):
-        q = p.translate(dx, dy).translate(-dx, -dy)
-        assert math.isclose(q.x, p.x, abs_tol=1e-6)
-        assert math.isclose(q.y, p.y, abs_tol=1e-6)

@@ -1,10 +1,14 @@
 """Tests for the R-tree: structure, queries, bulk load, deletion."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.lsp import LSPServer
+from repro.datasets import load_sequoia, stream_clustered
 from repro.errors import ConfigurationError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -41,6 +45,37 @@ def check_invariants(tree: RTree):
 
     visit(tree.root, 0)
     assert len(depths) <= 1  # balanced
+
+
+def tree_digest(tree: RTree) -> str:
+    """A SHA-256 over the tree's shape, MBRs and leaf entries, in tree order.
+
+    Two trees digest equal only when they have the same nodes with the
+    same bounding rectangles and the same entries in the same slots.
+    Items hash by their ``poi_id`` when they have one, else by ``repr``.
+    """
+    h = hashlib.sha256()
+
+    def item_key(item) -> str:
+        pid = getattr(item, "poi_id", None)
+        return f"id:{pid}" if pid is not None else repr(item)
+
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        mbr = node.mbr
+        bounds = (
+            (mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax) if mbr is not None else None
+        )
+        h.update(f"n:{depth}:{node.is_leaf}:{bounds!r}".encode())
+        if node.is_leaf:
+            for p, item in zip(node.points, node.items, strict=True):
+                h.update(f"e:{p.x!r}:{p.y!r}:{item_key(item)}".encode())
+        else:
+            # Reversed so children hash in tree order despite LIFO popping.
+            for child in reversed(node.children):
+                stack.append((child, depth + 1))
+    return h.hexdigest()
 
 
 class TestRTreeConstruction:
@@ -116,6 +151,45 @@ class TestBulkLoad:
             incremental.insert(p, i)
         assert bulk.height <= incremental.height
         check_invariants(bulk)
+
+
+class TestBulkLoadPinned:
+    """STR bulk loading builds exactly the trees it built before, node for node."""
+
+    @pytest.fixture(scope="class")
+    def clustered(self):
+        return [(poi.location, poi) for poi in stream_clustered(50_000, seed=1)]
+
+    def test_sequoia_tree(self):
+        tree = LSPServer(load_sequoia(), seed=0).engine.tree
+        assert tree.max_entries == 32
+        assert tree_digest(tree) == (
+            "a7bdf15ce8827001c0a306c7372c9b7529953090d54e90174cd2163f215624ba"
+        )
+
+    @pytest.mark.parametrize(
+        "count, fan_out, digest",
+        [
+            (50_000, 64, "f58e92482bb5270e61ad464a778db432444572fcb6c7af2c8cd9750b35ee7a63"),
+            (0, 32, "e45e7de21ca5d3474be5e7ed3a69777f4c3938dea614198dcd840e04271335aa"),
+            (1, 32, "b1199ee9c697d1f5ca7872a24788f97d390e782528ff9a3b5370efb313877138"),
+            (33, 32, "042f0180dc237bba5de0aeb56bbc0d3d057b30685591305adfceacde4fd24439"),
+        ],
+        ids=["50000-at-64", "0-at-32", "1-at-32", "33-at-32"],
+    )
+    def test_clustered_trees(self, clustered, count, fan_out, digest):
+        tree = RTree(max_entries=fan_out)
+        tree.bulk_load(clustered[:count])
+        assert len(tree) == count
+        check_invariants(tree)
+        assert tree_digest(tree) == digest
+
+    def test_digest_distinguishes_content(self, clustered):
+        a = RTree(max_entries=16)
+        a.bulk_load(clustered[:100])
+        b = RTree(max_entries=16)
+        b.bulk_load(clustered[1:101])
+        assert tree_digest(a) != tree_digest(b)
 
 
 class TestRangeQuery:

@@ -5,8 +5,7 @@ Three contracts:
 1. ``obs=None`` (the default) is byte-identical to the pre-observability
    code: a pinned serving fixture's ``answers_digest`` and full-report
    SHA-256 must never move (the ``guard=None`` regression pattern), and
-   neither may those of the rejection, closed-loop and guarded
-   process-executor shapes.
+   neither may those of the rejection, closed-loop and guarded shapes.
 2. ``obs=Observability()`` changes *observations only*: answers and comm
    bytes match the bare run for every protocol.
 3. With tracing on, a round span's encryption / decryption / kGNN-query
@@ -34,12 +33,13 @@ from repro.serve.workload import WorkloadSpec, generate_workload
 # Pinned from the pre-observability serving engine (12-query fixture).
 # Every report SHA-256 in this file is of the report before the fault
 # layer was deleted, with its then-constant ``transport`` key
-# ({"retransmissions": 0, "corrupt_rejected": 0}) removed.
+# ({"retransmissions": 0, "corrupt_rejected": 0}) removed, and before the
+# process executor was retired, with its ``executor`` key removed.
 EXPECTED_ANSWERS_DIGEST = (
     "22ffdc8b6366ab98e6f29a79996e63086759d12b65a4bfae08f5be09c4bd795e"
 )
 EXPECTED_REPORT_SHA256 = (
-    "f63705e093dcd3b6a9e14d8d7ae996354f61e25f3a738b8fa462b97b9f460eb1"
+    "8b912d0e002f247eb7a508ebb758fb0306e7e902f00a2af2aa3977586ab1bcb5"
 )
 
 _RUNNERS = {
@@ -94,28 +94,29 @@ _MIX = {
     "k_mix": {3: 1.0},
 }
 
-# Serving shapes beyond the open-loop fixture: each takes a plan-loop,
-# guard or executor branch the default run never does.  Their answers
-# digests were recorded before the code they run through was last cut
-# down: the overload-control plane for the first two, the fault layer
-# for the third.
+# Serving shapes beyond the open-loop fixture: each takes a plan-loop
+# or guard branch the default run never does.  Their answers digests
+# were recorded before the code they run through was last cut down: the
+# overload-control plane for the first two, the fault layer for the
+# third.  The guarded shape's report pin was taken on the process
+# executor; the serial run reports the same.
 _SHAPES = {
     # Three tenants under a quota of two overflow a three-slot queue, so
     # the plan loop rejects with both AdmissionRejectedError and
     # QueueFullError.
     "queue-quota-rejections": (
         "6ea58770e85e4458998fba9990311cc8681841405153f9d968ee33bebb0e8604",
-        "7447bfdb5807759d47c032e4115f71d8f69e9f3d3a5d115ae9cf65126666ea53",
+        "c06466dd2b258fa496c0d95e8bacdc76b42b9dc9dd87cdeaa1fe2d933e496582",
     ),
     # Closed-loop clients chain each next arrival off a completion.
     "closed-loop-fair-share": (
         "b7c7a12f138a11aa2ea759caa1bdd390d1d7cab0b2d1aafe5235e61d43406ac0",
-        "acc1f26a76cd4416a10749eae23ddc4494abe64024593f62e335bf4da3f0df18",
+        "71d2016f76ba61a20dfdb02adea664c3036f8755304253dc15338566cd5683e4",
     ),
-    # Guarded rounds on the process executor: every job completes.
-    "guarded-process": (
+    # Guarded rounds: every job completes.
+    "guarded": (
         "a7645c5dfd97e98785e8b253a17d72c03e78fb18d876b9f802d381de63dbdbe8",
-        "b090542da218ad595a278f65684711bf650191fc2ba40d25b2b12a36d0db27af",
+        "140e5a5f3f43179f3880a68d9d19df874521fc38b4353124061e19ae591f82d0",
     ),
 }
 
@@ -142,7 +143,7 @@ def _run_shape(shape, space, config):
             queries=8, rate_qps=20.0, tenants=("t0", "t1"), groups=3,
             repeat_fraction=0.25, seed=33, **_MIX,
         )
-        serve = ServeConfig(workers=2, executor="process", guard=True)
+        serve = ServeConfig(workers=2, guard=True)
     engine = ServeEngine(_make_lsp(space), config, serve)
     return engine.run(generate_workload(spec, space))
 

@@ -1,7 +1,6 @@
 """The serving engine: identity with direct sessions, determinism, validation."""
 
-import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -133,21 +132,6 @@ class TestDeterminism:
         assert one.to_dict() == two.to_dict()
         assert one.wall_seconds != 0.0  # real work actually happened
 
-    def test_serial_and_process_reports_match(self, make_lsp, config, space):
-        """The executor only changes wall-clock, never the report, run after run."""
-        serial = ServeEngine(
-            make_lsp(), config, ServeConfig(workers=2, executor="serial")
-        )
-        process = ServeEngine(
-            make_lsp(), config, ServeConfig(workers=2, executor="process")
-        )
-        for seed in (5, 6):
-            workload = generate_workload(replace(MIXED, seed=seed), space)
-            a, b = serial.run(workload).to_dict(), process.run(workload).to_dict()
-            assert a.pop("executor") == "serial"
-            assert b.pop("executor") == "process"
-            assert a == b
-
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("runs", [2, 3])
     def test_consecutive_runs_equal_fresh_engines(
@@ -232,16 +216,6 @@ class TestReplicaIndex:
         with pytest.raises(ConfigurationError):
             one.engine.insert(POI(10_000, Point(0.5, 0.5)))
 
-    def test_pickled_spec_carries_no_index(self, make_lsp):
-        """A process worker receives the recipe only and builds its own index."""
-        lsp = make_lsp()
-        spec = LSPSpec.from_lsp(lsp)
-        spec.build()
-        clone = pickle.loads(pickle.dumps(spec))
-        assert pickle.dumps(spec) == pickle.dumps(LSPSpec.from_lsp(lsp))
-        assert clone == spec and repr(clone) == repr(spec)
-        assert clone.build().engine.tree is not spec.build().engine.tree
-
 
 class TestSchedulingAndBackpressure:
     def test_queue_overflow_counted_as_rejections(self, make_lsp, config, space):
@@ -300,8 +274,13 @@ class TestConfigValidation:
     def test_bad_serve_config(self):
         with pytest.raises(ConfigurationError):
             ServeConfig(workers=0)
-        with pytest.raises(ConfigurationError):
-            ServeConfig(executor="threads")
+        # The executor is retired: only "serial" is accepted, and it is
+        # neither stored nor reported.
+        for executor in ("process", "threads"):
+            with pytest.raises(ConfigurationError, match="executor"):
+                ServeConfig(executor=executor)
+        assert ServeConfig(executor="serial") == ServeConfig()
+        assert "executor" not in {f.name for f in fields(ServeConfig)}
         with pytest.raises(ConfigurationError):
             ServeConfig(policy="lifo")
         with pytest.raises(ConfigurationError):

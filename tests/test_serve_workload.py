@@ -46,10 +46,17 @@ class TestWorkloadSpec:
             ({"queries": -1}, "queries"),
             ({"queries": True}, "queries"),
             ({"groups": 2.5}, "groups"),
+            # A negative seed used to reach numpy and raise a bare
+            # ValueError from generate_workload.
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
         ):
             with pytest.raises(ConfigurationError, match=field):
                 WorkloadSpec(**bad)
         assert WorkloadSpec(queries=0, groups=np.int64(2)).groups == 2
+        spec = WorkloadSpec(seed=np.int64(3))
+        assert spec.seed == 3 and type(spec.seed) is int
 
 
 class TestGeneration:
