@@ -1,30 +1,45 @@
-"""The key holder's nonce factors on two cores.
+"""The key holder's nonce factors and the LSP's dot products on two cores.
 
-An owner nonce factor (:meth:`~repro.crypto.paillier.PaillierPrivateKey.
-obfuscate`) is the coordinator's dominant cost, and the factors of one
-batch -- an indicator's, or a key-owned pool refill's -- do not depend on
-each other.  :func:`obfuscate_many` hands the whole batch to one helper
-process, which works through it from the tail and sends each factor as
-soon as it has it, while the calling process works from the head.
-Before each of its factors the caller claims that index in 16 bytes
+Two kinds of work run on a second core.  An owner nonce factor
+(:meth:`~repro.crypto.paillier.PaillierPrivateKey.obfuscate`) is the
+coordinator's dominant cost, and the factors of one batch -- an
+indicator's, or a key-owned pool refill's -- do not depend on each
+other: :func:`obfuscate_many` makes each factor one item of a batch.  The
+LSP's private selection is one Eqn 4 dot product per answer row
+(:func:`~repro.crypto.homomorphic.hom_dot`), and a selection usually has
+one product worth a second core, so :func:`multi_pow` cuts that product's
+terms into two halves of about equal cost (a two-item batch) and joins
+the halves with one modular multiplication.
+
+One helper process works through each batch from the tail and sends each
+item as soon as it has it, while the calling process works from the
+head.  Before each of its items the caller claims that index in 16 bytes
 of memory it shares with the helper, and the helper stops at the first
 index the caller has claimed, so the two meet wherever their speeds put
-them and neither keeps working once the batch is done.  The caller never
-waits on the helper for more than about one factor's time: when the
-host stalls the second core, the caller computes the rest, and the batch
-costs about what it costs inline.  Each factor is the value
-``obfuscate`` returns for its nonce, whichever process computed it, so
-ciphertexts, pool contents and every work counter are the same as with
-one core; only wall time moves.
+them and neither keeps working once the batch is done.  When only the
+item the helper is working on is left, the caller waits for it about as
+long as one of its own items took, then computes it itself: the caller
+never waits longer than that, so when the host stalls the second core a
+batch costs about its inline time plus one item.  Each factor is the
+value ``obfuscate`` returns for its nonce, and each product the value
+``fastexp.multi_pow`` returns for the whole term list, whichever process
+computed them, so ciphertexts, answers, pool contents and every work
+counter are the same as with one core; only wall time moves.
+
+A product is split only when the modelled saving, the whole product's
+cost less its costlier half's at the modulus width, exceeds a round trip
+to the helper (:data:`SPLIT_FLOOR_WORK64`).  Before each request the
+helper is kept off the CPU the caller runs on (:func:`_keep_apart`);
+otherwise the scheduler may wake it there and leave both on one CPU.
 
 The helper is forked with ``os.fork`` and two ``os.pipe`` on the first
 batch that can use it, and lives until the interpreter exits.  A batch
-runs inline unless all of these hold:
+runs inline, and a product in one chain, unless all of these hold:
 
 - the fast paths are on (``REPRO_FASTEXP=0`` is the builtin-``pow`` value
   oracle and stays in one process);
 - the process may run on at least two CPUs;
-- the batch has at least two factors;
+- the batch has at least two items;
 - the process is not a ``multiprocessing`` child (a pool's parent
   already spreads its work over the cores);
 - only one Python thread is alive, so a process running Python in
@@ -35,15 +50,17 @@ runs inline unless all of these hold:
 The helper is stamped with the pid that forked it.  Any process forked
 later drops its inherited pipe ends (``os.register_at_fork``) and never
 writes to them.  Every request, reply and claim carries the batch's
-sequence number, so a factor that arrives after its batch has ended is
+sequence number, so an item that arrives after its batch has ended is
 dropped, never read as another batch's.  A failure during an exchange
 -- end of file, a dead helper, or an exception in the caller's own
-factors -- discards the helper; after a helper failure the rest of the
-batch is computed inline.  Requests carry ``(batch, n, p, q, s, nonces)`` and
-replies ``(batch, index, factor)``: the helper rebuilds the key from the
-integers and each side only unpickles integers written by this process.
-DESIGN.md ("Crypto hot path", item 4) gives the reasons for a raw fork
-and the measured costs.
+items -- discards the helper; after a helper failure the rest of the
+batch is computed inline.  Requests carry ``(batch, n, p, q, s, nonces)``
+for owner factors and ``(batch, modulus, pairs)`` for the helper's half
+of a product, which is item 1 of its batch; replies carry ``(batch,
+index, value)``.  The helper rebuilds a key from its integers, a product
+request holds public values only, and each side only unpickles integers
+written by this process.  DESIGN.md ("Crypto hot path", item 4) gives the
+reasons for a raw fork and the measured costs.
 """
 
 from __future__ import annotations
@@ -58,8 +75,9 @@ import signal
 import struct
 import sys
 import threading
+from functools import partial
 from time import perf_counter
-from typing import TYPE_CHECKING, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 from repro.crypto import fastexp
 
@@ -75,6 +93,21 @@ _CLAIM = struct.Struct("=qq")
 
 #: Keys the helper keeps rebuilt; a process rarely holds more than one.
 _KEY_CACHE = 4
+
+#: Least modelled saving for which :func:`multi_pow` splits a product, in
+#: multiplications weighted by ``(modulus bits / 64) ** 2`` (``mul_work64``,
+#: as in :mod:`repro.obs.profile`): about one round trip to the helper.  On
+#: a 2-vCPU VM an empty request's round trip took 0.054 ms (p90 0.12 ms,
+#: DESIGN.md "Crypto hot path", item 4), splitting a product whose halves
+#: cost nothing added 0.057 ms in a small process (p90 0.064 ms, 2,000
+#: pairs against inline),
+#: and ``fastexp.multi_pow`` took 11.5-13.3 ns per unit at 1024-2048-bit
+#: moduli; 0.12 ms is about 10,000 units.  The 25-term selection of a
+#: 1024-bit PPGNN-NAS query saves about 1.3 million, a 5-term level-1
+#: product at 512 bits about 50,000, PPGNN-OPT's nested row of five
+#: exponents equal to 1 at 512 bits 1,152, and no level-1 product at
+#: 128 bits clears the floor.
+SPLIT_FLOOR_WORK64 = 10_000
 
 
 class _HelperLost(Exception):
@@ -129,8 +162,30 @@ def _readable(fd: int, timeout: float) -> bool:
     return bool(poller.poll(timeout * 1000))
 
 
+def _helper_items(
+    body: list, keys: dict[int, PaillierPrivateKey]
+) -> list[tuple[int, Callable[[], int]]]:
+    """The items of a request the helper may compute, tail first, each
+    with the function that computes it."""
+    if len(body) == 2:
+        modulus, pairs = body
+        return [(1, partial(fastexp.multi_pow, pairs, modulus))]
+    from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
+
+    n, p, q, s, nonces = body
+    key = keys.get(n)
+    if key is None:
+        if len(keys) >= _KEY_CACHE:
+            del keys[next(iter(keys))]
+        key = keys[n] = PaillierPrivateKey(PaillierPublicKey(n), p, q)
+    return [
+        (index, partial(key.obfuscate, nonces[index], s))
+        for index in range(len(nonces) - 1, -1, -1)
+    ]
+
+
 def _serve(requests: int, replies: int, claim: mmap.mmap) -> NoReturn:
-    """The helper's loop: each request's factors, from its tail, until end of file.
+    """The helper's loop: each request's items, from its tail, until end of file.
 
     The helper stops a batch at the first index the caller has claimed,
     or as soon as the caller has moved on to another batch.
@@ -140,28 +195,47 @@ def _serve(requests: int, replies: int, claim: mmap.mmap) -> NoReturn:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         gc.disable()  # a collection would dirty every page shared with the parent
         _isolate((requests, replies))
-        from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
-
         keys: dict[int, PaillierPrivateKey] = {}
         while True:
             try:
-                request = _read_message(requests)
+                batch, *body = _read_message(requests)
             except EOFError:
                 status = 0
                 break
-            batch, n, p, q, s, nonces = request
-            key = keys.get(n)
-            if key is None:
-                if len(keys) >= _KEY_CACHE:
-                    del keys[next(iter(keys))]
-                key = keys[n] = PaillierPrivateKey(PaillierPublicKey(n), p, q)
-            for index in range(len(nonces) - 1, -1, -1):
+            for index, compute in _helper_items(body, keys):
                 claimed_batch, claimed = _CLAIM.unpack_from(claim)
                 if claimed_batch != batch or claimed >= index:
                     break
-                _write_message(replies, (batch, index, key.obfuscate(nonces[index], s)))
+                _write_message(replies, (batch, index, compute()))
     finally:
         os._exit(status)
+
+
+def _current_cpu() -> int:
+    """The CPU this process runs on: field 39 of ``/proc/self/stat`` (Linux)."""
+    fd = os.open("/proc/self/stat", os.O_RDONLY)
+    try:
+        stat = os.read(fd, 4096)
+    finally:
+        os.close(fd)
+    # Field 3 onwards follow the command name's closing parenthesis.
+    return int(stat.rpartition(b")")[2].split()[36])
+
+
+def _keep_apart(pid: int) -> None:
+    """Let the helper ``pid`` run on any CPU this process may use except
+    the one it runs on now.
+
+    Otherwise the scheduler may wake the helper on the caller's CPU and
+    leave both there.  The step is skipped where the caller's CPU cannot
+    be read or no other CPU is allowed.
+    """
+    try:
+        others = os.sched_getaffinity(0) - {_current_cpu()}
+        if others:
+            os.sched_setaffinity(pid, others)
+    except (AttributeError, OSError, ValueError, IndexError):
+        pass
 
 
 class _Helper:
@@ -197,28 +271,27 @@ class _Helper:
         self.batch = 0
         self.buffer = bytearray()
 
-    def start(self, key: PaillierPrivateKey, nonces: list[int], s: int) -> None:
+    def start(self, request: tuple) -> None:
         """Hand the helper a new batch, which it works through from the tail."""
         self.batch += 1
         self.take(-1)
+        _keep_apart(self.pid)
         try:
-            _write_message(
-                self.requests, (self.batch, key.public_key.n, key.p, key.q, s, nonces)
-            )
+            _write_message(self.requests, (self.batch, *request))
         except OSError as exc:
             raise _HelperLost(f"request not delivered: {exc}") from None
 
     def take(self, index: int) -> None:
         """Claim ``index`` and every index below it for the caller.
 
-        The helper reads the claim before each factor.  It may read it
-        just before a change, and then computes a factor the caller also
+        The helper reads the claim before each item.  It may read it
+        just before a change, and then computes an item the caller also
         computes: the two are equal, and the caller drops the reply.
         """
         _CLAIM.pack_into(self.claim, 0, self.batch, index)
 
-    def collect(self, factors: list[int | None], tail: int, timeout: float = 0.0) -> int:
-        """Store the current batch's factors that have arrived in ``factors``
+    def collect(self, results: list[int | None], tail: int, timeout: float = 0.0) -> int:
+        """Store the current batch's items that have arrived in ``results``
         and return the lowest index the helper has sent (``tail`` if none).
 
         Waits up to ``timeout`` seconds for a reply and never blocks
@@ -239,12 +312,12 @@ class _Helper:
         for reply in self._frames():
             if not (isinstance(reply, tuple) and len(reply) == 3):
                 raise _HelperLost("reply does not match the request")
-            batch, index, factor = reply
+            batch, index, value = reply
             if batch != self.batch:
                 continue
-            if not 0 <= index < len(factors):
+            if not 0 <= index < len(results):
                 raise _HelperLost("reply does not match the request")
-            factors[index] = factor
+            results[index] = value
             tail = min(tail, index)
         return tail
 
@@ -304,7 +377,7 @@ def _cpu_count() -> int:
 
 
 def _may_use_helper(count: int) -> bool:
-    """Whether a batch of ``count`` factors may use the helper (module doc)."""
+    """Whether a batch of ``count`` items may use the helper (module doc)."""
     if count < 2 or not fastexp.enabled() or not hasattr(os, "fork"):
         return False
     if threading.active_count() != 1 or _cpu_count() < 2:
@@ -357,46 +430,100 @@ def shutdown() -> None:
         _forget()
 
 
+def _exchange(
+    helper: _Helper, request: tuple, count: int, compute: Callable[[int], int]
+) -> list[int]:
+    """``[compute(i) for i in range(count)]``, the items of one batch: the
+    caller computes them from the head while the helper, sent ``request``,
+    computes them from the tail, until every item is in hand.
+
+    When only the item the helper is working on is left, the caller waits
+    for it about as long as one of its own items took, then computes it
+    itself.  After a helper failure the caller computes every item still
+    missing.
+    """
+    results: list[int | None] = [None] * count
+    head, tail = 0, count  # caller has [0, head), helper has sent [tail, count)
+    try:
+        helper.start(request)
+        started = perf_counter()
+        while head < tail:
+            tail = helper.collect(results, tail)
+            if head == tail - 1 and head > 0:
+                # Only the helper's item in hand is left: wait for it
+                # about as long as one of the caller's own took.
+                tail = helper.collect(results, tail, (perf_counter() - started) / head)
+            if head < tail:
+                helper.take(head)
+                results[head] = compute(head)
+                head += 1
+    except _HelperLost:
+        _discard()
+    except BaseException:
+        _discard()  # the next batch starts with a fresh helper
+        raise
+    return [compute(index) if value is None else value for index, value in enumerate(results)]
+
+
 def obfuscate_many(
     key: PaillierPrivateKey, nonces: Sequence[int], s: int = 1
 ) -> list[int]:
     """``[key.obfuscate(r, s) for r in nonces]``, on two cores when it can.
 
     ``s`` must already have passed
-    :func:`~repro.crypto.paillier.check_level`.  The caller computes
-    factors from the head while the helper computes them from the tail,
-    until every factor is in hand.  When only the factor the helper is
-    working on is left, and the helper has sent one of this batch's
-    factors already, the caller waits for it about as long as one of its
-    own factors took, then computes it itself.  See the module docstring
-    for when the batch runs inline instead.
+    :func:`~repro.crypto.paillier.check_level`.  Each factor is one item
+    of the batch (:func:`_exchange`); see the module docstring for when
+    the batch runs inline instead.
     """
     helper = _helper_for(len(nonces))
-    factors: list[int | None] = [None] * len(nonces)
-    if helper is not None:
-        head, tail = 0, len(nonces)  # caller has [0, head), helper has [tail, len)
-        try:
-            helper.start(key, list(nonces), s)
-            started = perf_counter()
-            while head < tail:
-                tail = helper.collect(factors, tail)
-                if head == tail - 1 and head > 0 and tail < len(nonces):
-                    # Only the helper's factor in hand is left: wait for it
-                    # about as long as one of the caller's own took.
-                    tail = helper.collect(factors, tail, (perf_counter() - started) / head)
-                if head < tail:
-                    helper.take(head)
-                    factors[head] = key.obfuscate(nonces[head], s)
-                    head += 1
-        except _HelperLost:
-            _discard()
-        except BaseException:
-            _discard()  # the next batch starts with a fresh helper
-            raise
-    return [
-        key.obfuscate(r, s) if factor is None else factor
-        for r, factor in zip(nonces, factors)
-    ]
+    if helper is None:
+        return [key.obfuscate(r, s) for r in nonces]
+    return _exchange(
+        helper,
+        (key.public_key.n, key.p, key.q, s, list(nonces)),
+        len(nonces),
+        lambda index: key.obfuscate(nonces[index], s),
+    )
+
+
+def multi_pow(
+    pairs: Sequence[tuple[int, int]],
+    modulus: int,
+    ledger: fastexp.MulLedger | None = None,
+) -> int:
+    """``fastexp.multi_pow(pairs, modulus)``, its terms split over two
+    cores when that saves more than a round trip to the helper.
+
+    The terms are cut where :func:`~repro.crypto.fastexp.cheapest_cut`
+    says.  The caller evaluates the costlier side and the helper the other,
+    as a two-item batch (:func:`_exchange`), since the helper also pays a
+    round trip and its side's window decomposition; one modular
+    multiplication joins the two.  The product runs inline, in one chain,
+    when the whole product's modelled cost less its costlier side's, at
+    the modulus width, is at most :data:`SPLIT_FLOOR_WORK64`, or when the
+    helper may not run (module docstring).  ``ledger`` receives the whole
+    product's :func:`~repro.crypto.fastexp.multi_pow_cost` either way:
+    which process did the work depends on the host, and no counter
+    records it.
+    """
+    programs = fastexp.multi_programs([exponent for _, exponent in pairs])
+    cut, whole, head, tail = fastexp.cheapest_cut(programs)
+    if ledger is not None:
+        ledger.add(whole)
+    saving = (whole - max(head, tail)) * (modulus.bit_length() / 64) ** 2
+    helper = _helper_for(2) if saving > SPLIT_FLOOR_WORK64 else None
+    if helper is None:
+        return fastexp.multi_pow(pairs, modulus, programs=programs)
+    sides = [(pairs[:cut], programs[:cut]), (pairs[cut:], programs[cut:])]
+    if tail > head:
+        sides.reverse()
+    mine, theirs = _exchange(
+        helper,
+        (modulus, list(sides[1][0])),
+        2,
+        lambda index: fastexp.multi_pow(sides[index][0], modulus, programs=sides[index][1]),
+    )
+    return mine * theirs % modulus
 
 
 atexit.register(shutdown)

@@ -11,7 +11,9 @@ modular exponentiation, and each shape admits a classical speedup:
 - **Many bases at once** — the homomorphic dot product
   ``prod c_i^{x_i} mod N^{s+1}``: :func:`multi_pow` interleaves the
   per-term windows over one shared squaring chain (Straus/Shamir), paying
-  ``max_i bits(x_i)`` squarings total instead of per term.
+  ``max_i bits(x_i)`` squarings total instead of per term;
+  :func:`cheapest_cut` finds where to cut one product in two, which
+  :mod:`repro.crypto.cores` evaluates on two cores.
 - **Known factorization** — the key holder's own nonce factor
   ``r^{N^s}``: :meth:`~repro.crypto.paillier.PaillierPrivateKey.obfuscate`
   builds it per prime in two short stages (a builtin ``pow`` modulo
@@ -232,17 +234,20 @@ def default_window(bits: int) -> int:
     return best_width
 
 
-def _multi_programs(
-    exponents: Sequence[int], window: int | None
+def multi_programs(
+    exponents: Sequence[int], window: int | None = None
 ) -> list[list[tuple[int, int]]]:
     """Per-exponent window programs with absolute bit positions.
 
     Each program is ``[(lsb_position, digit), ...]`` — the digit is
     multiplied in when the shared squaring chain reaches its least
-    significant bit.
+    significant bit.  :func:`multi_pow` evaluates them; a caller that
+    needs them first (:func:`cheapest_cut`) may pass them in.
     """
     programs = []
     for exponent in exponents:
+        if exponent < 0:
+            raise CryptoError("multi_pow needs non-negative exponents")
         width = window if window is not None else default_window(
             exponent.bit_length()
         )
@@ -263,25 +268,70 @@ def _multi_programs(
     return programs
 
 
+def _term_costs(
+    programs: Sequence[Sequence[tuple[int, int]]]
+) -> list[tuple[int, int]]:
+    """Per program, ``(own, chain)``: its table and window multiplies, and
+    the squarings the shared chain needs to reach its first window.
+
+    Programs evaluated together cost ``sum(own) + max(chain) - 1``, or 0
+    when every program is empty (then every ``own`` is 0).
+    """
+    return [
+        (_table_muls(max(digit for _, digit in events)) + len(events), events[0][0])
+        if events
+        else (0, 0)
+        for events in programs
+    ]
+
+
+def _joint_cost(own: int, chain: int) -> int:
+    return own + chain - 1 if own else 0
+
+
 def _multi_cost(programs: Sequence[Sequence[tuple[int, int]]]) -> int:
     """Exact multiplication count of evaluating ``programs`` interleaved."""
-    total_events = sum(len(events) for events in programs)
-    if total_events == 0:
-        return 0
-    tables = sum(
-        _table_muls(max(digit for _, digit in events))
-        for events in programs
-        if events
+    costs = _term_costs(programs)
+    return _joint_cost(
+        sum(own for own, _ in costs), max((chain for _, chain in costs), default=0)
     )
-    first = max(events[0][0] for events in programs if events)
-    return tables + first + total_events - 1
 
 
 def multi_pow_cost(
     exponents: Sequence[int], window: int | None = None
 ) -> int:
     """Exact multiplications :func:`multi_pow` will spend on ``exponents``."""
-    return _multi_cost(_multi_programs(exponents, window))
+    return _multi_cost(multi_programs(exponents, window))
+
+
+def cheapest_cut(
+    programs: Sequence[Sequence[tuple[int, int]]]
+) -> tuple[int, int, int, int]:
+    """Where to cut a product in two so that its costlier side costs least.
+
+    Returns ``(cut, whole, head, tail)``: :func:`multi_pow` spends
+    ``whole`` multiplications on all of ``programs`` in one chain, ``head``
+    on ``programs[:cut]`` and ``tail`` on ``programs[cut:]`` (each side
+    pays its own squaring chain).  With fewer than two programs nothing is
+    cut: ``cut`` is their count, ``head`` is ``whole`` and ``tail`` is 0.
+    """
+    costs = _term_costs(programs)
+    total_own = sum(own for own, _ in costs)
+    tail_chain = [0] * (len(costs) + 1)
+    for index in range(len(costs) - 1, -1, -1):
+        tail_chain[index] = max(tail_chain[index + 1], costs[index][1])
+    whole = _joint_cost(total_own, tail_chain[0])
+    best = (len(costs), whole, whole, 0)
+    head_own = head_chain = 0
+    for index in range(1, len(costs)):
+        own, chain = costs[index - 1]
+        head_own += own
+        head_chain = max(head_chain, chain)
+        head = _joint_cost(head_own, head_chain)
+        tail = _joint_cost(total_own - head_own, tail_chain[index])
+        if max(head, tail) < max(best[2:]):
+            best = (index, whole, head, tail)
+    return best
 
 
 def multi_pow(
@@ -289,6 +339,7 @@ def multi_pow(
     modulus: int,
     window: int | None = None,
     ledger: MulLedger | None = None,
+    programs: Sequence[Sequence[tuple[int, int]]] | None = None,
 ) -> int:
     """``prod base_i^{exponent_i} mod modulus`` via interleaved windows.
 
@@ -296,12 +347,11 @@ def multi_pow(
     steps shared by every term, with per-term odd-power tables.  Exact
     cost is :func:`multi_pow_cost` of the same exponents (asserted equal
     in tests); value-identical to the product of builtin ``pow`` calls.
+    ``programs``, when given, are :func:`multi_programs` of these
+    exponents (``window`` is then unused).
     """
-    exponents = [exponent for _, exponent in pairs]
-    for exponent in exponents:
-        if exponent < 0:
-            raise CryptoError("multi_pow needs non-negative exponents")
-    programs = _multi_programs(exponents, window)
+    if programs is None:
+        programs = multi_programs([exponent for _, exponent in pairs], window)
     events_at: dict[int, list[tuple[int, int]]] = {}
     tables: list[dict[int, int]] = []
     for (base, _), events in zip(pairs, programs, strict=True):

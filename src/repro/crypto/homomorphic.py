@@ -11,7 +11,11 @@ Implements the paper's Eqns (2)-(4) and Theorem 3.1:
 
 An optional :class:`OpCounter` receives one tick per primitive ciphertext
 operation so protocols can report exact operation counts alongside wall
-time (used by tests for deterministic cost assertions).
+time (used by tests for deterministic cost assertions).  A large dot
+product runs on two cores when the host has them
+(:func:`repro.crypto.cores.multi_pow`), so ``matrix_select`` and
+``nested_select``, the LSP's selection, do too; values and counts are
+the same either way.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.crypto import fastexp
+from repro.crypto import cores, fastexp
 from repro.crypto.paillier import (
     Ciphertext,
     PaillierPrivateKey,
@@ -88,17 +92,25 @@ def hom_dot(
 ) -> Ciphertext:
     """Eqn (4): plaintext vector x (.) encrypted vector [v] = Enc(x . v).
 
-    Scalars equal to zero are skipped: ``Enc(v)^0 = 1`` contributes nothing,
-    and the answer matrix is mostly zero padding, so this is a significant
-    constant-factor win that does not change the result.
+    Every scalar must be an integer; a numpy integer counts as its
+    ``int``, and a bool, a float or any other type raises
+    :class:`CryptoError`.  Scalars equal to zero are skipped:
+    ``Enc(v)^0 = 1`` contributes nothing, and the answer matrix is mostly
+    zero padding, so this is a significant constant-factor win that does
+    not change the result.
 
     With the fast paths on, two or more surviving terms evaluate through
     one interleaved multi-exponentiation (:func:`~repro.crypto.fastexp.
     multi_pow`) — one shared squaring chain instead of one per term —
-    producing the identical ciphertext value.  ``counter`` keeps the
-    *logical* per-term tallies either way (the cost model depends on
-    them); ``ledger``, when given, receives the exact big-integer
-    multiplication count of whichever evaluation ran.
+    producing the identical ciphertext value.  When the host has a second
+    core and the product is large enough, :func:`~repro.crypto.cores.
+    multi_pow` evaluates the terms in two halves, one per core, and
+    multiplies the halves' products: the same value again.  ``counter``
+    keeps the *logical* per-term tallies either way (the cost model
+    depends on them); ``ledger``, when given, receives the exact
+    big-integer multiplication count of the single-chain evaluation, or
+    of the per-term ``pow`` calls with the fast paths off, whichever
+    process did the work.
     """
     if len(scalars) != len(ciphertexts):
         raise CryptoError(
@@ -114,7 +126,11 @@ def hom_dot(
     for x, c in zip(scalars, ciphertexts, strict=True):
         if c.public_key != pk or c.s != s:
             raise CryptoError("mixed keys or levels in dot product")
-        x_red = x % plain_mod
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise CryptoError(
+                f"dot product scalars must be integers, not {type(x).__name__} {x!r}"
+            )
+        x_red = int(x) % plain_mod
         if x_red == 0:
             continue
         if counter is not None:
@@ -122,7 +138,7 @@ def hom_dot(
             counter.additions += 1
         terms.append((c.value, x_red))
     if fastexp.enabled() and len(terms) >= 2:
-        acc = fastexp.multi_pow(terms, mod, ledger=ledger)
+        acc = cores.multi_pow(terms, mod, ledger=ledger)
     else:
         acc = 1
         for value, exponent in terms:

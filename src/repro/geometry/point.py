@@ -34,12 +34,6 @@ class Point:
         dy = self.y - other.y
         return math.sqrt(dx * dx + dy * dy)
 
-    def squared_distance_to(self, other: "Point") -> float:
-        """Squared Euclidean distance (avoids the sqrt when only comparing)."""
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return dx * dx + dy * dy
-
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y

@@ -102,11 +102,13 @@ class ServeConfig:
             raise ConfigurationError(
                 f"executor {executor!r} is retired; buckets run serially"
             )
+        # Stored as ints: a numpy count would reach the report, which
+        # json cannot serialise.
         for name in ("workers", "queue_capacity", "nonce_chunk"):
-            positive_int(getattr(self, name), name)
+            object.__setattr__(self, name, positive_int(getattr(self, name), name))
         for name in ("tenant_quota", "knn_cache_size"):
             if getattr(self, name) is not None:
-                positive_int(getattr(self, name), name)
+                object.__setattr__(self, name, positive_int(getattr(self, name), name))
         if self.policy not in POLICIES:
             raise ConfigurationError(
                 f"unknown policy {self.policy!r}; known: {list(POLICIES)}"
@@ -124,7 +126,9 @@ class ServeConfig:
                 raise ConfigurationError(
                     "trace_capacity only applies with obs=True"
                 )
-            positive_int(self.trace_capacity, "trace_capacity")
+            object.__setattr__(
+                self, "trace_capacity", positive_int(self.trace_capacity, "trace_capacity")
+            )
         if self.index is not None:
             from repro.gnn.engine import INDEX_KINDS
 

@@ -104,10 +104,11 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        positive_int(self.queries, "queries", floor=0)
-        # Stored as an int: `generate_workload` seeds `random.Random`,
-        # which refuses a numpy integer.
-        object.__setattr__(self, "seed", positive_int(self.seed, "seed", floor=0))
+        # Counts and the seed are stored as ints: `generate_workload` seeds
+        # `random.Random`, which refuses a numpy integer, and json cannot
+        # serialise one.
+        for name, floor in (("queries", 0), ("seed", 0), ("concurrency", 1), ("groups", 1)):
+            object.__setattr__(self, name, positive_int(getattr(self, name), name, floor))
         if self.arrival not in ("poisson", "closed"):
             raise ConfigurationError("arrival must be 'poisson' or 'closed'")
         if not math.isfinite(self.rate_qps) or (
@@ -116,13 +117,11 @@ class WorkloadSpec:
             raise ConfigurationError(
                 f"rate_qps must be finite and positive, not {self.rate_qps!r}"
             )
-        positive_int(self.concurrency, "concurrency")
         if not (math.isfinite(self.think_seconds) and self.think_seconds >= 0):
             raise ConfigurationError(
                 f"think_seconds must be finite and non-negative, "
                 f"not {self.think_seconds!r}"
             )
-        positive_int(self.groups, "groups")
         if not self.tenants:
             raise ConfigurationError("a workload needs at least one tenant")
         if not 0.0 <= self.repeat_fraction <= 1.0:

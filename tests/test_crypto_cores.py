@@ -1,10 +1,12 @@
-"""Tests for the second-core helper of the owner's nonce factors.
+"""Tests for the second-core helper of owner nonce factors and dot products.
 
 Every batch must return exactly the factors (and ciphertexts) that one
-``obfuscate`` (or ``encrypt``) call per element returns, whichever
-process computed them, and every failure of the helper must leave the
-next batch correct.  Tests that need the helper itself skip on a
-one-CPU host and with ``REPRO_FASTEXP=0``, where every batch runs inline.
+``obfuscate`` (or ``encrypt``) call per element returns, and every split
+product the value and count of ``fastexp.multi_pow`` over the whole term
+list, whichever process computed them; every failure of the helper must
+leave the next batch correct.  Tests that need the helper itself skip on
+a one-CPU host and with ``REPRO_FASTEXP=0``, where every batch runs
+inline.
 """
 
 import os
@@ -16,7 +18,7 @@ import time
 import pytest
 
 from repro.crypto import cores, fastexp
-from repro.crypto.homomorphic import encrypt_indicator
+from repro.crypto.homomorphic import encrypt_indicator, hom_dot
 from repro.crypto.noncepool import NoncePool
 from repro.crypto.paillier import PaillierPrivateKey, generate_keypair
 from repro.obs.profile import profile_keypair
@@ -45,6 +47,27 @@ def keys(request):
 def nonces_of(pk, count, seed):
     rng = random.Random(seed)
     return [pk.random_unit(rng) for _ in range(count)]
+
+
+def product_of(pk, s, count, seed):
+    """``(pairs, modulus)`` of a level-``s`` dot product of ``count`` terms:
+    ciphertext-sized bases, plaintext-sized exponents."""
+    rng = random.Random(seed)
+    modulus = pk.ciphertext_modulus(s)
+    plain = pk.plaintext_modulus(s)
+    return [(rng.randrange(modulus), rng.randrange(1, plain)) for _ in range(count)], modulus
+
+
+@pytest.fixture
+def fast_paths():
+    with fastexp.forced(True):
+        yield
+
+
+@pytest.fixture
+def always_split(monkeypatch):
+    """Split every product of two or more terms, however small."""
+    monkeypatch.setattr(cores, "SPLIT_FLOOR_WORK64", -1)
 
 
 def wait_child(pid: int) -> int:
@@ -141,6 +164,95 @@ class TestValues:
             assert batch == single and batch["calls"] == 9
 
 
+class TestProducts:
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "builtin"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_split_products_equal_one_chain(self, keys, s, fast, always_split):
+        _, pk = keys
+        with fastexp.forced(fast):
+            for size in (0, 1, 2, 3, 5, 25):
+                pairs, modulus = product_of(pk, s, size, seed=size)
+                whole = fastexp.multi_pow(pairs, modulus)
+                assert cores.multi_pow(pairs, modulus) == whole
+                assert cores.multi_pow(pairs, modulus) == whole  # a warm helper too
+
+    @pytest.mark.usefixtures("fast_paths")
+    def test_ledger_counts_the_whole_product_on_any_host(self, keys, monkeypatch):
+        sk, pk = keys
+        rng = random.Random(4)
+        ciphertexts = [sk.encrypt(m, 1, rng) for m in range(25)]
+        scalars = [rng.randrange(pk.n) for _ in ciphertexts]
+        two = fastexp.MulLedger()
+        with monkeypatch.context() as patch:
+            patch.setattr(cores, "SPLIT_FLOOR_WORK64", -1)
+            split = hom_dot(scalars, ciphertexts, ledger=two)
+        one = fastexp.MulLedger()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        inline = hom_dot(scalars, ciphertexts, ledger=one)
+        assert cores._helper is None or cores._helper.batch == 1  # one CPU: no request
+        assert split.value == inline.value
+        assert two.muls == one.muls == fastexp.multi_pow_cost(scalars)
+
+    def test_product_below_the_floor_sends_no_request(self, keys):
+        sk, pk = keys
+        # The nested second row of PPGNN-OPT: five all-zero phase-one rows
+        # select to Enc(0) = 1, so every exponent is 1 (4 multiplications).
+        modulus = pk.ciphertext_modulus(2)
+        ones = [(random.Random(i).randrange(modulus), 1) for i in range(5)]
+        assert cores.multi_pow(ones, modulus) == fastexp.multi_pow(ones, modulus)
+        assert cores._helper is None  # not even forked
+        cores.obfuscate_many(sk, nonces_of(pk, 2, seed=1), 1)
+        helper = cores._helper
+        if helper is not None:
+            batch = helper.batch
+            assert cores.multi_pow(ones, modulus) == fastexp.multi_pow(ones, modulus)
+            assert helper.batch == batch
+
+    @two_cpus
+    def test_large_product_splits_by_default(self):
+        _, pk = generate_keypair(512, seed=97)
+        pairs, modulus = product_of(pk, 1, 25, seed=3)
+        assert cores.multi_pow(pairs, modulus) == fastexp.multi_pow(pairs, modulus)
+        assert cores._helper is not None and cores._helper.batch == 1
+
+    @two_cpus
+    def test_caller_waits_for_the_helpers_side(self, keys, monkeypatch, always_split):
+        """The helper sends nothing before its one item, and the caller still
+        waits for it instead of computing that side again."""
+        _, pk = keys
+        calls = []
+        original = fastexp.multi_pow
+
+        def slow(*args, **kwargs):
+            calls.append(os.getpid())  # the helper appends to its own copy
+            time.sleep(0.1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fastexp, "multi_pow", slow)  # the helper forks after this
+        pairs, modulus = product_of(pk, 1, 6, seed=8)
+        expected = original(pairs, modulus)
+        for _ in range(3):
+            del calls[:]
+            assert cores.multi_pow(pairs, modulus) == expected
+            assert calls == [os.getpid()]
+
+    def test_cheapest_cut_balances_the_sides(self):
+        rng = random.Random(5)
+        for size in range(0, 12):
+            exponents = [rng.getrandbits(rng.choice((1, 8, 64, 200))) for _ in range(size)]
+            cut, whole, head, tail = fastexp.cheapest_cut(fastexp.multi_programs(exponents))
+            assert whole == fastexp.multi_pow_cost(exponents)
+            if size < 2:
+                assert (cut, head, tail) == (size, whole, 0)
+                continue
+            assert head == fastexp.multi_pow_cost(exponents[:cut])
+            assert tail == fastexp.multi_pow_cost(exponents[cut:])
+            assert max(head, tail) == min(
+                max(fastexp.multi_pow_cost(exponents[:k]), fastexp.multi_pow_cost(exponents[k:]))
+                for k in range(1, size)
+            )
+
+
 class TestWhenInline:
     def test_one_cpu_affinity_runs_inline(self, keys, monkeypatch):
         sk, pk = keys
@@ -188,6 +300,15 @@ class FlakyKey(PaillierPrivateKey):
         if r == self.bad:
             raise self.error
         return super().obfuscate(r, s)
+
+
+class KnownFactorsKey(PaillierPrivateKey):
+    """A key whose inline ``obfuscate`` looks its level-1 factors up."""
+
+    __slots__ = ("known",)
+
+    def obfuscate(self, r, s=1):
+        return self.known[r]
 
 
 @two_cpus
@@ -247,6 +368,66 @@ class TestFailures:
         nonces = nonces_of(pk, 12, seed=18)
         assert cores.obfuscate_many(sk, nonces, 1) == [sk.obfuscate(r, 1) for r in nonces]
 
+    def test_killed_helper_gives_right_products(self, keys, always_split):
+        _, pk = keys
+        pairs, modulus = product_of(pk, 1, 6, seed=1)
+        assert cores.multi_pow(pairs, modulus) == fastexp.multi_pow(pairs, modulus)
+        killed = cores._helper.pid
+        os.kill(killed, signal.SIGKILL)
+        os.waitid(os.P_PID, killed, os.WEXITED | os.WNOWAIT)
+        for seed in (2, 3):
+            pairs, modulus = product_of(pk, 2, 6, seed=seed)
+            assert cores.multi_pow(pairs, modulus) == fastexp.multi_pow(pairs, modulus)
+        assert cores._helper.pid != killed
+
+    def test_stopped_helper_does_not_stall_a_product(self, keys, always_split):
+        _, pk = keys
+        pairs, modulus = product_of(pk, 1, 6, seed=4)
+        cores.multi_pow(pairs, modulus)
+        helper = cores._helper
+
+        def overdue(signum, frame):
+            raise TimeoutError(f"product still waiting after {WAIT_S} s")
+
+        previous = signal.signal(signal.SIGALRM, overdue)
+        os.kill(helper.pid, signal.SIGSTOP)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, WAIT_S)
+            for seed in (5, 6):
+                pairs, modulus = product_of(pk, 1, 6, seed=seed)
+                assert cores.multi_pow(pairs, modulus) == fastexp.multi_pow(pairs, modulus)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+            os.kill(helper.pid, signal.SIGCONT)
+        assert cores._helper is helper  # still in service
+
+        pairs, modulus = product_of(pk, 3, 6, seed=7)
+        assert cores.multi_pow(pairs, modulus) == fastexp.multi_pow(pairs, modulus)
+
+    def test_late_replies_are_never_read_as_the_next_batchs(
+        self, keys, monkeypatch, always_split
+    ):
+        """Products and owner batches of the same two-item shape, alternating,
+        each leaving the helper's reply to arrive during the next batch."""
+        sk, pk = keys
+        cut = fastexp.cheapest_cut
+        # Cut after one term and call that side the costlier, so the caller
+        # keeps it and hands the helper eleven: the caller stops waiting for
+        # the long side and computes it too, so the helper's reply comes late.
+        monkeypatch.setattr(
+            fastexp, "cheapest_cut", lambda programs: (1, cut(programs)[1], 1, 0)
+        )
+        # The caller's factors cost nothing, so it never waits for the
+        # helper's, which also comes late.
+        known = KnownFactorsKey(pk, sk.p, sk.q)
+        for seed in range(6):
+            pairs, modulus = product_of(pk, 1, 12, seed=seed)
+            assert cores.multi_pow(pairs, modulus) == fastexp.multi_pow(pairs, modulus)
+            nonces = nonces_of(pk, 2, seed=seed)
+            known.known = {r: sk.obfuscate(r, 1) for r in nonces}
+            assert cores.obfuscate_many(known, nonces, 1) == list(known.known.values())
+
     def test_forked_child_never_uses_the_parents_pipes(self, keys):
         sk, pk = keys
         cores.obfuscate_many(sk, nonces_of(pk, 4, seed=11), 1)
@@ -286,8 +467,46 @@ class TestFailures:
 
 
 @two_cpus
-def test_stress_against_a_forked_twin():
-    """200 random batches here while a forked child runs 200 of its own."""
+class TestAffinity:
+    def test_helper_never_shares_the_callers_cpu(self, keys, monkeypatch, always_split):
+        sk, pk = keys
+        allowed = os.sched_getaffinity(0)
+        for cpu in sorted(allowed):
+            monkeypatch.setattr(cores, "_current_cpu", lambda cpu=cpu: cpu)
+            nonces = nonces_of(pk, 3, seed=cpu)
+            assert cores.obfuscate_many(sk, nonces, 1) == [sk.obfuscate(r, 1) for r in nonces]
+            assert os.sched_getaffinity(cores._helper.pid) == allowed - {cpu}
+            pairs, modulus = product_of(pk, 1, 4, seed=cpu)
+            assert cores.multi_pow(pairs, modulus) == fastexp.multi_pow(pairs, modulus)
+            assert os.sched_getaffinity(cores._helper.pid) == allowed - {cpu}
+
+    def test_current_cpu_is_one_this_process_may_use(self, keys):
+        sk, pk = keys
+        allowed = os.sched_getaffinity(0)
+        assert cores._current_cpu() in allowed
+        nonces = nonces_of(pk, 3, seed=5)
+        assert cores.obfuscate_many(sk, nonces, 1) == [sk.obfuscate(r, 1) for r in nonces]
+        helper_cpus = os.sched_getaffinity(cores._helper.pid)
+        assert helper_cpus < allowed and len(helper_cpus) == len(allowed) - 1
+
+    def test_unreadable_cpu_skips_the_step(self, keys, monkeypatch):
+        sk, pk = keys
+        cores.obfuscate_many(sk, nonces_of(pk, 2, seed=1), 1)
+        before = os.sched_getaffinity(cores._helper.pid)
+
+        def unreadable():
+            raise OSError("no /proc here")
+
+        monkeypatch.setattr(cores, "_current_cpu", unreadable)
+        nonces = nonces_of(pk, 4, seed=2)
+        assert cores.obfuscate_many(sk, nonces, 1) == [sk.obfuscate(r, 1) for r in nonces]
+        assert os.sched_getaffinity(cores._helper.pid) == before
+
+
+@two_cpus
+def test_stress_against_a_forked_twin(always_split):
+    """200 random batches and products here while a forked child runs 200 of
+    its own."""
     sk, pk = generate_keypair(128, seed=97)
     deadline = time.monotonic() + WAIT_S
 
@@ -295,9 +514,14 @@ def test_stress_against_a_forked_twin():
         rng = random.Random(seed)
         for _ in range(200):
             s = rng.choice((1, 2, 3))
-            nonces = [pk.random_unit(rng) for _ in range(rng.randrange(0, 9))]
-            if cores.obfuscate_many(sk, nonces, s) != [sk.obfuscate(r, s) for r in nonces]:
-                return False
+            if rng.random() < 0.5:
+                nonces = [pk.random_unit(rng) for _ in range(rng.randrange(0, 9))]
+                if cores.obfuscate_many(sk, nonces, s) != [sk.obfuscate(r, s) for r in nonces]:
+                    return False
+            else:
+                pairs, modulus = product_of(pk, s, rng.randrange(0, 9), rng.getrandbits(32))
+                if cores.multi_pow(pairs, modulus) != fastexp.multi_pow(pairs, modulus):
+                    return False
             if time.monotonic() > deadline:
                 return False
         return True

@@ -102,6 +102,31 @@ class TestDotProduct:
         with pytest.raises(CryptoError):
             hom_dot([], [])
 
+    @pytest.mark.parametrize("terms", [1, 2])
+    @pytest.mark.parametrize(
+        "bad",
+        [2.0, 2.5, None, "3", True, np.float64(2.0), np.bool_(True)],
+        ids=["float", "fraction", "none", "str", "bool", "np-float", "np-bool"],
+    )
+    def test_non_integer_scalar_rejected(self, kp, bad, terms):
+        # These used to fail deep inside with a bare TypeError,
+        # AttributeError (bit_length) or OverflowError, or (a bool) count.
+        _, pk = kp
+        scalars = [bad] + [3] * (terms - 1)
+        ciphertexts = [pk.encrypt(v, rng=random.Random(v)) for v in range(1, terms + 1)]
+        with pytest.raises(CryptoError, match="integers"):
+            hom_dot(scalars, ciphertexts)
+        with pytest.raises(CryptoError, match="integers"):
+            matrix_select([scalars], ciphertexts)
+
+    def test_numpy_integer_scalars_count_as_ints(self, kp):
+        sk, pk = kp
+        ciphertexts = [pk.encrypt(v, rng=random.Random(v)) for v in (10, 20, 30, 40)]
+        scalars = [np.int64(3), np.int32(0), np.uint8(7), np.int64(-2)]
+        c = hom_dot(scalars, ciphertexts)
+        assert c.value == hom_dot([3, 0, 7, -2], ciphertexts).value
+        assert sk.decrypt(c) == (3 * 10 + 7 * 30 - 2 * 40) % pk.n
+
 
 class TestPrivateSelection:
     """Theorem 3.1: A (x) [v] extracts exactly the hot column."""

@@ -19,9 +19,6 @@ class TestPointBasics:
         p = Point(1.5, -2.5)
         assert p.distance_to(p) == 0.0
 
-    def test_squared_distance(self):
-        assert Point(0, 0).squared_distance_to(Point(3, 4)) == 25.0
-
     def test_iter_unpacks(self):
         x, y = Point(3.0, 7.0)
         assert (x, y) == (3.0, 7.0)
@@ -49,9 +46,3 @@ class TestPointProperties:
     @given(points, points, points)
     def test_triangle_inequality(self, a, b, c):
         assert a.distance_to(c) <= a.distance_to(b) + b.distance_to(c) + 1e-9
-
-    @given(points, points)
-    def test_squared_distance_consistency(self, a, b):
-        assert math.isclose(
-            a.squared_distance_to(b), a.distance_to(b) ** 2, rel_tol=1e-9, abs_tol=1e-9
-        )

@@ -159,6 +159,30 @@ class TestDeterminism:
         )
         json.dumps(report.to_dict(include_wall=True))
 
+    def test_numpy_counts_are_stored_as_int(self, make_lsp, config, space):
+        import json
+
+        # A numpy count used to reach the report, where json.dumps raised a
+        # bare TypeError on "workers".
+        counts = {
+            "workers": 2,
+            "queue_capacity": 64,
+            "nonce_chunk": 64,
+            "tenant_quota": 32,
+            "knn_cache_size": 256,
+            "trace_capacity": 512,
+        }
+        serve = ServeConfig(obs=True, **{name: np.int64(v) for name, v in counts.items()})
+        spec = replace(
+            MIXED, queries=np.int64(16), concurrency=np.int64(2), groups=np.int64(4)
+        )
+        for obj, names in ((serve, counts), (spec, ("queries", "concurrency", "groups"))):
+            for name in names:
+                assert type(getattr(obj, name)) is int, name
+        report = ServeEngine(make_lsp(), config, serve).run(generate_workload(spec, space))
+        assert report.to_dict()["workers"] == 2
+        json.dumps(report.to_dict(include_wall=True))
+
 
 class TestReplicaIndex:
     """One index per engine, database version and kind, shared by the replicas."""
