@@ -37,7 +37,7 @@ def serve_run(lsp, settings):
     from conftest import make_config
 
     config = make_config(settings, d=4, delta=8, k=4, keysize=KEYSIZE)
-    serve = ServeConfig(workers=WORKERS, policy="fifo", knn_cache_size=128, obs=True)
+    serve = ServeConfig(workers=WORKERS, knn_cache_size=128, obs=True)
     report = ServeEngine(lsp, config, serve).run(generate_workload(SPEC, lsp.space))
     return config, report
 
@@ -53,7 +53,6 @@ def test_serve_throughput(serve_run, recorder, sentinel):
             "delta": config.delta,
             "k": config.k,
             "workers": WORKERS,
-            "policy": "fifo",
             "repeat_fraction": SPEC.repeat_fraction,
             "seed": SPEC.seed,
         },
@@ -84,7 +83,7 @@ def test_serve_report_deterministic(lsp, settings):
     from conftest import make_config
 
     config = make_config(settings, d=4, delta=8, k=4, keysize=KEYSIZE)
-    serve = ServeConfig(workers=WORKERS, policy="fifo", knn_cache_size=128)
+    serve = ServeConfig(workers=WORKERS, knn_cache_size=128)
     one = ServeEngine(lsp, config, serve).run(generate_workload(SPEC, lsp.space))
     two = ServeEngine(lsp, config, serve).run(generate_workload(SPEC, lsp.space))
     assert one.to_dict() == two.to_dict()

@@ -1,4 +1,4 @@
-"""A serving fleet: many groups, one LSP, scheduling and shared caches.
+"""A serving fleet: many groups, one LSP, one FIFO queue and shared caches.
 
 Six query groups fire a mixed PPGNN / PPGNN-OPT / Naive workload at one
 provider through the :mod:`repro.serve` engine.  A third of the queries
@@ -33,19 +33,14 @@ def main() -> None:
         repeat_fraction=0.35,
         seed=42,
     )
-    serve = ServeConfig(
-        workers=2,
-        policy="fair-share",
-        queue_capacity=16,
-        knn_cache_size=128,
-    )
+    serve = ServeConfig(workers=2, queue_capacity=16, knn_cache_size=128)
 
     workload = generate_workload(spec, lsp.space)
     report = ServeEngine(lsp, config, serve).run(workload)
 
     print(
         f"served {report.completed}/{report.queries} queries on "
-        f"{serve.workers} workers under {serve.policy!r} scheduling"
+        f"{serve.workers} workers"
     )
     print(
         f"simulated: {report.throughput_qps:.2f} qps, latency "

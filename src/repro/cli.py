@@ -17,8 +17,8 @@ Installed as the ``repro`` console script:
   slowest path and printing the metric counters it published,
 - ``repro analyze`` — trace analytics: per-phase attribution
   (crypto/transport/queue/compute), the exact critical path, queue-delay
-  attribution, per-query op counts, and SLO evaluation over a recorded
-  trace or serving report,
+  attribution and per-query op counts over a recorded trace or serving
+  report,
 - ``repro perf-check`` — the performance sentinel: run a pinned
   per-protocol workload and check its exact counters and timings against
   the head of its lineage in the run ledger under ``benchmarks/series/``
@@ -127,10 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--keysize", type=int, default=256, help="Paillier bits")
     serve.add_argument("--seed", type=int, default=1, help="workload seed")
     serve.add_argument("--workers", type=int, default=2, help="serving workers")
-    serve.add_argument(
-        "--policy", default="fifo", choices=["fifo", "shortest-cost", "fair-share"],
-        help="scheduling policy",
-    )
     serve.add_argument("--rate", type=float, default=8.0, help="arrival rate (qps)")
     serve.add_argument(
         "--repeat-fraction", type=float, default=0.3,
@@ -182,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="phase attribution, critical path, queue delay, and SLOs",
+        help="phase attribution, critical path, queue delay, and op counts",
     )
     source = analyze.add_mutually_exclusive_group(required=True)
     source.add_argument(
@@ -196,31 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--allow-truncated", action="store_true",
         help="drop a partial last trace line instead of erroring",
-    )
-    analyze.add_argument(
-        "--slo-p50", type=float, default=None, metavar="SECONDS",
-        help="simulated latency p50 budget",
-    )
-    analyze.add_argument(
-        "--slo-p95", type=float, default=None, metavar="SECONDS",
-        help="simulated latency p95 budget",
-    )
-    analyze.add_argument(
-        "--slo-p99", type=float, default=None, metavar="SECONDS",
-        help="simulated latency p99 budget",
-    )
-    analyze.add_argument(
-        "--error-budget", type=float, default=None, metavar="FRACTION",
-        help="tolerated failed+rejected fraction (enables SLO evaluation)",
-    )
-    analyze.add_argument(
-        "--queue-budget", type=float, default=None, metavar="SECONDS",
-        help="mean simulated queue-wait budget",
-    )
-    analyze.add_argument(
-        "--exemplars", action="store_true",
-        help="resolve histogram exemplars in a --report into rendered "
-        "span traces (requires a report produced with exemplars enabled)",
     )
 
     perf = sub.add_parser(
@@ -411,7 +382,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     )
     serve = ServeConfig(
         workers=args.workers,
-        policy=args.policy,
         obs=args.obs or args.trace_out is not None,
         index=args.index,
     )
@@ -429,7 +399,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         print(
             f"served {report.completed}/{report.queries} queries "
             f"({report.failed} failed, {report.rejected} rejected) "
-            f"on {serve.workers} workers [{serve.policy}]"
+            f"on {serve.workers} workers"
         )
         print(
             f"simulated throughput: {report.throughput_qps:.2f} qps; "
@@ -458,7 +428,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 "queries": args.queries,
                 "groups": args.groups,
                 "workers": args.workers,
-                "policy": args.policy,
                 "rate_qps": args.rate,
                 "repeat_fraction": args.repeat_fraction,
                 "seed": args.seed,
@@ -501,43 +470,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analyze_policy(args: argparse.Namespace):
-    """An SLOPolicy from the CLI flags, or None when none were given."""
-    from repro.obs import SLOPolicy
-
-    flags = (
-        args.slo_p50, args.slo_p95, args.slo_p99,
-        args.error_budget, args.queue_budget,
-    )
-    if all(flag is None for flag in flags):
-        return None
-    return SLOPolicy(
-        latency_p50=args.slo_p50,
-        latency_p95=args.slo_p95,
-        latency_p99=args.slo_p99,
-        error_budget=args.error_budget if args.error_budget is not None else 0.01,
-        queue_wait_budget=args.queue_budget,
-    )
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.obs import (
         attribute_phases_by_protocol,
         parse_jsonl,
         render_attribution,
     )
-    from repro.obs.analyze import (
-        analyze_serve_report,
-        load_report_document,
-        render_exemplars,
-    )
+    from repro.obs.analyze import analyze_serve_report, load_report_document
 
     if args.input is not None:
-        if args.exemplars:
-            raise ReproError(
-                "--exemplars reads histogram exemplars from a serving "
-                "report; use --report, not --input"
-            )
         with open(args.input, encoding="utf-8") as fh:
             spans = parse_jsonl(
                 fh.read(), allow_truncated_tail=args.allow_truncated
@@ -558,18 +499,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     with open(args.report, encoding="utf-8") as fh:
         report = load_report_document(fh.read())
-    rendered = analyze_serve_report(report, policy=_analyze_policy(args))
-    print(rendered)
-    if args.exemplars:
-        print()
-        print("exemplars:")
-        print(render_exemplars(report))
-    policy = _analyze_policy(args)
-    if policy is not None:
-        from repro.obs import evaluate_slo
-
-        if not evaluate_slo(report, policy).ok:
-            return 1
+    print(analyze_serve_report(report))
     return 0
 
 

@@ -9,6 +9,7 @@ violations.
 from __future__ import annotations
 
 import numbers
+import sys
 
 
 class ReproError(Exception):
@@ -40,6 +41,20 @@ def positive_int(value: object, name: str, floor: int = 1) -> int:
     if value < floor:
         raise ConfigurationError(f"{name} must be an integer >= {floor}, got {value}")
     return int(value)
+
+
+def finite_real(value: object) -> bool:
+    """Whether ``value`` is a real number, not a bool, that a float holds.
+
+    The range test refuses NaN, ±inf and integers too large for a float,
+    so arithmetic on an accepted value never raises.
+    """
+    limit = sys.float_info.max
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Real)
+        and -limit <= value <= limit
+    )
 
 
 class CryptoError(ReproError):
@@ -104,47 +119,13 @@ class InfeasibleError(ConfigurationError):
     """
 
 
-class BackpressureError(ReproError):
-    """The serving engine refused to accept more work.
+class QueueFullError(ReproError):
+    """The serving engine's bounded queue is at capacity.
 
-    Base class for admission-control rejections in :mod:`repro.serve`; a
-    rejected query is never silently dropped — the engine counts it and
-    surfaces one of the subclasses below in the serving report.  Every
-    subclass exposes the queue ``depth`` and ``capacity`` observed at
-    rejection time (None where the rejection happened before the queue).
+    The engine turns the arrival away and records the rejection, under
+    this type's name, in the serving report instead of growing the queue
+    without bound.
     """
-
-    depth: int | None = None
-    capacity: int | None = None
-
-
-class QueueFullError(BackpressureError):
-    """A bounded scheduler queue is at capacity.
-
-    Carries the queue ``depth`` at rejection time and the configured
-    ``capacity`` so operators can size queues from the report.
-    """
-
-    def __init__(self, depth: int, capacity: int) -> None:
-        self.depth = depth
-        self.capacity = capacity
-        super().__init__(f"queue full: {depth} waiting against capacity {capacity}")
-
-
-class AdmissionRejectedError(BackpressureError):
-    """Admission control turned a query away before it reached the queue.
-
-    ``tenant`` names the over-quota tenant and ``in_flight`` its
-    admitted-but-unfinished query count at rejection time.
-    """
-
-    def __init__(self, tenant: str, in_flight: int, limit: int) -> None:
-        self.tenant = tenant
-        self.in_flight = in_flight
-        self.limit = limit
-        super().__init__(
-            f"tenant {tenant!r} over quota: {in_flight} in flight, limit {limit}"
-        )
 
 
 class PerfRegressionError(ReproError):

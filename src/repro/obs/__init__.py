@@ -19,20 +19,15 @@ from repro.obs.analyze import (
     PHASES,
     PhaseBreakdown,
     QueueDelaySummary,
-    SLOPolicy,
-    SLOReport,
-    SLOResult,
     analyze_serve_report,
     attribute_phases,
     attribute_phases_by_protocol,
     classify_phase,
     critical_path,
     estimate_modmuls,
-    evaluate_slo,
     normalized_ops,
     queue_delay_summary,
     render_attribution,
-    render_exemplars,
     self_ticks,
 )
 from repro.obs.metrics import (
@@ -130,9 +125,6 @@ __all__ = [
     "ProfiledPublicKey",
     "QueueDelaySummary",
     "RunLedger",
-    "SLOPolicy",
-    "SLOReport",
-    "SLOResult",
     "Span",
     "Tracer",
     "analyze_serve_report",
@@ -144,7 +136,6 @@ __all__ = [
     "config_digest",
     "critical_path",
     "estimate_modmuls",
-    "evaluate_slo",
     "maybe_span",
     "merge_span_groups",
     "normalized_ops",
@@ -155,7 +146,6 @@ __all__ = [
     "queue_delay_summary",
     "records_from_text",
     "render_attribution",
-    "render_exemplars",
     "render_span_tree",
     "self_ticks",
     "slowest_path",

@@ -1,6 +1,6 @@
-"""Trace analytics: phase attribution, critical paths, SLOs, queue delay.
+"""Trace analytics: phase attribution, critical paths, op counts, queue delay.
 
-PR 4 made every layer *emit* telemetry; this module *consumes* it.  Four
+Every layer *emits* telemetry; this module *consumes* it.  Four
 consumers, all deterministic (they only ever read logical ticks, exact
 operation counts, and the simulated serving clock — never wall time):
 
@@ -17,11 +17,11 @@ operation counts, and the simulated serving clock — never wall time):
   analytic modular-multiplication estimate built from the same
   square-and-multiply arithmetic as :mod:`repro.obs.profile`, so cost
   comparisons are hardware-independent (the sentinel's exact counters).
-- **SLO evaluation** — latency and error budgets over a
-  :class:`~repro.serve.engine.ServingReport`, with burn rates, plus
-  queue-delay attribution: on the simulated timeline every job's latency
-  is exactly queue wait + service time, so the mean queue wait is the
-  mean latency minus the count-weighted mean predicted service time.
+- **Queue-delay attribution** over a
+  :class:`~repro.serve.engine.ServingReport`: on the simulated timeline
+  every job's latency is exactly queue wait + service time, so the mean
+  queue wait is the mean latency minus the count-weighted mean predicted
+  service time.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.crypto.paillier import KeyPair
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError, finite_real
 from repro.obs.profile import pow_mul_estimate
-from repro.obs.trace import Span, validate_spans
+from repro.obs.trace import Span, _span_from_line, validate_spans
 
 #: Attribution phases, in render order.  Every span lands in exactly one.
 PHASES: tuple[str, ...] = ("crypto", "transport", "queue", "compute", "other")
@@ -320,88 +320,7 @@ def estimate_modmuls(counters: Mapping[str, float], keypair: KeyPair) -> dict:
     return breakdown
 
 
-# ----------------------------------------------------------- serving SLOs
-
-
-@dataclass(frozen=True)
-class SLOPolicy:
-    """Service-level objectives for one serving run.
-
-    Latency budgets are in simulated seconds (``None`` disables the
-    objective); ``error_budget`` is the tolerated fraction of jobs that
-    may fail or be rejected; ``queue_wait_budget`` bounds the mean
-    simulated queue wait.
-    """
-
-    latency_p50: float | None = None
-    latency_p95: float | None = None
-    latency_p99: float | None = None
-    error_budget: float = 0.01
-    queue_wait_budget: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("latency_p50", "latency_p95", "latency_p99",
-                     "queue_wait_budget"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigurationError(f"{name} must be positive or None")
-        if not 0 <= self.error_budget <= 1:
-            raise ConfigurationError("error_budget must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class SLOResult:
-    """One objective's verdict: target vs. actual, with a burn rate.
-
-    ``burn_rate`` is ``actual / budget`` — below 1.0 the objective holds,
-    at 2.0 the run consumed its budget twice over.
-    """
-
-    objective: str
-    budget: float
-    actual: float
-    ok: bool
-    burn_rate: float
-
-    def to_dict(self) -> dict:
-        """JSON form of this objective's verdict."""
-        return {
-            "objective": self.objective,
-            "budget": self.budget,
-            "actual": round(self.actual, 9),
-            "ok": self.ok,
-            "burn_rate": round(self.burn_rate, 9),
-        }
-
-
-@dataclass
-class SLOReport:
-    """All evaluated objectives of one run."""
-
-    results: list[SLOResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every objective held."""
-        return all(result.ok for result in self.results)
-
-    def to_dict(self) -> dict:
-        """JSON form of the whole evaluation."""
-        return {"ok": self.ok, "results": [r.to_dict() for r in self.results]}
-
-    def render(self) -> str:
-        """The human-readable verdict table."""
-        if not self.results:
-            return "slo: no objectives configured"
-        lines = ["slo evaluation:"]
-        for result in self.results:
-            verdict = "ok" if result.ok else "VIOLATED"
-            lines.append(
-                f"  {result.objective:<18} budget {result.budget:<10g} "
-                f"actual {result.actual:<12.6g} burn {result.burn_rate:>6.2f}x "
-                f"{verdict}"
-            )
-        return "\n".join(lines)
+# ---------------------------------------------------------- serving reports
 
 
 def _report_dict(report) -> dict:
@@ -414,63 +333,6 @@ def _report_dict(report) -> dict:
         "expected a ServingReport or its to_dict() mapping, got "
         f"{type(report).__name__}"
     )
-
-
-def evaluate_slo(report, policy: SLOPolicy) -> SLOReport:
-    """Evaluate a policy against a serving report (object or dict)."""
-    data = _report_dict(report)
-    latency = data["latency"]
-    slo = SLOReport()
-
-    def latency_objective(name: str, budget: float | None, actual: float) -> None:
-        if budget is None:
-            return
-        slo.results.append(
-            SLOResult(
-                objective=name,
-                budget=budget,
-                actual=actual,
-                ok=actual <= budget,
-                burn_rate=actual / budget,
-            )
-        )
-
-    latency_objective("latency_p50", policy.latency_p50, latency["p50"])
-    latency_objective("latency_p95", policy.latency_p95, latency["p95"])
-    latency_objective("latency_p99", policy.latency_p99, latency["p99"])
-
-    total = data["queries"]
-    errors = data["failed"] + data["rejected"]
-    error_fraction = errors / total if total else 0.0
-    # A zero budget means "no errors tolerated": burn is 0 when clean,
-    # infinite-flavored (count-based) when not.
-    burn = (
-        error_fraction / policy.error_budget
-        if policy.error_budget > 0
-        else float(errors)
-    )
-    slo.results.append(
-        SLOResult(
-            objective="error_fraction",
-            budget=policy.error_budget,
-            actual=error_fraction,
-            ok=error_fraction <= policy.error_budget,
-            burn_rate=burn,
-        )
-    )
-
-    if policy.queue_wait_budget is not None:
-        wait = queue_delay_summary(data).mean_queue_wait
-        slo.results.append(
-            SLOResult(
-                objective="mean_queue_wait",
-                budget=policy.queue_wait_budget,
-                actual=wait,
-                ok=wait <= policy.queue_wait_budget,
-                burn_rate=wait / policy.queue_wait_budget,
-            )
-        )
-    return slo
 
 
 @dataclass(frozen=True)
@@ -539,14 +401,12 @@ def queue_delay_summary(report) -> QueueDelaySummary:
 # ------------------------------------------------------------ full report
 
 
-def analyze_serve_report(
-    report, policy: SLOPolicy | None = None
-) -> str:
+def analyze_serve_report(report) -> str:
     """The ``repro analyze`` rendering for one serving report.
 
     Sections: per-phase attribution (when the report embeds an ``obs``
-    payload with spans), queue-delay attribution, per-query operation
-    counts, and the SLO evaluation (when a policy is given).
+    payload with spans), queue-delay attribution, and per-query
+    operation counts.
     """
     data = _report_dict(report)
     sections: list[str] = []
@@ -556,9 +416,8 @@ def analyze_serve_report(
     if dropped:
         sections.append(
             f"WARNING: {int(dropped)} span(s) dropped by the trace ring "
-            "buffer — attribution, critical paths, and exemplar links "
-            "below describe a truncated trace; raise trace_capacity to "
-            "capture the full run"
+            "buffer — the attribution and critical path below describe a "
+            "truncated trace (each bucket keeps its last 4096 spans)"
         )
     if obs and obs.get("spans"):
         spans = [Span.from_dict(item) for item in obs["spans"]]
@@ -577,9 +436,54 @@ def analyze_serve_report(
             for name in sorted(ops):
                 lines.append(f"  {name:<28} {ops[name]:>12.2f}")
             sections.append("\n".join(lines))
-    if policy is not None:
-        sections.append(evaluate_slo(data, policy).render())
     return "\n\n".join(sections)
+
+
+def _report_number(report: Mapping, *path: str) -> None:
+    """Raise :class:`ReproError` unless ``report[path[0]][path[1]]...`` is a
+    finite number (see :func:`~repro.errors.finite_real`)."""
+    name = ".".join(path)
+    value: object = report
+    for key in path:
+        if not isinstance(value, Mapping) or key not in value:
+            raise ReproError(f"serving report has no {name}")
+        value = value[key]
+    if not finite_real(value):
+        raise ReproError(f"serving report field {name} is not a finite number: {value!r}")
+
+
+def _report_object(value: object, name: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ReproError(f"serving report field {name} is not an object")
+    return value
+
+
+def _check_report(report: Mapping) -> None:
+    """Check every field :func:`analyze_serve_report` reads."""
+    for path in (("latency", "mean"), ("queue", "max_depth"), ("queue", "mean_depth")):
+        _report_number(report, *path)
+    for protocol in _report_object(report.get("per_protocol", {}), "per_protocol"):
+        for key in ("count", "mean_predicted_seconds"):
+            _report_number(report, "per_protocol", protocol, key)
+    if "completed" in report:
+        _report_number(report, "completed")
+    if report.get("obs") is None:
+        return
+    obs = _report_object(report["obs"], "obs")
+    metrics = _report_object(obs.get("metrics", {}), "obs.metrics")
+    for name in _report_object(metrics.get("counters", {}), "obs.metrics.counters"):
+        _report_number(report, "obs", "metrics", "counters", name)
+    spans = obs.get("spans", [])
+    if not isinstance(spans, list):
+        raise ReproError("serving report field obs.spans is not a list")
+    # The spans are the lines `serve-bench --trace-out` writes.
+    for line_no, item in enumerate(spans, start=1):
+        try:
+            _span_from_line(item, line_no)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReproError(
+                f"serving report obs.spans: trace line {line_no} does not parse: {exc}"
+            ) from exc
 
 
 def load_report_document(text: str) -> dict:
@@ -587,10 +491,8 @@ def load_report_document(text: str) -> dict:
 
     Accepts either a bare ``ServingReport.to_dict()`` document or a
     ``BENCH_*.json`` envelope (``{"experiment": ..., "results": ...}``)
-    whose results are a report — directly, or under the ``process`` or
-    ``serial`` key of the executor envelope that throughput-bench
-    documents recorded before the process executor was retired (the
-    ``process`` run is read first).
+    whose results are a report.  Every field the analyzer reads must be
+    present and a finite number; otherwise :class:`ReproError` names it.
     """
     import json
 
@@ -604,90 +506,11 @@ def load_report_document(text: str) -> dict:
     results = document.get("results")
     if isinstance(results, dict):
         candidates.append(results)
-        for key in ("process", "serial"):
-            nested = results.get(key)
-            if isinstance(nested, dict):
-                candidates.append(nested)
     for candidate in candidates:
         if "latency" in candidate and "queue" in candidate:
+            _check_report(candidate)
             return candidate
     raise ReproError(
         "no serving report found in document (expected to_dict() output "
         "or a BENCH_*.json envelope containing one)"
     )
-
-
-def render_exemplars(report) -> str:
-    """Resolve histogram exemplars into rendered span traces.
-
-    For every histogram bucket that recorded an exemplar (the span id of
-    its worst observation), looks the span up in the report's embedded
-    trace and renders its subtree — the ``repro analyze --exemplars``
-    view that turns "p99 regressed" into "here is the exact query that
-    landed in that bucket, slowest path flagged".
-    """
-    from repro.obs.trace import render_span_tree
-
-    data = _report_dict(report)
-    obs = data.get("obs")
-    if not obs:
-        raise ReproError(
-            "report embeds no obs payload; run with observability enabled "
-            "(e.g. serve-bench --obs)"
-        )
-    histograms = obs.get("metrics", {}).get("histograms", {})
-    exemplared = {
-        name: hist for name, hist in histograms.items() if hist.get("exemplars")
-    }
-    if not exemplared:
-        raise ReproError(
-            "no exemplars recorded in this report; enable them with "
-            "ServeConfig(exemplars=True) (they are off by default to keep "
-            "reports byte-identical)"
-        )
-    spans = [Span.from_dict(item) for item in obs.get("spans", [])]
-    by_id = {span.span_id: span for span in spans}
-    children: dict[int | None, list[Span]] = {}
-    for span in spans:
-        children.setdefault(span.parent_id, []).append(span)
-
-    sections: list[str] = []
-    for name in sorted(exemplared):
-        hist = exemplared[name]
-        bounds = list(hist.get("buckets", []))
-        for bucket_key in sorted(hist["exemplars"], key=int):
-            entry = hist["exemplars"][bucket_key]
-            index = int(bucket_key)
-            label = (
-                f"<= {bounds[index]:g}" if index < len(bounds) else "overflow"
-            )
-            header = (
-                f"{name} bucket {label}: worst value {entry['value']:g}, "
-                f"exemplar span {entry['span']}"
-            )
-            root = by_id.get(entry["span"])
-            if root is None:
-                sections.append(
-                    header + " (span missing from the trace — the ring "
-                    "buffer dropped it; raise trace_capacity)"
-                )
-                continue
-            # Render the exemplar's subtree as its own rooted forest.
-            subtree = [
-                Span(
-                    span_id=root.span_id,
-                    parent_id=None,
-                    name=root.name,
-                    start=root.start,
-                    end=root.end,
-                    attrs=dict(root.attrs),
-                )
-            ]
-            frontier = [root.span_id]
-            while frontier:
-                parent = frontier.pop()
-                for child in children.get(parent, []):
-                    subtree.append(child)
-                    frontier.append(child.span_id)
-            sections.append(header + "\n" + render_span_tree(subtree))
-    return "\n\n".join(sections)

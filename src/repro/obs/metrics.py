@@ -69,7 +69,7 @@ class Histogram:
     No numpy, no quantile estimation — exact counts only.
     """
 
-    __slots__ = ("buckets", "counts", "overflow", "total", "count", "exemplars")
+    __slots__ = ("buckets", "counts", "overflow", "total", "count")
 
     def __init__(self, buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         if not buckets or list(buckets) != sorted(buckets):
@@ -79,9 +79,6 @@ class Histogram:
         self.overflow = 0
         self.total = 0.0
         self.count = 0
-        # Bucket index (len(buckets) = the overflow bucket) → the worst
-        # observation that landed there, as (value, exemplar span id).
-        self.exemplars: dict[int, tuple[float, int]] = {}
 
     def _bucket_index(self, value: float) -> int:
         for i, bound in enumerate(self.buckets):
@@ -89,7 +86,7 @@ class Histogram:
                 return i
         return len(self.buckets)
 
-    def observe(self, value: float, exemplar: int | None = None) -> None:
+    def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
         index = self._bucket_index(value)
@@ -97,38 +94,19 @@ class Histogram:
             self.overflow += 1
         else:
             self.counts[index] += 1
-        if exemplar is not None:
-            self._keep_exemplar(index, value, exemplar)
-
-    def _keep_exemplar(self, index: int, value: float, exemplar: int) -> None:
-        """Retain the bucket's worst (value, span) pair, order-invariant."""
-        current = self.exemplars.get(index)
-        if current is None or (value, exemplar) > current:
-            self.exemplars[index] = (value, exemplar)
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def to_dict(self) -> dict:
-        data = {
+        return {
             "buckets": list(self.buckets),
             "counts": list(self.counts),
             "overflow": self.overflow,
             "total": round(self.total, 9),
             "count": self.count,
         }
-        if self.exemplars:
-            # Emitted only when populated: a histogram that never saw an
-            # exemplar serializes byte-identically to every prior release.
-            data["exemplars"] = {
-                str(index): {
-                    "value": round(self.exemplars[index][0], 9),
-                    "span": self.exemplars[index][1],
-                }
-                for index in sorted(self.exemplars)
-            }
-        return data
 
 
 @dataclass(frozen=True)
@@ -223,7 +201,3 @@ class MetricsRegistry:
             histogram.overflow += data["overflow"]
             histogram.total += data["total"]
             histogram.count += data["count"]
-            for bucket, entry in data.get("exemplars", {}).items():
-                histogram._keep_exemplar(
-                    int(bucket), entry["value"], entry["span"]
-                )

@@ -3,9 +3,9 @@
 One JSONL file per suite under ``benchmarks/series/<suite>.jsonl``; each
 line is one run of that suite at one commit — exact counters, timing
 summaries, the phase breakdown ``repro analyze`` would print for the run,
-and (optionally) the full observability metrics snapshot, exemplars
-included.  A suite's records split into *lineages* by workload: records
-sharing ``(config_digest, keysize)``.  The last record of a lineage is
+and (optionally) the full observability metrics snapshot.  A suite's
+records split into *lineages* by workload: records sharing
+``(config_digest, keysize)``.  The last record of a lineage is
 its **baseline** — ``repro perf-check`` and the bench sentinel compare a
 fresh run against it with :func:`compare_metrics`, and recording a run
 appends it as the new head (see :mod:`repro.bench.sentinel`).
@@ -178,7 +178,7 @@ class LedgerRecord:
     breakdown of the run's trace (the ``repro analyze`` attribution),
     carried so a later changepoint can say *which phase* the offending
     commit was spending in; ``obs`` is the full metrics snapshot dict
-    (histograms with exemplars ride here); ``accepted`` names metrics
+    (histograms included); ``accepted`` names metrics
     whose regression at this record is explained and must not fail
     ``repro trend --check`` (recording a run through the sentinel
     accepts every exact counter it moved).
@@ -442,45 +442,24 @@ def _flatten_numeric(data: Mapping, prefix: str = "", depth: int = 3) -> dict:
     return flat
 
 
-def _serving_metrics(results: Mapping) -> dict[str, float] | None:
-    """Sentinel metrics when ``results`` is (or wraps) a serving report.
-
-    Throughput-bench documents recorded before the process executor was
-    retired wrap two reports under ``process`` and ``serial``; the
-    ``process`` one is read.
-    """
-    from repro.bench.sentinel import serving_report_metrics
-
-    if "latency" in results and "queue" in results:
-        return serving_report_metrics(results)
-    for key in ("process", "serial", "report"):
-        inner = results.get(key)
-        if isinstance(inner, Mapping) and "latency" in inner:
-            return serving_report_metrics(inner)
-    return None
-
-
 def record_from_bench_document(data: Mapping) -> LedgerRecord:
     """A ledger record converted from a ``BENCH_<experiment>.json`` file.
 
-    Serving-report payloads distill through the sentinel's
-    ``serving_report_metrics``; anything else contributes its numeric
-    leaves.  The document's observability snapshot (when the run was
-    traced) rides along whole, exemplars included.
+    A serving report (``results`` holding ``latency`` and ``queue``)
+    distills through the sentinel's ``serving_report_metrics``; anything
+    else contributes its numeric leaves.  The document's observability
+    snapshot (when the run was traced) rides along whole.
     """
+    from repro.bench.sentinel import serving_report_metrics
+
     try:
         results = data.get("results", {})
-        metrics = (
-            _serving_metrics(results)
-            if isinstance(results, Mapping)
-            else None
-        )
-        if metrics is None:
-            metrics = (
-                _flatten_numeric(results)
-                if isinstance(results, Mapping)
-                else {}
-            )
+        if not isinstance(results, Mapping):
+            metrics = {}
+        elif "latency" in results and "queue" in results:
+            metrics = serving_report_metrics(results)
+        else:
+            metrics = _flatten_numeric(results)
         return LedgerRecord(
             suite=data["experiment"],
             git_sha=data.get("git_sha", "unknown"),

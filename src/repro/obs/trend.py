@@ -226,33 +226,6 @@ def timing_flags(
     return flags
 
 
-def best_exemplar(record: LedgerRecord) -> dict | None:
-    """The slowest recorded exemplar riding in a record's obs snapshot.
-
-    Scans the snapshot's histograms for exemplar entries (span ids
-    attached to bucket observations) and returns the one from the
-    highest bucket — the concrete trace behind the worst latency this
-    run observed — as ``{"histogram", "bucket", "value", "span"}``.
-    """
-    if not record.obs:
-        return None
-    best: dict | None = None
-    for name in sorted(record.obs.get("histograms", {})):
-        histogram = record.obs["histograms"][name]
-        for bucket in sorted(
-            histogram.get("exemplars", {}), key=lambda b: int(b)
-        ):
-            entry = histogram["exemplars"][bucket]
-            if best is None or entry["value"] > best["value"]:
-                best = {
-                    "histogram": name,
-                    "bucket": int(bucket),
-                    "value": entry["value"],
-                    "span": entry["span"],
-                }
-    return best
-
-
 @dataclass
 class TrendCheck:
     """The full ``repro trend --check`` verdict across suites."""
@@ -320,7 +293,6 @@ def _metric_flags(
     metric: str,
     changepoints: Sequence[Changepoint],
     flags: Sequence[TimingFlag],
-    records: Sequence[LedgerRecord],
 ) -> str:
     parts: list[str] = []
     for cp in changepoints:
@@ -331,18 +303,9 @@ def _metric_flags(
         if cp.status == "regressed" and cp.phase is not None:
             note += f" (phase {cp.phase.split(' ')[0]})"
         parts.append(note)
-    by_seq = {record.seq: record for record in records}
     for flag in flags:
-        if flag.metric != metric:
-            continue
-        note = f"⚠ outlier at `{flag.git_sha[:12]}`"
-        exemplar = best_exemplar(by_seq[flag.seq]) if flag.seq in by_seq else None
-        if exemplar is not None:
-            note += (
-                f", exemplar span {exemplar['span']} in "
-                f"`{exemplar['histogram']}` — `repro analyze --exemplars`"
-            )
-        parts.append(note)
+        if flag.metric == metric:
+            parts.append(f"⚠ outlier at `{flag.git_sha[:12]}`")
     return "; ".join(parts) if parts else "·"
 
 
@@ -393,7 +356,7 @@ def render_trends(
                     f"| `{metric}` | {classify_metric(metric).kind} "
                     f"| {sparkline(values)} | {_fmt(values[0])} "
                     f"| {_fmt(values[-1])} | {delta:+.6g} "
-                    f"| {_metric_flags(metric, changepoints, flags, lineage)} |"
+                    f"| {_metric_flags(metric, changepoints, flags)} |"
                 )
     lines.append("")
     return "\n".join(lines)

@@ -3,10 +3,10 @@
 The engine runs in three phases:
 
 1. **Plan** — a discrete-event simulation over the workload's arrivals:
-   admission control, the bounded scheduler queue, and ``workers``
-   simulated servers whose service times come from the
-   :class:`~repro.serve.costs.CostModel` *prediction*, never from
-   measurement.  The full timeline (start/finish per job, queue depth
+   one bounded FIFO queue, whose overflow is a counted ``QueueFullError``
+   rejection, and ``workers`` simulated servers whose service times come
+   from the :class:`~repro.serve.costs.CostModel` *prediction*, never
+   from measurement.  The full timeline (start/finish per job, queue depth
    over time, rejections) is therefore a pure function of the workload
    seed and the serving configuration.
 2. **Execute** — every planned job actually runs (real Paillier crypto,
@@ -31,17 +31,13 @@ import hashlib
 import heapq
 import math
 import time
+from collections import deque
 from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
 
 from repro.core.config import PPGNNConfig
 from repro.core.lsp import LSPServer
-from repro.errors import (
-    AdmissionRejectedError,
-    BackpressureError,
-    ConfigurationError,
-    positive_int,
-)
+from repro.errors import ConfigurationError, QueueFullError, positive_int
 from repro.obs import MetricsRegistry, Span, merge_span_groups
 from repro.serve.costs import CostModel
 from repro.serve.pool import (
@@ -51,7 +47,6 @@ from repro.serve.pool import (
     RunnerOptions,
     execute_buckets,
 )
-from repro.serve.scheduler import POLICIES, make_scheduler
 from repro.serve.workload import QueryJob, Workload
 
 # Event kinds, ordered so completions free workers before same-instant
@@ -69,9 +64,7 @@ class ServeConfig:
     """
 
     workers: int = 2
-    policy: str = "fifo"
     queue_capacity: int = 64
-    tenant_quota: int | None = None
     nonce_pool: bool = True
     nonce_chunk: int = 64
     knn_cache_size: int | None = 256
@@ -83,15 +76,6 @@ class ServeConfig:
     # LSP was built with).  Every kind keeps the answers digest
     # byte-identical.
     index: str | None = None
-    # Latency-histogram exemplars: record each bucket's worst observation
-    # together with the span id of the job that produced it, so a flagged
-    # p99 row in the trend dashboard resolves to a concrete trace
-    # (`repro analyze --exemplars`).  Requires obs; off by default, and
-    # off is byte-identical to every pre-exemplar release.
-    exemplars: bool = False
-    # Per-bucket trace ring size (None keeps the 4096-span default).
-    # Evictions are published as `obs.trace.spans_dropped`.
-    trace_capacity: int | None = None
     # Retired: buckets always run serially.  A checked keyword, neither
     # stored nor reported, because benchmarks/e2e/workloads.py still
     # passes executor="serial"; drop it together with that argument.
@@ -106,28 +90,13 @@ class ServeConfig:
         # json cannot serialise.
         for name in ("workers", "queue_capacity", "nonce_chunk"):
             object.__setattr__(self, name, positive_int(getattr(self, name), name))
-        for name in ("tenant_quota", "knn_cache_size"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, positive_int(getattr(self, name), name))
-        if self.policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown policy {self.policy!r}; known: {list(POLICIES)}"
+        if self.knn_cache_size is not None:
+            object.__setattr__(
+                self, "knn_cache_size", positive_int(self.knn_cache_size, "knn_cache_size")
             )
         if not isinstance(self.cost_model, CostModel):
             raise ConfigurationError(
                 f"cost_model must be a CostModel, not {type(self.cost_model).__name__}"
-            )
-        if self.exemplars and not self.obs:
-            raise ConfigurationError(
-                "exemplars need the observability pipeline; pass obs=True"
-            )
-        if self.trace_capacity is not None:
-            if not self.obs:
-                raise ConfigurationError(
-                    "trace_capacity only applies with obs=True"
-                )
-            object.__setattr__(
-                self, "trace_capacity", positive_int(self.trace_capacity, "trace_capacity")
             )
         if self.index is not None:
             from repro.gnn.engine import INDEX_KINDS
@@ -145,8 +114,6 @@ class ServeConfig:
             knn_cache_size=self.knn_cache_size,
             guard=self.guard,
             obs=self.obs,
-            trace_capacity=self.trace_capacity,
-            exemplars=self.exemplars,
         )
 
 
@@ -167,7 +134,7 @@ class PlannedJob:
 
 @dataclass(frozen=True, slots=True)
 class RejectedJob:
-    """One admission-control rejection (typed, never silent)."""
+    """One arrival turned away by a full queue (typed, never silent)."""
 
     job_id: int
     tenant: str
@@ -205,7 +172,6 @@ class ServingReport:
     """
 
     workers: int
-    policy: str
     queries: int
     completed: int
     failed: int
@@ -238,7 +204,6 @@ class ServingReport:
     def to_dict(self, include_wall: bool = False) -> dict:
         data = {
             "workers": self.workers,
-            "policy": self.policy,
             "queries": self.queries,
             "completed": self.completed,
             "failed": self.failed,
@@ -277,54 +242,6 @@ class ServingReport:
             data["wall_qps"] = self.wall_qps
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServingReport":
-        """Rebuild a report from :meth:`to_dict` output.
-
-        Lossless: ``from_dict(d).to_dict() == d`` for any ``d`` produced
-        by :meth:`to_dict` (``outcomes`` is execution-local state and is
-        never serialized).
-        """
-        latency = data["latency"]
-        queue = data["queue"]
-        return cls(
-            workers=data["workers"],
-            policy=data["policy"],
-            queries=data["queries"],
-            completed=data["completed"],
-            failed=data["failed"],
-            rejected=data["rejected"],
-            makespan_seconds=data["makespan_seconds"],
-            throughput_qps=data["throughput_qps"],
-            latency_mean=latency["mean"],
-            latency_p50=latency["p50"],
-            latency_p95=latency["p95"],
-            latency_p99=latency["p99"],
-            max_queue_depth=queue["max_depth"],
-            mean_queue_depth=queue["mean_depth"],
-            queue_depth_timeline=[
-                (t, depth) for t, depth in queue["timeline"]
-            ],
-            per_protocol=data["per_protocol"],
-            per_tenant=data["per_tenant"],
-            cache=data["cache"],
-            pool=data["pool"],
-            comm_bytes_total=data["comm_bytes_total"],
-            failures=[tuple(item) for item in data["failures"]],
-            rejections=[
-                RejectedJob(
-                    job_id=item[0],
-                    tenant=item[1],
-                    time=item[2],
-                    error_type=item[3],
-                )
-                for item in data["rejections"]
-            ],
-            answers_digest=data["answers_digest"],
-            obs=data.get("obs"),
-            wall_seconds=data.get("wall_seconds", 0.0),
-        )
-
 
 class ServeEngine:
     """Runs workloads against one LSP under one serving configuration.
@@ -362,7 +279,7 @@ class ServeEngine:
         """Simulate the full serving timeline (no crypto runs here)."""
         cfg = self.serve_config
         spec = workload.spec
-        scheduler = make_scheduler(cfg.policy, cfg.queue_capacity)
+        queue: deque[QueryJob] = deque()
         predicted = {job.job_id: self._predict(workload, job) for job in workload.jobs}
 
         events: list[tuple[float, int, int, QueryJob]] = []
@@ -378,7 +295,6 @@ class ServeEngine:
             seq += 1
 
         free_workers = cfg.workers
-        in_flight: dict[str, int] = {}
         planned: list[PlannedJob] = []
         rejected: list[RejectedJob] = []
         arrivals: dict[int, float] = {}
@@ -396,10 +312,8 @@ class ServeEngine:
 
         def dispatch(now: float) -> None:
             nonlocal free_workers, seq
-            while free_workers > 0:
-                job = scheduler.pop()
-                if job is None:
-                    return
+            while free_workers > 0 and queue:
+                job = queue.popleft()
                 free_workers -= 1
                 finish = now + predicted[job.job_id]
                 planned.append(
@@ -418,32 +332,23 @@ class ServeEngine:
             now, kind, _, job = heapq.heappop(events)
             if kind == _COMPLETION:
                 free_workers += 1
-                in_flight[job.tenant] -= 1
+                chain_next(now)
+            elif len(queue) >= cfg.queue_capacity:
+                rejected.append(
+                    RejectedJob(
+                        job_id=job.job_id,
+                        tenant=job.tenant,
+                        time=now,
+                        error_type=QueueFullError.__name__,
+                    )
+                )
+                # The client sees an immediate rejection and moves on.
                 chain_next(now)
             else:
                 arrivals[job.job_id] = now
-                count = in_flight.get(job.tenant, 0)
-                try:
-                    if cfg.tenant_quota is not None and count >= cfg.tenant_quota:
-                        raise AdmissionRejectedError(
-                            job.tenant, count, cfg.tenant_quota
-                        )
-                    scheduler.submit(job, predicted[job.job_id])
-                except BackpressureError as exc:
-                    rejected.append(
-                        RejectedJob(
-                            job_id=job.job_id,
-                            tenant=job.tenant,
-                            time=now,
-                            error_type=type(exc).__name__,
-                        )
-                    )
-                    # The client sees an immediate rejection and moves on.
-                    chain_next(now)
-                else:
-                    in_flight[job.tenant] = count + 1
+                queue.append(job)
             dispatch(now)
-            depth_timeline.append((now, len(scheduler)))
+            depth_timeline.append((now, len(queue)))
         planned.sort(key=lambda p: (p.start, p.job.job_id))
         return planned, rejected, depth_timeline
 
@@ -564,31 +469,8 @@ class ServeEngine:
                 [[Span.from_dict(item) for item in group] for group in stats.spans]
             )
             latency_hist = registry.histogram("serve.latency_seconds")
-            if cfg.exemplars:
-                # Same sorted observation order as the plain path (so the
-                # histogram totals match bit for bit), but each sample
-                # carries its job's merged `serve.job` span id as the
-                # bucket exemplar.
-                job_spans = {
-                    span.attrs.get("job_id"): span.span_id
-                    for span in merged
-                    if span.name == "serve.job"
-                }
-                samples = sorted(
-                    (
-                        (slot.latency, job_spans.get(slot.job.job_id))
-                        for slot in planned
-                    ),
-                    key=lambda s: (s[0], -1 if s[1] is None else s[1]),
-                )
-                for latency, span_id in samples:
-                    latency_hist.observe(latency, exemplar=span_id)
-                registry.counter("serve.exemplars.recorded").inc(
-                    sum(1 for _, span_id in samples if span_id is not None)
-                )
-            else:
-                for latency in latencies:
-                    latency_hist.observe(latency)
+            for latency in latencies:
+                latency_hist.observe(latency)
             obs_payload = {
                 "metrics": registry.snapshot().to_dict(),
                 "spans": [span.to_dict() for span in merged],
@@ -596,7 +478,6 @@ class ServeEngine:
 
         return ServingReport(
             workers=cfg.workers,
-            policy=cfg.policy,
             queries=len(workload.jobs),
             completed=len(completed),
             failed=len(failures),

@@ -35,7 +35,7 @@ from repro.gnn.aggregate import get_aggregate
 from repro.gnn.engine import GNNQueryEngine, build_index
 from repro.guard.guard import ProtocolGuard
 from repro.index.base import SpatialIndex
-from repro.obs import MetricsRegistry, MetricsSnapshot, Observability, Tracer
+from repro.obs import MetricsRegistry, MetricsSnapshot, Observability
 from repro.partition.solver import solve_partition
 from repro.serve.cache import CacheStats, KnnLRUCache
 from repro.serve.workload import GroupProfile, QueryJob
@@ -108,15 +108,6 @@ class RunnerOptions:
     knn_cache_size: int | None = 256
     guard: bool = False
     obs: bool = False
-    # Per-bucket trace ring size (None keeps the Tracer default).  The
-    # bucket publishes evictions as ``obs.trace.spans_dropped`` so trend
-    # and exemplar data loss is visible instead of silent.
-    trace_capacity: int | None = None
-    # Wrap each job in a ``serve.job`` root span (carrying its job id) so
-    # latency-histogram exemplars can link a bucket back to the concrete
-    # trace.  Off by default: the no-exemplar trace is byte-identical to
-    # every prior release.
-    exemplars: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,13 +185,7 @@ class BucketRunner:
         if options.knn_cache_size is not None:
             lsp.engine.set_knn_cache(KnnLRUCache(options.knn_cache_size))
         self._sessions: dict[tuple[int, str, int], QuerySession] = {}
-        self.obs = None
-        if options.obs:
-            self.obs = (
-                Observability(tracer=Tracer(capacity=options.trace_capacity))
-                if options.trace_capacity is not None
-                else Observability()
-            )
+        self.obs = Observability() if options.obs else None
         self._guard = ProtocolGuard(obs=self.obs) if options.guard else None
 
     # ------------------------------------------------------------- sessions
@@ -247,16 +232,6 @@ class BucketRunner:
     # ------------------------------------------------------------ execution
 
     def run_job(self, job: QueryJob, group: GroupProfile) -> JobOutcome:
-        if self.obs is not None and self.options.exemplars:
-            # One root span per job, stamped with the job id: the engine's
-            # latency histogram records this span's (merged) id as the
-            # bucket exemplar, closing the loop from a flagged p99 row to
-            # a renderable trace.
-            with self.obs.span("serve.job", job_id=job.job_id):
-                return self._execute_job(job, group)
-        return self._execute_job(job, group)
-
-    def _execute_job(self, job: QueryJob, group: GroupProfile) -> JobOutcome:
         config = (
             self.base_config
             if job.k == self.base_config.k
@@ -313,9 +288,8 @@ class BucketRunner:
             self.obs.count("index.nodes_visited", index.nodes_visited)
             self.obs.count("index.candidates_scored", index.candidates_scored)
             if self.obs.tracer.dropped:
-                # Ring-buffer evictions mean the exported trace (and any
-                # exemplar span ids pointing into it) is incomplete;
-                # publish the loss so `repro analyze` can warn.
+                # Ring-buffer evictions mean the exported trace is
+                # incomplete; publish the loss so `repro analyze` can warn.
                 self.obs.count(
                     "obs.trace.spans_dropped", self.obs.tracer.dropped
                 )

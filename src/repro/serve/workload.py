@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.errors import ConfigurationError, positive_int
+from repro.errors import ConfigurationError, finite_real, positive_int
 from repro.geometry.point import Point
 from repro.geometry.space import LocationSpace
 
@@ -77,7 +77,8 @@ class WorkloadSpec:
     protocol_mix / group_size_mix / k_mix:
         Weighted draws for each fresh (non-repeat) job.
     tenants:
-        Tenant names; groups are assigned round-robin.
+        Tenant names (a non-empty tuple or list of strings, stored as a
+        tuple); groups are assigned round-robin.
     groups:
         Distinct group count (each with fixed membership and locations).
     repeat_fraction:
@@ -111,28 +112,46 @@ class WorkloadSpec:
             object.__setattr__(self, name, positive_int(getattr(self, name), name, floor))
         if self.arrival not in ("poisson", "closed"):
             raise ConfigurationError("arrival must be 'poisson' or 'closed'")
-        if not math.isfinite(self.rate_qps) or (
+        if not finite_real(self.rate_qps) or (
             self.arrival == "poisson" and self.rate_qps <= 0
         ):
             raise ConfigurationError(
                 f"rate_qps must be finite and positive, not {self.rate_qps!r}"
             )
-        if not (math.isfinite(self.think_seconds) and self.think_seconds >= 0):
+        if not (finite_real(self.think_seconds) and self.think_seconds >= 0):
             raise ConfigurationError(
                 f"think_seconds must be finite and non-negative, "
                 f"not {self.think_seconds!r}"
             )
-        if not self.tenants:
-            raise ConfigurationError("a workload needs at least one tenant")
-        if not 0.0 <= self.repeat_fraction <= 1.0:
-            raise ConfigurationError("repeat_fraction must be in [0, 1]")
+        if (
+            not isinstance(self.tenants, (tuple, list))
+            or not self.tenants
+            or not all(isinstance(tenant, str) for tenant in self.tenants)
+        ):
+            raise ConfigurationError(
+                f"tenants must be a non-empty tuple or list of names, not {self.tenants!r}"
+            )
+        object.__setattr__(self, "tenants", tuple(self.tenants))
+        if not (finite_real(self.repeat_fraction) and 0.0 <= self.repeat_fraction <= 1.0):
+            raise ConfigurationError(
+                f"repeat_fraction must be in [0, 1], not {self.repeat_fraction!r}"
+            )
         for name, mix in (
             ("protocol_mix", self.protocol_mix),
             ("group_size_mix", self.group_size_mix),
             ("k_mix", self.k_mix),
         ):
-            if not mix or any(weight <= 0 for weight in mix.values()):
-                raise ConfigurationError(f"{name} needs positive weights")
+            if not isinstance(mix, Mapping) or not mix:
+                raise ConfigurationError(f"{name} must be a non-empty mapping")
+            # random.choices needs weights with a finite total.
+            if not (
+                all(finite_real(weight) and weight > 0 for weight in mix.values())
+                and math.isfinite(sum(map(float, mix.values())))
+            ):
+                raise ConfigurationError(
+                    f"{name} needs positive real weights with a finite total, "
+                    f"not {dict(mix)!r}"
+                )
         for protocol in self.protocol_mix:
             if protocol not in _PROTOCOLS:
                 raise ConfigurationError(

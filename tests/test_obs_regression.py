@@ -27,19 +27,21 @@ from repro.datasets.synthetic import clustered_pois
 from repro.geometry.space import LocationSpace
 from repro.obs import Observability
 from repro.serve.costs import CostModel
-from repro.serve.engine import ServeConfig, ServeEngine, ServingReport
+from repro.serve.engine import ServeConfig, ServeEngine
 from repro.serve.workload import WorkloadSpec, generate_workload
 
 # Pinned from the pre-observability serving engine (12-query fixture).
 # Every report SHA-256 in this file is of the report before the fault
 # layer was deleted, with its then-constant ``transport`` key
-# ({"retransmissions": 0, "corrupt_rejected": 0}) removed, and before the
-# process executor was retired, with its ``executor`` key removed.
+# ({"retransmissions": 0, "corrupt_rejected": 0}) removed, before the
+# process executor was retired, with its ``executor`` key removed, and
+# before the scheduling policies were retired, with its ``policy`` key
+# removed (every pinned run was FIFO by then).
 EXPECTED_ANSWERS_DIGEST = (
     "22ffdc8b6366ab98e6f29a79996e63086759d12b65a4bfae08f5be09c4bd795e"
 )
 EXPECTED_REPORT_SHA256 = (
-    "8b912d0e002f247eb7a508ebb758fb0306e7e902f00a2af2aa3977586ab1bcb5"
+    "bf3d008183268bedbf51a099ac4c4a3182063141153edd034d333314e33c91f8"
 )
 
 _RUNNERS = {
@@ -95,49 +97,46 @@ _MIX = {
 }
 
 # Serving shapes beyond the open-loop fixture: each takes a plan-loop
-# or guard branch the default run never does.  Their answers digests
-# were recorded before the code they run through was last cut down: the
-# overload-control plane for the first two, the fault layer for the
-# third.  The guarded shape's report pin was taken on the process
-# executor; the serial run reports the same.
+# or guard branch the default run never does.  The guarded shape's
+# answers digest was recorded before the fault layer was deleted, and
+# the closed loop's under the retired fair-share policy, which served
+# the same answers.  The rejection shape lost its tenant quota and its
+# shortest-cost policy, so its pins were taken at the last commit that
+# had them, running the FIFO, quota-free configuration below.
 _SHAPES = {
-    # Three tenants under a quota of two overflow a three-slot queue, so
-    # the plan loop rejects with both AdmissionRejectedError and
-    # QueueFullError.
-    "queue-quota-rejections": (
-        "6ea58770e85e4458998fba9990311cc8681841405153f9d968ee33bebb0e8604",
-        "c06466dd2b258fa496c0d95e8bacdc76b42b9dc9dd87cdeaa1fe2d933e496582",
+    # A burst overflows a three-slot queue: 11 jobs complete and 19 are
+    # rejected, each as QueueFullError.
+    "queue-rejections": (
+        "47c5b0d25d5555e9f53cadbf484bcb7bd49e2beda42c754d46fcadbdcfae598d",
+        "bbf7974eded5cdb49354202de9b505578811befd9e5b9cb9653bf9f57f31901f",
     ),
     # Closed-loop clients chain each next arrival off a completion.
-    "closed-loop-fair-share": (
+    "closed-loop": (
         "b7c7a12f138a11aa2ea759caa1bdd390d1d7cab0b2d1aafe5235e61d43406ac0",
-        "71d2016f76ba61a20dfdb02adea664c3036f8755304253dc15338566cd5683e4",
+        "c6e4b3b6838cdbbc5b17c79bf160b54f2f183e7f9afc4d6fe14abb192e637186",
     ),
     # Guarded rounds: every job completes.
     "guarded": (
         "a7645c5dfd97e98785e8b253a17d72c03e78fb18d876b9f802d381de63dbdbe8",
-        "140e5a5f3f43179f3880a68d9d19df874521fc38b4353124061e19ae591f82d0",
+        "db1ead49e41c6852cd762504766449252c6b2f81d8d7a5c2fb1a8a99e8ddb1df",
     ),
 }
 
 
 def _run_shape(shape, space, config):
-    if shape == "queue-quota-rejections":
+    if shape == "queue-rejections":
         spec = WorkloadSpec(
             queries=30, rate_qps=4000.0, tenants=("t0", "t1", "t2"),
             groups=6, repeat_fraction=0.2, seed=31, **_MIX,
         )
-        serve = ServeConfig(
-            workers=2, queue_capacity=3, tenant_quota=2,
-            policy="shortest-cost",
-        )
-    elif shape == "closed-loop-fair-share":
+        serve = ServeConfig(workers=2, queue_capacity=3)
+    elif shape == "closed-loop":
         spec = WorkloadSpec(
             queries=12, arrival="closed", concurrency=3, think_seconds=0.01,
             tenants=("t0", "t1"), groups=4, repeat_fraction=0.25, seed=32,
             **_MIX,
         )
-        serve = ServeConfig(workers=2, policy="fair-share")
+        serve = ServeConfig(workers=2)
     else:
         spec = WorkloadSpec(
             queries=8, rate_qps=20.0, tenants=("t0", "t1"), groups=3,
@@ -166,6 +165,9 @@ class TestObsNoneByteIdentical:
     def test_serving_shape_digests_pinned(self, shape, space, config):
         report = _run_shape(shape, space, config)
         assert (report.answers_digest, _report_sha256(report)) == _SHAPES[shape]
+        if shape == "queue-rejections":
+            assert (report.completed, report.rejected) == (11, 19)
+            assert {r.error_type for r in report.rejections} == {"QueueFullError"}
 
     def test_obs_on_changes_observations_only(self, space, config, workload):
         bare = _run_fixture(space, config, workload, obs=False)
@@ -235,18 +237,3 @@ class TestSpanOpsMatchCostModel:
 
         with pytest.raises(ConfigurationError):
             CostModel().predict_ops("bogus", 3, config)
-
-
-class TestServingReportRoundTrip:
-    def test_to_dict_from_dict_lossless(self, space, config, workload):
-        report = _run_fixture(space, config, workload, obs=True)
-        data = report.to_dict()
-        restored = ServingReport.from_dict(json.loads(json.dumps(data)))
-        assert restored.to_dict() == data
-
-    def test_round_trip_with_wall_fields(self, space, config, workload):
-        report = _run_fixture(space, config, workload, obs=False)
-        data = report.to_dict(include_wall=True)
-        restored = ServingReport.from_dict(data)
-        assert restored.wall_seconds == report.wall_seconds
-        assert restored.to_dict(include_wall=True) == data

@@ -211,7 +211,7 @@ class TestConverters:
         doc = {
             "experiment": "serve",
             "git_sha": "cafe",
-            "results": {"process": report, "serial": report},
+            "results": report,
             "metrics": {"counters": {"x": 1}, "gauges": {}, "histograms": {}},
         }
         record = record_from_bench_document(doc)

@@ -126,7 +126,7 @@ class TestByteIdentity:
 
 class TestDeterminism:
     def test_two_runs_identical_reports(self, make_lsp, config, space):
-        serve = ServeConfig(workers=3, policy="shortest-cost", knn_cache_size=64)
+        serve = ServeConfig(workers=3, knn_cache_size=64)
         one = ServeEngine(make_lsp(), config, serve).run(generate_workload(MIXED, space))
         two = ServeEngine(make_lsp(), config, serve).run(generate_workload(MIXED, space))
         assert one.to_dict() == two.to_dict()
@@ -158,6 +158,7 @@ class TestDeterminism:
             generate_workload(MIXED, space)
         )
         json.dumps(report.to_dict(include_wall=True))
+        assert "policy" not in report.to_dict()
 
     def test_numpy_counts_are_stored_as_int(self, make_lsp, config, space):
         import json
@@ -168,9 +169,7 @@ class TestDeterminism:
             "workers": 2,
             "queue_capacity": 64,
             "nonce_chunk": 64,
-            "tenant_quota": 32,
             "knn_cache_size": 256,
-            "trace_capacity": 512,
         }
         serve = ServeConfig(obs=True, **{name: np.int64(v) for name, v in counts.items()})
         spec = replace(
@@ -251,17 +250,6 @@ class TestSchedulingAndBackpressure:
         assert report.completed + report.rejected == report.queries
         assert all(r.error_type == "QueueFullError" for r in report.rejections)
 
-    def test_tenant_quota_rejects_flood(self, make_lsp, config, space):
-        spec = WorkloadSpec(
-            queries=12, rate_qps=1000.0, tenants=("solo",), groups=2, seed=2
-        )
-        report = ServeEngine(
-            make_lsp(), config, ServeConfig(workers=1, tenant_quota=2)
-        ).run(generate_workload(spec, space))
-        assert report.rejected > 0
-        assert all(r.error_type == "AdmissionRejectedError" for r in report.rejections)
-        assert report.per_tenant["solo"]["rejected"] == report.rejected
-
     def test_closed_loop_never_overflows(self, make_lsp, config, space):
         """Closed-loop arrivals self-limit to the client concurrency."""
         spec = WorkloadSpec(
@@ -273,25 +261,6 @@ class TestSchedulingAndBackpressure:
         assert report.rejected == 0
         assert report.completed == 10
         assert report.max_queue_depth <= 3
-
-    def test_shortest_cost_prefers_cheap_jobs(self, make_lsp, config, space):
-        """Under contention, SJF's mean latency beats FIFO's."""
-        spec = WorkloadSpec(
-            queries=12,
-            rate_qps=1000.0,  # everything arrives at once
-            protocol_mix={"ppgnn-opt": 1.0, "naive": 1.0},
-            groups=4,
-            seed=11,
-        )
-        workload = generate_workload(spec, space)
-        fifo = ServeEngine(
-            make_lsp(), config, ServeConfig(workers=1, policy="fifo")
-        ).run(workload)
-        sjf = ServeEngine(
-            make_lsp(), config, ServeConfig(workers=1, policy="shortest-cost")
-        ).run(workload)
-        assert sjf.latency_mean <= fifo.latency_mean
-        assert sjf.answers_digest == fifo.answers_digest  # policy never alters answers
 
 
 class TestConfigValidation:
@@ -305,12 +274,13 @@ class TestConfigValidation:
                 ServeConfig(executor=executor)
         assert ServeConfig(executor="serial") == ServeConfig()
         assert "executor" not in {f.name for f in fields(ServeConfig)}
-        with pytest.raises(ConfigurationError):
-            ServeConfig(policy="lifo")
+        # One FIFO queue: no scheduling policy, tenant quota or trace knobs.
+        assert [f.name for f in fields(ServeConfig)] == [
+            "workers", "queue_capacity", "nonce_pool", "nonce_chunk",
+            "knn_cache_size", "guard", "obs", "cost_model", "index",
+        ]
         with pytest.raises(ConfigurationError):
             ServeConfig(queue_capacity=0)
-        with pytest.raises(ConfigurationError):
-            ServeConfig(tenant_quota=0)
         # Every count is a positive integer and every object field has its
         # type, checked when constructed.
         for bad in (
@@ -318,7 +288,6 @@ class TestConfigValidation:
             {"nonce_chunk": 0},
             {"workers": 2.5},
             {"queue_capacity": 2.5},
-            {"tenant_quota": 1.5},
             {"knn_cache_size": 2.5},
             {"workers": True},
             {"cost_model": "x"},

@@ -40,6 +40,12 @@ class TestWorkloadSpec:
             ({"rate_qps": float("inf")}, "rate_qps"),
             ({"think_seconds": float("nan")}, "think_seconds"),
             ({"think_seconds": float("inf")}, "think_seconds"),
+            # A str, None or an integer too large for a float raised a
+            # bare TypeError or OverflowError.
+            ({"rate_qps": "4"}, "rate_qps"),
+            ({"rate_qps": 10**400}, "rate_qps"),
+            ({"think_seconds": None}, "think_seconds"),
+            ({"repeat_fraction": "x"}, "repeat_fraction"),
             ({"concurrency": 2.5}, "concurrency"),
             ({"arrival": "closed", "concurrency": 2.5}, "concurrency"),
             ({"queries": 2.5}, "queries"),
@@ -51,12 +57,30 @@ class TestWorkloadSpec:
             ({"seed": -1}, "seed"),
             ({"seed": 1.5}, "seed"),
             ({"seed": True}, "seed"),
+            # A non-finite weight used to pass and then raise a bare
+            # ValueError from random.choices in generate_workload, a str
+            # weight a bare TypeError here, and a bool counted as 1.
+            ({"protocol_mix": {"ppgnn": float("nan")}}, "protocol_mix"),
+            ({"group_size_mix": {3: float("inf")}}, "group_size_mix"),
+            ({"k_mix": {8: float("-inf")}}, "k_mix"),
+            ({"k_mix": {8: 1e308, 4: 1e308}}, "k_mix"),
+            ({"k_mix": {8: 10**400}}, "k_mix"),
+            ({"k_mix": {8: "1"}}, "k_mix"),
+            ({"k_mix": {8: True}}, "k_mix"),
+            ({"protocol_mix": {"ppgnn": None}}, "protocol_mix"),
+            # A str used to be split into one tenant per character.
+            ({"tenants": "t0"}, "tenants"),
+            ({"tenants": ("t0", 1)}, "tenants"),
+            ({"tenants": None}, "tenants"),
         ):
             with pytest.raises(ConfigurationError, match=field):
                 WorkloadSpec(**bad)
         assert WorkloadSpec(queries=0, groups=np.int64(2)).groups == 2
         spec = WorkloadSpec(seed=np.int64(3))
         assert spec.seed == 3 and type(spec.seed) is int
+        assert WorkloadSpec(tenants=["a", "b"]).tenants == ("a", "b")
+        spec = WorkloadSpec(k_mix={8: np.float64(2.0), 4: 1})
+        assert spec.k_mix == {8: 2.0, 4: 1}
 
 
 class TestGeneration:
