@@ -167,8 +167,8 @@ class LSPServer:
 
         An engine with ``query_many`` answers every candidate's kGNN query
         in one call; any other engine is queried per candidate.  Either
-        way the answers are sanitized and encoded in candidate order, so
-        the sanitizer draws its samples in the same order.
+        way the answers are sanitized in one call, each candidate on the
+        samples of its place in candidate order, and encoded in that order.
         """
         sanitizer = self._sanitizer(theta0) if theta0 is not None else None
         candidates = list(candidates)
@@ -177,17 +177,15 @@ class LSPServer:
             answers = query_many(k, candidates)
         else:
             answers = [self.engine.query(k, candidate) for candidate in candidates]
-        columns: list[list[int]] = []
-        lengths: list[int] = []
-        for candidate, pois in zip(candidates, answers, strict=True):
-            if sanitizer is not None:
-                pois = list(sanitizer.sanitize(pois, candidate).prefix)
-            lengths.append(len(pois))
-            columns.append(codec.encode(pois))
+        if sanitizer is not None:
+            answers = [
+                list(outcome.prefix) for outcome in sanitizer.sanitize(answers, candidates)
+            ]
+        columns = [codec.encode(pois) for pois in answers]
         self.last_stats = QueryStats(
             candidate_count=len(candidates),
             kgnn_queries=len(candidates),
-            sanitized_answer_lengths=tuple(lengths),
+            sanitized_answer_lengths=tuple(len(pois) for pois in answers),
             sanitation_samples=sanitizer.plan.n_samples if sanitizer else 0,
         )
         return columns

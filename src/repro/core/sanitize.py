@@ -15,6 +15,13 @@ argument; the ablation bench measures the speed-up):
   per candidate query.  The prefix grows one POI at a time and evaluation
   stops at the first unsafe length, so POI columns past that point are
   never computed — why the LSP cost flattens as k grows (Figure 6f).
+- A request's candidates are tested as one batch, on two cores when the
+  host has them (:func:`repro.crypto.cores.sanitize_many`).  The tests do
+  not depend on each other: the s-th candidate that reaches the test
+  draws its samples from a copy of the sampler advanced ``2 * N_H * s``
+  words past where it stood at entry, which are the samples it would
+  draw were the candidates tested one after another, and the sampler
+  ends where that would leave it.
 - Each target's inequalities are AND-ed into one cumulative sample mask;
   its count after POI t is the X that the Z-test of Eqn (16) receives for
   the length-t prefix (prefix counts are non-increasing in t).
@@ -34,23 +41,31 @@ argument; the ablation bench measures the speed-up):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import astuple, dataclass
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.crypto import cores
 from repro.datasets.poi import POI
 from repro.errors import ConfigurationError
 from repro.geometry.distance import maxdist_point_rect, pairwise_distances
 from repro.geometry.point import Point
+from repro.geometry.rect import Rect
 from repro.geometry.space import LocationSpace
 from repro.gnn.aggregate import MAX, MIN, SUM, Aggregate
 from repro.stats.hypothesis import SanitationTestPlan
 
 #: Aggregates whose ``merge`` (``np.add``, ``np.maximum``, ``np.minimum``)
 #: the difference-column path reasons about; any other aggregate is
-#: evaluated with reference columns.
+#: evaluated with reference columns.  Only their tests go to the second
+#: core, which names them by their index here.
 _CHEAP_AGGREGATES = (SUM, MAX, MIN)
+#: PCG64 words one sample location consumes: ``uniform`` turns one 64-bit
+#: output into each float64, and :meth:`LocationSpace.sample_arrays` draws
+#: the x and the y coordinates (tested against ``PCG64.advance``).
+_WORDS_PER_SAMPLE = 2
 #: A comparison within ``_BAND * (R_j-1 + R_j + |P_j-1| + |P_j|) + _TINY`` of
 #: its threshold is re-decided in the reference arithmetic.  For sum,
 #: ``D = d_j - d_j-1`` against ``P_j-1 - P_j`` is not bit-equivalent to
@@ -78,7 +93,8 @@ class AnswerSanitizer:
     evaluation stops at the first unsafe length.  The LSP builds one
     sanitizer per request, so the ``N_H``-long work buffers it keeps serve
     every candidate query of that request; memory is O(N_H) whatever the
-    answer length.
+    answer length.  ``rng`` must be backed by PCG64, whose state a test
+    can jump ahead (``default_rng`` is).
     """
 
     def __init__(
@@ -88,30 +104,117 @@ class AnswerSanitizer:
         plan: SanitationTestPlan,
         rng: np.random.Generator,
     ) -> None:
+        if not isinstance(getattr(rng, "bit_generator", None), np.random.PCG64):
+            raise ConfigurationError(
+                "the sanitation sampler must be a numpy Generator backed by PCG64 "
+                "(np.random.default_rng)"
+            )
         self.space = space
         self.aggregate = aggregate
         self.plan = plan
         self.rng = rng
+        self._draws = np.random.Generator(np.random.PCG64(0))  # each test's samples
         self._columns = np.empty((4, 0))
         self._mask = np.empty(0, dtype=bool)
 
     # ----------------------------------------------------------- main entry
 
     def sanitize(
-        self, pois: Sequence[POI], candidate: Sequence[Point]
-    ) -> SanitationOutcome:
-        """Longest prefix of ``pois`` safe against every colluding majority.
+        self,
+        answers: Sequence[Sequence[POI]],
+        candidates: Sequence[Sequence[Point]],
+    ) -> list[SanitationOutcome]:
+        """Per candidate query, the longest prefix of its answer safe
+        against every colluding majority.
 
-        ``candidate`` holds the candidate query's n locations.  Groups of
-        one user have no Privacy IV requirement (Definition 2.2), so the
-        full answer passes through unchanged.
+        ``candidates[i]`` holds the i-th candidate query's n locations and
+        ``answers[i]`` its ranked answer.  Groups of one user have no
+        Privacy IV requirement (Definition 2.2), so such an answer, and an
+        answer of at most one POI, passes through unchanged and draws no
+        samples.  The others are tested in order on the samples they would
+        draw one after another from ``rng`` (module docstring), on two
+        cores when the host has them, and ``rng`` ends where that would
+        leave it.
         """
-        k = len(pois)
-        n = len(candidate)
-        if n < 2 or k <= 1:
-            return SanitationOutcome(tuple(pois), tuple([k] * max(n, 1)))
-        xs, ys = self.space.sample_arrays(self.plan.n_samples, self.rng)
-        return self._sanitize_incremental(pois, candidate, xs, ys)
+        if len(answers) != len(candidates):
+            raise ConfigurationError(
+                f"{len(answers)} answers for {len(candidates)} candidate queries"
+            )
+        outcomes = [
+            SanitationOutcome(tuple(pois), tuple([len(pois)] * max(len(candidate), 1)))
+            for pois, candidate in zip(answers, candidates, strict=True)
+        ]
+        tested = [
+            index
+            for index, (pois, candidate) in enumerate(zip(answers, candidates, strict=True))
+            if len(candidate) >= 2 and len(pois) >= 2
+        ]
+        if not tested:
+            return outcomes
+        sampler = self.rng.bit_generator
+        state = sampler.state["state"]
+        words = (state["state"], state["inc"])
+
+        def test(slot: int) -> tuple[int, ...]:
+            index = tested[slot]
+            return self._safe_lengths(words, slot, answers[index], candidates[index])
+
+        if self.aggregate in _CHEAP_AGGREGATES:
+            request = partial(self._request, words, [(answers[i], candidates[i]) for i in tested])
+            lengths = cores.sanitize_many(request, len(tested), test)
+        else:
+            lengths = [test(slot) for slot in range(len(tested))]
+        sampler.advance(_WORDS_PER_SAMPLE * self.plan.n_samples * len(tested))
+        for index, safe_lengths in zip(tested, lengths, strict=True):
+            prefix = tuple(answers[index][: min(safe_lengths)])
+            outcomes[index] = SanitationOutcome(prefix, safe_lengths)
+        return outcomes
+
+    def _safe_lengths(
+        self,
+        words: tuple[int, int],
+        slot: int,
+        pois: Sequence[POI],
+        candidate: Sequence[Point],
+    ) -> tuple[int, ...]:
+        """One test: the safe lengths of the ``slot``-th tested candidate.
+
+        Its samples come from a PCG64 sampler at state ``words`` advanced
+        by ``2 * N_H * slot`` words.  The LSP and the second-core helper
+        both run each test through here.
+        """
+        draws = self._draws
+        draws.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": words[0], "inc": words[1]},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        draws.bit_generator.advance(_WORDS_PER_SAMPLE * self.plan.n_samples * slot)
+        xs, ys = self.space.sample_arrays(self.plan.n_samples, draws)
+        return self._sanitize_incremental(pois, candidate, xs, ys).safe_lengths
+
+    def _request(
+        self,
+        words: tuple[int, int],
+        tests: list[tuple[Sequence[POI], Sequence[Point]]],
+    ) -> tuple:
+        """The body of a ``"sanitize"`` request: plain values that
+        :func:`helper_tests` rebuilds this sanitizer's ``tests`` from."""
+        bounds = self.space.bounds
+        return (
+            (bounds.xmin, bounds.ymin, bounds.xmax, bounds.ymax),
+            _CHEAP_AGGREGATES.index(self.aggregate),
+            astuple(self.plan),
+            words,
+            [
+                (
+                    [(p.x, p.y) for p in candidate],
+                    [(poi.location.x, poi.location.y) for poi in pois],
+                )
+                for pois, candidate in tests
+            ],
+        )
 
     def _sanitize_incremental(
         self,
@@ -341,3 +444,34 @@ class AnswerSanitizer:
             safe_lengths.append(safe)
         overall = min(safe_lengths)
         return SanitationOutcome(tuple(pois[:overall]), tuple(safe_lengths))
+
+
+def helper_tests(
+    body: Sequence, last: AnswerSanitizer | None
+) -> tuple[AnswerSanitizer, list[tuple[int, Callable[[], tuple[int, ...]]]]]:
+    """The second-core helper's side of a ``"sanitize"`` request.
+
+    Returns the sanitizer that runs its tests, ``last`` when that has the
+    request's space, aggregate and plan (so its buffers are reused), and
+    each test's slot with the function that computes it, tail first.
+    """
+    bounds, aggregate_index, plan_fields, words, items = body
+    space = LocationSpace(Rect(*bounds))
+    aggregate = _CHEAP_AGGREGATES[aggregate_index]
+    plan = SanitationTestPlan(*plan_fields)
+    sanitizer = last
+    if sanitizer is None or (sanitizer.space, sanitizer.aggregate, sanitizer.plan) != (
+        space,
+        aggregate,
+        plan,
+    ):
+        # Its own sampler is never drawn from: each test draws from a copy.
+        sanitizer = AnswerSanitizer(space, aggregate, plan, np.random.default_rng(0))
+
+    def test(slot: int) -> tuple[int, ...]:
+        locations, poi_locations = items[slot]
+        candidate = [Point(x, y) for x, y in locations]
+        pois = [POI(index, Point(x, y)) for index, (x, y) in enumerate(poi_locations)]
+        return sanitizer._safe_lengths(words, slot, pois, candidate)
+
+    return sanitizer, [(slot, partial(test, slot)) for slot in reversed(range(len(items)))]

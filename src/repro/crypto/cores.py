@@ -1,6 +1,7 @@
-"""The key holder's nonce factors and the LSP's dot products on two cores.
+"""The key holder's nonce factors, and the LSP's dot products and answer
+sanitation, on two cores.
 
-Two kinds of work run on a second core.  An owner nonce factor
+Three kinds of work run on a second core.  An owner nonce factor
 (:meth:`~repro.crypto.paillier.PaillierPrivateKey.obfuscate`) is the
 coordinator's dominant cost, and the factors of one batch -- an
 indicator's, or a key-owned pool refill's -- do not depend on each
@@ -9,7 +10,10 @@ LSP's private selection is one Eqn 4 dot product per answer row
 (:func:`~repro.crypto.homomorphic.hom_dot`), and a selection usually has
 one product worth a second core, so :func:`multi_pow` cuts that product's
 terms into two halves of about equal cost (a two-item batch) and joins
-the halves with one modular multiplication.
+the halves with one modular multiplication.  The LSP's answer sanitation
+runs one Monte-Carlo test per candidate query, each on samples of its
+own (:mod:`repro.core.sanitize`), and :func:`sanitize_many` makes each
+test one item of a batch.
 
 One helper process works through each batch from the tail and sends each
 item as soon as it has it, while the calling process works from the
@@ -21,10 +25,11 @@ item the helper is working on is left, the caller waits for it about as
 long as one of its own items took, then computes it itself: the caller
 never waits longer than that, so when the host stalls the second core a
 batch costs about its inline time plus one item.  Each factor is the
-value ``obfuscate`` returns for its nonce, and each product the value
-``fastexp.multi_pow`` returns for the whole term list, whichever process
-computed them, so ciphertexts, answers, pool contents and every work
-counter are the same as with one core; only wall time moves.
+value ``obfuscate`` returns for its nonce, each product the value
+``fastexp.multi_pow`` returns for the whole term list, and each test's
+safe lengths those of the same test on the same samples, whichever
+process computed them, so ciphertexts, answers, pool contents and every
+work counter are the same as with one core; only wall time moves.
 
 A product is split only when the modelled saving, the whole product's
 cost less its costlier half's at the modulus width, exceeds a round trip
@@ -44,7 +49,9 @@ runs inline, and a product in one chain, unless all of these hold:
   already spreads its work over the cores);
 - only one Python thread is alive, so a process running Python in
   another thread is never forked (the helper never calls the native
-  code of threads Python does not see, such as OpenBLAS's workers);
+  code of threads Python does not see, such as OpenBLAS's workers: the
+  sanitation tests use numpy's element-wise functions and its PCG64
+  sampler, which run in the calling thread);
 - ``os.fork`` exists.
 
 The helper is stamped with the pid that forked it.  Any process forked
@@ -54,18 +61,36 @@ sequence number, so an item that arrives after its batch has ended is
 dropped, never read as another batch's.  A failure during an exchange
 -- end of file, a dead helper, or an exception in the caller's own
 items -- discards the helper; after a helper failure the rest of the
-batch is computed inline.  Requests carry ``(batch, n, p, q, s, nonces)``
-for owner factors and ``(batch, modulus, pairs)`` for the helper's half
-of a product, which is item 1 of its batch; replies carry ``(batch,
-index, value)``.  The helper rebuilds a key from its integers, a product
-request holds public values only, and each side only unpickles integers
-written by this process.  DESIGN.md ("Crypto hot path", item 4) gives the
-reasons for a raw fork and the measured costs.
+batch is computed inline.
+
+Every request is tagged with its kind after the sequence number:
+
+- ``(batch, "owner", n, p, q, s, nonces)``: the helper rebuilds the key
+  from its integers, keeping up to four keys, and item ``i`` is
+  ``obfuscate(nonces[i], s)``;
+- ``(batch, "product", modulus, pairs)``: item 1 of a two-item batch,
+  the product of the helper's half of the terms;
+- ``(batch, "sanitize", bounds, aggregate, plan, words, items)``: the
+  space's bounds, the index of a built-in aggregate, the test plan's
+  fields, the LSP sampler's two PCG64 state integers at entry, and per
+  test the coordinates of its candidate and of its answer POIs
+  (:func:`repro.core.sanitize.helper_tests` reads it); item ``i`` is the
+  test of slot ``i``.  The helper keeps its last sanitizer, and with it
+  the sanitizer's ``N_H``-long buffers, while the requests' space,
+  aggregate and plan stay the same.
+
+Replies carry ``(batch, index, value)``: a factor, a product, or a
+test's safe lengths.  A product or sanitize request holds no key
+material, the factorisation stays in the key holder's process tree, and each
+side only unpickles integers, floats, strings and tuples or lists of
+them, written by this process.  DESIGN.md ("Crypto hot path", item 4)
+gives the reasons for a raw fork and the measured costs.
 """
 
 from __future__ import annotations
 
 import atexit
+import ctypes
 import gc
 import mmap
 import os
@@ -77,12 +102,15 @@ import sys
 import threading
 from functools import partial
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence, TypeVar
 
 from repro.crypto import fastexp
 
 if TYPE_CHECKING:
+    from repro.core.sanitize import AnswerSanitizer
     from repro.crypto.paillier import PaillierPrivateKey
+
+_T = TypeVar("_T")
 
 #: Length prefix of every pipe message.
 _HEADER = struct.Struct("<Q")
@@ -93,6 +121,9 @@ _CLAIM = struct.Struct("=qq")
 
 #: Keys the helper keeps rebuilt; a process rarely holds more than one.
 _KEY_CACHE = 4
+
+#: The kinds of request (module docstring).
+_OWNER, _PRODUCT, _SANITIZE = "owner", "product", "sanitize"
 
 #: Least modelled saving for which :func:`multi_pow` splits a product, in
 #: multiplications weighted by ``(modulus bits / 64) ** 2`` (``mul_work64``,
@@ -162,17 +193,34 @@ def _readable(fd: int, timeout: float) -> bool:
     return bool(poller.poll(timeout * 1000))
 
 
+class _Kept:
+    """What the helper keeps across requests: the keys it has rebuilt, and
+    its last sanitizer."""
+
+    __slots__ = ("keys", "sanitizer")
+
+    def __init__(self) -> None:
+        self.keys: dict[int, PaillierPrivateKey] = {}
+        self.sanitizer: AnswerSanitizer | None = None
+
+
 def _helper_items(
-    body: list, keys: dict[int, PaillierPrivateKey]
-) -> list[tuple[int, Callable[[], int]]]:
+    kind: str, body: list, kept: _Kept
+) -> list[tuple[int, Callable[[], object]]]:
     """The items of a request the helper may compute, tail first, each
     with the function that computes it."""
-    if len(body) == 2:
+    if kind == _PRODUCT:
         modulus, pairs = body
         return [(1, partial(fastexp.multi_pow, pairs, modulus))]
+    if kind == _SANITIZE:
+        from repro.core.sanitize import helper_tests
+
+        kept.sanitizer, tests = helper_tests(body, kept.sanitizer)
+        return tests
     from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
 
     n, p, q, s, nonces = body
+    keys = kept.keys
     key = keys.get(n)
     if key is None:
         if len(keys) >= _KEY_CACHE:
@@ -195,14 +243,14 @@ def _serve(requests: int, replies: int, claim: mmap.mmap) -> NoReturn:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         gc.disable()  # a collection would dirty every page shared with the parent
         _isolate((requests, replies))
-        keys: dict[int, PaillierPrivateKey] = {}
+        kept = _Kept()
         while True:
             try:
-                batch, *body = _read_message(requests)
+                batch, kind, *body = _read_message(requests)
             except EOFError:
                 status = 0
                 break
-            for index, compute in _helper_items(body, keys):
+            for index, compute in _helper_items(kind, body, kept):
                 claimed_batch, claimed = _CLAIM.unpack_from(claim)
                 if claimed_batch != batch or claimed >= index:
                     break
@@ -211,15 +259,24 @@ def _serve(requests: int, replies: int, claim: mmap.mmap) -> NoReturn:
         os._exit(status)
 
 
-def _current_cpu() -> int:
-    """The CPU this process runs on: field 39 of ``/proc/self/stat`` (Linux)."""
-    fd = os.open("/proc/self/stat", os.O_RDONLY)
+def _libc_sched_getcpu() -> Callable[[], int] | None:
+    """The C library's ``sched_getcpu``, or None where it has none."""
     try:
-        stat = os.read(fd, 4096)
-    finally:
-        os.close(fd)
-    # Field 3 onwards follow the command name's closing parenthesis.
-    return int(stat.rpartition(b")")[2].split()[36])
+        function = ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError, TypeError):
+        return None
+    function.argtypes = ()
+    function.restype = ctypes.c_int
+    return function
+
+
+_sched_getcpu = _libc_sched_getcpu()
+
+
+def _current_cpu() -> int:
+    """The CPU this thread runs on (``sched_getcpu``), or -1 where that
+    cannot be told."""
+    return -1 if _sched_getcpu is None else _sched_getcpu()
 
 
 def _keep_apart(pid: int) -> None:
@@ -228,13 +285,16 @@ def _keep_apart(pid: int) -> None:
 
     Otherwise the scheduler may wake the helper on the caller's CPU and
     leave both there.  The step is skipped where the caller's CPU cannot
-    be read or no other CPU is allowed.
+    be told or no other CPU is allowed.
     """
+    cpu = _current_cpu()
+    if cpu < 0:
+        return
     try:
-        others = os.sched_getaffinity(0) - {_current_cpu()}
+        others = os.sched_getaffinity(0) - {cpu}
         if others:
             os.sched_setaffinity(pid, others)
-    except (AttributeError, OSError, ValueError, IndexError):
+    except (AttributeError, OSError, ValueError):
         pass
 
 
@@ -290,7 +350,7 @@ class _Helper:
         """
         _CLAIM.pack_into(self.claim, 0, self.batch, index)
 
-    def collect(self, results: list[int | None], tail: int, timeout: float = 0.0) -> int:
+    def collect(self, results: list, tail: int, timeout: float = 0.0) -> int:
         """Store the current batch's items that have arrived in ``results``
         and return the lowest index the helper has sent (``tail`` if none).
 
@@ -431,8 +491,8 @@ def shutdown() -> None:
 
 
 def _exchange(
-    helper: _Helper, request: tuple, count: int, compute: Callable[[int], int]
-) -> list[int]:
+    helper: _Helper, request: tuple, count: int, compute: Callable[[int], _T]
+) -> list[_T]:
     """``[compute(i) for i in range(count)]``, the items of one batch: the
     caller computes them from the head while the helper, sent ``request``,
     computes them from the tail, until every item is in hand.
@@ -442,7 +502,7 @@ def _exchange(
     itself.  After a helper failure the caller computes every item still
     missing.
     """
-    results: list[int | None] = [None] * count
+    results: list[_T | None] = [None] * count
     head, tail = 0, count  # caller has [0, head), helper has sent [tail, count)
     try:
         helper.start(request)
@@ -480,7 +540,7 @@ def obfuscate_many(
         return [key.obfuscate(r, s) for r in nonces]
     return _exchange(
         helper,
-        (key.public_key.n, key.p, key.q, s, list(nonces)),
+        (_OWNER, key.public_key.n, key.p, key.q, s, list(nonces)),
         len(nonces),
         lambda index: key.obfuscate(nonces[index], s),
     )
@@ -519,11 +579,28 @@ def multi_pow(
         sides.reverse()
     mine, theirs = _exchange(
         helper,
-        (modulus, list(sides[1][0])),
+        (_PRODUCT, modulus, list(sides[1][0])),
         2,
         lambda index: fastexp.multi_pow(sides[index][0], modulus, programs=sides[index][1]),
     )
     return mine * theirs % modulus
+
+
+def sanitize_many(
+    request: Callable[[], tuple], count: int, test: Callable[[int], tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """``[test(slot) for slot in range(count)]``, the sanitation tests of
+    one LSP request, on two cores when it can.
+
+    Each test is one item of the batch (:func:`_exchange`), and the helper
+    rebuilds its tests from ``request()``, the body of a ``"sanitize"``
+    request (module docstring), which is built only when the helper runs.
+    See the module docstring for when the batch runs inline instead.
+    """
+    helper = _helper_for(count)
+    if helper is None:
+        return [test(slot) for slot in range(count)]
+    return _exchange(helper, (_SANITIZE, *request()), count, test)
 
 
 atexit.register(shutdown)

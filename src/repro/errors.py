@@ -11,6 +11,8 @@ from __future__ import annotations
 import numbers
 import sys
 
+import numpy as np
+
 
 class ReproError(Exception):
     """Base class for every error raised by this library."""
@@ -41,6 +43,20 @@ def positive_int(value: object, name: str, floor: int = 1) -> int:
     if value < floor:
         raise ConfigurationError(f"{name} must be an integer >= {floor}, got {value}")
     return int(value)
+
+
+def flag(value: object, name: str) -> bool:
+    """``value`` as a ``bool`` when it is a Python or numpy bool.
+
+    Anything else, such as ``"no"``, ``0`` or ``None``, raises
+    :class:`ConfigurationError`: a switch acts on its value's truth, and
+    ``"no"`` is true.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigurationError(
+            f"{name} must be a bool, not {type(value).__name__} {value!r}"
+        )
+    return bool(value)
 
 
 def finite_real(value: object) -> bool:

@@ -82,9 +82,30 @@ class RoadNetworkSanitizer:
         return np.array([table[node] for node in self._nodes])
 
     def sanitize(
+        self,
+        answers: Sequence[Sequence[POI]],
+        candidates: Sequence[Sequence[Point]],
+    ) -> list[SanitationOutcome]:
+        """Per candidate query, the longest prefix of its answer safe
+        against every colluding majority (road metric).
+
+        The batch form of :meth:`AnswerSanitizer.sanitize
+        <repro.core.sanitize.AnswerSanitizer.sanitize>`, on one core: the
+        candidates are tested one after another, in order.
+        """
+        if len(answers) != len(candidates):
+            raise ConfigurationError(
+                f"{len(answers)} answers for {len(candidates)} candidate queries"
+            )
+        return [
+            self._sanitize_one(pois, candidate)
+            for pois, candidate in zip(answers, candidates, strict=True)
+        ]
+
+    def _sanitize_one(
         self, pois: Sequence[POI], candidate: Sequence[Point]
     ) -> SanitationOutcome:
-        """Longest prefix safe against every colluding majority (road metric).
+        """One candidate's test.
 
         Mirrors the incremental Euclidean sanitizer: grow the prefix, test
         every target per length, stop at the first unsafe length.

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from repro.core.config import PPGNNConfig
 from repro.core.lsp import LSPServer
-from repro.errors import ConfigurationError, QueueFullError, positive_int
+from repro.errors import ConfigurationError, QueueFullError, flag, positive_int
 from repro.obs import MetricsRegistry, Span, merge_span_groups
 from repro.serve.costs import CostModel
 from repro.serve.pool import (
@@ -90,6 +90,8 @@ class ServeConfig:
         # json cannot serialise.
         for name in ("workers", "queue_capacity", "nonce_chunk"):
             object.__setattr__(self, name, positive_int(getattr(self, name), name))
+        for name in ("nonce_pool", "guard", "obs"):
+            object.__setattr__(self, name, flag(getattr(self, name), name))
         if self.knn_cache_size is not None:
             object.__setattr__(
                 self, "knn_cache_size", positive_int(self.knn_cache_size, "knn_cache_size")

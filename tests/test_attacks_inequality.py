@@ -106,7 +106,7 @@ class TestSanitationDefeatsAttack:
         for seed in range(8):
             group = group_of(6, 100 + seed)
             pois = engine.query(8, group)
-            prefix = sanitizer.sanitize(pois, group).prefix
+            prefix = sanitizer.sanitize([pois], [group])[0].prefix
             answer = [p.location for p in prefix]
             for target_idx in range(len(group)):
                 known = [l for i, l in enumerate(group) if i != target_idx]

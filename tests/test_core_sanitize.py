@@ -1,12 +1,14 @@
 """Tests for the answer sanitation (Sections 5.2-5.3)."""
 
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.core.sanitize import AnswerSanitizer
+from repro.core.sanitize import AnswerSanitizer, SanitationOutcome, helper_tests
+from repro.crypto import cores
 from repro.datasets.poi import POI
 from repro.datasets.sequoia import load_sequoia
 from repro.datasets.synthetic import uniform_pois
@@ -51,7 +53,7 @@ class TestSanitizeBasics:
         sanitizer = make_sanitizer(space)
         group = spread_group(6)
         pois = engine.query(8, group)
-        outcome = sanitizer.sanitize(pois, group)
+        outcome = sanitizer.sanitize([pois], [group])[0]
         assert list(outcome.prefix) == pois[: len(outcome.prefix)]
 
     def test_prefix_never_empty(self, space, engine):
@@ -59,7 +61,7 @@ class TestSanitizeBasics:
         sanitizer = make_sanitizer(space, theta0=0.99)  # brutally strict
         group = spread_group(4)
         pois = engine.query(8, group)
-        outcome = sanitizer.sanitize(pois, group)
+        outcome = sanitizer.sanitize([pois], [group])[0]
         assert len(outcome.prefix) >= 1
 
     def test_single_user_passthrough(self, space, engine):
@@ -67,20 +69,20 @@ class TestSanitizeBasics:
         sanitizer = make_sanitizer(space)
         target = Point(0.4, 0.4)
         pois = engine.query(8, [target])
-        outcome = sanitizer.sanitize(pois, [target])
+        outcome = sanitizer.sanitize([pois], [[target]])[0]
         assert list(outcome.prefix) == pois
 
     def test_single_poi_passthrough(self, space, engine):
         sanitizer = make_sanitizer(space)
         group = spread_group(4)
         pois = engine.query(1, group)
-        assert list(sanitizer.sanitize(pois, group).prefix) == pois
+        assert list(sanitizer.sanitize([pois], [group])[0].prefix) == pois
 
     def test_overall_is_min_over_targets(self, space, engine):
         sanitizer = make_sanitizer(space)
         group = spread_group(5)
         pois = engine.query(8, group)
-        outcome = sanitizer.sanitize(pois, group)
+        outcome = sanitizer.sanitize([pois], [group])[0]
         assert len(outcome.prefix) == min(outcome.safe_lengths)
         assert len(outcome.safe_lengths) == len(group)
 
@@ -93,7 +95,7 @@ class TestSanitizeSemantics:
         lengths = []
         for theta0 in (0.01, 0.05, 0.2, 0.5):
             sanitizer = make_sanitizer(space, theta0=theta0, seed=1)
-            lengths.append(len(sanitizer.sanitize(pois, group).prefix))
+            lengths.append(len(sanitizer.sanitize([pois], [group])[0].prefix))
         assert lengths == sorted(lengths, reverse=True)
 
     def test_close_group_keeps_more_than_strict_theta(self, space, engine):
@@ -101,7 +103,7 @@ class TestSanitizeSemantics:
         group = spread_group(8, seed=5)
         pois = engine.query(8, group)
         sanitizer = make_sanitizer(space, theta0=0.01, seed=1)
-        assert len(sanitizer.sanitize(pois, group).prefix) >= 2
+        assert len(sanitizer.sanitize([pois], [group])[0].prefix) >= 2
 
     @pytest.mark.parametrize("aggregate", [SUM, MAX, MIN], ids=lambda a: a.name)
     def test_all_builtin_aggregates_supported(self, space, aggregate, engine):
@@ -109,7 +111,7 @@ class TestSanitizeSemantics:
         sanitizer = make_sanitizer(space, aggregate=aggregate)
         group = spread_group(4, seed=9)
         pois = engine_local.query(6, group)
-        outcome = sanitizer.sanitize(pois, group)
+        outcome = sanitizer.sanitize([pois], [group])[0]
         assert 1 <= len(outcome.prefix) <= 6
 
     def test_generic_aggregate_fallback_matches_decomposable(self, space, engine):
@@ -222,39 +224,45 @@ def _diff_group(kind: str, n: int, rng, pois) -> list[Point]:
     return group
 
 
-def _differential_outcomes(tree, pois, aggregate) -> list:
-    """Seeded sanitations over the Sequoia surrogate, one per (n, theta0, k, group).
-
-    One sanitizer per theta0 serves all of its cases, as the LSP's serves
-    every candidate of a request, so its RNG stream runs across them.
-    """
+def _diff_cases(tree, pois, aggregate) -> list:
+    """The seeded grid over the Sequoia surrogate: one ``(case, answer,
+    group)`` per (n, theta0, k, group kind)."""
     rng = np.random.default_rng(list(aggregate.name.encode()))
-    space = LocationSpace.unit_square()
-    sanitizers = {
-        theta0: AnswerSanitizer(
-            space,
-            aggregate,
-            SanitationTestPlan.from_parameters(theta0),
-            np.random.default_rng(list(f"{aggregate.name}/{theta0}".encode())),
-        )
-        for theta0 in _DIFF_THETAS
-    }
-    outcomes = []
+    cases = []
     for n in _DIFF_SIZES:
         for theta0 in _DIFF_THETAS:
             for k in _DIFF_KS:
                 for kind in _DIFF_GROUPS:
                     group = _diff_group(kind, n, rng, pois)
                     answer = [item for _, item, _ in mbm_kgnn(tree, group, k, aggregate)]
-                    outcome = sanitizers[theta0].sanitize(answer, group)
-                    outcomes.append(
-                        (
-                            (n, theta0, k, kind),
-                            tuple(p.poi_id for p in outcome.prefix),
-                            outcome.safe_lengths,
-                        )
-                    )
-    return outcomes
+                    cases.append(((n, theta0, k, kind), answer, group))
+    return cases
+
+
+def _diff_sanitizer(aggregate, theta0) -> AnswerSanitizer:
+    return AnswerSanitizer(
+        LocationSpace.unit_square(),
+        aggregate,
+        SanitationTestPlan.from_parameters(theta0),
+        np.random.default_rng(list(f"{aggregate.name}/{theta0}".encode())),
+    )
+
+
+def _diff_record(case, outcome) -> tuple:
+    return case, tuple(p.poi_id for p in outcome.prefix), outcome.safe_lengths
+
+
+def _differential_outcomes(tree, pois, aggregate) -> list:
+    """Seeded sanitations over the Sequoia surrogate, one per (n, theta0, k, group).
+
+    One sanitizer per theta0 serves all of its cases, one call each, so
+    its RNG stream runs across them.
+    """
+    sanitizers = {theta0: _diff_sanitizer(aggregate, theta0) for theta0 in _DIFF_THETAS}
+    return [
+        _diff_record(case, sanitizers[case[1]].sanitize([answer], [group])[0])
+        for case, answer, group in _diff_cases(tree, pois, aggregate)
+    ]
 
 
 def _tie_outcomes(tree, pois) -> list:
@@ -275,7 +283,7 @@ def _tie_outcomes(tree, pois) -> list:
             answer = [item for _, item, _ in mbm_kgnn(tree, group, 8, aggregate)]
             twin = POI(len(pois), answer[0].location)
             for ranked in (answer, [answer[0], twin, *answer[1:]]):
-                outcome = sanitizer.sanitize(ranked, group)
+                outcome = sanitizer.sanitize([ranked], [group])[0]
                 outcomes.append(
                     (
                         (aggregate.name, len(group), len(ranked)),
@@ -385,9 +393,140 @@ class TestSanitizeMemory:
         )
         tracemalloc.start()
         try:
-            outcome = sanitizer.sanitize(answer, group)
+            outcome = sanitizer.sanitize([answer], [group])[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(outcome.prefix) == prefix
         assert peak <= limit_mib * 2**20
+
+
+# ------------------------------------------------------------------ batches
+
+
+def reference_outcomes(sanitizer, answers, groups) -> list:
+    """Each candidate tested in turn, drawing its own samples from the
+    sanitizer's sampler: the per-candidate reference of a batch."""
+    outcomes = []
+    for pois, group in zip(answers, groups, strict=True):
+        if len(group) < 2 or len(pois) < 2:
+            outcomes.append(SanitationOutcome(tuple(pois), tuple([len(pois)] * max(len(group), 1))))
+            continue
+        xs, ys = sanitizer.space.sample_arrays(sanitizer.plan.n_samples, sanitizer.rng)
+        outcomes.append(sanitizer._sanitize_incremental(pois, group, xs, ys))
+    return outcomes
+
+
+@pytest.fixture(params=["two-cores", "inline"])
+def placement(request, monkeypatch):
+    """A batch on the host's CPUs, and one kept inline by a one-CPU affinity."""
+    cores.shutdown()
+    if request.param == "inline":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    yield request.param
+    cores.shutdown()
+
+
+class TestBatch:
+    """One call per request: the same outcomes and sampler end state as
+    testing each candidate on its own draws, on one core or two."""
+
+    @pytest.mark.parametrize("name", ["sum", "max", "min", "custom"])
+    def test_grid_batches_equal_per_candidate_runs(self, sequoia_tree, placement, name):
+        """Each theta0's grid cases as one batch: the per-candidate reference's
+        prefixes, safe lengths and final sampler state, and the pinned digest."""
+        aggregate = _diff_aggregate(name)
+        cases = _diff_cases(*sequoia_tree, aggregate)
+        outcomes = {}
+        for theta0 in _DIFF_THETAS:
+            batch = [case for case in cases if case[0][1] == theta0]
+            answers = [answer for _, answer, _ in batch]
+            groups = [group for _, _, group in batch]
+            reference = _diff_sanitizer(aggregate, theta0)
+            expected = reference_outcomes(reference, answers, groups)
+            sanitizer = _diff_sanitizer(aggregate, theta0)
+            got = sanitizer.sanitize(answers, groups)
+            assert got == expected
+            assert sanitizer.rng.bit_generator.state == reference.rng.bit_generator.state
+            outcomes.update((case, outcome) for (case, _, _), outcome in zip(batch, got, strict=True))
+        records = [_diff_record(case, outcomes[case]) for case, _, _ in cases]
+        assert _outcome_digest(records) == _EXACT_COLUMN_OUTCOMES[name]
+        helped = placement == "two-cores" and name != "custom" and cores._may_use_helper(2)
+        assert (cores._helper is not None) == helped
+
+    def test_untested_candidates_draw_nothing_and_take_no_slot(self, space, engine, placement):
+        groups = [
+            spread_group(4, seed=1),
+            [Point(0.2, 0.3)],  # n = 1
+            spread_group(3, seed=2),
+            spread_group(5, seed=3),
+            spread_group(2, seed=4),
+            spread_group(2, seed=5),
+        ]
+        answers = [engine.query(8, group) for group in groups]
+        answers[3] = answers[3][:1]  # k = 1
+        answers[5] = []  # k = 0
+        reference = make_sanitizer(space, samples=3000, seed=4)
+        expected = reference_outcomes(reference, answers, groups)
+        sanitizer = make_sanitizer(space, samples=3000, seed=4)
+        assert sanitizer.sanitize(answers, groups) == expected
+        assert sanitizer.rng.bit_generator.state == reference.rng.bit_generator.state
+        assert [o.prefix for o in expected[1::2]] == [tuple(a) for a in answers[1::2]]
+        three_tested = make_sanitizer(space, samples=3000, seed=4)
+        three_tested.rng.bit_generator.advance(2 * 3000 * 3)
+        assert sanitizer.rng.bit_generator.state == three_tested.rng.bit_generator.state
+
+    def test_empty_and_untested_batches_leave_the_sampler(self, space, engine):
+        sanitizer = make_sanitizer(space, seed=6)
+        before = sanitizer.rng.bit_generator.state
+        assert sanitizer.sanitize([], []) == []
+        pois = engine.query(4, [Point(0.5, 0.5)])
+        assert sanitizer.sanitize([pois], [[Point(0.5, 0.5)]])[0].prefix == tuple(pois)
+        assert sanitizer.rng.bit_generator.state == before
+
+    def test_advance_lands_where_the_draws_do(self, space):
+        """Each test jumps the sampler 2 * N_H words per earlier test; if numpy
+        ever counts a sample's words otherwise, this fails before answers move."""
+        for count in (1, 2, 1000, 63_225):
+            drawn = np.random.default_rng(count)
+            space.sample_arrays(count, drawn)
+            jumped = np.random.default_rng(count)
+            jumped.bit_generator.advance(2 * count)
+            assert jumped.bit_generator.state == drawn.bit_generator.state
+            assert np.array_equal(
+                np.concatenate(space.sample_arrays(50, jumped)),
+                np.concatenate(space.sample_arrays(50, drawn)),
+            )
+
+    def test_mismatched_lengths_raise(self, space, engine):
+        sanitizer = make_sanitizer(space)
+        group = spread_group(3)
+        with pytest.raises(ConfigurationError):
+            sanitizer.sanitize([engine.query(4, group)], [group, group])
+
+    @pytest.mark.parametrize(
+        "rng",
+        [np.random.Generator(np.random.MT19937(0)), np.random.Generator(np.random.Philox(0)),
+         np.random.RandomState(0), None],
+        ids=["mt19937", "philox", "random-state", "none"],
+    )
+    def test_sampler_must_be_pcg64(self, space, rng):
+        plan = SanitationTestPlan.from_parameters(0.05, n_samples_override=100)
+        with pytest.raises(ConfigurationError):
+            AnswerSanitizer(space, SUM, plan, rng)
+
+    def test_helper_keeps_its_sanitizer_while_the_parameters_stay(self, space, engine):
+        group = spread_group(4, seed=8)
+        answers = [engine.query(8, group)] * 3
+        sanitizer = make_sanitizer(space, samples=2000, seed=9)
+        state = sanitizer.rng.bit_generator.state["state"]
+        words = (state["state"], state["inc"])
+        body = sanitizer._request(words, list(zip(answers, [group] * 3, strict=True)))
+        first, tests = helper_tests(body, None)
+        assert [slot for slot, _ in tests] == [2, 1, 0]
+        expected = [o.safe_lengths for o in sanitizer.sanitize(answers, [group] * 3)]
+        assert [compute() for _, compute in reversed(tests)] == expected
+        again, _ = helper_tests(body, first)
+        assert again is first
+        other = make_sanitizer(space, samples=2001)._request(words, [])
+        assert helper_tests(other, first)[0] is not first

@@ -1,12 +1,14 @@
-"""Tests for the second-core helper of owner nonce factors and dot products.
+"""Tests for the second-core helper of owner nonce factors, dot products
+and sanitation tests.
 
 Every batch must return exactly the factors (and ciphertexts) that one
-``obfuscate`` (or ``encrypt``) call per element returns, and every split
+``obfuscate`` (or ``encrypt``) call per element returns, every split
 product the value and count of ``fastexp.multi_pow`` over the whole term
-list, whichever process computed them; every failure of the helper must
-leave the next batch correct.  Tests that need the helper itself skip on
-a one-CPU host and with ``REPRO_FASTEXP=0``, where every batch runs
-inline.
+list, and every sanitation batch the outcomes of testing each candidate
+on its own draws, whichever process computed them; every failure of the
+helper must leave the batch and the next batch correct.  Tests that need
+the helper itself skip on a one-CPU host and with ``REPRO_FASTEXP=0``,
+where every batch runs inline.
 """
 
 import os
@@ -15,13 +17,20 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from repro.core.sanitize import AnswerSanitizer
 from repro.crypto import cores, fastexp
 from repro.crypto.homomorphic import encrypt_indicator, hom_dot
 from repro.crypto.noncepool import NoncePool
 from repro.crypto.paillier import PaillierPrivateKey, generate_keypair
+from repro.datasets.synthetic import uniform_pois
+from repro.geometry.space import LocationSpace
+from repro.gnn.aggregate import SUM, Aggregate
+from repro.gnn.engine import GNNQueryEngine
 from repro.obs.profile import profile_keypair
+from repro.stats.hypothesis import SanitationTestPlan
 
 two_cpus = pytest.mark.skipif(
     cores._cpu_count() < 2 or not fastexp.enabled(),
@@ -68,6 +77,44 @@ def fast_paths():
 def always_split(monkeypatch):
     """Split every product of two or more terms, however small."""
     monkeypatch.setattr(cores, "SPLIT_FLOOR_WORK64", -1)
+
+
+@pytest.fixture(scope="module")
+def sanitation():
+    """``(answers, candidates)`` of twelve candidate queries of four users."""
+    engine = GNNQueryEngine(uniform_pois(600, seed=31))
+    space = LocationSpace.unit_square()
+    rng = np.random.default_rng(32)
+    candidates = [space.sample_points(4, rng) for _ in range(12)]
+    return engine.query_many(8, candidates), candidates
+
+
+def sanitizer_of(aggregate=SUM, seed=0):
+    plan = SanitationTestPlan.from_parameters(0.05, n_samples_override=4000)
+    space = LocationSpace.unit_square()
+    return AnswerSanitizer(space, aggregate, plan, np.random.default_rng(seed))
+
+
+def reference_lengths(sanitizer, answers, candidates):
+    """Each candidate's safe lengths on its own draws, tested in turn, and
+    the sampler's state after them."""
+    lengths = []
+    for pois, candidate in zip(answers, candidates, strict=True):
+        xs, ys = sanitizer.space.sample_arrays(sanitizer.plan.n_samples, sanitizer.rng)
+        lengths.append(sanitizer._sanitize_incremental(pois, candidate, xs, ys).safe_lengths)
+    return lengths, sanitizer.rng.bit_generator.state
+
+
+def assert_sanitizes_right(sanitation, seed):
+    answers, candidates = sanitation
+    expected = reference_lengths(sanitizer_of(seed=seed), answers, candidates)
+    sanitizer = sanitizer_of(seed=seed)
+    outcomes = sanitizer.sanitize(answers, candidates)
+    got = [o.safe_lengths for o in outcomes], sanitizer.rng.bit_generator.state
+    assert got == expected
+    assert [o.prefix for o in outcomes] == [
+        tuple(pois[: min(lengths)]) for pois, lengths in zip(answers, expected[0], strict=True)
+    ]
 
 
 def wait_child(pid: int) -> int:
@@ -428,6 +475,69 @@ class TestFailures:
             known.known = {r: sk.obfuscate(r, 1) for r in nonces}
             assert cores.obfuscate_many(known, nonces, 1) == list(known.known.values())
 
+    def test_helper_killed_mid_sanitation_gives_right_outcomes(self, sanitation, monkeypatch):
+        assert_sanitizes_right(sanitation, seed=1)  # forks the helper
+        killed = cores._helper.pid
+        original = AnswerSanitizer._safe_lengths
+
+        def kill_at_first(self, words, slot, *args):
+            if slot == 0:
+                os.kill(killed, signal.SIGKILL)
+                # Dead before the caller looks again (left unreaped, so the
+                # batch reaps it).
+                os.waitid(os.P_PID, killed, os.WEXITED | os.WNOWAIT)
+            return original(self, words, slot, *args)
+
+        # Patched after the fork, so only the caller's tests kill.
+        monkeypatch.setattr(AnswerSanitizer, "_safe_lengths", kill_at_first)
+        assert_sanitizes_right(sanitation, seed=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(killed, os.WNOHANG)  # discarded and reaped
+        assert cores._helper is None
+        monkeypatch.setattr(AnswerSanitizer, "_safe_lengths", original)
+        assert_sanitizes_right(sanitation, seed=3)
+        assert cores._helper.pid != killed
+
+    def test_stopped_helper_does_not_stall_sanitation(self, sanitation, monkeypatch):
+        assert_sanitizes_right(sanitation, seed=4)
+        helper = cores._helper
+        original = AnswerSanitizer._safe_lengths
+
+        def stop_at_first(self, words, slot, *args):
+            if slot == 0:
+                os.kill(helper.pid, signal.SIGSTOP)
+            return original(self, words, slot, *args)
+
+        def overdue(signum, frame):
+            raise TimeoutError(f"sanitation still waiting after {WAIT_S} s")
+
+        previous = signal.signal(signal.SIGALRM, overdue)
+        monkeypatch.setattr(AnswerSanitizer, "_safe_lengths", stop_at_first)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, WAIT_S)
+            assert_sanitizes_right(sanitation, seed=5)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+            os.kill(helper.pid, signal.SIGCONT)
+        assert cores._helper is helper  # still in service
+        monkeypatch.setattr(AnswerSanitizer, "_safe_lengths", original)
+        assert_sanitizes_right(sanitation, seed=6)
+
+    def test_custom_aggregate_sends_no_request(self, sanitation):
+        answers, candidates = sanitation
+        assert_sanitizes_right(sanitation, seed=7)
+        helper = cores._helper
+        batch = helper.batch
+        opaque_sum = Aggregate(
+            "opaque-sum", lambda ds: float(sum(ds)), lambda m: m.sum(axis=1)
+        )
+        expected = reference_lengths(sanitizer_of(opaque_sum, seed=8), answers, candidates)
+        sanitizer = sanitizer_of(opaque_sum, seed=8)
+        outcomes = sanitizer.sanitize(answers, candidates)
+        assert ([o.safe_lengths for o in outcomes], sanitizer.rng.bit_generator.state) == expected
+        assert cores._helper is helper and helper.batch == batch
+
     def test_forked_child_never_uses_the_parents_pipes(self, keys):
         sk, pk = keys
         cores.obfuscate_many(sk, nonces_of(pk, 4, seed=11), 1)
@@ -489,38 +599,57 @@ class TestAffinity:
         helper_cpus = os.sched_getaffinity(cores._helper.pid)
         assert helper_cpus < allowed and len(helper_cpus) == len(allowed) - 1
 
+    def test_current_cpu_opens_no_file(self, monkeypatch):
+        def no_files(*args, **kwargs):
+            raise AssertionError("opened a file")
+
+        monkeypatch.setattr(os, "open", no_files)
+        assert cores._current_cpu() in os.sched_getaffinity(0)
+
     def test_unreadable_cpu_skips_the_step(self, keys, monkeypatch):
+        """Without ``sched_getcpu``, or when it fails (-1), the helper keeps
+        the CPUs it had."""
         sk, pk = keys
         cores.obfuscate_many(sk, nonces_of(pk, 2, seed=1), 1)
         before = os.sched_getaffinity(cores._helper.pid)
-
-        def unreadable():
-            raise OSError("no /proc here")
-
-        monkeypatch.setattr(cores, "_current_cpu", unreadable)
-        nonces = nonces_of(pk, 4, seed=2)
-        assert cores.obfuscate_many(sk, nonces, 1) == [sk.obfuscate(r, 1) for r in nonces]
-        assert os.sched_getaffinity(cores._helper.pid) == before
+        for getcpu in (None, lambda: -1):
+            monkeypatch.setattr(cores, "_sched_getcpu", getcpu)
+            assert cores._current_cpu() == -1
+            nonces = nonces_of(pk, 4, seed=2)
+            assert cores.obfuscate_many(sk, nonces, 1) == [sk.obfuscate(r, 1) for r in nonces]
+            assert os.sched_getaffinity(cores._helper.pid) == before
 
 
 @two_cpus
-def test_stress_against_a_forked_twin(always_split):
-    """200 random batches and products here while a forked child runs 200 of
-    its own."""
+def test_stress_against_a_forked_twin(always_split, sanitation):
+    """200 random owner batches, products and sanitation batches here while
+    a forked child runs 200 of its own."""
     sk, pk = generate_keypair(128, seed=97)
+    answers, candidates = sanitation
     deadline = time.monotonic() + WAIT_S
 
     def run(seed: int) -> bool:
         rng = random.Random(seed)
         for _ in range(200):
             s = rng.choice((1, 2, 3))
-            if rng.random() < 0.5:
+            kind = rng.random()
+            if kind < 1 / 3:
                 nonces = [pk.random_unit(rng) for _ in range(rng.randrange(0, 9))]
                 if cores.obfuscate_many(sk, nonces, s) != [sk.obfuscate(r, s) for r in nonces]:
                     return False
-            else:
+            elif kind < 2 / 3:
                 pairs, modulus = product_of(pk, s, rng.randrange(0, 9), rng.getrandbits(32))
                 if cores.multi_pow(pairs, modulus) != fastexp.multi_pow(pairs, modulus):
+                    return False
+            else:
+                picks = rng.sample(range(len(candidates)), rng.randrange(0, 6))
+                batch = [answers[i] for i in picks], [candidates[i] for i in picks]
+                sampler_seed = rng.getrandbits(32)
+                expected = reference_lengths(sanitizer_of(seed=sampler_seed), *batch)
+                sanitizer = sanitizer_of(seed=sampler_seed)
+                outcomes = sanitizer.sanitize(*batch)
+                got = [o.safe_lengths for o in outcomes], sanitizer.rng.bit_generator.state
+                if got != expected:
                     return False
             if time.monotonic() > deadline:
                 return False

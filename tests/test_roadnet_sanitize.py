@@ -45,7 +45,7 @@ class TestRoadSanitizer:
         sanitizer = make_sanitizer(network)
         group = spread_group(5, seed=1)
         pois = engine.query(8, group)
-        outcome = sanitizer.sanitize(pois, group)
+        outcome = sanitizer.sanitize([pois], [group])[0]
         assert list(outcome.prefix) == pois[: len(outcome.prefix)]
         assert len(outcome.prefix) >= 1
         assert len(outcome.prefix) == min(outcome.safe_lengths)
@@ -54,7 +54,7 @@ class TestRoadSanitizer:
         sanitizer = make_sanitizer(network)
         user = Point(0.4, 0.4)
         pois = engine.query(5, [user])
-        assert list(sanitizer.sanitize(pois, [user]).prefix) == pois
+        assert list(sanitizer.sanitize([pois], [[user]])[0].prefix) == pois
 
     def test_spread_group_gets_truncated(self, network, engine):
         """With users at opposite corners the ranking pins the victim down,
@@ -64,7 +64,7 @@ class TestRoadSanitizer:
         for seed in range(5):
             group = spread_group(6, seed=seed)
             pois = engine.query(8, group)
-            if len(sanitizer.sanitize(pois, group).prefix) < len(pois):
+            if len(sanitizer.sanitize([pois], [group])[0].prefix) < len(pois):
                 truncated = True
                 break
         assert truncated
@@ -91,5 +91,5 @@ class TestRoadSanitizer:
         lengths = []
         for theta0 in (0.02, 0.2, 0.6):
             sanitizer = make_sanitizer(network, theta0=theta0, seed=4)
-            lengths.append(len(sanitizer.sanitize(pois, group).prefix))
+            lengths.append(len(sanitizer.sanitize([pois], [group])[0].prefix))
         assert lengths == sorted(lengths, reverse=True)

@@ -297,3 +297,21 @@ class TestConfigValidation:
                 ServeConfig(**bad)
         assert ServeConfig(workers=np.int64(2), knn_cache_size=None).workers == 2
 
+    def test_switches_must_be_bools(self):
+        """A switch acts on its truth value, so ``obs="no"`` would trace."""
+        for bad in (
+            {"obs": "no"},
+            {"guard": "false"},
+            {"nonce_pool": 0.0},
+            {"obs": 1},
+            {"guard": None},
+            {"nonce_pool": np.int64(0)},
+        ):
+            with pytest.raises(ConfigurationError, match=next(iter(bad))):
+                ServeConfig(**bad)
+        serve = ServeConfig(nonce_pool=np.bool_(False), guard=np.bool_(True), obs=np.bool_(True))
+        assert (serve.nonce_pool, serve.guard, serve.obs) == (False, True, True)
+        assert all(type(v) is bool for v in (serve.nonce_pool, serve.guard, serve.obs))
+        options = serve.runner_options(0)
+        assert (options.nonce_pool, options.guard, options.obs) == (False, True, True)
+
