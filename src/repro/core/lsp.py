@@ -36,7 +36,7 @@ from repro.protocol.messages import (
     SingleQueryRequest,
 )
 from repro.protocol.metrics import LSP, CostLedger
-from repro.stats.hypothesis import SanitationTestPlan
+from repro.stats.hypothesis import SanitationTestPlan, sanitation_parameters
 
 
 @dataclass
@@ -74,13 +74,16 @@ class LSPServer:
         Euclidean engines use :class:`~repro.core.sanitize.AnswerSanitizer`,
         road-network engines the road-metric sanitizer of
         :mod:`repro.roadnet.sanitize`; any other custom engine must run
-        PPGNN-NAS (``sanitize=False``).
+        PPGNN-NAS (``sanitize=False``).  The sanitation test's ``gamma``,
+        ``eta`` and ``phi`` are checked here, before any request
+        (:func:`~repro.stats.hypothesis.sanitation_parameters`).
         """
         from repro.gnn.aggregate import get_aggregate
 
         if sanitation_samples is not None:
             positive_int(sanitation_samples, "sanitation_samples")
         seed = positive_int(seed, "seed", floor=0)
+        gamma, eta, phi = sanitation_parameters(gamma, eta, phi)
         self.space = space or LocationSpace.unit_square()
         if engine is not None:
             if pois is not None:

@@ -1,7 +1,7 @@
-"""The key holder's nonce factors, and the LSP's dot products and answer
-sanitation, on two cores.
+"""The key holder's nonce factors, and the LSP's dot products, answer
+sanitation and kGNN walk, on two cores.
 
-Three kinds of work run on a second core.  An owner nonce factor
+Four kinds of work run on a second core.  An owner nonce factor
 (:meth:`~repro.crypto.paillier.PaillierPrivateKey.obfuscate`) is the
 coordinator's dominant cost, and the factors of one batch -- an
 indicator's, or a key-owned pool refill's -- do not depend on each
@@ -13,7 +13,11 @@ terms into two halves of about equal cost (a two-item batch) and joins
 the halves with one modular multiplication.  The LSP's answer sanitation
 runs one Monte-Carlo test per candidate query, each on samples of its
 own (:mod:`repro.core.sanitize`), and :func:`sanitize_many` makes each
-test one item of a batch.
+test one item of a batch.  The LSP answers a request's candidate queries
+in one batched kGNN walk (:func:`repro.gnn.mbm.mbm_kgnn_many`), in which
+each group's rounds depend only on that group, and :func:`kgnn_halves`
+makes the head and tail halves of the batch the two items of a batch:
+per-group items would pay the rounds' fixed numpy calls once per group.
 
 One helper process works through each batch from the tail and sends each
 item as soon as it has it, while the calling process works from the
@@ -24,16 +28,25 @@ them and neither keeps working once the batch is done.  When only the
 item the helper is working on is left, the caller waits for it about as
 long as one of its own items took, then computes it itself: the caller
 never waits longer than that, so when the host stalls the second core a
-batch costs about its inline time plus one item.  Each factor is the
+batch costs about its inline time plus one item.  Neither process is
+left writing into a full pipe while the other does the same: the caller
+reads the helper's replies while it sends a request larger than the
+pipe's buffer (an index view's arrays), and a helper that reads none of
+it for :data:`SEND_STALL_S` is lost; the helper sends no item the caller
+has taken over, and the caller reads a long reply (a half walk's rows)
+as it comes in.  Each factor is the
 value ``obfuscate`` returns for its nonce, each product the value
-``fastexp.multi_pow`` returns for the whole term list, and each test's
-safe lengths those of the same test on the same samples, whichever
-process computed them, so ciphertexts, answers, pool contents and every
-work counter are the same as with one core; only wall time moves.
+``fastexp.multi_pow`` returns for the whole term list, each test's
+safe lengths those of the same test on the same samples, and each half
+walk the rows and work counts of the same groups over the same arrays,
+whichever process computed them, so ciphertexts, answers, pool contents
+and every work counter are the same as with one core; only wall time
+moves.
 
 A product is split only when the modelled saving, the whole product's
-cost less its costlier half's at the modulus width, exceeds a round trip
-to the helper (:data:`SPLIT_FLOOR_WORK64`).  Before each request the
+cost less its costlier half's at the modulus width, estimated from the
+exponents' bit lengths, exceeds a round trip to the helper
+(:data:`SPLIT_FLOOR_WORK64`).  Before each request the
 helper is kept off the CPU the caller runs on (:func:`_keep_apart`);
 otherwise the scheduler may wake it there and leave both on one CPU.
 
@@ -51,7 +64,8 @@ runs inline, and a product in one chain, unless all of these hold:
   another thread is never forked (the helper never calls the native
   code of threads Python does not see, such as OpenBLAS's workers: the
   sanitation tests use numpy's element-wise functions and its PCG64
-  sampler, which run in the calling thread);
+  sampler, and the kGNN walk its element-wise functions, sorts, searches
+  and reductions, all of which run in the calling thread);
 - ``os.fork`` exists.
 
 The helper is stamped with the pid that forked it.  Any process forked
@@ -77,14 +91,29 @@ Every request is tagged with its kind after the sequence number:
   (:func:`repro.core.sanitize.helper_tests` reads it); item ``i`` is the
   test of slot ``i``.  The helper keeps its last sanitizer, and with it
   the sanitizer's ``N_H``-long buffers, while the requests' space,
-  aggregate and plan stay the same.
+  aggregate and plan stay the same;
+- ``(batch, "kgnn", token, layout, aggregate, k, groups)``: item 1 of a
+  two-item batch, the walk of the tail half of a same-size batch of kGNN
+  groups.  ``token`` names an index view
+  (:attr:`repro.index.base.FlatView.token`), ``aggregate`` is the index
+  of a built-in aggregate and ``groups`` the groups' coordinates.
+  ``layout`` is None when this helper was sent that view last, and
+  otherwise the view's ``roots`` and its walked arrays' shapes and
+  dtypes (:func:`repro.gnn.mbm.view_arrays`); the arrays' raw bytes then
+  follow the request, written straight from their memory, about 1 MiB
+  for the 62,556-POI R-tree.  The helper keeps the last view it was
+  sent, rebuilt read-only, and a request for a view it does not hold is
+  a helper failure, never a walk over stale arrays.
 
-Replies carry ``(batch, index, value)``: a factor, a product, or a
-test's safe lengths.  A product or sanitize request holds no key
-material, the factorisation stays in the key holder's process tree, and each
-side only unpickles integers, floats, strings and tuples or lists of
-them, written by this process.  DESIGN.md ("Crypto hot path", item 4)
-gives the reasons for a raw fork and the measured costs.
+Replies carry ``(batch, index, value)``: a factor, a product, a test's
+safe lengths, or a half walk's ``(rows, nodes_visited,
+candidates_scored)``, each row ``(group, leaf, position, score)``, which
+the caller resolves to POIs through its own view.  A product, sanitize
+or kGNN request holds no key material, the factorisation stays in the
+key holder's process tree, and each side only unpickles integers,
+floats, strings and tuples or lists of them, written by this process.
+DESIGN.md ("Crypto hot path", item 4) gives the reasons for a raw fork
+and the measured costs.
 """
 
 from __future__ import annotations
@@ -109,6 +138,7 @@ from repro.crypto import fastexp
 if TYPE_CHECKING:
     from repro.core.sanitize import AnswerSanitizer
     from repro.crypto.paillier import PaillierPrivateKey
+    from repro.gnn.mbm import WalkedArrays
 
 _T = TypeVar("_T")
 
@@ -123,7 +153,7 @@ _CLAIM = struct.Struct("=qq")
 _KEY_CACHE = 4
 
 #: The kinds of request (module docstring).
-_OWNER, _PRODUCT, _SANITIZE = "owner", "product", "sanitize"
+_OWNER, _PRODUCT, _SANITIZE, _KGNN = "owner", "product", "sanitize", "kgnn"
 
 #: Least modelled saving for which :func:`multi_pow` splits a product, in
 #: multiplications weighted by ``(modulus bits / 64) ** 2`` (``mul_work64``,
@@ -133,21 +163,35 @@ _OWNER, _PRODUCT, _SANITIZE = "owner", "product", "sanitize"
 #: cost nothing added 0.057 ms in a small process (p90 0.064 ms, 2,000
 #: pairs against inline),
 #: and ``fastexp.multi_pow`` took 11.5-13.3 ns per unit at 1024-2048-bit
-#: moduli; 0.12 ms is about 10,000 units.  The 25-term selection of a
-#: 1024-bit PPGNN-NAS query saves about 1.3 million, a 5-term level-1
-#: product at 512 bits about 50,000, PPGNN-OPT's nested row of five
-#: exponents equal to 1 at 512 bits 1,152, and no level-1 product at
-#: 128 bits clears the floor.
+#: moduli; 0.12 ms is about 10,000 units.  By the bit-length model of
+#: ``fastexp.estimated_cut``, the 25-term selection of a 1024-bit
+#: PPGNN-NAS query saves about 1.3 million, a 5-term level-1 product at
+#: 512 bits about 52,000, PPGNN-OPT's nested row of five exponents equal
+#: to 1 at 512 bits 1,152, and no level-1 product at 128 bits clears the
+#: floor (at most about 6,600).
 SPLIT_FLOOR_WORK64 = 10_000
+
+#: Seconds a helper may read none of a request larger than the pipe's
+#: buffer before it counts as stalled (:meth:`_Helper.start`).  Sending
+#: 1 MiB (an index view's arrays) on a 2-vCPU VM, 200 times each, a freshly
+#: forked helper first read 0.16 ms after the pipe filled in the median and
+#: 1.6 ms at most, and a running one paused between reads for at most
+#: 1.1 ms.
+SEND_STALL_S = 0.01
 
 
 class _HelperLost(Exception):
     """The helper died, closed its pipe, or answered out of turn."""
 
 
-def _write_message(fd: int, obj: object) -> None:
+def _frame(obj: object) -> bytes:
+    """``obj`` pickled, after its length."""
     data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(_HEADER.pack(len(data)) + data)
+    return _HEADER.pack(len(data)) + data
+
+
+def _write_message(fd: int, obj: object) -> None:
+    view = memoryview(_frame(obj))
     while view:
         view = view[os.write(fd, view):]
 
@@ -185,30 +229,25 @@ def _isolate(keep: tuple[int, int]) -> None:
     os.closerange(low, os.sysconf("SC_OPEN_MAX"))
 
 
-def _readable(fd: int, timeout: float) -> bool:
-    """Whether ``fd`` has something to read, or is at end of file, within
-    ``timeout`` seconds."""
-    poller = select.poll()
-    poller.register(fd, select.POLLIN)
-    return bool(poller.poll(timeout * 1000))
-
-
 class _Kept:
-    """What the helper keeps across requests: the keys it has rebuilt, and
-    its last sanitizer."""
+    """What the helper keeps across requests: the keys it has rebuilt, its
+    last sanitizer, and the token and arrays of the last index view it
+    was sent."""
 
-    __slots__ = ("keys", "sanitizer")
+    __slots__ = ("keys", "sanitizer", "view")
 
     def __init__(self) -> None:
         self.keys: dict[int, PaillierPrivateKey] = {}
         self.sanitizer: AnswerSanitizer | None = None
+        self.view: tuple[int, WalkedArrays] | None = None
 
 
 def _helper_items(
-    kind: str, body: list, kept: _Kept
+    kind: str, body: list, kept: _Kept, read: Callable[[int], bytes]
 ) -> list[tuple[int, Callable[[], object]]]:
     """The items of a request the helper may compute, tail first, each
-    with the function that computes it."""
+    with the function that computes it; ``read(size)`` reads the raw bytes
+    that follow the request."""
     if kind == _PRODUCT:
         modulus, pairs = body
         return [(1, partial(fastexp.multi_pow, pairs, modulus))]
@@ -217,6 +256,17 @@ def _helper_items(
 
         kept.sanitizer, tests = helper_tests(body, kept.sanitizer)
         return tests
+    if kind == _KGNN:
+        from repro.gnn.mbm import WalkedArrays, helper_walk
+
+        token, layout, *walk = body
+        if layout is not None:
+            kept.view = token, WalkedArrays(layout, read)
+        elif kept.view is None or kept.view[0] != token:
+            # Never walk stale arrays: the helper exits, and the caller
+            # walks the batch itself.
+            raise _HelperLost(f"the helper holds no copy of view {token}")
+        return [(1, helper_walk(kept.view[1], walk))]
     from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
 
     n, p, q, s, nonces = body
@@ -236,7 +286,9 @@ def _serve(requests: int, replies: int, claim: mmap.mmap) -> NoReturn:
     """The helper's loop: each request's items, from its tail, until end of file.
 
     The helper stops a batch at the first index the caller has claimed,
-    or as soon as the caller has moved on to another batch.
+    or as soon as the caller has moved on to another batch, and sends no
+    item the caller claimed while the helper computed it: a reply nobody
+    reads would keep the helper writing into a full pipe.
     """
     status = 1
     try:
@@ -250,11 +302,16 @@ def _serve(requests: int, replies: int, claim: mmap.mmap) -> NoReturn:
             except EOFError:
                 status = 0
                 break
-            for index, compute in _helper_items(kind, body, kept):
+            read = partial(_read_exact, requests)
+            for index, compute in _helper_items(kind, body, kept, read):
                 claimed_batch, claimed = _CLAIM.unpack_from(claim)
                 if claimed_batch != batch or claimed >= index:
                     break
-                _write_message(replies, (batch, index, compute()))
+                value = compute()
+                claimed_batch, claimed = _CLAIM.unpack_from(claim)
+                if claimed_batch != batch or claimed >= index:
+                    break
+                _write_message(replies, (batch, index, value))
     finally:
         os._exit(status)
 
@@ -301,10 +358,10 @@ def _keep_apart(pid: int) -> None:
 class _Helper:
     """One forked helper: its pid, the pid that forked it, that process's
     ends of the request and reply pipes, the claim it shares with the
-    helper, the current batch's sequence number and the reply bytes read
-    but not yet parsed."""
+    helper, the current batch's sequence number, the reply bytes read
+    but not yet parsed, and the token of the last index view sent."""
 
-    __slots__ = ("pid", "owner", "requests", "replies", "claim", "batch", "buffer")
+    __slots__ = ("pid", "owner", "requests", "replies", "claim", "batch", "buffer", "view")
 
     def __init__(self) -> None:
         claim = mmap.mmap(-1, _CLAIM.size)  # anonymous and shared across the fork
@@ -322,6 +379,7 @@ class _Helper:
             _serve(request_r, reply_w, claim)
         os.close(request_r)
         os.close(reply_w)
+        os.set_blocking(request_w, False)
         os.set_blocking(reply_r, False)
         self.pid = pid
         self.owner = os.getpid()
@@ -330,23 +388,39 @@ class _Helper:
         self.claim = claim
         self.batch = 0
         self.buffer = bytearray()
+        self.view: int | None = None
 
-    def start(self, request: tuple) -> None:
-        """Hand the helper a new batch, which it works through from the tail."""
+    def start(self, request: tuple, payload: Sequence[memoryview] = ()) -> None:
+        """Hand the helper a new batch, which it works through from the tail,
+        and then the raw bytes of ``payload``.
+
+        A request larger than the pipe's buffer (an index view's arrays, a
+        long nonce list) goes out as the helper reads it, while the caller
+        reads the helper's replies, so neither is left writing into a full
+        pipe; a helper that reads none of it for :data:`SEND_STALL_S` is
+        lost.
+        """
         self.batch += 1
         self.take(-1)
         _keep_apart(self.pid)
-        try:
-            _write_message(self.requests, (self.batch, *request))
-        except OSError as exc:
-            raise _HelperLost(f"request not delivered: {exc}") from None
+        for part in (memoryview(_frame((self.batch, *request))), *payload):
+            while part:
+                try:
+                    part = part[os.write(self.requests, part):]
+                except BlockingIOError:
+                    if not self._wait(SEND_STALL_S, writing=True):
+                        raise _HelperLost("the helper read none of its request") from None
+                    self._receive()
+                except OSError as exc:
+                    raise _HelperLost(f"request not delivered: {exc}") from None
 
     def take(self, index: int) -> None:
         """Claim ``index`` and every index below it for the caller.
 
-        The helper reads the claim before each item.  It may read it
-        just before a change, and then computes an item the caller also
-        computes: the two are equal, and the caller drops the reply.
+        The helper reads the claim before each item and before it sends
+        one.  It may read it just before a change, and then computes, or
+        sends, an item the caller also computes: the two are equal, and
+        the caller drops the reply.
         """
         _CLAIM.pack_into(self.claim, 0, self.batch, index)
 
@@ -354,21 +428,44 @@ class _Helper:
         """Store the current batch's items that have arrived in ``results``
         and return the lowest index the helper has sent (``tail`` if none).
 
-        Waits up to ``timeout`` seconds for a reply and never blocks
-        otherwise.  Replies to earlier batches are dropped.
+        Waits up to ``timeout`` seconds for an item, reading a long reply as
+        it comes in, and never blocks otherwise.  Replies to earlier
+        batches are dropped.
         """
-        if timeout > 0 and not self._whole_reply():
-            _readable(self.replies, timeout)
+        deadline = perf_counter() + timeout
+        while True:
+            self._receive()
+            lowest = self._store(results, tail)
+            if lowest < tail or not self._wait(deadline - perf_counter()):
+                return lowest
+
+    def _receive(self) -> None:
+        """Read every reply byte there is into the buffer."""
         while True:
             try:
                 chunk = os.read(self.replies, 1 << 16)
             except BlockingIOError:
-                break
+                return
             except OSError as exc:
                 raise _HelperLost(f"no reply: {exc}") from None
             if not chunk:
                 raise _HelperLost("no reply: the helper closed its pipe")
             self.buffer += chunk
+
+    def _wait(self, timeout: float, writing: bool = False) -> bool:
+        """Whether, within ``timeout`` seconds, a reply byte arrives, or the
+        helper closes its pipe, or, ``writing``, the request pipe has room."""
+        if timeout <= 0:
+            return False
+        poller = select.poll()
+        poller.register(self.replies, select.POLLIN)
+        if writing:
+            poller.register(self.requests, select.POLLOUT)
+        return bool(poller.poll(timeout * 1000))
+
+    def _store(self, results: list, tail: int) -> int:
+        """Store the current batch's whole replies in ``results``; the
+        lowest index among them, or ``tail``."""
         for reply in self._frames():
             if not (isinstance(reply, tuple) and len(reply) == 3):
                 raise _HelperLost("reply does not match the request")
@@ -491,7 +588,11 @@ def shutdown() -> None:
 
 
 def _exchange(
-    helper: _Helper, request: tuple, count: int, compute: Callable[[int], _T]
+    helper: _Helper,
+    request: tuple,
+    count: int,
+    compute: Callable[[int], _T],
+    payload: Sequence[memoryview] = (),
 ) -> list[_T]:
     """``[compute(i) for i in range(count)]``, the items of one batch: the
     caller computes them from the head while the helper, sent ``request``,
@@ -505,7 +606,7 @@ def _exchange(
     results: list[_T | None] = [None] * count
     head, tail = 0, count  # caller has [0, head), helper has sent [tail, count)
     try:
-        helper.start(request)
+        helper.start(request, payload)
         started = perf_counter()
         while head < tail:
             tail = helper.collect(results, tail)
@@ -554,34 +655,35 @@ def multi_pow(
     """``fastexp.multi_pow(pairs, modulus)``, its terms split over two
     cores when that saves more than a round trip to the helper.
 
-    The terms are cut where :func:`~repro.crypto.fastexp.cheapest_cut`
-    says.  The caller evaluates the costlier side and the helper the other,
-    as a two-item batch (:func:`_exchange`), since the helper also pays a
-    round trip and its side's window decomposition; one modular
-    multiplication joins the two.  The product runs inline, in one chain,
-    when the whole product's modelled cost less its costlier side's, at
-    the modulus width, is at most :data:`SPLIT_FLOOR_WORK64`, or when the
-    helper may not run (module docstring).  ``ledger`` receives the whole
-    product's :func:`~repro.crypto.fastexp.multi_pow_cost` either way:
-    which process did the work depends on the host, and no counter
-    records it.
+    The terms are cut where :func:`~repro.crypto.fastexp.estimated_cut`
+    says, from the exponents' bit lengths.  The request goes out first,
+    and then the caller evaluates the costlier side and the helper the
+    other, as a two-item batch (:func:`_exchange`), since the helper also
+    pays a round trip; each side decomposes only its own exponents, and
+    one modular multiplication joins the two.  The product runs inline,
+    in one chain, when the whole product's modelled cost less its
+    costlier side's, at the modulus width, is at most
+    :data:`SPLIT_FLOOR_WORK64`, or when the helper may not run (module
+    docstring).  ``ledger`` receives the whole product's exact
+    :func:`~repro.crypto.fastexp.multi_pow_cost` either way: which
+    process did the work depends on the host, and no counter records it.
     """
-    programs = fastexp.multi_programs([exponent for _, exponent in pairs])
-    cut, whole, head, tail = fastexp.cheapest_cut(programs)
+    exponents = [exponent for _, exponent in pairs]
     if ledger is not None:
-        ledger.add(whole)
+        ledger.add(fastexp.multi_pow_cost(exponents))
+    cut, whole, head, tail = fastexp.estimated_cut(exponents)
     saving = (whole - max(head, tail)) * (modulus.bit_length() / 64) ** 2
     helper = _helper_for(2) if saving > SPLIT_FLOOR_WORK64 else None
     if helper is None:
-        return fastexp.multi_pow(pairs, modulus, programs=programs)
-    sides = [(pairs[:cut], programs[:cut]), (pairs[cut:], programs[cut:])]
+        return fastexp.multi_pow(pairs, modulus)
+    sides = [pairs[:cut], pairs[cut:]]
     if tail > head:
         sides.reverse()
     mine, theirs = _exchange(
         helper,
-        (_PRODUCT, modulus, list(sides[1][0])),
+        (_PRODUCT, modulus, list(sides[1])),
         2,
-        lambda index: fastexp.multi_pow(sides[index][0], modulus, programs=sides[index][1]),
+        lambda index: fastexp.multi_pow(sides[index], modulus),
     )
     return mine * theirs % modulus
 
@@ -601,6 +703,32 @@ def sanitize_many(
     if helper is None:
         return [test(slot) for slot in range(count)]
     return _exchange(helper, (_SANITIZE, *request()), count, test)
+
+
+def kgnn_halves(
+    token: int,
+    arrays: Callable[[], tuple[tuple, Sequence[memoryview]]],
+    request: Callable[[], tuple],
+    walk: Callable[[int], _T],
+) -> list[_T] | None:
+    """``[walk(0), walk(1)]``, the head and tail halves of one batch of
+    kGNN groups, the tail half on the helper; None when the helper may not
+    run, and the caller then walks the batch whole.
+
+    The halves are the two items of a batch (:func:`_exchange`), and the
+    helper walks its half from ``request()``, the built-in aggregate's
+    index, ``k`` and the tail groups of a ``"kgnn"`` request (module
+    docstring).  The helper keeps the arrays of the last index view it was
+    sent, so ``arrays()``, the layout and bytes of view ``token``'s arrays,
+    is built and sent only when that view is not the last one this helper
+    was sent.
+    """
+    helper = _helper_for(2)
+    if helper is None:
+        return None
+    layout, payload = (None, ()) if helper.view == token else arrays()
+    helper.view = token  # a helper lost before it reads them is discarded
+    return _exchange(helper, (_KGNN, token, layout, *request()), 2, walk, payload)
 
 
 atexit.register(shutdown)

@@ -12,8 +12,9 @@ modular exponentiation, and each shape admits a classical speedup:
   ``prod c_i^{x_i} mod N^{s+1}``: :func:`multi_pow` interleaves the
   per-term windows over one shared squaring chain (Straus/Shamir), paying
   ``max_i bits(x_i)`` squarings total instead of per term;
-  :func:`cheapest_cut` finds where to cut one product in two, which
-  :mod:`repro.crypto.cores` evaluates on two cores.
+  :func:`estimated_cut` finds where to cut one product in two, from the
+  exponents' bit lengths, which :mod:`repro.crypto.cores` evaluates on
+  two cores.
 - **Known factorization** — the key holder's own nonce factor
   ``r^{N^s}``: :meth:`~repro.crypto.paillier.PaillierPrivateKey.obfuscate`
   builds it per prime in two short stages (a builtin ``pow`` modulo
@@ -241,8 +242,7 @@ def multi_programs(
 
     Each program is ``[(lsb_position, digit), ...]`` — the digit is
     multiplied in when the shared squaring chain reaches its least
-    significant bit.  :func:`multi_pow` evaluates them; a caller that
-    needs them first (:func:`cheapest_cut`) may pass them in.
+    significant bit.  :func:`multi_pow` evaluates them.
     """
     programs = []
     for exponent in exponents:
@@ -285,7 +285,7 @@ def _term_costs(
     ]
 
 
-def _joint_cost(own: int, chain: int) -> int:
+def _joint_cost(own: float, chain: int) -> float:
     return own + chain - 1 if own else 0
 
 
@@ -304,25 +304,43 @@ def multi_pow_cost(
     return _multi_cost(multi_programs(exponents, window))
 
 
-def cheapest_cut(
-    programs: Sequence[Sequence[tuple[int, int]]]
-) -> tuple[int, int, int, int]:
-    """Where to cut a product in two so that its costlier side costs least.
+def _term_estimate(exponent: int) -> tuple[float, int]:
+    """A model of one term's ``(own, chain)`` (:func:`_term_costs`) from
+    its bit length alone, at the window :func:`multi_programs` gives it.
 
-    Returns ``(cut, whole, head, tail)``: :func:`multi_pow` spends
-    ``whole`` multiplications on all of ``programs`` in one chain, ``head``
-    on ``programs[:cut]`` and ``tail`` on ``programs[cut:]`` (each side
-    pays its own squaring chain).  With fewer than two programs nothing is
-    cut: ``cut`` is their count, ``head`` is ``whole`` and ``tail`` is 0.
+    A b-bit exponent at window w is modelled with a full odd-power table,
+    one window for its top bit and one per ``w + 1`` bits below it (the
+    count :func:`default_window` minimizes), and a top window w bits
+    wide.  Exact for exponents 0 and 1.
     """
-    costs = _term_costs(programs)
+    if exponent < 0:
+        raise CryptoError("multi_pow needs non-negative exponents")
+    bits = exponent.bit_length()
+    if not bits:
+        return 0.0, 0
+    width = default_window(bits)
+    return _table_muls((1 << width) - 1) + 1 + (bits - 1) / (width + 1), bits - width
+
+
+def estimated_cut(exponents: Sequence[int]) -> tuple[int, float, float, float]:
+    """Where to cut a product in two so that its costlier side costs least,
+    by :func:`_term_estimate`'s model: no exponent is decomposed.
+
+    Returns ``(cut, whole, head, tail)``, the modelled multiplications of
+    all of ``exponents`` in one chain, of ``exponents[:cut]`` and of
+    ``exponents[cut:]`` (each side pays its own squaring chain).  With
+    fewer than two exponents nothing is cut: ``cut`` is their count,
+    ``head`` is ``whole`` and ``tail`` is 0.
+    """
+    costs = [_term_estimate(exponent) for exponent in exponents]
     total_own = sum(own for own, _ in costs)
     tail_chain = [0] * (len(costs) + 1)
     for index in range(len(costs) - 1, -1, -1):
         tail_chain[index] = max(tail_chain[index + 1], costs[index][1])
     whole = _joint_cost(total_own, tail_chain[0])
-    best = (len(costs), whole, whole, 0)
-    head_own = head_chain = 0
+    best = (len(costs), whole, whole, 0.0)
+    head_own = 0.0
+    head_chain = 0
     for index in range(1, len(costs)):
         own, chain = costs[index - 1]
         head_own += own
@@ -339,7 +357,6 @@ def multi_pow(
     modulus: int,
     window: int | None = None,
     ledger: MulLedger | None = None,
-    programs: Sequence[Sequence[tuple[int, int]]] | None = None,
 ) -> int:
     """``prod base_i^{exponent_i} mod modulus`` via interleaved windows.
 
@@ -347,11 +364,8 @@ def multi_pow(
     steps shared by every term, with per-term odd-power tables.  Exact
     cost is :func:`multi_pow_cost` of the same exponents (asserted equal
     in tests); value-identical to the product of builtin ``pow`` calls.
-    ``programs``, when given, are :func:`multi_programs` of these
-    exponents (``window`` is then unused).
     """
-    if programs is None:
-        programs = multi_programs([exponent for _, exponent in pairs], window)
+    programs = multi_programs([exponent for _, exponent in pairs], window)
     events_at: dict[int, list[tuple[int, int]]] = {}
     tables: list[dict[int, int]] = []
     for (base, _), events in zip(pairs, programs, strict=True):

@@ -32,14 +32,30 @@ scores from the aggregate's rows, each on one stacked array per round.
 Every entry that can reach a group's top k is scored, so the result is
 exact; the rounds only change how many nodes are expanded (see DESIGN.md,
 "kGNN hot path").  :func:`mbm_kgnn` is its one-group call.
+
+A same-size batch of two or more groups under a built-in aggregate is
+walked on two cores where the host allows it
+(:func:`repro.crypto.cores.kgnn_halves`): the caller walks the head
+half, ``ceil(groups / 2)`` of them, and the second-core helper the tail
+half, on its own read-only copy of the view's arrays
+(:func:`view_arrays`, :class:`WalkedArrays`), sent once per view.  The
+walk reads only those arrays and returns ``(group, leaf, position,
+score)`` rows, and only the caller resolves rows to POIs, through
+``view.nodes``, so one walk serves both processes.  Each half counts its
+own work and the caller adds the counts once, so answers, tie order and
+counters are those of one walk; only wall time moves.  One-group calls,
+custom aggregates and indexes without a flat view stay inline.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+import math
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.crypto import cores
 from repro.errors import ConfigurationError, positive_int
 from repro.geometry.distance import mindist_arrays, stacked_norm
 from repro.geometry.point import Point
@@ -56,6 +72,14 @@ _VECTOR_AGGREGATES = (SUM, MAX, MIN)
 _BUDGETS = np.array((2, 2, 4, 8, 16, 64, np.iinfo(np.intp).max))
 
 Ranked = list[tuple[Point, Any, float]]
+
+#: One ranked entry of a walk: its group's index in the walked batch, its
+#: leaf's flat node number, its position in that leaf, and its score.
+Row = tuple[int, int, int, float]
+
+#: The arrays of a :class:`~repro.index.base.FlatView` the walk reads,
+#: besides ``roots``.
+_WALKED = ("rects", "leaf", "first", "count", "xy")
 
 
 def _fallback_kgnn(
@@ -116,15 +140,19 @@ def _ranks(sorted_groups: np.ndarray) -> np.ndarray:
 
 
 def _walk(
-    view: FlatView,
-    groups: Sequence[Sequence[Point]],
+    view: FlatView | WalkedArrays,
+    q: np.ndarray,
     k: int,
     aggregate: Aggregate,
     counters: IndexCounters | None,
-) -> list[Ranked]:
-    """The batched best-first walk over groups of one size."""
-    # Users stacked (2, groups, n); q[:, g] lines one group up per row.
-    q = np.array([[[p.x for p in g] for g in groups], [[p.y for p in g] for g in groups]])
+) -> list[Row]:
+    """The batched best-first walk over the groups of ``q``, users stacked
+    ``(2, groups, n)``: each group's top ``k`` as rows, group by group in
+    rank order.
+
+    Reads only the view's arrays, never its nodes, so a copy of them in
+    another process walks alike.
+    """
     score = _row_scorer(aggregate)
     rect_keys = rect_keyer(aggregate, q.shape[2])
 
@@ -132,11 +160,12 @@ def _walk(
         rects = view.rects[:, nodes]
         return rect_keys(q[:, g], rects[:2], rects[2:])
 
-    kth = np.full(len(groups), np.inf)
-    stage = np.zeros(len(groups), dtype=np.intp)
+    groups = q.shape[1]
+    kth = np.full(groups, np.inf)
+    stage = np.zeros(groups, dtype=np.intp)
     # Pending nodes, one (group, node, key) per row.
-    pend_g = np.repeat(np.arange(len(groups)), view.roots)
-    pend_n = np.tile(np.arange(view.roots), len(groups))
+    pend_g = np.repeat(np.arange(groups), view.roots)
+    pend_n = np.tile(np.arange(view.roots), groups)
     pend_k = node_keys(pend_g, pend_n)
     # Candidate entries, one (group, entry, score) per row, each at most
     # its group's kth.
@@ -190,14 +219,94 @@ def _walk(
         (cand_e, corners[1], corners[0], node_keys(cand_g, cand_l), y, x, cand_s, cand_g)
     )
     top = order[_ranks(cand_g[order]) < k]
-    results: list[Ranked] = [[] for _ in groups]
-    positions = (cand_e[top] - view.first[cand_l[top]]).tolist()
-    for g, leaf, i, s in zip(
-        cand_g[top].tolist(), cand_l[top].tolist(), positions, cand_s[top].tolist(), strict=True
-    ):
-        node = view.nodes[leaf]
-        results[g].append((node.points[i], node.items[i], s))
-    return results
+    return list(
+        zip(
+            cand_g[top].tolist(),
+            cand_l[top].tolist(),
+            (cand_e[top] - view.first[cand_l[top]]).tolist(),
+            cand_s[top].tolist(),
+            strict=True,
+        )
+    )
+
+
+def _counted_walk(
+    view: FlatView | WalkedArrays, q: np.ndarray, k: int, aggregate: Aggregate
+) -> tuple[list[Row], int, int]:
+    """:func:`_walk` on counters of its own: its rows, the nodes it
+    expanded and the entries it scored."""
+    counters = IndexCounters()
+    rows = _walk(view, q, k, aggregate, counters)
+    return rows, counters.nodes_visited, counters.candidates_scored
+
+
+def _walk_parts(
+    view: FlatView,
+    q: np.ndarray,
+    k: int,
+    aggregate: Aggregate,
+    counters: IndexCounters | None,
+) -> list[tuple[int, list[Row]]]:
+    """The rows of the batch ``q``, in parts, each with its first group's
+    index in the batch.
+
+    Two or more groups under a built-in aggregate are walked in two
+    halves, the caller's the larger, with the tail half on the second-core
+    helper (:func:`repro.crypto.cores.kgnn_halves`); each half counts its
+    own work and the counts are added here once, whichever process walked
+    it.  Otherwise, and when the helper may not run, the batch is one walk.
+    """
+    count = q.shape[1]
+    if count >= 2 and aggregate in _VECTOR_AGGREGATES:
+        half = (count + 1) // 2
+        parts = (q[:, :half], q[:, half:])
+        halves = cores.kgnn_halves(
+            view.token,
+            partial(view_arrays, view),
+            lambda: (_VECTOR_AGGREGATES.index(aggregate), k, parts[1].tolist()),
+            lambda index: _counted_walk(view, parts[index], k, aggregate),
+        )
+        if halves is not None:
+            if counters is not None:
+                for _, nodes, entries in halves:
+                    counters.nodes_visited += nodes
+                    counters.candidates_scored += entries
+            return [(0, halves[0][0]), (half, halves[1][0])]
+    return [(0, _walk(view, q, k, aggregate, counters))]
+
+
+def view_arrays(view: FlatView) -> tuple[tuple, list[memoryview]]:
+    """The arrays :func:`_walk` reads, for another process: their layout as
+    plain values (``roots``, and each array's shape and dtype), and a byte
+    view of each array's memory, to be written after the layout uncopied."""
+    arrays = [np.ascontiguousarray(getattr(view, name)) for name in _WALKED]
+    layout = (view.roots, tuple((array.shape, array.dtype.str) for array in arrays))
+    return layout, [memoryview(array).cast("B") for array in arrays]
+
+
+class WalkedArrays:
+    """The arrays of a :class:`~repro.index.base.FlatView` that the walk
+    reads, rebuilt read-only in another process from the layout of
+    :func:`view_arrays` and the bytes ``read(size)`` returns."""
+
+    __slots__ = ("roots", *_WALKED)
+
+    def __init__(self, layout: Sequence, read: Callable[[int], bytes]) -> None:
+        self.roots, shapes = layout
+        for name, (shape, dtype) in zip(_WALKED, shapes, strict=True):
+            data = read(math.prod(shape) * np.dtype(dtype).itemsize)
+            setattr(self, name, np.frombuffer(data, dtype=dtype).reshape(shape))
+
+
+def helper_walk(view: WalkedArrays, body: Sequence) -> Callable[[], tuple[list[Row], int, int]]:
+    """The second-core helper's side of a ``"kgnn"`` request: the walk of
+    its groups over the helper's copy of the view.
+
+    ``body`` is the request's built-in aggregate index, ``k`` and the
+    groups' coordinates, stacked ``(2, groups, n)`` as nested lists.
+    """
+    aggregate, k, groups = body
+    return partial(_counted_walk, view, np.array(groups), k, _VECTOR_AGGREGATES[aggregate])
 
 
 def mbm_kgnn_many(
@@ -210,7 +319,9 @@ def mbm_kgnn_many(
     """Exact top-``k`` group nearest neighbors of every group, in one walk.
 
     Returns one list per group, as :func:`mbm_kgnn` would for it alone.
-    Groups of different sizes are walked separately, one walk per size.
+    Groups of different sizes are walked separately, one walk per size,
+    and a walk of two or more groups may run on two cores (module
+    docstring).
     """
     k = positive_int(k, "k")
     if not all(groups):
@@ -223,9 +334,15 @@ def mbm_kgnn_many(
         by_size.setdefault(len(group), []).append(i)
     results: list[Ranked] = [[] for _ in groups]
     for members in by_size.values():
-        answers = _walk(view, [groups[i] for i in members], k, aggregate, counters)
-        for i, answer in zip(members, answers, strict=True):
-            results[i] = answer
+        # Users stacked (2, groups, n); q[:, g] lines one group up per row.
+        batch = [groups[i] for i in members]
+        q = np.array([[[p.x for p in g] for g in batch], [[p.y for p in g] for g in batch]])
+        for offset, rows in _walk_parts(view, q, k, aggregate, counters):
+            for g, leaf, position, score in rows:
+                node = view.nodes[leaf]
+                results[members[offset + g]].append(
+                    (node.points[position], node.items[position], score)
+                )
     return results
 
 

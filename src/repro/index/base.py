@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
@@ -60,6 +61,10 @@ class TraversalNode:
         self.mbr = mbr
 
 
+#: Numbers every :class:`FlatView` this process builds, in build order.
+_view_tokens = itertools.count(1)
+
+
 class FlatView:
     """A whole traversal hierarchy as a few flat numpy arrays.
 
@@ -72,6 +77,11 @@ class FlatView:
     ----------
     version:
         The index :attr:`~SpatialIndex.version` the view was built at.
+    token:
+        A number no other view of this process has, so another process
+        holding a copy of the arrays can tell which view they are: an
+        ``id`` is reused after collection, and every new index restarts
+        ``version`` at 0.
     nodes:
         The traversal nodes in flat order; a result entry resolves to
         ``nodes[leaf].points[i]`` and ``nodes[leaf].items[i]``, so the view
@@ -92,7 +102,7 @@ class FlatView:
         order.
     """
 
-    __slots__ = ("version", "nodes", "roots", "rects", "leaf", "first", "count", "xy")
+    __slots__ = ("version", "token", "nodes", "roots", "rects", "leaf", "first", "count", "xy")
 
     def __init__(self, roots: Sequence, version: int) -> None:
         nodes = [root for root in roots if root.mbr is not None]
@@ -112,6 +122,7 @@ class FlatView:
                 count.append(len(children))
                 nodes.extend(children)
         self.version = version
+        self.token = next(_view_tokens)
         self.nodes = nodes
         self.leaf = np.array([node.is_leaf for node in nodes], dtype=bool)
         self.first = np.array(first, dtype=np.intp)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, finite_real
 
 # Coefficients of Acklam's inverse-normal-CDF approximation.
 _A = (
@@ -66,6 +66,23 @@ def normal_quantile(p: float) -> float:
     ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
 
 
+def sanitation_parameters(gamma: object, eta: object, phi: object) -> tuple[float, float, float]:
+    """The sanitation test's ``gamma``, ``eta`` and ``phi`` as floats, checked.
+
+    ``gamma`` and ``eta`` bound the two error probabilities, so each must
+    be a real number in (0, 0.5); ``phi`` must be a finite real number
+    above 0.  Anything else raises :class:`ConfigurationError` naming the
+    field.  ``theta_1 = theta_0 * (1 + phi) < 1`` is checked with each
+    ``theta_0`` (:func:`required_sample_size`).
+    """
+    for name, value in (("gamma", gamma), ("eta", eta)):
+        if not (finite_real(value) and 0.0 < value < 0.5):
+            raise ConfigurationError(f"{name} must be a real number in (0, 0.5), not {value!r}")
+    if not (finite_real(phi) and phi > 0.0):
+        raise ConfigurationError(f"phi must be a finite real number above 0, not {phi!r}")
+    return float(gamma), float(eta), float(phi)
+
+
 def required_sample_size(
     theta0: float, gamma: float = 0.05, eta: float = 0.2, phi: float = 0.1
 ) -> int:
@@ -74,13 +91,12 @@ def required_sample_size(
     Bounds Pr(Type I error) <= gamma and Pr(Type II error) <= eta for the
     alternative ``theta_1 = theta_0 * (1 + phi)``.
     """
+    gamma, eta, phi = sanitation_parameters(gamma, eta, phi)
     if not 0.0 < theta0 < 1.0:
         raise ConfigurationError("theta0 must be in (0, 1)")
     theta1 = theta0 * (1.0 + phi)
     if not theta0 < theta1 < 1.0:
         raise ConfigurationError("theta1 = theta0 * (1 + phi) must stay below 1")
-    if not (0.0 < gamma < 0.5 and 0.0 < eta < 0.5):
-        raise ConfigurationError("gamma and eta must be in (0, 0.5)")
     z_gamma = normal_quantile(1.0 - gamma)
     z_eta = normal_quantile(1.0 - eta)
     numerator = z_gamma * math.sqrt(theta0 * (1.0 - theta0)) + z_eta * math.sqrt(

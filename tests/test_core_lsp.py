@@ -170,6 +170,35 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="seed"):
             server.reset_rng(seed)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gamma", "x"),
+            ("gamma", float("nan")),
+            ("gamma", 0.5),
+            ("gamma", True),
+            ("eta", 0.7),
+            ("eta", 0.0),
+            ("eta", None),
+            ("phi", -0.5),
+            ("phi", 0),
+            ("phi", float("inf")),
+            ("phi", "0.1"),
+        ],
+    )
+    @pytest.mark.parametrize("samples", [None, 200])
+    def test_sanitation_parameters_checked_when_built(self, small_pois, field, value, samples):
+        # gamma="x" used to fail at the first sanitized query with a bare
+        # TypeError, and with an N_H override no check ever saw eta or phi:
+        # eta=0.7 and phi=-0.5 answered.
+        with pytest.raises(ConfigurationError, match=field):
+            LSPServer(small_pois, sanitation_samples=samples, **{field: value})
+
+    def test_sanitation_parameters_stored_as_floats(self, small_pois):
+        server = LSPServer(small_pois, gamma=np.float64(0.1), eta=0.25, phi=1)
+        assert (server.gamma, server.eta, server.phi) == (0.1, 0.25, 1.0)
+        assert all(type(v) is float for v in (server.gamma, server.eta, server.phi))
+
     def test_seed_accepts_numpy_integers(self, small_pois):
         server = LSPServer(small_pois, seed=np.int64(3))
         first = server._rng.random()

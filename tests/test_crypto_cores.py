@@ -1,18 +1,22 @@
-"""Tests for the second-core helper of owner nonce factors, dot products
-and sanitation tests.
+"""Tests for the second-core helper of owner nonce factors, dot products,
+sanitation tests and kGNN walks.
 
 Every batch must return exactly the factors (and ciphertexts) that one
 ``obfuscate`` (or ``encrypt``) call per element returns, every split
 product the value and count of ``fastexp.multi_pow`` over the whole term
-list, and every sanitation batch the outcomes of testing each candidate
-on its own draws, whichever process computed them; every failure of the
+list, every sanitation batch the outcomes of testing each candidate on
+its own draws, and every split kGNN batch the answers and work counts of
+one-group walks, whichever process computed them; every failure of the
 helper must leave the batch and the next batch correct.  Tests that need
 the helper itself skip on a one-CPU host and with ``REPRO_FASTEXP=0``,
 where every batch runs inline.
 """
 
+import contextlib
 import os
+import pickle
 import random
+import select
 import signal
 import threading
 import time
@@ -25,10 +29,16 @@ from repro.crypto import cores, fastexp
 from repro.crypto.homomorphic import encrypt_indicator, hom_dot
 from repro.crypto.noncepool import NoncePool
 from repro.crypto.paillier import PaillierPrivateKey, generate_keypair
+from repro.errors import CryptoError
 from repro.datasets.synthetic import uniform_pois
 from repro.geometry.space import LocationSpace
-from repro.gnn.aggregate import SUM, Aggregate
+from repro.datasets.poi import POI
+from repro.geometry.point import Point
+from repro.gnn import mbm
+from repro.gnn.aggregate import MAX, MIN, SUM, Aggregate
+from repro.gnn.bruteforce import brute_force_kgnn
 from repro.gnn.engine import GNNQueryEngine
+from repro.index.base import IndexCounters
 from repro.obs.profile import profile_keypair
 from repro.stats.hypothesis import SanitationTestPlan
 
@@ -115,6 +125,106 @@ def assert_sanitizes_right(sanitation, seed):
     assert [o.prefix for o in outcomes] == [
         tuple(pois[: min(lengths)]) for pois, lengths in zip(answers, expected[0], strict=True)
     ]
+
+
+@pytest.fixture(scope="module")
+def kgnn_engine():
+    """An engine over 600 POIs with two POIs at every location."""
+    pois = uniform_pois(300, seed=33)
+    twins = [POI(poi.poi_id + 300, poi.location) for poi in pois]
+    return GNNQueryEngine(pois + twins, max_entries=8)
+
+
+def kgnn_groups(count, n, seed):
+    rng = np.random.default_rng(seed)
+    space = LocationSpace.unit_square()
+    return [space.sample_points(n, rng) for _ in range(count)]
+
+
+def one_group_walks(tree, groups, k, aggregate):
+    """``(answers, (nodes, entries))`` of one inline walk per group."""
+    counters = IndexCounters()
+    answers = [mbm.mbm_kgnn(tree, group, k, aggregate, counters) for group in groups]
+    return answers, (counters.nodes_visited, counters.candidates_scored)
+
+
+def walks_right(tree, groups, k=6, aggregate=SUM) -> bool:
+    """Whether a batch equals one-group walks exactly, counts included, and
+    the brute-force oracle as ``(score, location)`` pairs."""
+    counters = IndexCounters()
+    got = mbm.mbm_kgnn_many(tree, groups, k, aggregate, counters)
+    answers, counts = one_group_walks(tree, groups, k, aggregate)
+    return (
+        got == answers
+        and (counters.nodes_visited, counters.candidates_scored) == counts
+        and all(
+            [(s, p) for p, _, s in answer]
+            == [(s, p) for p, _, s in brute_force_kgnn(tree.entries(), group, k, aggregate)]
+            for group, answer in zip(groups, got, strict=True)
+        )
+    )
+
+
+@pytest.fixture
+def shipped(monkeypatch):
+    """The tokens of the views whose arrays this process sends, in order."""
+    tokens = []
+    original = mbm.view_arrays
+
+    def recorded(view):
+        tokens.append(view.token)
+        return original(view)
+
+    monkeypatch.setattr(mbm, "view_arrays", recorded)
+    return tokens
+
+
+def exits(pid: int) -> bool:
+    """Whether child ``pid`` exits, or was already reaped, within WAIT_S;
+    it is left unreaped."""
+    deadline = time.monotonic() + WAIT_S
+    while time.monotonic() < deadline:
+        try:
+            if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None:
+                return True
+        except ChildProcessError:
+            return True
+        time.sleep(0.01)
+    return False
+
+
+class Overdue(Exception):
+    """A test body ran past its time; not an ``OSError``, so no pipe
+    operation's handler can take it for a helper failure."""
+
+
+@contextlib.contextmanager
+def overdue_after(seconds: float):
+    """Raise :class:`Overdue` in the body if it still runs after ``seconds``."""
+
+    def overdue(signum, frame):
+        raise Overdue(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def replies_waiting(helper) -> bool:
+    """Whether the helper has written reply bytes the caller has not read,
+    within WAIT_S."""
+    poller = select.poll()
+    poller.register(helper.replies, select.POLLIN)
+    return bool(poller.poll(WAIT_S * 1000))
+
+
+def stacked(groups):
+    """Groups of one size as ``_walk`` takes them: users stacked (2, groups, n)."""
+    return np.array([[[p.x for p in g] for g in groups], [[p.y for p in g] for g in groups]])
 
 
 def wait_child(pid: int) -> int:
@@ -283,21 +393,44 @@ class TestProducts:
             assert cores.multi_pow(pairs, modulus) == expected
             assert calls == [os.getpid()]
 
-    def test_cheapest_cut_balances_the_sides(self):
+    def test_estimated_cut_balances_the_modelled_sides(self):
         rng = random.Random(5)
         for size in range(0, 12):
             exponents = [rng.getrandbits(rng.choice((1, 8, 64, 200))) for _ in range(size)]
-            cut, whole, head, tail = fastexp.cheapest_cut(fastexp.multi_programs(exponents))
-            assert whole == fastexp.multi_pow_cost(exponents)
+            cut, whole, head, tail = fastexp.estimated_cut(exponents)
+            assert whole == pytest.approx(fastexp.estimated_cut(exponents[::-1])[1])
             if size < 2:
                 assert (cut, head, tail) == (size, whole, 0)
                 continue
-            assert head == fastexp.multi_pow_cost(exponents[:cut])
-            assert tail == fastexp.multi_pow_cost(exponents[cut:])
-            assert max(head, tail) == min(
-                max(fastexp.multi_pow_cost(exponents[:k]), fastexp.multi_pow_cost(exponents[k:]))
-                for k in range(1, size)
+            assert head == pytest.approx(fastexp.estimated_cut(exponents[:cut])[1])
+            assert tail == pytest.approx(fastexp.estimated_cut(exponents[cut:])[1])
+            assert max(head, tail) == pytest.approx(
+                min(
+                    max(
+                        fastexp.estimated_cut(exponents[:k])[1],
+                        fastexp.estimated_cut(exponents[k:])[1],
+                    )
+                    for k in range(1, size)
+                )
             )
+
+    def test_estimated_costs_track_the_exact_ones(self):
+        """Exact for exponents 0 and 1, within 10% for long random ones."""
+        for exponents in ([], [0, 0], [1] * 5, [0, 1, 1]):
+            assert fastexp.estimated_cut(exponents)[1] == fastexp.multi_pow_cost(exponents)
+        rng = random.Random(6)
+        for bits in (64, 207, 528, 1024):
+            exponents = [rng.getrandbits(bits) for _ in range(25)]
+            estimate = fastexp.estimated_cut(exponents)[1]
+            assert abs(estimate / fastexp.multi_pow_cost(exponents) - 1) < 0.1
+
+    def test_negative_exponent_raises_before_any_request(self, keys):
+        _, pk = keys
+        pairs, modulus = product_of(pk, 1, 25, seed=9)
+        pairs[3] = (pairs[3][0], -1)
+        with pytest.raises(CryptoError):
+            cores.multi_pow(pairs, modulus)
+        assert cores._helper is None
 
 
 class TestWhenInline:
@@ -458,12 +591,12 @@ class TestFailures:
         """Products and owner batches of the same two-item shape, alternating,
         each leaving the helper's reply to arrive during the next batch."""
         sk, pk = keys
-        cut = fastexp.cheapest_cut
+        cut = fastexp.estimated_cut
         # Cut after one term and call that side the costlier, so the caller
         # keeps it and hands the helper eleven: the caller stops waiting for
         # the long side and computes it too, so the helper's reply comes late.
         monkeypatch.setattr(
-            fastexp, "cheapest_cut", lambda programs: (1, cut(programs)[1], 1, 0)
+            fastexp, "estimated_cut", lambda exponents: (1, cut(exponents)[1], 1, 0)
         )
         # The caller's factors cost nothing, so it never waits for the
         # helper's, which also comes late.
@@ -577,6 +710,211 @@ class TestFailures:
 
 
 @two_cpus
+class TestKGNN:
+    def test_batch_sends_its_view_once(self, kgnn_engine, shipped):
+        tree = kgnn_engine.tree
+        groups = kgnn_groups(9, 3, seed=1)
+        for aggregate in (SUM, MAX, MIN):
+            assert walks_right(tree, groups, 6, aggregate)
+        token = tree.flat_view().token
+        assert shipped == [token]
+        assert cores._helper.view == token and cores._helper.batch == 3
+
+    def test_helper_gets_the_view_after_insert_and_delete(self, shipped):
+        engine = GNNQueryEngine(uniform_pois(400, seed=34), max_entries=8)
+        groups = kgnn_groups(6, 4, seed=2)
+        tokens = []
+        for step in range(4):
+            assert walks_right(engine.tree, groups)
+            tokens.append(engine.tree.flat_view().token)
+            assert cores._helper.view == tokens[-1]
+            if step % 2:
+                assert engine.delete(engine.pois[step])
+            else:
+                engine.insert(POI(1000 + step, Point(0.5, 0.5 + step / 100)))
+        assert len(set(tokens)) == 4 and shipped == tokens
+
+    def test_alternating_engines_send_each_view_again(self, shipped):
+        first = GNNQueryEngine(uniform_pois(300, seed=35), max_entries=8)
+        second = GNNQueryEngine(uniform_pois(300, seed=36), max_entries=8)
+        groups = kgnn_groups(4, 2, seed=3)
+        for engine in (first, second, first, second):
+            assert walks_right(engine.tree, groups)
+            assert cores._helper.view == engine.tree.flat_view().token
+        tokens = [e.tree.flat_view().token for e in (first, second)]
+        assert shipped == tokens * 2
+
+    def test_view_the_helper_does_not_hold_ends_inline(self, kgnn_engine, shipped):
+        """The caller believes the helper holds a view it was never sent: the
+        helper must exit rather than walk other arrays."""
+        other = GNNQueryEngine(uniform_pois(300, seed=37), max_entries=8)
+        groups = kgnn_groups(6, 3, seed=4)
+        assert walks_right(kgnn_engine.tree, groups)
+        helper = cores._helper
+        helper.view = other.tree.flat_view().token  # never sent
+        assert walks_right(other.tree, groups)
+        assert exits(helper.pid)
+        # The caller sees the pipe close during that batch or at its next
+        # request, walks inline, and a new helper gets the view.
+        for _ in range(2):
+            assert walks_right(other.tree, groups)
+        assert cores._helper.pid != helper.pid
+        assert shipped == [kgnn_engine.tree.flat_view().token, other.tree.flat_view().token]
+
+    def test_helper_killed_at_the_first_walk_gives_right_answers(
+        self, kgnn_engine, monkeypatch
+    ):
+        tree = kgnn_engine.tree
+        groups = kgnn_groups(8, 3, seed=5)
+        assert walks_right(tree, groups)  # forks the helper, sends the view
+        killed = cores._helper.pid
+        original = mbm._counted_walk
+
+        def kill_first(*args):
+            if cores._helper is not None and cores._helper.pid == killed:
+                os.kill(killed, signal.SIGKILL)
+                # Dead before the caller looks again (left unreaped, so the
+                # batch reaps it).
+                os.waitid(os.P_PID, killed, os.WEXITED | os.WNOWAIT)
+            return original(*args)
+
+        # Patched after the fork, so only the caller's walks kill.
+        monkeypatch.setattr(mbm, "_counted_walk", kill_first)
+        assert walks_right(tree, groups)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(killed, os.WNOHANG)  # discarded and reaped
+        assert cores._helper is None
+        monkeypatch.setattr(mbm, "_counted_walk", original)
+        assert walks_right(tree, groups)  # a new helper gets the view
+        assert cores._helper.pid != killed
+        assert cores._helper.view == tree.flat_view().token
+
+    def test_stopped_helper_does_not_stall_a_walk(self, kgnn_engine, monkeypatch):
+        tree = kgnn_engine.tree
+        groups = kgnn_groups(10, 4, seed=6)
+        assert walks_right(tree, groups)
+        helper = cores._helper
+        original = mbm._counted_walk
+        stopped = []
+
+        def stop_first(*args):
+            if not stopped:
+                os.kill(helper.pid, signal.SIGSTOP)  # the helper may be mid-walk
+                stopped.append(True)
+            return original(*args)
+
+        monkeypatch.setattr(mbm, "_counted_walk", stop_first)
+        try:
+            with overdue_after(WAIT_S):
+                assert walks_right(tree, groups)
+                assert walks_right(tree, kgnn_groups(10, 4, seed=7))
+        finally:
+            os.kill(helper.pid, signal.SIGCONT)
+        assert stopped and cores._helper is helper  # still in service
+        monkeypatch.setattr(mbm, "_counted_walk", original)
+        assert walks_right(tree, kgnn_groups(10, 4, seed=8))
+        assert cores._helper is helper
+
+    def test_stopped_helper_does_not_stall_sending_a_view(self):
+        """A new view's arrays fill the request pipe of a stopped helper:
+        the caller waits SEND_STALL_S for it to read them, then discards
+        it and walks the batch inline."""
+        engine = GNNQueryEngine(uniform_pois(6000, seed=38), max_entries=8)
+        groups = kgnn_groups(10, 4, seed=13)
+        assert walks_right(engine.tree, groups)
+        helper = cores._helper
+        engine.insert(POI(9000, Point(0.5, 0.5)))
+        _, payload = mbm.view_arrays(engine.tree.flat_view())
+        assert sum(part.nbytes for part in payload) > 1 << 16
+        os.kill(helper.pid, signal.SIGSTOP)
+        try:
+            with overdue_after(WAIT_S):
+                assert walks_right(engine.tree, groups)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(helper.pid, signal.SIGCONT)
+        assert cores._helper is None and exits(helper.pid)
+        assert walks_right(engine.tree, groups)  # a new helper gets the view
+        assert cores._helper.view == engine.tree.flat_view().token
+
+    def test_long_reply_is_read_whole_within_the_wait(self, monkeypatch):
+        """A tail half's rows outgrow the pipe's buffer: the caller reads
+        them as they come in, and does not walk that half itself."""
+        tree = GNNQueryEngine(uniform_pois(6000, seed=39), max_entries=8).tree
+        k, groups = 32, kgnn_groups(600, 1, seed=14)
+        assert walks_right(tree, kgnn_groups(4, 2, seed=15))  # forks, sends the view
+        answers, counts = one_group_walks(tree, groups, k, SUM)
+        original = mbm._counted_walk
+        walked = []
+
+        def after_the_helper(*args):
+            # The caller's half ends after the helper has started sending.
+            walked.append(args[1].shape[1])
+            assert replies_waiting(cores._helper)
+            return original(*args)
+
+        monkeypatch.setattr(mbm, "_counted_walk", after_the_helper)
+        counters = IndexCounters()
+        assert mbm.mbm_kgnn_many(tree, groups, k, SUM, counters) == answers
+        assert (counters.nodes_visited, counters.candidates_scored) == counts
+        assert walked == [300]
+
+    def test_unread_long_reply_does_not_block_sending_a_view(self, monkeypatch):
+        """The helper is left writing a reply of more than two pipe buffers,
+        whose half the caller walked itself, when the next batch sends it a
+        new view of more than one: neither process may wait on the other."""
+        engine = GNNQueryEngine(uniform_pois(6000, seed=39), max_entries=8)
+        tree = engine.tree
+        k, groups = 32, kgnn_groups(600, 1, seed=14)
+        assert walks_right(tree, kgnn_groups(4, 2, seed=15))  # forks, sends the view
+        helper = cores._helper
+        tail_rows = mbm._walk(tree.flat_view(), stacked(groups[300:]), k, SUM, None)
+        assert len(pickle.dumps(tail_rows)) > 2 << 16
+        answers, counts = one_group_walks(tree, groups, k, SUM)
+        original = mbm._counted_walk
+
+        def stop_while_writing(*args):
+            # The caller's half: stop the helper once it has started
+            # writing its reply, which the pipe cannot hold.
+            monkeypatch.setattr(mbm, "_counted_walk", original)
+            assert replies_waiting(helper)
+            os.kill(helper.pid, signal.SIGSTOP)
+            return original(*args)
+
+        monkeypatch.setattr(mbm, "_counted_walk", stop_while_writing)
+        try:
+            with overdue_after(WAIT_S):
+                counters = IndexCounters()
+                assert mbm.mbm_kgnn_many(tree, groups, k, SUM, counters) == answers
+                assert (counters.nodes_visited, counters.candidates_scored) == counts
+                assert helper.buffer  # part of the reply, whose half the caller walked
+                os.kill(helper.pid, signal.SIGCONT)
+                assert replies_waiting(helper)  # writing the rest, blocked
+                engine.insert(POI(9000, Point(0.5, 0.5)))
+                assert walks_right(tree, kgnn_groups(6, 3, seed=16))
+                assert walks_right(tree, kgnn_groups(6, 3, seed=17))
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(helper.pid, signal.SIGCONT)
+        assert cores._helper.view == tree.flat_view().token
+
+    def test_one_group_custom_aggregate_and_flat_index_send_no_request(self, kgnn_engine):
+        tree = kgnn_engine.tree
+        groups = kgnn_groups(6, 3, seed=9)
+        assert walks_right(tree, groups)
+        helper = cores._helper
+        batch = helper.batch
+        mbm.mbm_kgnn(tree, groups[0], 6, SUM)
+        mbm.mbm_kgnn_many(tree, groups[:1], 6, SUM)
+        opaque_sum = Aggregate("opaque-sum", lambda ds: float(sum(ds)), lambda m: m.sum(axis=1))
+        assert walks_right(tree, groups, 6, opaque_sum)
+        flat = GNNQueryEngine(kgnn_engine.pois, index="bruteforce")
+        assert walks_right(flat.tree, groups)
+        kgnn_engine.query_many(6, groups[:1])
+        assert cores._helper is helper and helper.batch == batch
+
+
+@two_cpus
 class TestAffinity:
     def test_helper_never_shares_the_callers_cpu(self, keys, monkeypatch, always_split):
         sk, pk = keys
@@ -621,9 +959,9 @@ class TestAffinity:
 
 
 @two_cpus
-def test_stress_against_a_forked_twin(always_split, sanitation):
-    """200 random owner batches, products and sanitation batches here while
-    a forked child runs 200 of its own."""
+def test_stress_against_a_forked_twin(always_split, sanitation, kgnn_engine):
+    """200 random owner batches, products, sanitation batches and kGNN
+    batches here while a forked child runs 200 of its own."""
     sk, pk = generate_keypair(128, seed=97)
     answers, candidates = sanitation
     deadline = time.monotonic() + WAIT_S
@@ -633,15 +971,15 @@ def test_stress_against_a_forked_twin(always_split, sanitation):
         for _ in range(200):
             s = rng.choice((1, 2, 3))
             kind = rng.random()
-            if kind < 1 / 3:
+            if kind < 1 / 4:
                 nonces = [pk.random_unit(rng) for _ in range(rng.randrange(0, 9))]
                 if cores.obfuscate_many(sk, nonces, s) != [sk.obfuscate(r, s) for r in nonces]:
                     return False
-            elif kind < 2 / 3:
+            elif kind < 2 / 4:
                 pairs, modulus = product_of(pk, s, rng.randrange(0, 9), rng.getrandbits(32))
                 if cores.multi_pow(pairs, modulus) != fastexp.multi_pow(pairs, modulus):
                     return False
-            else:
+            elif kind < 3 / 4:
                 picks = rng.sample(range(len(candidates)), rng.randrange(0, 6))
                 batch = [answers[i] for i in picks], [candidates[i] for i in picks]
                 sampler_seed = rng.getrandbits(32)
@@ -650,6 +988,11 @@ def test_stress_against_a_forked_twin(always_split, sanitation):
                 outcomes = sanitizer.sanitize(*batch)
                 got = [o.safe_lengths for o in outcomes], sanitizer.rng.bit_generator.state
                 if got != expected:
+                    return False
+            else:
+                groups = kgnn_groups(rng.randrange(0, 9), rng.choice((1, 3)), rng.getrandbits(32))
+                aggregate = rng.choice((SUM, MAX, MIN))
+                if not walks_right(kgnn_engine.tree, groups, rng.randrange(1, 9), aggregate):
                     return False
             if time.monotonic() > deadline:
                 return False

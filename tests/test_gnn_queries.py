@@ -1,12 +1,20 @@
-"""Tests for kNN, MBM kGNN, and the query engine against the brute-force oracle."""
+"""Tests for kNN, MBM kGNN, and the query engine against the brute-force oracle.
 
+Where the host allows it, the second-core helper walks the tail half of
+each batched walk here; CI runs this file again under ``taskset -c 0`` and
+``REPRO_FASTEXP=0``, where every walk is inline, against the same pins.
+"""
+
+import contextlib
 import hashlib
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import cores, fastexp
 from repro.datasets.poi import POI
 from repro.datasets.sequoia import load_sequoia
 from repro.datasets.synthetic import uniform_pois
@@ -25,6 +33,7 @@ from repro.gnn.aggregate import (
 from repro.gnn.bruteforce import brute_force_kgnn
 from repro.gnn.engine import INDEX_KINDS, GNNQueryEngine
 from repro.gnn.knn import best_first_knn
+from repro.gnn import mbm
 from repro.gnn.mbm import mbm_kgnn, mbm_kgnn_many
 from repro.gnn.mqm import mqm_kgnn
 from repro.gnn.spm import spm_kgnn
@@ -34,6 +43,17 @@ from repro.index.rtree import RTree
 
 coord = st.floats(min_value=0, max_value=1, allow_nan=False)
 query_points = st.lists(st.builds(Point, coord, coord), min_size=1, max_size=6)
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """This process sees one usable CPU, as under ``taskset -c 0``, so
+    every batch of groups is walked inline, without the second-core
+    helper."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        yield
+
 
 _DIFF_SIZES = (1, 2, 4, 8)
 _DIFF_KS = (1, 8, 32)
@@ -97,6 +117,14 @@ def _differential_run(dataset: str, index: str, tree, side: float, aggregates):
                     locations = [Point(float(round(q.x)), float(round(q.y))) for q in locations]
                 counters = IndexCounters()
                 got = mbm_kgnn(tree, locations, k, aggregate, counters)
+                # Twice in one batch: the helper, where it runs, walks the
+                # second copy, and each half counts its own work.
+                twice = IndexCounters()
+                assert mbm_kgnn_many(tree, [locations] * 2, k, aggregate, twice) == [got] * 2
+                assert (twice.nodes_visited, twice.candidates_scored) == (
+                    2 * counters.nodes_visited,
+                    2 * counters.candidates_scored,
+                )
                 runs.append(
                     (
                         (locations, k, aggregate),
@@ -427,6 +455,33 @@ class TestBatchedWalk:
         assert tree.flat_view().version == tree.version
         ids = {p.poi_id for p in engine.query(len(engine), [Point(0.5, 0.5)])}
         assert len(ids) == len(engine)
+
+
+class TestTwoCoreWalk:
+    """A batch whose tail half the second-core helper walks equals one
+    inline walk of the whole batch."""
+
+    def test_halves_equal_one_walk_in_rows_ties_and_counts(self):
+        # About 17 POIs on each lattice spot: most answers are ties on score
+        # and location, ordered by leaf and position.
+        pois = _lattice_pois(2400, 12, seed=7)
+        engine = GNNQueryEngine(pois, max_entries=8, space=LocationSpace(Rect(0, 0, 11, 11)))
+        view = engine.tree.flat_view()
+        rng = np.random.default_rng(8)
+        two_cores = cores._cpu_count() >= 2 and fastexp.enabled()
+        for aggregate in (SUM, MAX, MIN):
+            for n, count in ((1, 25), (3, 25), (8, 7), (4, 2)):
+                q = rng.integers(0, 12, size=(2, count, n)).astype(float)
+                inline = IndexCounters()
+                with one_cpu():
+                    [(offset, whole)] = mbm._walk_parts(view, q, 10, aggregate, inline)
+                assert offset == 0
+                split = IndexCounters()
+                parts = mbm._walk_parts(view, q, 10, aggregate, split)
+                assert [(start + g, *rest) for start, rows in parts for g, *rest in rows] == whole
+                assert split == inline
+                if two_cores:
+                    assert [start for start, _ in parts] == [0, (count + 1) // 2]
 
 
 class TestNodeArrayCache:

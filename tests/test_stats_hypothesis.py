@@ -12,6 +12,7 @@ from repro.stats.hypothesis import (
     normal_quantile,
     rejection_threshold,
     required_sample_size,
+    sanitation_parameters,
 )
 
 
@@ -63,6 +64,17 @@ class TestSampleSize:
             required_sample_size(0.95, phi=0.5)  # theta1 >= 1
         with pytest.raises(ConfigurationError):
             required_sample_size(0.05, gamma=0.7)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gamma", "x"), ("gamma", float("nan")), ("eta", 0.5), ("eta", -0.1), ("phi", -0.5)],
+    )
+    def test_one_check_names_the_field(self, field, value):
+        parameters = {"gamma": 0.05, "eta": 0.2, "phi": 0.1, field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            sanitation_parameters(**parameters)
+        with pytest.raises(ConfigurationError, match=field):
+            required_sample_size(0.05, **parameters)
 
 
 class TestRejectionThreshold:
