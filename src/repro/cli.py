@@ -42,30 +42,17 @@ from repro import __version__
 from repro.attacks.inequality import inequality_attack
 from repro.bench.harness import format_bytes, format_seconds
 from repro.core.config import PPGNNConfig
-from repro.core.group import random_group, run_ppgnn
+from repro.core.group import PROTOCOLS, random_group, run_ppgnn, run_round
 from repro.core.lsp import LSPServer
-from repro.core.naive import run_naive
-from repro.core.opt import run_ppgnn_opt
 from repro.core.single import run_single_user
 from repro.datasets.sequoia import load_sequoia
 from repro.errors import ReproError
 from repro.gnn.engine import INDEX_KINDS
 from repro.partition.solver import solve_partition
 
-_PROTOCOLS = {
-    "ppgnn": run_ppgnn,
-    "opt": run_ppgnn_opt,
-    "naive": run_naive,
-}
-
-#: Canonical protocol names, one ledger suite each.
-_PERF_PROTOCOLS = ("ppgnn", "ppgnn-opt", "naive")
-
-_PERF_RUNNERS = {
-    "ppgnn": run_ppgnn,
-    "ppgnn-opt": run_ppgnn_opt,
-    "naive": run_naive,
-}
+#: The ``--protocol`` spellings of ``query`` and ``trace``, each naming one
+#: of ``PROTOCOLS``; ``query`` also takes ``nas``, PPGNN without sanitation.
+_SPELLINGS = {"ppgnn": "ppgnn", "opt": "ppgnn-opt", "naive": "naive"}
 
 
 def _add_common_query_args(parser: argparse.ArgumentParser) -> None:
@@ -100,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--protocol",
         default="ppgnn",
-        choices=sorted(_PROTOCOLS) + ["nas"],
+        choices=sorted(_SPELLINGS) + ["nas"],
         help="protocol variant",
     )
 
@@ -160,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--protocol",
         default="ppgnn",
-        choices=sorted(_PROTOCOLS),
+        choices=sorted(_SPELLINGS),
         help="protocol variant to trace (live mode)",
     )
     trace.add_argument(
@@ -210,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         "'crypto-<keysize>')",
     )
     perf.add_argument(
-        "--protocols", nargs="+", default=list(_PERF_PROTOCOLS),
-        choices=list(_PERF_PROTOCOLS), metavar="PROTOCOL",
+        "--protocols", nargs="+", default=list(PROTOCOLS),
+        choices=list(PROTOCOLS), metavar="PROTOCOL",
         help="protocols to exercise (default: all three)",
     )
     perf.add_argument("--pois", type=int, default=300, help="database size")
@@ -300,7 +287,7 @@ def _cmd_info(_: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     sanitize = args.protocol != "nas" and args.n > 1
     config = _build_config(args, sanitize=sanitize)
-    runner = _PROTOCOLS.get(args.protocol, run_ppgnn)
+    protocol = _SPELLINGS.get(args.protocol, "ppgnn")
     lsp = LSPServer(
         load_sequoia(args.pois), aggregate_name=args.aggregate, seed=args.seed
     )
@@ -310,7 +297,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         result = run_single_user(lsp, location, config, seed=args.seed)
     else:
         group = random_group(args.n, lsp.space, np.random.default_rng(args.seed))
-        result = runner(lsp, group, config, seed=args.seed)
+        result = run_round(protocol, lsp, group, config, seed=args.seed)
     print(f"answer ({len(result.answers)} of k={args.k} POIs):")
     for rank, answer in enumerate(result.answers, start=1):
         print(f"  {rank}. {lsp.engine.poi_by_id(answer.poi_id)}")
@@ -450,12 +437,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     obs = Observability()
     config = _build_config(args, sanitize=args.n > 1)
-    runner = _PROTOCOLS.get(args.protocol, run_ppgnn)
+    protocol = _SPELLINGS.get(args.protocol, "ppgnn")
     lsp = LSPServer(
         load_sequoia(args.pois), aggregate_name=args.aggregate, seed=args.seed
     )
     group = random_group(max(args.n, 2), lsp.space, np.random.default_rng(args.seed))
-    runner(lsp, group, config, seed=args.seed, obs=obs)
+    run_round(protocol, lsp, group, config, seed=args.seed, obs=obs)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(obs.tracer.export_jsonl() + "\n")
@@ -529,7 +516,7 @@ def _perf_metrics(
     lsp = LSPServer(load_sequoia(args.pois), seed=args.seed)
     group = random_group(args.n, lsp.space, np.random.default_rng(args.seed))
     obs = Observability()
-    result = _PERF_RUNNERS[protocol](lsp, group, config, seed=args.seed, obs=obs)
+    result = run_round(protocol, lsp, group, config, seed=args.seed, obs=obs)
     counters = obs.snapshot().counters
     modmuls = estimate_modmuls(counters, group_keypair(config))
     rounds = sum(

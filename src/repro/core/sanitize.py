@@ -446,27 +446,21 @@ class AnswerSanitizer:
         return SanitationOutcome(tuple(pois[:overall]), tuple(safe_lengths))
 
 
-def helper_tests(
-    body: Sequence, last: AnswerSanitizer | None
-) -> tuple[AnswerSanitizer, list[tuple[int, Callable[[], tuple[int, ...]]]]]:
+def helper_tests(body: Sequence) -> list[tuple[int, Callable[[], tuple[int, ...]]]]:
     """The second-core helper's side of a ``"sanitize"`` request.
 
-    Returns the sanitizer that runs its tests, ``last`` when that has the
-    request's space, aggregate and plan (so its buffers are reused), and
-    each test's slot with the function that computes it, tail first.
+    Returns each test's slot with the function that computes it, tail
+    first, all on one sanitizer built for the request, as the LSP builds
+    one per request.
     """
     bounds, aggregate_index, plan_fields, words, items = body
-    space = LocationSpace(Rect(*bounds))
-    aggregate = _CHEAP_AGGREGATES[aggregate_index]
-    plan = SanitationTestPlan(*plan_fields)
-    sanitizer = last
-    if sanitizer is None or (sanitizer.space, sanitizer.aggregate, sanitizer.plan) != (
-        space,
-        aggregate,
-        plan,
-    ):
-        # Its own sampler is never drawn from: each test draws from a copy.
-        sanitizer = AnswerSanitizer(space, aggregate, plan, np.random.default_rng(0))
+    # Its own sampler is never drawn from: each test draws from a copy.
+    sanitizer = AnswerSanitizer(
+        LocationSpace(Rect(*bounds)),
+        _CHEAP_AGGREGATES[aggregate_index],
+        SanitationTestPlan(*plan_fields),
+        np.random.default_rng(0),
+    )
 
     def test(slot: int) -> tuple[int, ...]:
         locations, poi_locations = items[slot]
@@ -474,4 +468,4 @@ def helper_tests(
         pois = [POI(index, Point(x, y)) for index, (x, y) in enumerate(poi_locations)]
         return sanitizer._safe_lengths(words, slot, pois, candidate)
 
-    return sanitizer, [(slot, partial(test, slot)) for slot in reversed(range(len(items)))]
+    return [(slot, partial(test, slot)) for slot in reversed(range(len(items)))]

@@ -11,25 +11,17 @@ the shape a downstream application would actually embed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.config import PPGNNConfig
-from repro.core.group import run_ppgnn
+from repro.core.group import PROTOCOLS, run_round
 from repro.core.lsp import LSPServer
-from repro.core.naive import run_naive
-from repro.core.opt import run_ppgnn_opt
 from repro.core.result import ProtocolResult
 from repro.crypto.noncepool import NoncePool
 from repro.errors import ConfigurationError, positive_int
 from repro.geometry.point import Point
 from repro.guard.guard import ProtocolGuard
 from repro.obs import Observability, maybe_span
-
-_RUNNERS: dict[str, Callable] = {
-    "ppgnn": run_ppgnn,
-    "ppgnn-opt": run_ppgnn_opt,
-    "naive": run_naive,
-}
 
 
 @dataclass
@@ -72,7 +64,8 @@ class QuerySession:
         is required: it pins the session key pair so every query reuses it
         (the offline-setup model).
     protocol:
-        ``"ppgnn"`` (default), ``"ppgnn-opt"``, or ``"naive"``.
+        One of :data:`~repro.core.group.PROTOCOLS`: ``"ppgnn"`` (default),
+        ``"ppgnn-opt"``, or ``"naive"``.
     seed:
         Session seed, an integer >= 0; query i runs with ``seed + i``.
     max_history:
@@ -110,9 +103,9 @@ class QuerySession:
     history: list[ProtocolResult] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        if self.protocol not in _RUNNERS:
+        if self.protocol not in PROTOCOLS:
             raise ConfigurationError(
-                f"unknown protocol {self.protocol!r}; known: {sorted(_RUNNERS)}"
+                f"unknown protocol {self.protocol!r}; known: {sorted(PROTOCOLS)}"
             )
         if self.config.key_seed is None:
             raise ConfigurationError(
@@ -139,11 +132,11 @@ class QuerySession:
         same placement plan — which is what makes repeated queries
         cache-servable; the totals still advance normally.
         """
-        runner = _RUNNERS[self.protocol]
         with maybe_span(
             self.obs, "session.query", protocol=self.protocol, n=len(locations)
         ):
-            result = runner(
+            result = run_round(
+                self.protocol,
                 self.lsp,
                 locations,
                 self.config,

@@ -5,12 +5,12 @@ real location among d - 1 dummies, sends the location set together with an
 encrypted indicator, and the LSP answers a plaintext kNN query per location
 before privately selecting the real one.  ``run_single_user`` implements
 the plain protocol; ``run_single_user_opt`` applies the Section 6 two-phase
-selection to the same flow (the n = 1 series of Figure 5).
+selection to the same flow (the n = 1 series of Figure 5).  Both run one
+body, whose indicators are those of a one-user group round
+(:func:`repro.core.group.round_shape`, where delta' = d).
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.core.common import (
     build_location_set,
@@ -19,8 +19,8 @@ from repro.core.common import (
     group_keypair,
 )
 from repro.core.config import PPGNNConfig
+from repro.core.group import round_shape
 from repro.core.lsp import LSPServer
-from repro.core.opt import optimal_omega, split_indicator_index
 from repro.core.result import ProtocolResult
 from repro.crypto.homomorphic import encrypt_indicator
 from repro.encoding.answers import AnswerCodec
@@ -37,44 +37,7 @@ def run_single_user(
     dummy_generator=None,
 ) -> ProtocolResult:
     """One round of the Section 3.2 protocol."""
-    config = config.for_single_user()
-    ledger = CostLedger()
-    rng, nprng = derive_rngs(seed)
-    keypair = group_keypair(config)
-    codec = AnswerCodec(config.keysize, config.k, lsp.space)
-
-    with ledger.clock(COORDINATOR):
-        position = rng.randrange(config.d)
-        location_set = build_location_set(
-            location, position, config.d, lsp.space, nprng, dummy_generator
-        )
-        indicator = encrypt_indicator(
-            keypair.secret_key,
-            config.d,
-            position,
-            rng=rng,
-            counter=ledger.counter(COORDINATOR),
-        )
-        request = SingleQueryRequest(
-            k=config.k,
-            public_key=keypair.public_key,
-            locations=location_set,
-            indicator=tuple(indicator),
-        )
-    ledger.record(COORDINATOR, LSP, request)
-
-    encrypted = lsp.answer_single_query(request, ledger)
-    ledger.record(LSP, COORDINATOR, encrypted)
-
-    answers = decrypt_answer(keypair, codec, encrypted, ledger)
-    return ProtocolResult(
-        protocol="ppgnn-single",
-        answers=tuple(answers),
-        report=ledger.report(),
-        delta_prime=config.d,
-        m=codec.m,
-        query_index=position,
-    )
+    return _run_single("ppgnn", lsp, location, config, seed, None, dummy_generator)
 
 
 def run_single_user_opt(
@@ -85,44 +48,58 @@ def run_single_user_opt(
     omega: int | None = None,
     dummy_generator=None,
 ) -> ProtocolResult:
-    """One round of the single-user protocol with two-phase selection."""
+    """One round of the single-user protocol with two-phase selection.
+
+    ``omega`` overrides the block count; it must be an integer in [1, d].
+    """
+    return _run_single(
+        "ppgnn-opt", lsp, location, config, seed, omega, dummy_generator
+    )
+
+
+def _run_single(
+    protocol: str,
+    lsp: LSPServer,
+    location: Point,
+    config: PPGNNConfig,
+    seed: int,
+    omega: int | None,
+    dummy_generator,
+) -> ProtocolResult:
     config = config.for_single_user()
     ledger = CostLedger()
     rng, nprng = derive_rngs(seed)
     keypair = group_keypair(config)
+    shape = round_shape(protocol, 1, config, omega)
     codec = AnswerCodec(config.keysize, config.k, lsp.space)
-
-    block_count = omega if omega is not None else optimal_omega(config.d)
-    block_width = math.ceil(config.d / block_count)
 
     with ledger.clock(COORDINATOR):
         position = rng.randrange(config.d)
         location_set = build_location_set(
             location, position, config.d, lsp.space, nprng, dummy_generator
         )
-        block, within = split_indicator_index(position, block_width)
         counter = ledger.counter(COORDINATOR)
-        inner = encrypt_indicator(
-            keypair.secret_key, block_width, within, s=1, rng=rng, counter=counter
-        )
-        outer = encrypt_indicator(
-            keypair.secret_key, block_count, block, s=2, rng=rng, counter=counter
-        )
-        request = OptSingleQueryRequest(
-            k=config.k,
-            public_key=keypair.public_key,
-            locations=location_set,
-            inner_indicator=tuple(inner),
-            outer_indicator=tuple(outer),
+        indicators = [
+            tuple(
+                encrypt_indicator(
+                    keypair.secret_key, length, hot, s=level, rng=rng, counter=counter
+                )
+            )
+            for (length, level), hot in zip(shape.indicators, shape.hot_slots(position))
+        ]
+        # Both request types carry their indicators after the location set.
+        request = (OptSingleQueryRequest if shape.nested else SingleQueryRequest)(
+            config.k, keypair.public_key, location_set, *indicators
         )
     ledger.record(COORDINATOR, LSP, request)
 
-    encrypted = lsp.answer_single_query_opt(request, ledger)
+    answer = lsp.answer_single_query_opt if shape.nested else lsp.answer_single_query
+    encrypted = answer(request, ledger)
     ledger.record(LSP, COORDINATOR, encrypted)
 
-    answers = decrypt_answer(keypair, codec, encrypted, ledger, nested=True)
+    answers = decrypt_answer(keypair, codec, encrypted, ledger, nested=shape.nested)
     return ProtocolResult(
-        protocol="ppgnn-single-opt",
+        protocol="ppgnn-single-opt" if shape.nested else "ppgnn-single",
         answers=tuple(answers),
         report=ledger.report(),
         delta_prime=config.d,

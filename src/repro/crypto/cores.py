@@ -89,9 +89,7 @@ Every request is tagged with its kind after the sequence number:
   fields, the LSP sampler's two PCG64 state integers at entry, and per
   test the coordinates of its candidate and of its answer POIs
   (:func:`repro.core.sanitize.helper_tests` reads it); item ``i`` is the
-  test of slot ``i``.  The helper keeps its last sanitizer, and with it
-  the sanitizer's ``N_H``-long buffers, while the requests' space,
-  aggregate and plan stay the same;
+  test of slot ``i``, all on one sanitizer built for the request;
 - ``(batch, "kgnn", token, layout, aggregate, k, groups)``: item 1 of a
   two-item batch, the walk of the tail half of a same-size batch of kGNN
   groups.  ``token`` names an index view
@@ -136,7 +134,6 @@ from typing import TYPE_CHECKING, Callable, NoReturn, Sequence, TypeVar
 from repro.crypto import fastexp
 
 if TYPE_CHECKING:
-    from repro.core.sanitize import AnswerSanitizer
     from repro.crypto.paillier import PaillierPrivateKey
     from repro.gnn.mbm import WalkedArrays
 
@@ -230,15 +227,13 @@ def _isolate(keep: tuple[int, int]) -> None:
 
 
 class _Kept:
-    """What the helper keeps across requests: the keys it has rebuilt, its
-    last sanitizer, and the token and arrays of the last index view it
-    was sent."""
+    """What the helper keeps across requests: the keys it has rebuilt, and
+    the token and arrays of the last index view it was sent."""
 
-    __slots__ = ("keys", "sanitizer", "view")
+    __slots__ = ("keys", "view")
 
     def __init__(self) -> None:
         self.keys: dict[int, PaillierPrivateKey] = {}
-        self.sanitizer: AnswerSanitizer | None = None
         self.view: tuple[int, WalkedArrays] | None = None
 
 
@@ -254,8 +249,7 @@ def _helper_items(
     if kind == _SANITIZE:
         from repro.core.sanitize import helper_tests
 
-        kept.sanitizer, tests = helper_tests(body, kept.sanitizer)
-        return tests
+        return helper_tests(body)
     if kind == _KGNN:
         from repro.gnn.mbm import WalkedArrays, helper_walk
 

@@ -24,26 +24,11 @@ from repro.geometry.rect import Rect
 from repro.geometry.space import LocationSpace
 from repro.gnn.aggregate import Aggregate, SUM
 from repro.gnn.mbm import mbm_kgnn_many
-from repro.gnn.mqm import mqm_kgnn
-from repro.gnn.spm import spm_kgnn
 from repro.index.base import IndexCounters, SpatialIndex, validate_location
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 
-
-def _per_set(kgnn):
-    """A one-group kGNN function, looped over a batch of groups."""
-
-    def many(tree, groups, k, aggregate, counters):
-        return [kgnn(tree, group, k, aggregate, counters) for group in groups]
-
-    return many
-
-
-#: The three classic group-kNN algorithms of [24], selectable per engine,
-#: each answering a batch of location sets.
-_ALGORITHMS = {"mbm": mbm_kgnn_many, "spm": _per_set(spm_kgnn), "mqm": _per_set(mqm_kgnn)}
 
 _INDEX_TYPES = {"rtree": RTree, "grid": GridIndex, "bruteforce": BruteForceIndex}
 
@@ -106,9 +91,6 @@ class GNNQueryEngine:
         The monotone cost function F (default ``sum``, the paper's choice).
     max_entries:
         R-tree fan-out (ignored by the other index kinds).
-    algorithm:
-        The plaintext kGNN algorithm: ``"mbm"`` (default, the paper's
-        choice), ``"spm"``, or ``"mqm"`` — the three methods of [24].
     index:
         Index substrate, one of :data:`INDEX_KINDS` (default ``"rtree"``).
     space:
@@ -127,7 +109,6 @@ class GNNQueryEngine:
         pois: Sequence[POI],
         aggregate: Aggregate = SUM,
         max_entries: int = 32,
-        algorithm: str = "mbm",
         index: str = "rtree",
         space: LocationSpace | None = None,
         tree: SpatialIndex | None = None,
@@ -135,12 +116,6 @@ class GNNQueryEngine:
         if not pois:
             raise ConfigurationError("the POI database must be non-empty")
         self.aggregate = aggregate
-        self.algorithm = algorithm
-        self._kgnn = _ALGORITHMS.get(algorithm)
-        if self._kgnn is None:
-            raise ConfigurationError(
-                f"unknown kGNN algorithm {algorithm!r}; known: {sorted(_ALGORITHMS)}"
-            )
         self.index_kind = index
         self.index_counters = IndexCounters()
         self._shared = tree is not None
@@ -182,7 +157,7 @@ class GNNQueryEngine:
         self, k: int, location_sets: Sequence[Sequence[Point]]
     ) -> list[list[tuple[Point, POI, float]]]:
         self.index_counters.queries += len(location_sets)
-        return self._kgnn(
+        return mbm_kgnn_many(
             self.tree, location_sets, k, self.aggregate, self.index_counters
         )
 
@@ -247,9 +222,7 @@ class GNNQueryEngine:
         answers: list = []
         misses: list[tuple[tuple, Sequence[Point]]] = []
         for locations in location_sets:
-            key = knn_cache_key(
-                self.tree.version, self.algorithm, self.aggregate.name, k, locations
-            )
+            key = knn_cache_key(self.tree.version, self.aggregate.name, k, locations)
             answer = cache.lookup(key)
             if answer is None:
                 answer = _Pending(len(misses))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.crypto.paillier import PaillierPublicKey
 from repro.encoding.answers import AnswerCodec, DecodedAnswer
@@ -54,6 +54,9 @@ from repro.protocol.messages import (
     PositionAssignment,
 )
 
+if TYPE_CHECKING:
+    from repro.core.group import RoundShape
+
 
 def _observed(hook):
     """Count a hook's rejections before re-raising them."""
@@ -76,7 +79,9 @@ class RoundGuard:
     Built by :meth:`ProtocolGuard.begin`; the runner drives it through the
     round's choreography.  Constructor arguments pin the honest
     expectations: the solved layout, the session public key, the answer
-    shape ``m``, and (for PPGNN-OPT) the two indicator lengths.
+    shape ``m``, and the round's :class:`~repro.core.group.RoundShape`,
+    whose indicators' lengths and levels the request must carry (one
+    delta'-long eps_1 indicator over ``layout`` when omitted).
     """
 
     def __init__(
@@ -87,9 +92,7 @@ class RoundGuard:
         space: LocationSpace,
         k: int,
         answer_m: int,
-        answer_s: int = 1,
-        inner_length: int | None = None,
-        outer_length: int | None = None,
+        shape: RoundShape | None = None,
         round_id: int = 0,
         obs: Observability | None = None,
     ) -> None:
@@ -98,9 +101,10 @@ class RoundGuard:
         self.space = space
         self.k = k
         self.answer_m = answer_m
-        self.answer_s = answer_s
-        self.inner_length = inner_length
-        self.outer_length = outer_length
+        #: Each indicator's (length, level), in the request's order.
+        self.indicators = (
+            shape.indicators if shape is not None else ((layout.delta_prime, 1),)
+        )
         self.round_id = round_id
         self.obs = obs
         self.coordinator: RoleStateMachine = coordinator_machine(round_id)
@@ -151,7 +155,7 @@ class RoundGuard:
         """The query request arrived at the LSP; validate the indicators."""
         self.coordinator.advance("send_request")
         self.lsp.advance("recv_request", party="coordinator")
-        if self.inner_length is not None:
+        if len(self.indicators) == 2:
             self._check_opt_request(request)
         else:
             self._check_group_request(request)
@@ -196,11 +200,12 @@ class RoundGuard:
                 party="coordinator",
             )
         self._check_common_request(request)
+        ((length, level),) = self.indicators
         check_ciphertext_vector(
             request.indicator,
-            self.layout.delta_prime,
+            length,
             self.public_key,
-            1,
+            level,
             round_id=self.round_id,
             party="coordinator",
             what="indicator",
@@ -214,20 +219,21 @@ class RoundGuard:
                 party="coordinator",
             )
         self._check_common_request(request)
+        (inner_length, inner_level), (outer_length, outer_level) = self.indicators
         check_ciphertext_vector(
             request.inner_indicator,
-            self.inner_length,
+            inner_length,
             self.public_key,
-            1,
+            inner_level,
             round_id=self.round_id,
             party="coordinator",
             what="inner indicator",
         )
         check_ciphertext_vector(
             request.outer_indicator,
-            self.outer_length,
+            outer_length,
             self.public_key,
-            2,
+            outer_level,
             round_id=self.round_id,
             party="coordinator",
             what="outer indicator",
@@ -271,7 +277,7 @@ class RoundGuard:
             answer.ciphertexts,
             self.answer_m,
             self.public_key,
-            self.answer_s,
+            self.indicators[-1][1],  # the last selection's level
             round_id=self.round_id,
             party="lsp",
             what="answer",
@@ -395,9 +401,7 @@ class ProtocolGuard:
         space: LocationSpace,
         k: int,
         answer_m: int,
-        answer_s: int = 1,
-        inner_length: int | None = None,
-        outer_length: int | None = None,
+        shape: RoundShape | None = None,
         round_id: int = 0,
     ) -> RoundGuard:
         """Arm a :class:`RoundGuard` for one protocol round."""
@@ -409,9 +413,7 @@ class ProtocolGuard:
             space=space,
             k=k,
             answer_m=answer_m,
-            answer_s=answer_s,
-            inner_length=inner_length,
-            outer_length=outer_length,
+            shape=shape,
             round_id=round_id,
             obs=self.obs,
         )

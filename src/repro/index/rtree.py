@@ -81,17 +81,12 @@ class RTree(SpatialIndex):
     min_entries:
         Fill floor m (defaults to ``ceil(0.4 * M)``); deletion reinserts the
         content of underfull nodes.
-    split:
-        Overflow split strategy: ``"quadratic"`` (Guttman's default, better
-        trees) or ``"linear"`` (O(M) seed picking, faster inserts, looser
-        MBRs) — compared by the index split ablation test.
     """
 
     def __init__(
         self,
         max_entries: int = 32,
         min_entries: int | None = None,
-        split: str = "quadratic",
     ) -> None:
         if max_entries < 4:
             raise ConfigurationError("max_entries must be at least 4")
@@ -103,9 +98,6 @@ class RTree(SpatialIndex):
             raise ConfigurationError(
                 f"min_entries must lie in [2, {max_entries // 2}]"
             )
-        if split not in ("quadratic", "linear"):
-            raise ConfigurationError("split must be 'quadratic' or 'linear'")
-        self.split_strategy = split
         self.root = _Node(is_leaf=True)
         self._count = 0
         #: Monotone mutation counter.  Every content change (insert, delete,
@@ -188,17 +180,7 @@ class RTree(SpatialIndex):
             ancestor.recompute_mbr()
 
     def _split_node(self, node: _Node) -> _Node:
-        """Split an overfull node with the configured strategy."""
-        if self.split_strategy == "linear":
-            return self._distribute_split(node, self._pick_seeds_linear)
-        return self._distribute_split(node, self._pick_seeds)
-
-    def _quadratic_split(self, node: _Node) -> _Node:
-        """Backwards-compatible alias for the quadratic strategy."""
-        return self._distribute_split(node, self._pick_seeds)
-
-    def _distribute_split(self, node: _Node, pick_seeds) -> _Node:
-        """Guttman's split skeleton; ``pick_seeds`` chooses the two seeds."""
+        """Guttman's quadratic split of an overfull node."""
         if node.is_leaf:
             rects = [Rect.from_point(p) for p in node.points]
             payloads: list[Any] = list(zip(node.points, node.items, strict=True))
@@ -206,7 +188,7 @@ class RTree(SpatialIndex):
             rects = [c.mbr for c in node.children]  # type: ignore[misc]
             payloads = list(node.children)
 
-        seed_a, seed_b = pick_seeds(rects)
+        seed_a, seed_b = self._pick_seeds(rects)
         group_a = [seed_a]
         group_b = [seed_b]
         mbr_a = rects[seed_a]
@@ -266,34 +248,6 @@ class RTree(SpatialIndex):
                 waste = rects[i].union(rects[j]).area - rects[i].area - rects[j].area
                 if waste > best[0]:
                     best = (waste, i, j)
-        return best[1], best[2]
-
-    @staticmethod
-    def _pick_seeds_linear(rects: list[Rect]) -> tuple[int, int]:
-        """Guttman's linear seed pick: most-separated pair per dimension.
-
-        For each axis, find the rectangle with the highest low side and the
-        one with the lowest high side; normalize their separation by the
-        axis extent and take the dimension with the greatest value.
-        """
-        best = (-math.inf, 0, 1)
-        for axis in range(2):
-            if axis == 0:
-                lows = [r.xmin for r in rects]
-                highs = [r.xmax for r in rects]
-            else:
-                lows = [r.ymin for r in rects]
-                highs = [r.ymax for r in rects]
-            extent = max(highs) - min(lows)
-            highest_low = max(range(len(rects)), key=lambda i: lows[i])
-            lowest_high = min(range(len(rects)), key=lambda i: highs[i])
-            if highest_low == lowest_high:
-                continue
-            separation = (lows[highest_low] - highs[lowest_high]) / (extent or 1.0)
-            if separation > best[0]:
-                best = (separation, lowest_high, highest_low)
-        if best[1] == best[2]:  # degenerate: all rectangles identical
-            return 0, 1
         return best[1], best[2]
 
     # -------------------------------------------------------------- bulk load

@@ -8,15 +8,13 @@ and those repeats re-run the exact same delta' candidate searches.
 
 :class:`KnnLRUCache` memoizes kGNN results under an *exact* key:
 
-    (tree version, algorithm, aggregate, k, query rect, locations)
+    (tree version, aggregate, k, locations)
 
 Exactness is the correctness contract: a hit is returned only for a query
 byte-identical to the one that produced the entry, so cached results are
 always identical to uncached calls (property-tested under random eviction
 pressure).  The tree version in the key makes every entry self-invalidate
 when the database mutates — the dynamic-database story keeps working.
-Approximate reuse (quantized rects, candidate supersets) is future work;
-see SERVING.md.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from typing import Any, Hashable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
 
 
 @dataclass
@@ -123,23 +120,9 @@ LRUCache = KnnLRUCache
 
 def knn_cache_key(
     version: int,
-    algorithm: str,
     aggregate: str,
     k: int,
     locations: Sequence[Point],
 ) -> tuple:
-    """The exact-match cache key of one kGNN call.
-
-    Carries the query rect (the MBR of the group locations) ahead of the
-    exact location tuple — the rect is what a future quantized-reuse layer
-    would key on, and it makes key prefixes meaningful for diagnostics.
-    """
-    rect = Rect.from_points(locations)
-    return (
-        version,
-        algorithm,
-        aggregate,
-        k,
-        (rect.xmin, rect.ymin, rect.xmax, rect.ymax),
-        tuple((p.x, p.y) for p in locations),
-    )
+    """The exact-match cache key of one kGNN call."""
+    return (version, aggregate, k, tuple((p.x, p.y) for p in locations))

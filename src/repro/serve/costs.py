@@ -7,17 +7,16 @@ Measured wall time can never satisfy that, so the event clock advances by
 **predicted** service times instead — nominal per-operation costs times
 the exact homomorphic operation counts each protocol round performs.
 
-The operation counts mirror the runners precisely (the same arithmetic
-:mod:`repro.analysis.costmodel` uses for bytes):
+The operation counts mirror the runners precisely: both methods read the
+round's shape from :func:`repro.core.group.round_shape`, as the runners
+do.
 
-- PPGNN: a delta'-long indicator encryption, an ``m x delta'`` private
-  selection (Theorem 3.1), delta' per-candidate kGNN queries, and m
-  answer decryptions.
+- PPGNN and Naive: a delta'-long indicator encryption, an ``m x delta'``
+  private selection (Theorem 3.1), delta' per-candidate kGNN queries, and
+  m answer decryptions.  Naive's delta' is delta.
 - PPGNN-OPT: the two small indicators (inner at eps_1, outer at eps_2),
   the padded per-block selections plus the omega-wide nested selection
   at eps_2, and a nested (two-stage) answer decryption.
-- Naive: a delta-long indicator, an ``m x delta`` selection, delta kGNN
-  queries, and m decryptions.
 
 Nominal seconds are calibrated once for the 512-bit reference key and
 scale cubically with key size — modular exponentiation under an l-bit
@@ -29,14 +28,12 @@ the same cube of the modulus-length ratio, i.e. ``(3/2)^3``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.analysis.costmodel import _answer_integers
 from repro.core.config import PPGNNConfig
-from repro.core.opt import optimal_omega
+from repro.core.group import round_shape
 from repro.errors import ConfigurationError
-from repro.partition.solver import solve_partition
 
 #: Key size the nominal per-op seconds are calibrated against.
 REFERENCE_KEYSIZE = 512
@@ -82,20 +79,12 @@ class CostModel:
         Pure function of (protocol, n, config) — the determinism anchor of
         the serving engine's simulated clock.
         """
+        shape = round_shape(protocol, n, config)
         scale = self._scale(config.keysize)
         m = _answer_integers(config.keysize, config.k)
-        if protocol == "ppgnn":
-            delta_prime = solve_partition(n, config.d, config.delta).delta_prime
-            crypto = (
-                delta_prime * self.encryption_seconds
-                + m * self.decryption_seconds
-                + m * delta_prime * self.scalar_mul_seconds
-            )
-            kgnn = delta_prime * self.kgnn_seconds
-        elif protocol == "ppgnn-opt":
-            delta_prime = solve_partition(n, config.d, config.delta).delta_prime
-            omega = optimal_omega(delta_prime)
-            width = math.ceil(delta_prime / omega)
+        delta_prime = shape.partition.delta_prime
+        if shape.nested:
+            (width, _), (omega, _) = shape.indicators
             crypto = (
                 width * self.encryption_seconds
                 + omega * self.encryption_seconds * _LEVEL2_WEIGHT
@@ -103,16 +92,13 @@ class CostModel:
                 + m * width * omega * self.scalar_mul_seconds
                 + m * omega * self.scalar_mul_seconds * _LEVEL2_WEIGHT
             )
-            kgnn = delta_prime * self.kgnn_seconds
-        elif protocol == "naive":
-            crypto = (
-                config.delta * self.encryption_seconds
-                + m * self.decryption_seconds
-                + m * config.delta * self.scalar_mul_seconds
-            )
-            kgnn = config.delta * self.kgnn_seconds
         else:
-            raise ConfigurationError(f"unknown protocol {protocol!r}")
+            crypto = (
+                delta_prime * self.encryption_seconds
+                + m * self.decryption_seconds
+                + m * delta_prime * self.scalar_mul_seconds
+            )
+        kgnn = delta_prime * self.kgnn_seconds
         return crypto * scale + kgnn
 
     def predict_ops(
@@ -129,27 +115,11 @@ class CostModel:
         indicator slots are zero depends on the placement draw), so they
         are deliberately absent rather than approximately present.
         """
+        shape = round_shape(protocol, n, config)
         m = _answer_integers(config.keysize, config.k)
-        if protocol == "ppgnn":
-            delta_prime = solve_partition(n, config.d, config.delta).delta_prime
-            return {
-                "encryptions": delta_prime,
-                "decryptions": m,
-                "kgnn_queries": delta_prime,
-            }
-        if protocol == "ppgnn-opt":
-            delta_prime = solve_partition(n, config.d, config.delta).delta_prime
-            omega = optimal_omega(delta_prime)
-            width = math.ceil(delta_prime / omega)
-            return {
-                "encryptions": width + omega,
-                "decryptions": 2 * m,
-                "kgnn_queries": delta_prime,
-            }
-        if protocol == "naive":
-            return {
-                "encryptions": config.delta,
-                "decryptions": m,
-                "kgnn_queries": config.delta,
-            }
-        raise ConfigurationError(f"unknown protocol {protocol!r}")
+        return {
+            "encryptions": sum(length for length, _ in shape.indicators),
+            # A nested answer is decrypted once per selection phase.
+            "decryptions": len(shape.indicators) * m,
+            "kgnn_queries": shape.partition.delta_prime,
+        }

@@ -18,14 +18,13 @@ timings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from repro.core.common import group_keypair
 from repro.core.config import PPGNNConfig
+from repro.core.group import round_shape
 from repro.core.lsp import LSPServer
-from repro.core.opt import optimal_omega
 from repro.core.session import QuerySession
 from repro.crypto.noncepool import NoncePoolRegistry, PoolStats
 from repro.datasets.poi import POI
@@ -36,7 +35,10 @@ from repro.gnn.engine import GNNQueryEngine, build_index
 from repro.guard.guard import ProtocolGuard
 from repro.index.base import SpatialIndex
 from repro.obs import MetricsRegistry, MetricsSnapshot, Observability
-from repro.partition.solver import solve_partition
+
+# Resolved here only by LAYER_POINTS in benchmarks/e2e/spans.py, which
+# wraps each layer at every module it lists.
+from repro.partition.solver import solve_partition  # noqa: F401
 from repro.serve.cache import CacheStats, KnnLRUCache
 from repro.serve.workload import GroupProfile, QueryJob
 
@@ -217,17 +219,8 @@ class BucketRunner:
     def _top_up_pool(self, job: QueryJob, config: PPGNNConfig, n: int) -> None:
         """Precompute exactly the factors the next round will spend."""
         keypair = group_keypair(config)
-        if job.protocol == "naive":
-            self.registry.ensure(keypair.public_key, config.delta, s=1)
-            return
-        delta_prime = solve_partition(n, config.d, config.delta).delta_prime
-        if job.protocol == "ppgnn":
-            self.registry.ensure(keypair.public_key, delta_prime, s=1)
-        else:
-            omega = optimal_omega(delta_prime)
-            width = math.ceil(delta_prime / omega)
-            self.registry.ensure(keypair.public_key, width, s=1)
-            self.registry.ensure(keypair.public_key, omega, s=2)
+        for length, level in round_shape(job.protocol, n, config).indicators:
+            self.registry.ensure(keypair.public_key, length, s=level)
 
     # ------------------------------------------------------------ execution
 

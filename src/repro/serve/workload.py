@@ -22,11 +22,10 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.core.group import PROTOCOLS
 from repro.errors import ConfigurationError, finite_real, positive_int
 from repro.geometry.point import Point
 from repro.geometry.space import LocationSpace
-
-_PROTOCOLS = ("ppgnn", "ppgnn-opt", "naive")
 
 #: Multiplier separating per-job seed streams from the spec seed.
 _SEED_STRIDE = 1_000_003
@@ -153,9 +152,9 @@ class WorkloadSpec:
                     f"not {dict(mix)!r}"
                 )
         for protocol in self.protocol_mix:
-            if protocol not in _PROTOCOLS:
+            if protocol not in PROTOCOLS:
                 raise ConfigurationError(
-                    f"unknown protocol {protocol!r}; known: {list(_PROTOCOLS)}"
+                    f"unknown protocol {protocol!r}; known: {list(PROTOCOLS)}"
                 )
         for size in self.group_size_mix:
             positive_int(size, "a group size")

@@ -176,6 +176,38 @@ class TestOmegaChoice:
             paper_omega(0)
 
 
+class TestOmegaChecked:
+    """Both OPT runners check omega where the round's shape is built."""
+
+    RUNNERS = {
+        "group": lambda lsp, group, cfg, omega: run_ppgnn_opt(
+            lsp, group, cfg, seed=2, omega=omega
+        ),
+        "single": lambda lsp, group, cfg, omega: run_single_user_opt(
+            lsp, group[0], cfg, seed=2, omega=omega
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    @pytest.mark.parametrize("omega", [0, -1, "2", 2.5, True], ids=repr)
+    def test_rejected_naming_omega(self, lsp, fast_config, group, name, omega):
+        with pytest.raises(ConfigurationError, match="omega"):
+            self.RUNNERS[name](lsp, group, fast_config, omega)
+
+    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    def test_bounded_by_delta_prime(self, lsp, fast_config, group, name):
+        """delta' is d for one user; a numpy integer counts as an int."""
+        cfg = fast_config.without_sanitation()
+        run = self.RUNNERS[name]
+        delta_prime = run(lsp, group, cfg, None).delta_prime
+        widest = run(lsp, group, cfg, np.int64(delta_prime))
+        assert list(widest.answer_ids) == truth_ids(
+            lsp, group[:1] if name == "single" else group, cfg.k
+        )
+        with pytest.raises(ConfigurationError, match="omega"):
+            run(lsp, group, cfg, delta_prime + 1)
+
+
 class TestNaive:
     def test_matches_ppgnn_answer(self, lsp, fast_config, group):
         """Without sanitation randomness, Naive and PPGNN answer identically."""
@@ -226,11 +258,11 @@ class TestKeyHolderEncryption:
             lambda lsp, apnn, group, cfg: run_ppgnn(lsp, group, cfg, seed=3),
         ),
         "ppgnn-opt": (
-            "repro.core.opt",
+            "repro.core.group",
             lambda lsp, apnn, group, cfg: run_ppgnn_opt(lsp, group, cfg, seed=3),
         ),
         "naive": (
-            "repro.core.naive",
+            "repro.core.group",
             lambda lsp, apnn, group, cfg: run_naive(lsp, group, cfg, seed=3),
         ),
         "single": (

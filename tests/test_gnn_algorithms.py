@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.synthetic import clustered_pois, uniform_pois
+from repro.datasets.synthetic import uniform_pois
 from repro.errors import ConfigurationError
 from repro.geometry.point import Point
 from repro.gnn.aggregate import MAX, MIN, SUM, Aggregate
 from repro.gnn.bruteforce import brute_force_kgnn
-from repro.gnn.engine import GNNQueryEngine
 from repro.gnn.knn import incremental_nearest
 from repro.gnn.mqm import mqm_kgnn
 from repro.gnn.spm import centroid, spm_kgnn
@@ -143,20 +142,3 @@ class TestMQM:
         want = brute_force_kgnn(((p.location, p) for p in pois), locations, 5, MAX)
         assert [g[1].poi_id for g in got] == [w[1].poi_id for w in want]
 
-
-class TestEngineAlgorithmSelection:
-    @pytest.mark.parametrize("algorithm", ["mbm", "spm", "mqm"])
-    def test_all_algorithms_agree(self, algorithm):
-        pois = clustered_pois(600, seed=41)
-        engine = GNNQueryEngine(pois, algorithm=algorithm)
-        reference = GNNQueryEngine(pois)  # mbm
-        rng = np.random.default_rng(43)
-        for _ in range(4):
-            locations = [Point(*rng.uniform(0, 1, 2)) for _ in range(3)]
-            assert [p.poi_id for p in engine.query(7, locations)] == [
-                p.poi_id for p in reference.query(7, locations)
-            ]
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GNNQueryEngine(uniform_pois(10, seed=1), algorithm="quantum")

@@ -637,9 +637,8 @@ class TestEngine:
             engine.insert(POI(3, Point(0.5, 0.5)))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("algorithm", ["mbm", "spm", "mqm"])
-    def test_non_finite_location_rejected(self, algorithm, bad):
-        engine = GNNQueryEngine(uniform_pois(500, seed=7), algorithm=algorithm)
+    def test_non_finite_location_rejected(self, bad):
+        engine = GNNQueryEngine(uniform_pois(500, seed=7))
         for location in (Point(bad, 0.2), Point(0.2, bad)):
             with pytest.raises(ConfigurationError, match="non-finite"):
                 engine.query(3, [Point(0.5, 0.5), location])
@@ -647,9 +646,8 @@ class TestEngine:
                 engine.query_scored(3, [location])
 
     @pytest.mark.parametrize("k", [2.5, 1.5, True], ids=repr)
-    @pytest.mark.parametrize("algorithm", ["mbm", "spm", "mqm"])
-    def test_non_integer_k_rejected(self, algorithm, k):
-        engine = GNNQueryEngine(uniform_pois(100, seed=7), algorithm=algorithm)
+    def test_non_integer_k_rejected(self, k):
+        engine = GNNQueryEngine(uniform_pois(100, seed=7))
         group = [Point(0.5, 0.5), Point(0.2, 0.3)]
         calls = (
             lambda: engine.query(k, group),

@@ -207,6 +207,24 @@ class TestRangeQuery:
         assert got == want
 
 
+class TestInsertPath:
+    def test_knn_matches_bruteforce(self):
+        """Trees grown by inserts, at a small fan-out, split many times."""
+        from repro.gnn.knn import best_first_knn
+
+        rng = np.random.default_rng(10)
+        points = [Point(float(x), float(y)) for x, y in rng.uniform(0, 1, (300, 2))]
+        tree = RTree(max_entries=6)
+        oracle = BruteForceIndex()
+        for i, p in enumerate(points):
+            tree.insert(p, i)
+            oracle.insert(p, i)
+        q = Point(0.37, 0.61)
+        got = [i for _, i in best_first_knn(tree, q, 15)]
+        want = [i for _, i in oracle.nearest(q, 15)]
+        assert got == want
+
+
 class TestDeletion:
     def test_delete_existing(self, small_pois):
         tree = RTree(max_entries=6)

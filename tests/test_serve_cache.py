@@ -116,8 +116,8 @@ class TestEngineCaching:
 
     def test_key_distinguishes_k_and_locations(self, space):
         group = tuple(space.sample_points(2, np.random.default_rng(1)))
-        base = knn_cache_key(0, "mbm", "sum", 3, group)
-        assert knn_cache_key(0, "mbm", "sum", 4, group) != base
-        assert knn_cache_key(1, "mbm", "sum", 3, group) != base
-        assert knn_cache_key(0, "mbm", "max", 3, group) != base
-        assert knn_cache_key(0, "mbm", "sum", 3, group[:1]) != base
+        base = knn_cache_key(0, "sum", 3, group)
+        assert knn_cache_key(0, "sum", 4, group) != base
+        assert knn_cache_key(1, "sum", 3, group) != base
+        assert knn_cache_key(0, "max", 3, group) != base
+        assert knn_cache_key(0, "sum", 3, group[:1]) != base
